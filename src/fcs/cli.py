@@ -230,6 +230,10 @@ def _cmd_solve(args) -> int:
     if cfg.method is None:
         raise ConfigError(f"{cfg.source}: no solver method configured (set [solver] method or --method)")
     t0 = time.perf_counter()
+    if cfg.method == "sobolev":
+        return _cmd_sobolev_impl(cfg, t0)
+    if cfg.method == "sweep":
+        return _sweep_impl(cfg, t0)
     params = cfg.problem()
     cfg.require("R", "M")
     grid = make_grid(params, cfg.R, cfg.M)
@@ -249,10 +253,6 @@ def _cmd_solve(args) -> int:
         spec = cfg.spec()
         e = find_negative_energy_point(params, grid, spec)
         return _run_report(cfg, mountain_pass(params, grid, spec, e, opts), t0)
-    if cfg.method == "sobolev":
-        return _cmd_sobolev_impl(cfg, t0)
-    if cfg.method == "sweep":
-        return _sweep_impl(cfg, t0)
     raise ConfigError(f"{cfg.source}: unsupported method {cfg.method!r}")
 
 

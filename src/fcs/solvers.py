@@ -12,10 +12,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
+from .diagnostics import (
+    estimate_sobolev_constant,
+    nehari_residual,
+    pohozaev_residual,
+    ps_threshold,
+)
 from .energy import (
     I_functional,
     J_functional,
@@ -31,6 +37,7 @@ from .operators import (
     apply_B,
     dense_fractional_matrix,
     dual_norm,
+    frac_seminorm_sq,
     hartree_jacobian,
     hartree_potential_sym,
     apply_fractional_laplacian,
@@ -176,15 +183,49 @@ def _normalize_sign(u: Field) -> Field:
 
 
 def _pohozaev_rel_or_none(u: Field, spec: NonlinearitySpec) -> float | None:
-    from .diagnostics import pohozaev_residual
-
     if not spec.is_autonomous:
         return None
     return pohozaev_residual(u, spec).pohozaev_rel
 
 
-def _nehari(u: Field, spec: NonlinearitySpec) -> float:
-    return apply_A(u).pair(u) - float(np.sum(u.grid.w * spec.f(u.values, u.grid.r) * u.values))
+# ---------------------------------------------------------------------------
+# amplitude rays
+# ---------------------------------------------------------------------------
+
+class _Ray:
+    """The action and the Nehari function along the ray a -> a u.
+
+    Both operator parts are homogeneous in the amplitude: with
+    S = sum_m k_m^(2s) |u_m|^2 and Q = sum_j w_j u_j^2 (I_alpha * u^2)_j,
+
+        h(a)     = Phi'(a u) a u = a^2 S + a^4 Q - a sum_j w_j f(a u_j) u_j,
+        Phi(a u) = a^2 S / 2 + a^4 Q / 4 - sum_j w_j F(a u_j),
+
+    so one transform and one kernel matvec per shape serve every amplitude.
+    ``nehari`` and ``phi`` accept a scalar or a 1-D array of amplitudes.
+    """
+
+    def __init__(self, u: Field, spec: NonlinearitySpec):
+        self.u = u.values
+        self.spec = spec
+        self.w = u.grid.w
+        self.r = u.grid.r
+        self.S = frac_seminorm_sq(u)
+        self.Q = float(np.sum(self.w * self.u ** 2 * hartree_potential_sym(u)))
+
+    def _points(self, a):
+        a = np.asarray(a, dtype=float)
+        return a, a[..., None] * self.u
+
+    def nehari(self, a):
+        a, au = self._points(a)
+        fu = np.sum(self.w * self.spec.f(au, self.r) * self.u, axis=-1)
+        return a ** 2 * self.S + a ** 4 * self.Q - a * fu
+
+    def phi(self, a):
+        a, au = self._points(a)
+        Fu = np.sum(self.w * self.spec.F(au, self.r), axis=-1)
+        return 0.5 * a ** 2 * self.S + 0.25 * a ** 4 * self.Q - Fu
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +444,7 @@ def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None =
         residual_dual=resid,
         residual_rel=resid / res0 if res0 > 0 else 0.0,
         pohozaev_rel=_pohozaev_rel_or_none(u, spec),
-        nehari=_nehari(u, spec),
+        nehari=nehari_residual(u, spec),
         iterations=it_ascent + it_newton,
         converged=converged,
         seed_descriptor=opts.seed_descriptor(),
@@ -473,6 +514,7 @@ def eigen_deflated(
 
     exps = compute_exponents(params)
     p = exps.two_star_s_alpha
+    defl_opts = replace(opts, max_iter=min(opts.max_iter, 300))
     for descriptor, seed_vals in _deflation_seed_bank(grid):
         if len(reports) >= k:
             break
@@ -483,12 +525,6 @@ def eigen_deflated(
             except (RuntimeError, ValueError):
                 break
             pen = _DeflationPenalty([rep.solution for rep in reports], weight)
-            defl_opts = SolverOptions(
-                tol=opts.tol,
-                max_iter=min(opts.max_iter, 300),
-                armijo_c=opts.armijo_c,
-                armijo_shrink=opts.armijo_shrink,
-            )
             u, _, it_a, res0, _ = _ascend_J(u, defl_opts, penalty=pen, switch_rel=5e-2)
             lam = _rayleigh(u)
             tol_abs = opts.tol * res0
@@ -513,7 +549,7 @@ def eigen_deflated(
                         residual_dual=resid,
                         residual_rel=resid / res0 if res0 > 0 else 0.0,
                         pohozaev_rel=_pohozaev_rel_or_none(u, spec),
-                        nehari=_nehari(u, spec),
+                        nehari=nehari_residual(u, spec),
                         iterations=it_a + it_n,
                         converged=True,
                         seed_descriptor=descriptor,
@@ -612,11 +648,14 @@ def _minimization_starts(grid: RadialGrid, spec: NonlinearitySpec, seed: Field |
             pass
     profiles = [(f"gaussian{{{w}}}", np.exp(-((r / w) ** 2))) for w in (0.5, 1.0, 2.0, R / 4, R / 2)]
     profiles.append(("cap", np.maximum(1.0 - (r / R) ** 2, 0.0) ** 2))
+    amps = np.logspace(-3.5, 2.0, 34)
     for name, prof in profiles:
-        amps = np.logspace(-3.5, 2.0, 34)
-        phis = [Phi(Field(grid, a * prof), spec) for a in amps]
+        ray = _Ray(Field(grid, prof), spec)
+        # one amplitude at a time: the damped primitive's quadrature holds
+        # 48 nodes per point, so a whole-scan array would be 34x that
+        phis = [ray.phi(a) for a in amps]
         i = int(np.argmin(phis))
-        starts.append((f"{name}*{amps[i]:.3g}", Field(grid, amps[i] * prof), phis[i]))
+        starts.append((f"{name}*{amps[i]:.3g}", Field(grid, amps[i] * prof), float(phis[i])))
     bases = [("gaussian{1.0}", np.exp(-(r ** 2)))]
     bases += [
         (f"heavytail{{{w}}}", (1.0 + (r / w) ** 2) ** (-1.75))
@@ -727,7 +766,7 @@ def minimize_subscaled(
         residual_dual=res,
         residual_rel=res / res0 if res0 > 0 else 0.0,
         pohozaev_rel=_pohozaev_rel_or_none(u, spec),
-        nehari=_nehari(u, spec),
+        nehari=nehari_residual(u, spec),
         iterations=iters,
         converged=ok,
         seed_descriptor=descriptor,
@@ -749,12 +788,16 @@ def find_negative_energy_point(
     """Amplitude continuation along a Gaussian ray until the action is <= 0.
 
     Doubling locates a sign change of Phi along the ray, bisection tightens
-    it, and a point comfortably past the crossing is returned.
+    it, and a point comfortably past the crossing is returned.  Along the
+    ray Phi(a g) = a^2 S / 2 + a^4 Q / 4 - int F(a g) with S and Q computed
+    once for the shape g (see ``_Ray``), so only the primitive is evaluated
+    per amplitude.
     """
     g = np.exp(-((grid.r / width) ** 2))
+    ray = _Ray(Field(grid, g), spec)
     a = 1.0
     for _ in range(60):
-        if Phi(Field(grid, a * g), spec) <= 0.0:
+        if ray.phi(a) <= 0.0:
             break
         a *= 2.0
     else:
@@ -762,7 +805,7 @@ def find_negative_energy_point(
     lo, hi = a / 2.0, a
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if Phi(Field(grid, mid * g), spec) <= 0.0:
+        if ray.phi(mid) <= 0.0:
             hi = mid
         else:
             lo = mid
@@ -791,30 +834,26 @@ def _respread(path: list[np.ndarray], grid: RadialGrid) -> list[np.ndarray]:
     return out
 
 
-def _nehari_h(u: Field, spec: NonlinearitySpec) -> float:
-    grid = u.grid
-    return apply_A(u).pair(u) - float(np.sum(grid.w * spec.f(u.values, grid.r) * u.values))
-
-
 def _nehari_amplitude(grid: RadialGrid, spec: NonlinearitySpec, shape: np.ndarray) -> float | None:
     """Largest amplitude where the ray through ``shape`` crosses the Nehari set.
 
     h(a) = Phi'(a u) a u is positive near zero and eventually negative for
     superscaled/critical growth; the outermost + -> - crossing is the
-    barrier amplitude of the ray.
+    barrier amplitude of the ray.  Since h(a) = a^2 S + a^4 Q - a int f(a u) u
+    with S and Q fixed by the shape (see ``_Ray``), the log scan and the
+    bisection cost one transform and one kernel matvec in total.
     """
+    ray = _Ray(Field(grid, shape), spec)
     amps = np.logspace(-3.0, 3.0, 61)
-    hs = [_nehari_h(Field(grid, a * shape), spec) for a in amps]
-    idx = None
-    for i in range(len(amps) - 1):
-        if hs[i] > 0.0 >= hs[i + 1]:
-            idx = i
-    if idx is None:
+    hs = ray.nehari(amps)
+    crossings = np.flatnonzero((hs[:-1] > 0.0) & (hs[1:] <= 0.0))
+    if crossings.size == 0:
         return None
+    idx = crossings[-1]
     lo, hi = amps[idx], amps[idx + 1]
     for _ in range(60):
         mid = math.sqrt(lo * hi)
-        if _nehari_h(Field(grid, mid * shape), spec) > 0.0:
+        if ray.nehari(mid) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -984,8 +1023,6 @@ def mountain_pass(
     converged = _meets_tol(res, res0 if res0 else 1.0, opts, u)
     extras = {"I": I_functional(u), "path_nodes": P}
     if _is_critical_family(spec, exps):
-        from .diagnostics import estimate_sobolev_constant, ps_threshold
-
         S = estimate_sobolev_constant(params, grid)
         cstar = ps_threshold(params, S)
         extras.update(
@@ -1002,7 +1039,7 @@ def mountain_pass(
         residual_dual=res,
         residual_rel=res / res0 if res0 else 0.0,
         pohozaev_rel=_pohozaev_rel_or_none(u, spec),
-        nehari=_nehari(u, spec),
+        nehari=nehari_residual(u, spec),
         iterations=sweeps + it_n,
         converged=converged,
         seed_descriptor=f"path[{P}]",
@@ -1053,16 +1090,7 @@ def sweep(
         spec_v = base_spec.with_coef(term_index, v)
         run_opts = opts
         if warm is not None and float(np.max(np.abs(warm.values))) > 0.0:
-            run_opts = SolverOptions(
-                tol=opts.tol,
-                max_iter=opts.max_iter,
-                armijo_c=opts.armijo_c,
-                armijo_shrink=opts.armijo_shrink,
-                seed="field",
-                seed_field=warm,
-                use_newton=opts.use_newton,
-                path_nodes=opts.path_nodes,
-            )
+            run_opts = replace(opts, seed="field", seed_field=warm)
         try:
             if method == "minimize":
                 rep = _minimize_for_sweep(params, grid, spec_v, run_opts)
@@ -1119,7 +1147,7 @@ def _minimize_for_sweep(params, grid, spec, opts) -> SolveReport:
         residual_dual=res,
         residual_rel=res / res0 if res0 > 0 else 0.0,
         pohozaev_rel=_pohozaev_rel_or_none(u, spec),
-        nehari=_nehari(u, spec),
+        nehari=nehari_residual(u, spec),
         iterations=it_d + it_n,
         converged=_meets_tol(res, res0, opts, u),
         seed_descriptor="warm-start",

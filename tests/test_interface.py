@@ -327,7 +327,16 @@ def test_cli_scaling_check(capsys):
     assert data["scale_identity_err"] == 0.0
 
 
-def test_cli_sweep_csv(tmp_path, capsys):
+def test_cli_sweep_csv(tmp_path, capsys, monkeypatch):
+    import fcs.cli
+
+    grids = []
+
+    def counting_make_grid(*args):
+        grids.append(make_grid(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(fcs.cli, "make_grid", counting_make_grid)
     cfg = tmp_path / "run.cfg"
     csv_path = tmp_path / "branch.csv"
     cfg.write_text(
@@ -339,6 +348,7 @@ def test_cli_sweep_csv(tmp_path, capsys):
     )
     rc = cli_main(["solve", "--config", str(cfg)])
     assert rc == 0
+    assert len(grids) == 1  # the sweep's own grid, no unused one before it
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "param,energy,I,J,multiplier,residual,converged"
     assert len(lines) == 3
