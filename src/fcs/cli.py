@@ -36,7 +36,7 @@ from .io import (
     save_field,
 )
 from .params import compute_exponents
-from .scaling import project_to_M, scale
+from .scaling import _Fiber, project_to_M, scale
 from .solvers import (
     DegenerateSeedError,
     NoPassError,
@@ -296,15 +296,16 @@ def _cmd_scaling_check(args) -> int:
     u = Field(grid, np.exp(-grid.r ** 2))
     base_I, base_J = I_functional(u), J_functional(u)
     um = project_to_M(u)
+    fiber = _Fiber(u)
     rows = []
     for t in args.t:
         if t <= 0:
             raise ConfigError("scaling-check requires positive t values")
-        ut = scale(u, t)
+        ut = fiber.at(t)
         ratio_I = I_functional(ut) / (t ** exps.sigma * base_I) - 1.0
         ratio_J = J_functional(ut) / (t ** exps.sigma * base_J) - 1.0
         # composition against the analytic double dilation
-        u2 = scale(scale(u, math.sqrt(t)), math.sqrt(t))
+        u2 = scale(fiber.at(math.sqrt(t)), math.sqrt(t))
         comp = float(np.max(np.abs(u2.values - ut.values))) / max(
             float(np.max(np.abs(ut.values))), 1e-300
         )

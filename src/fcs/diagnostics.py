@@ -32,7 +32,7 @@ from .operators import (
     frac_seminorm_sq,
 )
 from .params import ProblemParams, Regime, compute_exponents, riesz_constant
-from .scaling import scale
+from .scaling import _Fiber
 
 __all__ = [
     "DiagnosticsRecord",
@@ -245,11 +245,12 @@ def linking_probe(
         side = "low" if psi <= lam else "high"
         prof = []
         ok = True
+        fiber = _Fiber(u)
         for t in ts:
             if t == 0.0:
                 prof.append((0.0, 0.0))
                 continue
-            phi = Phi(scale(u, t), spec)
+            phi = Phi(fiber.at(t), spec)
             prof.append((t, phi))
             if side == "low" and phi > 0.0:
                 ok = False

@@ -57,6 +57,9 @@ class RadialGrid:
     h: float = dc_field(init=False)
     r: np.ndarray = dc_field(init=False, repr=False)
     w: np.ndarray = dc_field(init=False, repr=False)
+    # transform engines and kernels cached here hold arrays, never the grid:
+    # a reference back would leave a dead grid and its M x M matrices to the
+    # cycle collector
     _caches: dict = dc_field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -184,15 +187,15 @@ class _SineEngine(_TransformEngine):
     """Exact DST-I pair for N = 3: u <-> sqrt(4 pi h) DST1(r u)."""
 
     def __init__(self, grid: RadialGrid):
-        self.grid = grid
+        self.r = grid.r
         self.k = math.pi / grid.R * np.arange(1, grid.M + 1, dtype=float)
         self._c = math.sqrt(4.0 * math.pi * grid.h)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        return self._c * dst(self.grid.r * values, type=1, norm="ortho")
+        return self._c * dst(self.r * values, type=1, norm="ortho")
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        return dst(coeffs, type=1, norm="ortho") / (self._c * self.grid.r)
+        return dst(coeffs, type=1, norm="ortho") / (self._c * self.r)
 
 
 def _bessel_zeros(nu: float, count: int) -> np.ndarray:
@@ -217,7 +220,6 @@ class _BesselEngine(_TransformEngine):
     """Dense Fourier-Bessel transform for general N, discretely unitary."""
 
     def __init__(self, grid: RadialGrid):
-        self.grid = grid
         N = grid.params.N
         nu = N / 2.0 - 1.0
         z = _bessel_zeros(nu, grid.M)

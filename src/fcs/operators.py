@@ -192,7 +192,6 @@ class _RieszKernel:
                 f"Riesz order alpha must lie in (1, N); alpha = 1 has a "
                 f"logarithmic angular kernel and is unsupported (got {alpha!r})"
             )
-        self.grid = grid
         self.alpha = alpha
         r, h, M = grid.r, grid.h, grid.M
         c_a = riesz_constant(N, alpha)

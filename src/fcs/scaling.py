@@ -2,8 +2,10 @@
 
 On the fixed grid the dilated field is resampled by monotone cubic
 interpolation (no overshoot, preserves positivity of bump profiles) with
-zero extension beyond the cutoff.  Contraction (t > 1) reads samples beyond
-R and therefore requires the boundary-decay flag.
+zero extension beyond the cutoff, one interpolant per base field.
+Contraction (t > 1) reads samples beyond R and therefore requires the
+boundary-decay flag.  The projection onto {I = 1} is a memoised root solve
+for t along the fiber.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from .energy import I_functional, NonlinearitySpec, Phi
 from .grid import Field
@@ -38,116 +41,113 @@ class FiberPoint:
         return scale(self.base, self.t)
 
 
+class _Fiber:
+    """The dilations u_t of one base field u, all read from one interpolant.
+
+    Interpolation is in y = r^2, where smooth radial profiles are smooth and
+    extremum-free near the origin (the monotone limiter would otherwise
+    flatten the peak); the y = 0 anchor is quadratic in y, O(h^6) accurate.
+    """
+
+    def __init__(self, u: Field, assume_zero_tail: bool = False):
+        self.u, self.grid = u, u.grid
+        self.may_contract = assume_zero_tail or u.boundary_decay
+        self.theta = compute_exponents(u.grid.params).theta
+        y, v = u.grid.r ** 2, u.values
+        y0, y1, y2 = y[0], y[1], y[2]
+        origin = ((y1 * y2) / ((y0 - y1) * (y0 - y2)) * v[0]
+                  + (y0 * y2) / ((y1 - y0) * (y1 - y2)) * v[1]
+                  + (y0 * y1) / ((y2 - y0) * (y2 - y1)) * v[2])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            self.interp = PchipInterpolator(np.r_[0.0, y], np.r_[origin, v], extrapolate=False)
+
+    def at(self, t: float) -> Field:
+        if t < 0.0:
+            raise ValueError("dilation parameter must be nonnegative")
+        if t == 0.0:
+            return self.grid.zero_field()
+        if t == 1.0:
+            return self.u.copy()
+        if t > 1.0 and not self.may_contract:
+            raise ValueError("scaling would read beyond cutoff: t > 1 requires the boundary-decay flag")
+        r, R = self.grid.r, self.grid.R
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            target = (t * r) ** 2
+            vals = np.where(target <= R ** 2, self.interp(np.minimum(target, R ** 2)), 0.0)
+        return Field(self.grid, t ** self.theta * np.nan_to_num(vals, nan=0.0))
+
+
 def scale(u: Field, t: float, assume_zero_tail: bool = False) -> Field:
     """Dilate: (u, t) -> t^theta u(t r), resampled on the grid of u.
 
     scale(u, 0) = 0 and scale(u, 1) = u exactly; t < 0 is rejected; t > 1
-    requires the boundary-decay flag since samples beyond the cutoff are
-    taken as zero.  ``assume_zero_tail`` waives that requirement for callers
-    that accept zero extension of an undecayed tail (tail-insensitive
-    quotient checks); the default contract is the hard error.
+    needs the boundary-decay flag, unless ``assume_zero_tail`` accepts zero
+    extension of an undecayed tail (tail-insensitive quotient checks).
     """
-    if t < 0.0:
-        raise ValueError("dilation parameter must be nonnegative")
-    if t == 0.0:
-        return u.grid.zero_field()
-    if t == 1.0:
-        return u.copy()
-    grid = u.grid
-    if t > 1.0 and not u.boundary_decay and not assume_zero_tail:
-        raise ValueError(
-            "scaling would read beyond cutoff: t > 1 requires the boundary-decay flag"
-        )
-    theta = compute_exponents(grid.params).theta
-    # interpolate in the r^2 variable: smooth radial profiles are smooth and
-    # extremum-free there near the origin, where the monotone limiter would
-    # otherwise flatten the peak; the y = 0 anchor is a quadratic
-    # extrapolation in y with O(h^6) error
-    y = grid.r ** 2
-    y0, y1, y2 = y[0], y[1], y[2]
-    v = u.values
-    l0 = (y1 * y2) / ((y0 - y1) * (y0 - y2))
-    l1 = (y0 * y2) / ((y1 - y0) * (y1 - y2))
-    l2 = (y0 * y1) / ((y2 - y0) * (y2 - y1))
-    origin = l0 * v[0] + l1 * v[1] + l2 * v[2]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        interp = PchipInterpolator(
-            np.concatenate(([0.0], y)), np.concatenate(([origin], v)), extrapolate=False
-        )
-        target = (t * grid.r) ** 2
-        vals = np.where(target <= grid.R ** 2, interp(np.minimum(target, grid.R ** 2)), 0.0)
-    vals = np.nan_to_num(vals, nan=0.0)
-    return Field(grid, t ** theta * vals)
+    return _Fiber(u, assume_zero_tail).at(t)
+
+
+def _gap(t: float, fiber: _Fiber, sign: float, tol: float, seen: dict) -> float:
+    # sign(sigma) g(t), which increases in t, memoised with u_t in seen[t];
+    # |g| < tol reads as an exact root, which stops brentq there.  Module
+    # level, state in arguments: brentq keeps its callable in a ref cycle.
+    if t not in seen:
+        ut = fiber.at(t)
+        seen[t] = (sign * (I_functional(ut) - 1.0), ut)
+    return 0.0 if abs(seen[t][0]) < tol else seen[t][0]
 
 
 def project_to_M(u: Field, tol: float = 1e-11, max_iter: int = 8) -> Field:
     """Fiber projection onto the unit-energy manifold {I = 1}.
 
-    The closed-form parameter t = I(u)^(-1/sigma) of the homogeneous energy
-    is polished on g(t) = I(u_t) - 1: a Newton iteration with the analytic
-    slope sigma t^(sigma-1) I(u)-type derivative handles smooth fields, and a
-    bracketing bisection fallback covers fields whose resampled energy is
-    wiggly in t (content near the grid scale).
+    Solves g(t) = I(u_t) - 1 = 0 on one interpolant of u with g memoised,
+    from t = I(u)^(-1/sigma) taken in log space: Newton with the analytic
+    slope sigma I/t, then secant slopes (a rough field's resampled energy is
+    not exactly t^sigma-homogeneous), then Brent's method on a bracket grown
+    around the best iterate.  Returns u_t at the first |g| < tol, else the
+    best u_t if |g| <= 1e-8; otherwise, or if the start t does not fit a
+    float, raises RuntimeError.
     """
     iu = I_functional(u)
     if iu <= 0.0:
         raise ValueError("cannot project the zero field onto the manifold")
     sigma = compute_exponents(u.grid.params).sigma
-    t = iu ** (-1.0 / sigma)
-
-    def g_of(tv: float) -> float:
-        return I_functional(scale(u, tv)) - 1.0
-
-    best = None
+    fiber = _Fiber(u)
+    log_t = -math.log(iu) / sigma
+    if abs(log_t) * max(1.0, fiber.theta) > 700.0:
+        raise RuntimeError(f"fiber parameter t = exp({log_t:.4g}) is not representable")
+    sign, seen = math.copysign(1.0, sigma), {}
+    state = (fiber, sign, tol, seen)
+    t, prev = math.exp(log_t), None
     for _ in range(max_iter):
-        g = g_of(t)
-        if best is None or abs(g) < best[0]:
-            best = (abs(g), t)
-        if abs(g) < tol:
-            return scale(u, t)
-        t_new = t - g / (sigma * (g + 1.0) / t)
-        if not (t_new > 0.0) or not math.isfinite(t_new):
+        g = _gap(t, *state)
+        if g == 0.0:
+            return seen[t][1]
+        secant = (g - prev[1]) / (t - prev[0]) if prev else 0.0
+        slope = secant if 0.0 < secant < math.inf else abs(sigma) * (sign * g + 1.0) / t
+        t_new = t - g / slope if slope > 0.0 else math.nan
+        if not 0.0 < t_new < math.inf or t_new == t:
             break
-        t = t_new
+        prev, t = (t, g), t_new
 
-    # safeguarded fallback: bracket a sign change around the best iterate
-    # and bisect (I(u_t) grows ~ t^sigma globally, so a bracket exists)
-    t = best[1]
-    lo, hi = t, t
-    glo, ghi = g_of(lo), g_of(hi)
-    for _ in range(60):
-        if glo <= 0.0:
+    lo = hi = min(seen, key=lambda tv: abs(seen[tv][0]))
+    for _ in range(60):  # only the end on the wrong side of the root moves
+        if _gap(lo, *state) > 0.0:
+            lo /= 1.3
+        elif _gap(hi, *state) < 0.0:
+            hi *= 1.3
+        else:
             break
-        lo /= 1.3
-        glo = g_of(lo)
-    for _ in range(60):
-        if ghi >= 0.0:
-            break
-        hi *= 1.3
-        ghi = g_of(hi)
-    if glo <= 0.0 <= ghi:
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            gm = g_of(mid)
-            if abs(gm) < tol or hi - lo < 1e-15 * hi:
-                return scale(u, mid)
-            if gm < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        mid = 0.5 * (lo + hi)
-        if abs(g_of(mid)) <= 1e-8:
-            return scale(u, mid)
-    if best[0] <= 1e-8:
-        return scale(u, best[1])
+    if _gap(lo, *state) <= 0.0 <= _gap(hi, *state):
+        brentq(_gap, lo, hi, args=state, xtol=1e-15 * lo, rtol=1e-15, disp=False)
+    g, ut = min(seen.values(), key=lambda gu: abs(gu[0]))
+    if abs(g) <= 1e-8:
+        return ut
     raise RuntimeError("fiber projection did not converge to the manifold")
 
 
 def fiber_profile(
-    u: Field,
-    spec: NonlinearitySpec,
-    ts,
-    rel_step: float = 1e-4,
+    u: Field, spec: NonlinearitySpec, ts, rel_step: float = 1e-4
 ) -> list[tuple[float, float, float]]:
     """Energy along the fiber: rows (t, Phi(u_t), dPhi(u_t)/dt).
 
@@ -160,13 +160,13 @@ def fiber_profile(
         raise ValueError("ts must be nonnegative and strictly ascending")
     if abs(I_functional(u) - 1.0) > 1e-8:
         raise ValueError("fiber profiles are taken from a manifold base point")
-    rows = []
+    fiber, rows = _Fiber(u), []
     for t in ts:
         if t == 0.0:
             rows.append((0.0, 0.0, float("nan")))
             continue
         dt = rel_step * t
-        phi = Phi(scale(u, t), spec)
-        dphi = (Phi(scale(u, t + dt), spec) - Phi(scale(u, t - dt), spec)) / (2.0 * dt)
+        phi = Phi(fiber.at(t), spec)
+        dphi = (Phi(fiber.at(t + dt), spec) - Phi(fiber.at(t - dt), spec)) / (2.0 * dt)
         rows.append((t, phi, dphi))
     return rows

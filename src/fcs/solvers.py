@@ -50,7 +50,7 @@ from .params import (
     classify_nonlinearity,
     compute_exponents,
 )
-from .scaling import project_to_M, scale
+from .scaling import _Fiber, project_to_M
 
 __all__ = [
     "SolverOptions",
@@ -416,7 +416,10 @@ def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None =
     seed = make_seed(grid, opts)
     if float(np.max(np.abs(seed.values))) == 0.0:
         raise DegenerateSeedError("degenerate seed: zero field")
-    u = project_to_M(seed)
+    try:
+        u = project_to_M(seed)
+    except RuntimeError as exc:
+        raise DegenerateSeedError(f"degenerate seed: {exc}") from exc
 
     u, J_hist, it_ascent, res0, res = _ascend_J(u, opts, switch_rel=max(opts.tol, 1e-3))
     tol_abs = opts.tol * res0
@@ -640,9 +643,9 @@ def _minimization_starts(grid: RadialGrid, spec: NonlinearitySpec, seed: Field |
     if seed is not None and float(np.max(np.abs(seed.values))) > 0.0:
         starts.append(("seed", seed.copy(), Phi(seed, spec)))
         try:
-            base = project_to_M(seed)
+            fiber = _Fiber(project_to_M(seed))
             for t in np.logspace(-1.5, 0.0, 9):
-                ut = scale(base, float(t))
+                ut = fiber.at(float(t))
                 starts.append((f"fiber[seed, t={t:.3g}]", ut, Phi(ut, spec)))
         except (RuntimeError, ValueError):
             pass
@@ -663,11 +666,11 @@ def _minimization_starts(grid: RadialGrid, spec: NonlinearitySpec, seed: Field |
     ]
     for name, prof in bases:
         try:
-            base = project_to_M(Field(grid, prof))
+            fiber = _Fiber(project_to_M(Field(grid, prof)))
         except (RuntimeError, ValueError):
             continue
         for t in np.logspace(-2.0, 0.0, 13):
-            ut = scale(base, float(t))
+            ut = fiber.at(float(t))
             starts.append((f"fiber[{name}, t={t:.3g}]", ut, Phi(ut, spec)))
     starts.sort(key=lambda s: s[2])
     return starts[:3]

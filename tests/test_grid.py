@@ -212,3 +212,26 @@ def test_physical_normalization_rejected_off_sine_path(grid_n2):
     uhat = forward_transform(grid_n2.field(np.exp(-grid_n2.r ** 2)))
     with pytest.raises(ValueError, match="N=3"):
         uhat.physical()
+
+
+@pytest.mark.parametrize("N,s,alpha", [(3, 0.75, 2.0), (4, 0.75, 2.5)])
+def test_solved_grid_is_freed_by_reference_counting(N, s, alpha):
+    # the grid caches its transform, Riesz kernel and dense Laplacian; none of
+    # them may point back at it, or each finished solve leaves its M x M
+    # matrices alive until the cycle collector happens to run
+    import gc
+    import weakref
+
+    from fcs.solvers import eigen1
+
+    p = ProblemParams(N, s, alpha)
+    gc.collect()
+    gc.disable()
+    try:
+        g = make_grid(p, 20.0, 64)
+        ref = weakref.ref(g)
+        eigen1(p, g)
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()

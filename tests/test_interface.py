@@ -315,6 +315,16 @@ def test_cli_determinism(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
+def test_cli_eigen1_small_sigma_is_a_solver_failure(capsys):
+    # sigma = 4s + alpha - N = 0.002: the seed cannot be projected onto the
+    # manifold, which is a typed solver failure (exit 2), not a crash
+    rc = cli_main(["eigen1", "--N", "3", "--s", "0.442", "--alpha", "1.234", "--R", "20", "--M", "128"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "degenerate seed" in err
+    assert "Traceback" not in err
+
+
 def test_cli_scaling_check(capsys):
     rc = cli_main(
         ["scaling-check", "--N", "3", "--s", "0.75", "--alpha", "2", "--R", "20", "--M", "96", "--json"]

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import fcs.scaling as scaling
+from fcs import ProblemParams, make_grid
 from fcs.energy import I_functional, Psi_tilde, eigen_spec, pure_power
 from fcs.operators import coulomb_sobolev_norm
 from fcs.params import compute_exponents
-from fcs.scaling import FiberPoint, fiber_profile, project_to_M, scale
+from fcs.scaling import FiberPoint, _Fiber, fiber_profile, project_to_M, scale
 
 from conftest import smooth_random_field
 
@@ -59,6 +61,33 @@ def test_scale_composition(pstar):
         twice = scale(scale(gaussian, t1), t2)
         denom = np.max(np.abs(once.values))
         assert np.max(np.abs(twice.values - once.values)) <= tol * denom
+
+
+def test_fiber_at_is_bitwise_scale(grid_small):
+    # one interpolant serves every t, in any order, exactly as a fresh one would
+    rng = np.random.default_rng(5)
+    r = grid_small.r
+    fields = [
+        np.exp(-r ** 2),
+        smooth_random_field(grid_small, rng).values,
+        np.exp(-((r / 15.0) ** 2)),  # no boundary decay
+    ]
+    ts = [0.77, 0.0, 1.3, 1e-3, 1.0, 0.31, 2.5, 1.0 + 1e-12]
+    for vals in fields:
+        u = grid_small.field(vals)
+        for zero_tail in (False, True):
+            fiber = _Fiber(u, zero_tail)
+            for t in ts:
+                try:
+                    expect = scale(u, t, assume_zero_tail=zero_tail)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=str(exc)):
+                        fiber.at(t)
+                    continue
+                got = fiber.at(t)
+                assert got.values.tobytes() == expect.values.tobytes()
+    with pytest.raises(ValueError, match="nonnegative"):
+        _Fiber(grid_small.field(fields[0])).at(-0.5)
 
 
 def test_scale_beyond_cutoff_requires_decay(grid_small):
@@ -145,6 +174,70 @@ def test_projection_of_rescaled_field_stays_on_manifold(gaussian):
     assert abs(I_functional(a) - 1.0) <= 1e-8
     assert abs(I_functional(b) - 1.0) <= 1e-8
     assert np.max(np.abs(a.values - b.values)) > 1e-3 * np.max(np.abs(a.values))
+
+
+class _Counter:
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+def _checkerboard(grid):
+    # rough Armijo-trial-like content at the grid scale: the resampled energy
+    # is far from t^sigma-homogeneous, so an analytic-slope Newton stalls
+    alt = (-1.0) ** np.arange(grid.M)
+    return grid.field(1.5 * np.exp(-grid.r ** 2) * (1.0 + 0.3 * alt))
+
+
+@pytest.mark.parametrize("M", [256, 1024])
+def test_projection_of_rough_field_is_superlinear(pstar, monkeypatch, M):
+    grid = make_grid(pstar, 20.0, M)
+    u = _checkerboard(grid)
+    counter = _Counter(I_functional)
+    monkeypatch.setattr(scaling, "I_functional", counter)
+    v = project_to_M(u)
+    assert abs(I_functional(v) - 1.0) <= 1e-11
+    assert counter.calls <= 15
+
+
+def test_projection_builds_one_interpolant(grid_small, monkeypatch):
+    counter = _Counter(scaling.PchipInterpolator)
+    monkeypatch.setattr(scaling, "PchipInterpolator", counter)
+    rng = np.random.default_rng(9)
+    fields = [
+        grid_small.field(np.exp(-grid_small.r ** 2)),
+        _checkerboard(grid_small),
+        smooth_random_field(grid_small, rng, amplitude=2.0),
+    ]
+    for u in fields:
+        before = counter.calls
+        project_to_M(u)
+        assert counter.calls - before == 1
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.4])
+def test_projection_below_threshold(alpha):
+    # sigma < 0: I(u_t) falls as t grows, and the projection still lands
+    p = ProblemParams(3, 0.3, alpha)
+    assert compute_exponents(p).sigma < 0.0
+    grid = make_grid(p, 20.0, 192)
+    for u in (grid.field(np.exp(-grid.r ** 2)), _checkerboard(grid)):
+        assert abs(I_functional(project_to_M(u)) - 1.0) <= 1e-11
+
+
+def test_projection_small_sigma_raises_typed_error():
+    # sigma = 0.002: t = I^(-1/sigma) either leaves the float range or asks
+    # for a dilation the ball cannot hold; both are RuntimeErrors
+    p = ProblemParams(3, 0.442, 1.234)
+    grid = make_grid(p, 20.0, 128)
+    gaussian = np.exp(-grid.r ** 2)
+    with pytest.raises(RuntimeError, match="not representable"):
+        project_to_M(grid.field(5.0 * gaussian))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        project_to_M(grid.field(gaussian))
 
 
 def test_projection_rejects_zero(grid_small):

@@ -49,6 +49,22 @@ def _eigen_residual_dual(rep):
 # eigen solver
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize(
+    "N, s, alpha, M, lam",
+    [
+        (3, 0.75, 2.0, 1024, 2.5213932450118346),
+        (4, 0.75, 2.5, 256, 2.8189259065993646),
+        (2, 0.75, 1.5, 256, 3.0785379520702905),
+    ],
+)
+def test_eigen1_pinned_multiplier(N, s, alpha, M, lam):
+    # pinned at R = 20; the fiber projection's root finder must not move them
+    p = ProblemParams(N, s, alpha)
+    rep = eigen1(p, make_grid(p, 20.0, M))
+    assert rep.converged
+    assert abs(rep.multiplier - lam) <= 1e-12 * lam
+
+
 def test_eigen1_converges(pstar, eigen_report):
     rep = eigen_report
     assert rep.converged
