@@ -191,8 +191,10 @@ def estimate_sobolev_constant(
         quotient = frac_seminorm_sq(u) / lp_norm(u, p) ** 2
         if quotient < best:
             best = quotient
-            best_u = Field(grid, u.values / lp_norm(u, p))
+            best_u = u.values / lp_norm(u, p)
     grid._caches["sobolev_constant"] = best
+    # the values, not a Field: a Field points back at the grid, and that
+    # cycle would leave a dead grid to the cycle collector
     grid._caches["sobolev_extremal"] = best_u
     return best
 
@@ -200,7 +202,7 @@ def estimate_sobolev_constant(
 def sobolev_extremal(params: ProblemParams, grid: RadialGrid) -> Field:
     """The minimizing profile behind :func:`estimate_sobolev_constant`."""
     estimate_sobolev_constant(params, grid)
-    return grid._caches["sobolev_extremal"]
+    return Field(grid, grid._caches["sobolev_extremal"].copy())
 
 
 def ps_threshold(params: ProblemParams, S: float) -> float:

@@ -70,11 +70,15 @@ class _Fiber:
             return self.u.copy()
         if t > 1.0 and not self.may_contract:
             raise ValueError("scaling would read beyond cutoff: t > 1 requires the boundary-decay flag")
+        try:
+            amp = t ** self.theta
+        except OverflowError:
+            raise ValueError("dilation t^theta overflows") from None
         r, R = self.grid.r, self.grid.R
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             target = (t * r) ** 2
             vals = np.where(target <= R ** 2, self.interp(np.minimum(target, R ** 2)), 0.0)
-        return Field(self.grid, t ** self.theta * np.nan_to_num(vals, nan=0.0))
+        return Field(self.grid, amp * np.nan_to_num(vals, nan=0.0))
 
 
 def scale(u: Field, t: float, assume_zero_tail: bool = False) -> Field:

@@ -182,10 +182,35 @@ def _normalize_sign(u: Field) -> Field:
     return Field(u.grid, -u.values) if u.values[0] < 0.0 else u
 
 
-def _pohozaev_rel_or_none(u: Field, spec: NonlinearitySpec) -> float | None:
-    if not spec.is_autonomous:
-        return None
-    return pohozaev_residual(u, spec).pohozaev_rel
+def _certify(
+    u: Field,
+    spec: NonlinearitySpec,
+    *,
+    energy: float,
+    res: float,
+    res0: float,
+    iterations: int,
+    converged: bool,
+    seed: str,
+    multiplier: float | None = None,
+    extras: dict | None = None,
+) -> SolveReport:
+    """The one builder of a ``SolveReport``: identities recomputed from ``u``.
+
+    The Pohozaev balance is stated only for autonomous f; its record also
+    carries Phi'(u) u, so the Nehari residual is evaluated once either way.
+    """
+    if spec.is_autonomous:
+        rec = pohozaev_residual(u, spec)
+        pohozaev_rel, nehari = rec.pohozaev_rel, rec.nehari
+    else:
+        pohozaev_rel, nehari = None, nehari_residual(u, spec)
+    return SolveReport(
+        solution=u, energy=energy, multiplier=multiplier, residual_dual=res,
+        residual_rel=res / res0 if res0 > 0 else 0.0, pohozaev_rel=pohozaev_rel, nehari=nehari,
+        iterations=iterations, converged=converged, seed_descriptor=seed,
+        grid_summary=u.grid.summary(), extras=extras or {},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +425,23 @@ def _ascend_J(u: Field, opts: SolverOptions, penalty=None, switch_rel: float = 1
     return u, J_hist, it, res0, res
 
 
+def _finish_eigen(u: Field, exps, res0: float, converged, iterations: int, seed: str, extras: dict):
+    """Certify an eigen iterate at its Rayleigh quotient, sign-normalized.
+
+    ``converged(u, resid, I)`` is the caller's acceptance rule on the
+    normalized field, its eigen residual and its energy I(u).
+    """
+    u = _normalize_sign(u)
+    lam = _rayleigh(u)
+    resid = dual_norm(_eigen_residual(u, lam, exps.two_star_s_alpha))
+    iu = I_functional(u)
+    return _certify(
+        u, eigen_spec(lam, exps), energy=Phi_lambda(u, lam), multiplier=lam, res=resid,
+        res0=res0, iterations=iterations, converged=converged(u, resid, iu), seed=seed,
+        extras={"I": iu, "J": J_functional(u), "manifold_defect": iu - 1.0, **extras},
+    )
+
+
 def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None = None) -> SolveReport:
     """First-eigenvalue run: maximize J on the unit-energy manifold.
 
@@ -430,37 +472,18 @@ def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None =
         u, lam, res, it_newton = _newton_eigen(
             u, lam, min(tol_abs, 1e-11 * res0), max_iter=newton_budget
         )
-    u = _normalize_sign(u)
-
-    # recompute all certificates from the stored field
-    lam = _rayleigh(u)
-    spec = eigen_spec(lam, exps)
-    resid = dual_norm(_eigen_residual(u, lam, exps.two_star_s_alpha))
-    iu = I_functional(u)
-    converged = _meets_tol(resid, res0, opts, u) and abs(iu - 1.0) <= 1e-8
-    if float(np.max(np.abs(u.values))) < 1e-12:
-        raise DegenerateSeedError("eigen iteration collapsed to the zero field")
-    report = SolveReport(
-        solution=u,
-        energy=Phi_lambda(u, lam),
-        multiplier=lam,
-        residual_dual=resid,
-        residual_rel=resid / res0 if res0 > 0 else 0.0,
-        pohozaev_rel=_pohozaev_rel_or_none(u, spec),
-        nehari=nehari_residual(u, spec),
-        iterations=it_ascent + it_newton,
-        converged=converged,
-        seed_descriptor=opts.seed_descriptor(),
-        grid_summary=grid.summary(),
-        extras={
-            "I": iu,
-            "J": J_functional(u),
-            "manifold_defect": iu - 1.0,
+    report = _finish_eigen(
+        u, exps, res0,
+        lambda v, resid, iu: _meets_tol(resid, res0, opts, v) and abs(iu - 1.0) <= 1e-8,
+        it_ascent + it_newton, opts.seed_descriptor(),
+        {
             "J_history_monotone": bool(np.all(np.diff(J_hist) >= 0.0)),
             "iterations_ascent": it_ascent,
             "iterations_newton": it_newton,
         },
     )
+    if float(np.max(np.abs(report.solution.values))) < 1e-12:
+        raise DegenerateSeedError("eigen iteration collapsed to the zero field")
     return report
 
 
@@ -516,7 +539,6 @@ def eigen_deflated(
         return reports
 
     exps = compute_exponents(params)
-    p = exps.two_star_s_alpha
     defl_opts = replace(opts, max_iter=min(opts.max_iter, 300))
     for descriptor, seed_vals in _deflation_seed_bank(grid):
         if len(reports) >= k:
@@ -532,39 +554,19 @@ def eigen_deflated(
             lam = _rayleigh(u)
             tol_abs = opts.tol * res0
             u, lam, res, it_n = _newton_eigen(u, lam, min(tol_abs, 1e-11 * res0))
-            u = _normalize_sign(u)
-            lam = _rayleigh(u)
-            resid = dual_norm(_eigen_residual(u, lam, p))
+            # |cos| is blind to the sign normalization still ahead
             distinct = all(
                 abs(float(np.sum(grid.w * u.values * rep.solution.values)))
                 / max(lp_norm(u, 2.0) * lp_norm(rep.solution, 2.0), 1e-300)
                 < 0.99
                 for rep in reports
             )
-            if resid <= tol_abs and distinct:
-                spec = eigen_spec(lam, exps)
-                iu = I_functional(u)
-                reports.append(
-                    SolveReport(
-                        solution=u,
-                        energy=Phi_lambda(u, lam),
-                        multiplier=lam,
-                        residual_dual=resid,
-                        residual_rel=resid / res0 if res0 > 0 else 0.0,
-                        pohozaev_rel=_pohozaev_rel_or_none(u, spec),
-                        nehari=nehari_residual(u, spec),
-                        iterations=it_a + it_n,
-                        converged=True,
-                        seed_descriptor=descriptor,
-                        grid_summary=grid.summary(),
-                        extras={
-                            "I": iu,
-                            "J": J_functional(u),
-                            "manifold_defect": iu - 1.0,
-                            "ordering": "candidate, uncertified ordering",
-                        },
-                    )
-                )
+            rep = _finish_eigen(
+                u, exps, res0, lambda v, resid, iu: resid <= tol_abs and distinct,
+                it_a + it_n, descriptor, {"ordering": "candidate, uncertified ordering"},
+            )
+            if rep.converged:
+                reports.append(rep)
                 break
             weight *= 0.5
     if len(reports) < k:
@@ -688,34 +690,35 @@ def minimize_subscaled(
     amplitudes, followed by a Newton polish; the zero field is the answer
     for f = 0.
     """
-    opts = opts or SolverOptions()
+    return _minimize(params, grid, spec, opts or SolverOptions(), warm=False)
+
+
+def _minimize(
+    params: ProblemParams, grid: RadialGrid, spec: NonlinearitySpec, opts: SolverOptions, warm: bool
+) -> SolveReport:
+    """Body of :func:`minimize_subscaled`; a ``warm`` field seed is the only start.
+
+    Sweeps continue a branch from the previous row this way.  Every start
+    runs descent, Newton and the zero-level check, so a warm row that finds
+    no negative-level basin reports the trivial minimizer as a single solve
+    does.
+    """
     _check_grid(params, grid)
     _require_above(params)
     exps = compute_exponents(params)
 
     if spec.is_empty:
-        zero = grid.zero_field()
-        return SolveReport(
-            solution=zero,
-            energy=0.0,
-            multiplier=None,
-            residual_dual=0.0,
-            residual_rel=0.0,
-            pohozaev_rel=0.0 if spec.is_autonomous else None,
-            nehari=0.0,
-            iterations=0,
-            converged=True,
-            seed_descriptor="zero",
-            grid_summary=grid.summary(),
-            extras={"note": "empty nonlinearity: Phi has the trivial global minimum"},
-        )
+        return _trivial_minimizer(grid, spec, "empty nonlinearity: Phi has the trivial global minimum")
 
     _validate_subscaled(spec, exps)
 
     seed = make_seed(grid, opts) if opts.seed == "field" else None
-    starts = _minimization_starts(grid, spec, seed)
+    if warm and seed is not None:
+        starts = [("warm-start", seed, None)]
+    else:
+        starts = _minimization_starts(grid, spec, seed)
     best = None
-    for descriptor, u0, phi0 in starts:
+    for descriptor, u0, _ in starts:
         res0 = dual_norm(grad_Phi(u0, spec))
         if res0 == 0.0:
             continue
@@ -732,49 +735,29 @@ def minimize_subscaled(
             continue
         phi = Phi(u, spec)
         res = dual_norm(grad_Phi(u, spec))
-        entry = (phi, _meets_tol(res, res0, opts, u), u, res, it_d + it_n, descriptor, res0)
+        entry = (phi, _meets_tol(res, res0, opts, u), u, it_d + it_n, descriptor, res0)
         if best is None or (entry[1], -entry[0]) > (best[1], -best[0]):
             best = entry
 
     if best is None or best[0] >= -1e-14:
         # no nontrivial negative-level basin on this ball: the coercive
         # action attains its infimum at the origin within grid resolution
-        zero = grid.zero_field()
-        return SolveReport(
-            solution=zero,
-            energy=0.0,
-            multiplier=None,
-            residual_dual=0.0,
-            residual_rel=0.0,
-            pohozaev_rel=0.0 if spec.is_autonomous else None,
-            nehari=0.0,
-            iterations=0,
-            converged=True,
-            seed_descriptor="zero",
-            grid_summary=grid.summary(),
-            extras={
-                "note": "no negative-action start found on this ball; "
-                "returning the trivial global minimizer"
-            },
+        return _trivial_minimizer(
+            grid, spec, "no negative-action start found on this ball; returning the trivial global minimizer"
         )
 
-    phi, ok, u, res, iters, descriptor, res0 = best
+    _, ok, u, iters, descriptor, res0 = best
     u = _normalize_sign(u)
-    phi = Phi(u, spec)
-    res = dual_norm(grad_Phi(u, spec))
-    return SolveReport(
-        solution=u,
-        energy=phi,
-        multiplier=None,
-        residual_dual=res,
-        residual_rel=res / res0 if res0 > 0 else 0.0,
-        pohozaev_rel=_pohozaev_rel_or_none(u, spec),
-        nehari=nehari_residual(u, spec),
-        iterations=iters,
-        converged=ok,
-        seed_descriptor=descriptor,
-        grid_summary=grid.summary(),
-        extras={"I": I_functional(u)},
+    return _certify(
+        u, spec, energy=Phi(u, spec), res=dual_norm(grad_Phi(u, spec)), res0=res0,
+        iterations=iters, converged=ok, seed=descriptor, extras={"I": I_functional(u)},
+    )
+
+
+def _trivial_minimizer(grid: RadialGrid, spec: NonlinearitySpec, note: str) -> SolveReport:
+    return _certify(
+        grid.zero_field(), spec, energy=0.0, res=0.0, res0=0.0, iterations=0,
+        converged=True, seed="zero", extras={"note": note},
     )
 
 
@@ -1035,19 +1018,9 @@ def mountain_pass(
                 "level_exceeds_ps_threshold": bool(level >= cstar),
             }
         )
-    return SolveReport(
-        solution=u,
-        energy=level,
-        multiplier=None,
-        residual_dual=res,
-        residual_rel=res / res0 if res0 else 0.0,
-        pohozaev_rel=_pohozaev_rel_or_none(u, spec),
-        nehari=nehari_residual(u, spec),
-        iterations=sweeps + it_n,
-        converged=converged,
-        seed_descriptor=f"path[{P}]",
-        grid_summary=grid.summary(),
-        extras=extras,
+    return _certify(
+        u, spec, energy=level, res=res, res0=res0, iterations=sweeps + it_n,
+        converged=converged, seed=f"path[{P}]", extras=extras,
     )
 
 
@@ -1079,7 +1052,9 @@ def sweep(
     """Warm-started solves along a monotone parameter range.
 
     Each row replaces the coefficient of ``base_spec.terms[term_index]`` by
-    the next value; the previous solution seeds the next solve.  Failures
+    the next value; the previous solution seeds the next solve.  A
+    ``minimize`` row descends from that seed alone and, like a single solve,
+    reports the trivial minimizer when no negative level is found.  Failures
     are recorded (NaN energy sentinel) and the sweep continues.
     """
     opts = opts or SolverOptions()
@@ -1096,7 +1071,7 @@ def sweep(
             run_opts = replace(opts, seed="field", seed_field=warm)
         try:
             if method == "minimize":
-                rep = _minimize_for_sweep(params, grid, spec_v, run_opts)
+                rep = _minimize(params, grid, spec_v, run_opts, warm=True)
             elif method == "eigen1":
                 rep = eigen1(params, grid, run_opts)
             elif method == "mountain-pass":
@@ -1115,7 +1090,7 @@ def sweep(
             BranchRow(
                 param=v,
                 energy=rep.energy if rep.converged else math.nan,
-                I=rep.extras.get("I", I_functional(rep.solution)),
+                I=I_functional(rep.solution),
                 J=J_functional(rep.solution),
                 multiplier=rep.multiplier,
                 residual=rep.residual_dual,
@@ -1124,36 +1099,3 @@ def sweep(
             )
         )
     return rows
-
-
-def _minimize_for_sweep(params, grid, spec, opts) -> SolveReport:
-    """Minimization that honors a warm-start seed instead of the seed bank."""
-    if opts.seed != "field":
-        return minimize_subscaled(params, grid, spec, opts)
-    _check_grid(params, grid)
-    _require_above(params)
-    exps = compute_exponents(params)
-    _validate_subscaled(spec, exps)
-    u0 = make_seed(grid, opts)
-    res0 = dual_norm(grad_Phi(u0, spec))
-    tol_abs = opts.tol * max(res0, 1e-300)
-    u, it_d = _descend_Phi(u0, spec, opts, max(tol_abs, 1e-2 * res0), opts.max_iter)
-    it_n = 0
-    if opts.use_newton:
-        u, _, it_n = _newton_gradient(u, spec, min(tol_abs, 1e-11 * max(res0, 1e-300)))
-    u = _normalize_sign(u)
-    res = dual_norm(grad_Phi(u, spec))
-    return SolveReport(
-        solution=u,
-        energy=Phi(u, spec),
-        multiplier=None,
-        residual_dual=res,
-        residual_rel=res / res0 if res0 > 0 else 0.0,
-        pohozaev_rel=_pohozaev_rel_or_none(u, spec),
-        nehari=nehari_residual(u, spec),
-        iterations=it_d + it_n,
-        converged=_meets_tol(res, res0, opts, u),
-        seed_descriptor="warm-start",
-        grid_summary=grid.summary(),
-        extras={"I": I_functional(u)},
-    )

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from fcs import ProblemParams, forward_transform, inverse_transform, lp_norm, make_grid
+from fcs.energy import NonlinearitySpec, PowerTerm
 from fcs.grid import Field, GridMismatchError
+from fcs.params import compute_exponents
+from fcs.solvers import eigen1, find_negative_energy_point, mountain_pass
 
 from conftest import smooth_random_field
 
@@ -214,15 +217,28 @@ def test_physical_normalization_rejected_off_sine_path(grid_n2):
         uhat.physical()
 
 
-@pytest.mark.parametrize("N,s,alpha", [(3, 0.75, 2.0), (4, 0.75, 2.5)])
-def test_solved_grid_is_freed_by_reference_counting(N, s, alpha):
-    # the grid caches its transform, Riesz kernel and dense Laplacian; none of
-    # them may point back at it, or each finished solve leaves its M x M
-    # matrices alive until the cycle collector happens to run
+def _critical_mountain_pass(p, g):
+    # the critical family caches the Sobolev extremal on the grid
+    exps = compute_exponents(p)
+    qs = (exps.two_star_s_alpha, 3.5, exps.two_star_s)
+    spec = NonlinearitySpec.of(*(PowerTerm(1.0, q) for q in qs))
+    mountain_pass(p, g, spec, find_negative_energy_point(p, g, spec))
+
+
+@pytest.mark.parametrize(
+    "N,s,alpha,solve",
+    [
+        pytest.param(3, 0.75, 2.0, eigen1, id="3-0.75-2.0"),
+        pytest.param(4, 0.75, 2.5, eigen1, id="4-0.75-2.5"),
+        pytest.param(3, 0.8, 2.0, _critical_mountain_pass, id="3-0.8-2.0-critical-mountain-pass"),
+    ],
+)
+def test_solved_grid_is_freed_by_reference_counting(N, s, alpha, solve):
+    # the grid caches its transform, Riesz kernel, dense Laplacian and Sobolev
+    # extremal; none of them may point back at it, or each finished solve
+    # leaves its M x M matrices alive until the cycle collector happens to run
     import gc
     import weakref
-
-    from fcs.solvers import eigen1
 
     p = ProblemParams(N, s, alpha)
     gc.collect()
@@ -230,7 +246,7 @@ def test_solved_grid_is_freed_by_reference_counting(N, s, alpha):
     try:
         g = make_grid(p, 20.0, 64)
         ref = weakref.ref(g)
-        eigen1(p, g)
+        solve(p, g)
         del g
         assert ref() is None
     finally:

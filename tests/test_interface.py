@@ -337,6 +337,17 @@ def test_cli_scaling_check(capsys):
     assert data["scale_identity_err"] == 0.0
 
 
+def test_cli_scaling_check_overflow_is_a_validation_error(capsys):
+    rc = cli_main(
+        ["scaling-check", "--N", "3", "--s", "0.75", "--alpha", "2", "--R", "20", "--M", "64",
+         "--t", "1e200", "--json"]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "overflows" in err
+    assert "Traceback" not in err
+
+
 def test_cli_sweep_csv(tmp_path, capsys, monkeypatch):
     import fcs.cli
 

@@ -97,6 +97,13 @@ def test_scale_beyond_cutoff_requires_decay(grid_small):
         scale(wide, 1.5)
 
 
+def test_fiber_at_overflow_is_a_value_error(gaussian):
+    # t^theta beyond the float range: callers treat ValueError as a rejected
+    # step or start, so the overflow must not escape as OverflowError
+    with pytest.raises(ValueError, match="overflows"):
+        _Fiber(gaussian).at(1e200)
+
+
 def test_dilation_norm_bound(gaussian, exps):
     # |u_t| <= max(t^(sigma/2), t^(sigma/4)) |u| on the sampled family
     base = coulomb_sobolev_norm(gaussian)

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from fcs import ProblemParams, make_grid
+from fcs.diagnostics import nehari_residual, pohozaev_residual
 from fcs.energy import (
     DampedPowerTerm,
     I_functional,
     J_functional,
     NonlinearitySpec,
     Phi,
+    Phi_lambda,
+    PowerTerm,
+    eigen_spec,
+    grad_Phi,
     pure_power,
 )
 from fcs.operators import apply_A, apply_B, dual_norm
@@ -314,6 +319,23 @@ def test_sweep_warm_start_reduces_iterations(pstar, grid, eigen_report):
     assert warm_iters < cold_iters
 
 
+def test_sweep_rows_agree_with_single_solves(pstar):
+    # below the first eigenvalue the warm descent from the previous row's
+    # minimizer finds no negative level; the row must then report what a
+    # single solve reports (the trivial minimizer), not a positive-level
+    # critical point or a collapse
+    g = make_grid(pstar, 20.0, 128)
+    opts = SolverOptions(seed="field", seed_field=eigen1(pstar, g).solution)
+    exps = compute_exponents(pstar)
+    spec = NonlinearitySpec.of(DampedPowerTerm(4.5, exps.two_star_s_alpha, 0.3))
+    lams = [4.5, 3.5, 2.5]
+    rows = sweep(pstar, g, spec, 0, lams, opts, method="minimize")
+    for row, lam in zip(rows, lams):
+        single = minimize_subscaled(pstar, g, spec.with_coef(0, lam), opts)
+        assert row.converged
+        assert math.isclose(row.energy, single.energy, rel_tol=1e-6, abs_tol=1e-12)
+
+
 def test_sweep_records_failures_and_continues(pstar, grid):
     # an out-of-window coefficient sweep: rows fail but the sweep finishes
     spec = pure_power(1.0, 3.2)  # superscaled: minimize refuses
@@ -344,3 +366,51 @@ def test_solver_options_validation():
         SolverOptions(max_iter=0)
     with pytest.raises(ValueError):
         SolverOptions(path_nodes=2)
+
+
+# ---------------------------------------------------------------------------
+# certificate contract
+# ---------------------------------------------------------------------------
+
+def _critical_family_setup():
+    p = ProblemParams(3, 0.8, 2.0)
+    g = make_grid(p, 20.0, 128)
+    exps = compute_exponents(p)
+    qs = (exps.two_star_s_alpha, 3.5, exps.two_star_s)
+    spec = NonlinearitySpec.of(*(PowerTerm(1.0, q) for q in qs))
+    return p, g, spec, find_negative_energy_point(p, g, spec)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["eigen1", "eigen_deflated", "minimize", "minimize-trivial", "mountain-pass", "mountain-pass-critical"],
+)
+def test_reports_are_recomputed_from_the_stored_field(entry, pstar, grid, eigen_report, mp_setup):
+    # every certificate equals, bit for bit, the public function evaluated
+    # on report.solution: nothing may leak from solver internals
+    exps = compute_exponents(pstar)
+    if entry == "eigen1":
+        reports = [eigen_report]
+    elif entry == "eigen_deflated":
+        reports = eigen_deflated(pstar, grid, 2)
+    elif entry == "minimize":
+        spec = NonlinearitySpec.of(DampedPowerTerm(4.5, exps.two_star_s_alpha, 0.3))
+        opts = SolverOptions(seed="field", seed_field=eigen_report.solution)
+        reports = [minimize_subscaled(pstar, grid, spec, opts)]
+    elif entry == "minimize-trivial":
+        spec = pure_power(1.0, 2.7)
+        reports = [minimize_subscaled(pstar, grid, spec)]
+    else:
+        p, g, spec, e = mp_setup if entry == "mountain-pass" else _critical_family_setup()
+        reports = [mountain_pass(p, g, spec, e)]
+    for rep in reports:
+        u = rep.solution
+        if rep.multiplier is not None:
+            spec = eigen_spec(rep.multiplier, compute_exponents(u.grid.params))
+            energy, residual = Phi_lambda(u, rep.multiplier), _eigen_residual_dual(rep)
+        else:
+            energy, residual = Phi(u, spec), dual_norm(grad_Phi(u, spec))
+        assert rep.nehari == nehari_residual(u, spec)
+        assert rep.pohozaev_rel == pohozaev_residual(u, spec).pohozaev_rel
+        assert rep.energy == energy
+        assert rep.residual_dual == residual
