@@ -302,14 +302,20 @@ def _cmd_scaling_check(args) -> int:
         if t <= 0:
             raise ConfigError("scaling-check requires positive t values")
         ut = fiber.at(t)
-        ratio_I = I_functional(ut) / (t ** exps.sigma * base_I) - 1.0
-        ratio_J = J_functional(ut) / (t ** exps.sigma * base_J) - 1.0
+        try:
+            t_sigma = t ** exps.sigma
+        except OverflowError:
+            raise ValueError("dilation t^sigma overflows") from None
+        if t_sigma == 0.0:
+            raise ValueError("dilation t^sigma underflows")
+        ratio_I = I_functional(ut) / (t_sigma * base_I) - 1.0
+        ratio_J = J_functional(ut) / (t_sigma * base_J) - 1.0
         # composition against the analytic double dilation
         u2 = scale(fiber.at(math.sqrt(t)), math.sqrt(t))
         comp = float(np.max(np.abs(u2.values - ut.values))) / max(
             float(np.max(np.abs(ut.values))), 1e-300
         )
-        phi_ratio = Phi_lambda(ut, 1.0) / (t ** exps.sigma * Phi_lambda(u, 1.0)) - 1.0
+        phi_ratio = Phi_lambda(ut, 1.0) / (t_sigma * Phi_lambda(u, 1.0)) - 1.0
         rows.append((t, ratio_I, ratio_J, phi_ratio, comp))
     identity_err = float(np.max(np.abs(scale(um, 1.0).values - um.values)))
     payload = {

@@ -22,16 +22,12 @@ from .energy import (
     NonlinearitySpec,
     Phi,
     Psi_tilde,
+    _Ray,
     eigen_spec,
 )
 from .grid import Field, RadialGrid, lp_norm
-from .operators import (
-    apply_A,
-    apply_fractional_laplacian,
-    coulomb_energy,
-    frac_seminorm_sq,
-)
-from .params import ProblemParams, Regime, compute_exponents, riesz_constant
+from .operators import apply_fractional_laplacian, frac_seminorm_sq
+from .params import ProblemParams, Regime, compute_exponents
 from .scaling import _Fiber
 
 __all__ = [
@@ -84,22 +80,21 @@ def pohozaev_residual(
     lhs = (N-2s)/2 |(-Delta)^(s/2) u|^2 + C_alpha (N+alpha)/4 D(u),
     rhs = N int F(u); the relative residual is |lhs-rhs| over the larger
     magnitude.  The identity is stated only for x-independent f, so weighted
-    terms are rejected.
+    terms are rejected.  The left-hand side and the Nehari value share one
+    evaluation of S and Q (see ``_Ray``).
     """
     if not spec.is_autonomous:
         raise ValueError("identity stated only for autonomous f (no radial weight)")
     p = u.grid.params
-    S = frac_seminorm_sq(u)
-    D = coulomb_energy(u)
-    c_a = riesz_constant(p.N, p.alpha)
-    lhs = 0.5 * (p.N - 2.0 * p.s) * S + 0.25 * c_a * (p.N + p.alpha) * D
+    ray = _Ray(u, spec)
+    lhs = 0.5 * (p.N - 2.0 * p.s) * ray.S + 0.25 * (p.N + p.alpha) * ray.Q
     rhs = p.N * F_integral(u, spec)
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), _GUARD)
     return DiagnosticsRecord(
         pohozaev_lhs=lhs,
         pohozaev_rhs=rhs,
         pohozaev_rel=rel,
-        nehari=nehari_residual(u, spec),
+        nehari=float(ray.nehari(1.0)),
         eigen_identity_rel=(
             None if lam is None else abs(eigen_identity_residual(u, lam)) / max(I_functional(u), _GUARD)
         ),
@@ -110,8 +105,7 @@ def pohozaev_residual(
 
 def nehari_residual(u: Field, spec: NonlinearitySpec) -> float:
     """Derivative of the action tested with the field itself: Phi'(u) u."""
-    fu = spec.f(u.values, u.grid.r)
-    return apply_A(u).pair(u) - float(np.sum(u.grid.w * fu * u.values))
+    return float(_Ray(u, spec).nehari(1.0))
 
 
 def eigen_identity_residual(u: Field, lam: float) -> float:
@@ -131,7 +125,7 @@ def identity_closure_gap(u: Field, lam: float) -> dict:
     spec = eigen_spec(lam, exps)
     rec = pohozaev_residual(u, spec)
     poh_num = rec.pohozaev_lhs - rec.pohozaev_rhs
-    neh = nehari_residual(u, spec)
+    neh = rec.nehari
     combo = (exps.theta * neh - poh_num) / exps.sigma
     direct = eigen_identity_residual(u, lam)
     return {

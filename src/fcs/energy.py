@@ -21,8 +21,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .grid import Field, lp_norm
-from .operators import apply_A, coulomb_energy, frac_seminorm_sq, precondition
-from .params import ExponentTable, compute_exponents, riesz_constant
+from .operators import apply_A, frac_seminorm_sq, hartree_potential_sym
+from .params import ExponentTable, compute_exponents
 
 __all__ = [
     "PowerTerm",
@@ -211,10 +211,47 @@ def critical_family(lam: float, mu: float, q6: float, exps: ExponentTable) -> No
 # functionals
 # ---------------------------------------------------------------------------
 
+class _Ray:
+    """The homogeneous parts of the action and their values along a -> a u.
+
+    This is the one place S = sum_m k_m^(2s) |u_m|^2 (one transform) and
+    Q = sum_j w_j u_j^2 (I_alpha * u^2)_j = C_alpha D(u) (one kernel matvec)
+    are computed.  Both parts are homogeneous in the amplitude, so
+
+        h(a)     = Phi'(a u) a u = a^2 S + a^4 Q - a sum_j w_j f(a u_j) u_j,
+        Phi(a u) = a^2 S / 2 + a^4 Q / 4 - sum_j w_j F(a u_j)
+
+    serve every amplitude of the shape.  ``nehari`` and ``phi`` need ``spec``
+    and accept a scalar or a 1-D array of amplitudes.
+    """
+
+    def __init__(self, u: Field, spec: NonlinearitySpec | None = None):
+        self.u = u.values
+        self.spec = spec
+        self.w = u.grid.w
+        self.r = u.grid.r
+        self.S = frac_seminorm_sq(u)
+        self.Q = float(np.sum(self.w * self.u ** 2 * hartree_potential_sym(u)))
+
+    def _points(self, a):
+        a = np.asarray(a, dtype=float)
+        return a, a[..., None] * self.u
+
+    def nehari(self, a):
+        a, au = self._points(a)
+        fu = np.sum(self.w * self.spec.f(au, self.r) * self.u, axis=-1)
+        return a ** 2 * self.S + a ** 4 * self.Q - a * fu
+
+    def phi(self, a):
+        a, au = self._points(a)
+        Fu = np.sum(self.w * self.spec.F(au, self.r), axis=-1)
+        return 0.5 * a ** 2 * self.S + 0.25 * a ** 4 * self.Q - Fu
+
+
 def I_functional(u: Field) -> float:
     """Quadratic-plus-Coulomb energy: seminorm^2/2 + C_alpha D(u)/4."""
-    c_a = riesz_constant(u.grid.params.N, u.grid.params.alpha)
-    return 0.5 * frac_seminorm_sq(u) + 0.25 * c_a * coulomb_energy(u)
+    ray = _Ray(u)
+    return 0.5 * ray.S + 0.25 * ray.Q
 
 
 def J_functional(u: Field, exps: ExponentTable | None = None) -> float:
@@ -240,16 +277,13 @@ def Phi_lambda(u: Field, lam: float) -> float:
     return I_functional(u) - lam * J_functional(u)
 
 
-def grad_Phi(u: Field, spec: NonlinearitySpec, preconditioned: bool = False) -> Field:
+def grad_Phi(u: Field, spec: NonlinearitySpec) -> Field:
     """Strong-form Euler-Lagrange residual field of Phi at u.
 
     The returned node values g satisfy <g, v>_w = d/dh Phi(u + h v) exactly
-    for the discrete functionals.  With ``preconditioned`` the descent
-    representative g / (1 + k^(2s)) is returned instead.
+    for the discrete functionals.
     """
-    g = apply_A(u).values - spec.f(u.values, u.grid.r)
-    out = Field(u.grid, g)
-    return precondition(out) if preconditioned else out
+    return Field(u.grid, apply_A(u).values - spec.f(u.values, u.grid.r))
 
 
 def Psi_tilde(u: Field) -> float:

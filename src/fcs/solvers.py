@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .diagnostics import (
     estimate_sobolev_constant,
@@ -28,16 +29,15 @@ from .energy import (
     NonlinearitySpec,
     Phi,
     Phi_lambda,
+    _Ray,
     eigen_spec,
     grad_Phi,
 )
 from .grid import Field, RadialGrid, lp_norm
 from .operators import (
     apply_A,
-    apply_B,
     dense_fractional_matrix,
     dual_norm,
-    frac_seminorm_sq,
     hartree_jacobian,
     hartree_potential_sym,
     apply_fractional_laplacian,
@@ -80,18 +80,21 @@ class NoPassError(RuntimeError):
     """Path relaxation found no positive-level barrier."""
 
 
+# Armijo sufficient-decrease constant and backtracking factor, fixed so that
+# reports are reproducible
+_ARMIJO_C = 1e-4
+_ARMIJO_SHRINK = 0.5
+
+
 @dataclass(frozen=True)
 class SolverOptions:
-    """Solver knobs; Armijo parameters are fixed for reproducible reports."""
+    """Solver knobs; the Armijo parameters are fixed module constants."""
 
     tol: float = 1e-6            # dual-norm target, relative to the initial residual
     max_iter: int = 5000
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
     seed: str = "gaussian"       # gaussian | bump | field
     seed_width: float = 1.0
     seed_field: Field | None = None
-    use_newton: bool = True
     path_nodes: int = 21
 
     def __post_init__(self) -> None:
@@ -214,46 +217,6 @@ def _certify(
 
 
 # ---------------------------------------------------------------------------
-# amplitude rays
-# ---------------------------------------------------------------------------
-
-class _Ray:
-    """The action and the Nehari function along the ray a -> a u.
-
-    Both operator parts are homogeneous in the amplitude: with
-    S = sum_m k_m^(2s) |u_m|^2 and Q = sum_j w_j u_j^2 (I_alpha * u^2)_j,
-
-        h(a)     = Phi'(a u) a u = a^2 S + a^4 Q - a sum_j w_j f(a u_j) u_j,
-        Phi(a u) = a^2 S / 2 + a^4 Q / 4 - sum_j w_j F(a u_j),
-
-    so one transform and one kernel matvec per shape serve every amplitude.
-    ``nehari`` and ``phi`` accept a scalar or a 1-D array of amplitudes.
-    """
-
-    def __init__(self, u: Field, spec: NonlinearitySpec):
-        self.u = u.values
-        self.spec = spec
-        self.w = u.grid.w
-        self.r = u.grid.r
-        self.S = frac_seminorm_sq(u)
-        self.Q = float(np.sum(self.w * self.u ** 2 * hartree_potential_sym(u)))
-
-    def _points(self, a):
-        a = np.asarray(a, dtype=float)
-        return a, a[..., None] * self.u
-
-    def nehari(self, a):
-        a, au = self._points(a)
-        fu = np.sum(self.w * self.spec.f(au, self.r) * self.u, axis=-1)
-        return a ** 2 * self.S + a ** 4 * self.Q - a * fu
-
-    def phi(self, a):
-        a, au = self._points(a)
-        Fu = np.sum(self.w * self.spec.F(au, self.r), axis=-1)
-        return 0.5 * a ** 2 * self.S + 0.25 * a ** 4 * self.Q - Fu
-
-
-# ---------------------------------------------------------------------------
 # Newton engines
 # ---------------------------------------------------------------------------
 
@@ -274,12 +237,13 @@ def _eigen_residual(u: Field, lam: float, p: float) -> Field:
 
 
 def _rayleigh(u: Field) -> float:
-    Au = apply_A(u)
-    Bu = apply_B(u)
-    den = Bu.pair(u)
+    """<A(u), u> / <B(u), u> = (S + Q) / sum_j w_j |u_j|^(q*)."""
+    p = compute_exponents(u.grid.params).two_star_s_alpha
+    den = float(np.sum(u.grid.w * np.abs(u.values) ** p))
     if den == 0.0:
         raise DegenerateSeedError("degenerate seed: B(u) u vanished")
-    return Au.pair(u) / den
+    ray = _Ray(u)
+    return (ray.S + ray.Q) / den
 
 
 def _newton_eigen(u: Field, lam: float, tol_abs: float, max_iter: int = 40):
@@ -410,12 +374,12 @@ def _ascend_J(u: Field, opts: SolverOptions, penalty=None, switch_rel: float = 1
             try:
                 u_try = project_to_M(Field(grid, u.values + eta * d))
             except (RuntimeError, ValueError):
-                eta *= opts.armijo_shrink
+                eta *= _ARMIJO_SHRINK
                 continue
-            if objective(u_try) >= J_hist[-1] + opts.armijo_c * eta * slope:
+            if objective(u_try) >= J_hist[-1] + _ARMIJO_C * eta * slope:
                 accepted = True
                 break
-            eta *= opts.armijo_shrink
+            eta *= _ARMIJO_SHRINK
         if not accepted:
             break
         u = u_try
@@ -468,7 +432,7 @@ def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None =
     lam = _rayleigh(u)
     it_newton = 0
     newton_budget = min(40, max(0, opts.max_iter - it_ascent))
-    if opts.use_newton and newton_budget > 0:
+    if newton_budget > 0:
         u, lam, res, it_newton = _newton_eigen(
             u, lam, min(tol_abs, 1e-11 * res0), max_iter=newton_budget
         )
@@ -582,7 +546,7 @@ def eigen_deflated(
 # coercive minimization (subscaled growth)
 # ---------------------------------------------------------------------------
 
-def _descend_Phi(u: Field, spec: NonlinearitySpec, opts: SolverOptions, switch_abs: float, max_iter: int):
+def _descend_Phi(u: Field, spec: NonlinearitySpec, switch_abs: float, max_iter: int):
     grid = u.grid
     phi = Phi(u, spec)
     eta = 1.0
@@ -599,10 +563,10 @@ def _descend_Phi(u: Field, spec: NonlinearitySpec, opts: SolverOptions, switch_a
         for _ in range(60):
             u_try = Field(grid, u.values - eta * d)
             phi_try = Phi(u_try, spec)
-            if phi_try <= phi - opts.armijo_c * eta * slope:
+            if phi_try <= phi - _ARMIJO_C * eta * slope:
                 accepted = True
                 break
-            eta *= opts.armijo_shrink
+            eta *= _ARMIJO_SHRINK
         if not accepted:
             break
         u, phi = u_try, phi_try
@@ -723,15 +687,12 @@ def _minimize(
         if res0 == 0.0:
             continue
         tol_abs = opts.tol * res0
-        u, it_d = _descend_Phi(u0, spec, opts, max(tol_abs, 1e-2 * res0), opts.max_iter)
-        it_n = 0
-        collapsed = False
-        if opts.use_newton:
-            try:
-                u, _, it_n = _newton_gradient(u, spec, min(tol_abs, 1e-11 * res0))
-            except DegenerateSeedError:
-                collapsed = True
-        if collapsed or float(np.max(np.abs(u.values))) < 1e-10:
+        u, it_d = _descend_Phi(u0, spec, max(tol_abs, 1e-2 * res0), opts.max_iter)
+        try:
+            u, _, it_n = _newton_gradient(u, spec, min(tol_abs, 1e-11 * res0))
+        except DegenerateSeedError:
+            continue
+        if float(np.max(np.abs(u.values))) < 1e-10:
             continue
         phi = Phi(u, spec)
         res = dual_norm(grad_Phi(u, spec))
@@ -820,42 +781,39 @@ def _respread(path: list[np.ndarray], grid: RadialGrid) -> list[np.ndarray]:
     return out
 
 
-def _nehari_amplitude(grid: RadialGrid, spec: NonlinearitySpec, shape: np.ndarray) -> float | None:
-    """Largest amplitude where the ray through ``shape`` crosses the Nehari set.
+def _nehari_amplitude(ray: _Ray) -> float | None:
+    """Largest amplitude where the ray crosses the Nehari set.
 
     h(a) = Phi'(a u) a u is positive near zero and eventually negative for
     superscaled/critical growth; the outermost + -> - crossing is the
-    barrier amplitude of the ray.  Since h(a) = a^2 S + a^4 Q - a int f(a u) u
-    with S and Q fixed by the shape (see ``_Ray``), the log scan and the
-    bisection cost one transform and one kernel matvec in total.
+    barrier amplitude of the ray.  A log scan brackets it and ``brentq``
+    refines it; both read h from the ray's S and Q (see ``_Ray``).
     """
-    ray = _Ray(Field(grid, shape), spec)
     amps = np.logspace(-3.0, 3.0, 61)
     hs = ray.nehari(amps)
     crossings = np.flatnonzero((hs[:-1] > 0.0) & (hs[1:] <= 0.0))
     if crossings.size == 0:
         return None
-    idx = crossings[-1]
-    lo, hi = amps[idx], amps[idx + 1]
-    for _ in range(60):
-        mid = math.sqrt(lo * hi)
-        if ray.nehari(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
+    lo, hi = amps[crossings[-1]], amps[crossings[-1] + 1]
+    return brentq(ray.nehari, lo, hi, xtol=1e-15 * lo, rtol=1e-15)
 
 
-def _nehari_descent(grid: RadialGrid, spec: NonlinearitySpec, shape0: np.ndarray, opts: SolverOptions, iters: int = 80):
-    """Monotone barrier-level reduction over amplitude-normalized shapes."""
+def _nehari_descent(grid: RadialGrid, spec: NonlinearitySpec, shape0: np.ndarray, iters: int = 80):
+    """Monotone barrier-level reduction over amplitude-normalized shapes.
+
+    Each trial shape's Nehari amplitude and level come from one ray; only
+    the accepted trial becomes a field.
+    """
     nrm = math.sqrt(float(np.sum(grid.w * shape0 ** 2)))
     if nrm == 0.0:
         raise DegenerateSeedError("zero shape for the barrier reduction")
-    amp = _nehari_amplitude(grid, spec, shape0 / nrm)
+    shape = shape0 / nrm
+    ray = _Ray(Field(grid, shape), spec)
+    amp = _nehari_amplitude(ray)
     if amp is None:
         raise NoPassError("no barrier crossing along the starting ray")
-    u = Field(grid, amp * shape0 / nrm)
-    phi = Phi(u, spec)
+    u = Field(grid, amp * shape)
+    phi = float(ray.phi(amp))
     eta = None
     it = 0
     for it in range(1, iters + 1):
@@ -873,19 +831,19 @@ def _nehari_descent(grid: RadialGrid, spec: NonlinearitySpec, shape0: np.ndarray
             if tn == 0.0:
                 break
             trial = trial / tn
-            amp = _nehari_amplitude(grid, spec, trial)
+            ray = _Ray(Field(grid, trial), spec)
+            amp = _nehari_amplitude(ray)
             if amp is None:
-                eta *= opts.armijo_shrink
+                eta *= _ARMIJO_SHRINK
                 continue
-            ut = Field(grid, amp * trial)
-            phit = Phi(ut, spec)
-            if phit <= phi - opts.armijo_c * eta * res ** 2:
+            phit = float(ray.phi(amp))
+            if phit <= phi - _ARMIJO_C * eta * res ** 2:
                 accepted = True
                 break
-            eta *= opts.armijo_shrink
+            eta *= _ARMIJO_SHRINK
         if not accepted:
             break
-        u, phi = ut, phit
+        u, phi = Field(grid, amp * trial), phit
         eta *= 2.0
     return u, it
 
@@ -971,35 +929,34 @@ def mountain_pass(
     tol_abs = opts.tol * (res0 if res0 else 1.0)
     u = Field(grid, path[order[0]])
     it_n = 0
-    if opts.use_newton:
-        candidates = []
-        # primary finisher: amplitude-normalized (Nehari) descent from the
-        # barrier shape, which is monotone and lands in the Newton basin
-        try:
-            u_r, it_r = _nehari_descent(grid, spec, path[order[0]], opts)
-            u_c, res_c, it_c = _newton_gradient(
-                u_r, spec, min(tol_abs, 1e-11 * (res0 or 1.0))
-            )
+    candidates = []
+    # primary finisher: amplitude-normalized (Nehari) descent from the
+    # barrier shape, which is monotone and lands in the Newton basin
+    try:
+        u_r, it_r = _nehari_descent(grid, spec, path[order[0]])
+        u_c, res_c, it_c = _newton_gradient(
+            u_r, spec, min(tol_abs, 1e-11 * (res0 or 1.0))
+        )
+        level_c = Phi(u_c, spec)
+        if level_c > 0.0 and res_c <= tol_abs:
+            candidates.append((level_c, res_c, u_c, it_r + it_c))
+    except (DegenerateSeedError, NoPassError):
+        pass
+    # fallback: plain Newton attempts from the highest path nodes
+    if not candidates:
+        for idx in order[:3]:
+            try:
+                u_c, res_c, it_c = _newton_gradient(
+                    Field(grid, path[idx]), spec, min(tol_abs, 1e-11 * (res0 or 1.0))
+                )
+            except DegenerateSeedError:
+                continue
             level_c = Phi(u_c, spec)
             if level_c > 0.0 and res_c <= tol_abs:
-                candidates.append((level_c, res_c, u_c, it_r + it_c))
-        except (DegenerateSeedError, NoPassError):
-            pass
-        # fallback: plain Newton attempts from the highest path nodes
-        if not candidates:
-            for idx in order[:3]:
-                try:
-                    u_c, res_c, it_c = _newton_gradient(
-                        Field(grid, path[idx]), spec, min(tol_abs, 1e-11 * (res0 or 1.0))
-                    )
-                except DegenerateSeedError:
-                    continue
-                level_c = Phi(u_c, spec)
-                if level_c > 0.0 and res_c <= tol_abs:
-                    candidates.append((level_c, res_c, u_c, it_c))
-        if candidates:
-            candidates.sort(key=lambda c: (c[0], c[1]))  # lowest positive barrier
-            _, _, u, it_n = candidates[0]
+                candidates.append((level_c, res_c, u_c, it_c))
+    if candidates:
+        candidates.sort(key=lambda c: (c[0], c[1]))  # lowest positive barrier
+        _, _, u, it_n = candidates[0]
     u = _normalize_sign(u)
 
     level = Phi(u, spec)

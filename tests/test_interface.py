@@ -337,14 +337,22 @@ def test_cli_scaling_check(capsys):
     assert data["scale_identity_err"] == 0.0
 
 
-def test_cli_scaling_check_overflow_is_a_validation_error(capsys):
+@pytest.mark.parametrize(
+    "t, word",
+    [
+        pytest.param("1e200", "overflows", id="1e200"),  # t^theta overflows
+        pytest.param("1e160", "overflows", id="1e160"),  # only t^sigma overflows
+        pytest.param("1e-200", "underflows", id="1e-200"),  # t^sigma underflows to 0
+    ],
+)
+def test_cli_scaling_check_overflow_is_a_validation_error(t, word, capsys):
     rc = cli_main(
         ["scaling-check", "--N", "3", "--s", "0.75", "--alpha", "2", "--R", "20", "--M", "64",
-         "--t", "1e200", "--json"]
+         "--t", t, "--json"]
     )
     err = capsys.readouterr().err
     assert rc == 1
-    assert "overflows" in err
+    assert word in err
     assert "Traceback" not in err
 
 

@@ -5,20 +5,21 @@ import pytest
 
 from fcs import ProblemParams, make_grid
 from fcs import operators
-from fcs.diagnostics import nehari_residual
+from fcs.diagnostics import nehari_residual, pohozaev_residual
 from fcs.energy import (
     DampedPowerTerm,
     F_integral,
     I_functional,
     NonlinearitySpec,
-    Phi,
     PowerTerm,
     WeightedPowerTerm,
+    _Ray,
     pure_power,
 )
 from fcs.grid import Field
-from fcs.operators import apply_A
-from fcs.solvers import _nehari_amplitude, _Ray
+from fcs.operators import apply_A, coulomb_energy, frac_seminorm_sq
+from fcs.params import riesz_constant
+from fcs.solvers import _nehari_amplitude
 
 GRIDS = {
     "N3-dst": (ProblemParams(3, 0.8, 2.0), 20.0, 128),
@@ -29,6 +30,17 @@ GRIDS = {
 @pytest.fixture(scope="module", params=sorted(GRIDS))
 def grid(request):
     return make_grid(*GRIDS[request.param])
+
+
+# brute force, independent of the ray: Phi'(v) v through the strong form
+# A(v) (one more inverse transform), and I through the Coulomb double integral
+def _nehari_brute(v, spec):
+    return apply_A(v).pair(v) - float(np.sum(v.grid.w * spec.f(v.values, v.grid.r) * v.values))
+
+
+def _I_brute(v):
+    c_a = riesz_constant(v.grid.params.N, v.grid.params.alpha)
+    return 0.5 * frac_seminorm_sq(v) + 0.25 * c_a * coulomb_energy(v)
 
 
 def _specs(grid):
@@ -54,11 +66,11 @@ def test_ray_matches_brute_force(grid, kind):
         v = Field(grid, a * u.values)
         f_part = float(np.sum(grid.w * spec.f(v.values, grid.r) * v.values))
         h_size = apply_A(v).pair(v) + abs(f_part)
-        phi_size = I_functional(v) + abs(F_integral(v, spec))
+        phi_size = _I_brute(v) + abs(F_integral(v, spec))
         for got in (hs[i], ray.nehari(float(a))):
-            assert abs(got - nehari_residual(v, spec)) <= 1e-12 * h_size
+            assert abs(got - _nehari_brute(v, spec)) <= 1e-12 * h_size
         for got in (phis[i], ray.phi(float(a))):
-            assert abs(got - Phi(v, spec)) <= 1e-12 * phi_size
+            assert abs(got - (_I_brute(v) - F_integral(v, spec))) <= 1e-12 * phi_size
     assert np.ndim(ray.nehari(1.0)) == np.ndim(ray.phi(1.0)) == 0
 
 
@@ -75,20 +87,22 @@ def _unit_gaussian(grid):
 def test_nehari_amplitude_is_outermost_sign_change(mp_grid):
     spec = pure_power(1.0, 4.1)
     shape = _unit_gaussian(mp_grid)
-    amp = _nehari_amplitude(mp_grid, spec, shape)
+    amp = _nehari_amplitude(_Ray(Field(mp_grid, shape), spec))
     assert amp is not None
 
     def h(a):
-        return nehari_residual(Field(mp_grid, a * shape), spec)
+        return _nehari_brute(Field(mp_grid, a * shape), spec)
 
     assert h(amp * (1.0 - 1e-6)) > 0.0 >= h(amp * (1.0 + 1e-6))
     assert all(h(a) < 0.0 for a in amp * np.logspace(0.01, 2.0, 8))
     # without a nonlinearity h(a) = a^2 S + a^4 Q never changes sign
-    assert _nehari_amplitude(mp_grid, NonlinearitySpec(), shape) is None
+    assert _nehari_amplitude(_Ray(Field(mp_grid, shape), NonlinearitySpec())) is None
 
 
-def test_nehari_amplitude_uses_one_matvec(mp_grid, monkeypatch):
-    calls = {"transform": 0, "matvec": 0}
+@pytest.fixture
+def counts(mp_grid, monkeypatch):
+    """Forward/inverse transforms and kernel matvecs made on ``mp_grid``."""
+    calls = {"forward": 0, "inverse": 0, "matvec": 0}
 
     def counting(fn, key):
         def wrapped(*args, **kwargs):
@@ -98,14 +112,33 @@ def test_nehari_amplitude_uses_one_matvec(mp_grid, monkeypatch):
         return wrapped
 
     eng = mp_grid.transform()
-    monkeypatch.setattr(eng, "forward", counting(eng.forward, "transform"))
-    monkeypatch.setattr(eng, "inverse", counting(eng.inverse, "transform"))
+    monkeypatch.setattr(eng, "forward", counting(eng.forward, "forward"))
+    monkeypatch.setattr(eng, "inverse", counting(eng.inverse, "inverse"))
     kernel = operators._RieszKernel
     monkeypatch.setattr(kernel, "sym_potential", counting(kernel.sym_potential, "matvec"))
+    return calls
 
-    amp = _nehari_amplitude(mp_grid, pure_power(1.0, 4.1), _unit_gaussian(mp_grid))
+
+def test_nehari_amplitude_uses_one_matvec(mp_grid, counts):
+    shape = Field(mp_grid, _unit_gaussian(mp_grid))
+    amp = _nehari_amplitude(_Ray(shape, pure_power(1.0, 4.1)))
     assert amp is not None
-    # 61 scan points and 60 bisection steps share the shape's transform and
+    # 61 scan points and the root refinement share the shape's transform and
     # its single kernel matvec
-    assert calls["transform"] <= 2
-    assert calls["matvec"] == 1
+    assert counts["forward"] + counts["inverse"] <= 2
+    assert counts["matvec"] == 1
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        pytest.param(lambda u, spec: I_functional(u), id="I_functional"),
+        pytest.param(nehari_residual, id="nehari_residual"),
+        pytest.param(pohozaev_residual, id="pohozaev_residual"),
+    ],
+)
+def test_homogeneous_parts_cost_one_transform_and_one_matvec(mp_grid, counts, evaluate):
+    # S and Q are read from one ray: no inverse transform through A(u), no
+    # second forward transform or matvec for the Pohozaev sides
+    evaluate(Field(mp_grid, _unit_gaussian(mp_grid)), pure_power(1.0, 4.1))
+    assert counts == {"forward": 1, "inverse": 0, "matvec": 1}
