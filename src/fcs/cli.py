@@ -19,7 +19,6 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 from .diagnostics import (
-    eigen_identity_residual,
     estimate_sobolev_constant,
     nehari_residual,
     pohozaev_residual,
@@ -159,7 +158,6 @@ def _solver_options(cfg: RunConfig) -> SolverOptions:
         seed=seed,
         seed_width=cfg.seed_width,
         seed_field=seed_field,
-        path_nodes=cfg.path_nodes,
     )
 
 
@@ -273,10 +271,11 @@ def _cmd_check(args) -> int:
     else:
         if cfg.lam is None:
             raise ConfigError("identity check requires --lambda (or [solver] lambda)")
-        res = eigen_identity_residual(u, cfg.lam)
+        iu = I_functional(u)
+        res = iu - cfg.lam * J_functional(u)  # as diagnostics.eigen_identity_residual
         payload = {
             "eigen_identity": res,
-            "eigen_identity_rel": abs(res) / max(I_functional(u), 1e-300),
+            "eigen_identity_rel": abs(res) / max(iu, 1e-300),
             "lambda": cfg.lam,
             "grid": u.grid.summary(),
         }

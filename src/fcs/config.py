@@ -58,7 +58,6 @@ _SECTION_KEYS = {
         "seed",
         "seed_width",
         "seed_file",
-        "path_nodes",
         "k",
         "sweep_term",
         "sweep_from",
@@ -92,7 +91,6 @@ class RunConfig:
     seed: str = "gaussian"
     seed_width: float = 1.0
     seed_file: str | None = None
-    path_nodes: int = 21
     k: int = 2
     sweep_term: int = 0
     sweep_from: float | None = None
@@ -143,7 +141,6 @@ class RunConfig:
                 "seed": self.seed,
                 "seed_width": self.seed_width,
                 "seed_file": self.seed_file,
-                "path_nodes": self.path_nodes,
                 "k": self.k,
                 "lambda": self.lam,
                 "sweep": {
@@ -159,7 +156,7 @@ class RunConfig:
 
 
 def _convert(source: str, line_no: int, key: str, raw: str):
-    integer = {"N", "M", "max_iter", "path_nodes", "k", "sweep_term", "sweep_steps"}
+    integer = {"N", "M", "max_iter", "k", "sweep_term", "sweep_steps"}
     floating = {"s", "alpha", "R", "tol", "seed_width", "sweep_from", "sweep_to", "lambda"}
     try:
         if key in integer:

@@ -80,8 +80,9 @@ def pohozaev_residual(
     lhs = (N-2s)/2 |(-Delta)^(s/2) u|^2 + C_alpha (N+alpha)/4 D(u),
     rhs = N int F(u); the relative residual is |lhs-rhs| over the larger
     magnitude.  The identity is stated only for x-independent f, so weighted
-    terms are rejected.  The left-hand side and the Nehari value share one
-    evaluation of S and Q (see ``_Ray``).
+    terms are rejected.  The left-hand side, the Nehari value and, given
+    ``lam``, the eigen identity I - lam J share one evaluation of S and Q
+    (see ``_Ray``).
     """
     if not spec.is_autonomous:
         raise ValueError("identity stated only for autonomous f (no radial weight)")
@@ -90,14 +91,16 @@ def pohozaev_residual(
     lhs = 0.5 * (p.N - 2.0 * p.s) * ray.S + 0.25 * (p.N + p.alpha) * ray.Q
     rhs = p.N * F_integral(u, spec)
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), _GUARD)
+    eigen_rel = None
+    if lam is not None:
+        iu = 0.5 * ray.S + 0.25 * ray.Q  # I(u), as in ``I_functional``
+        eigen_rel = abs(iu - lam * J_functional(u)) / max(iu, _GUARD)
     return DiagnosticsRecord(
         pohozaev_lhs=lhs,
         pohozaev_rhs=rhs,
         pohozaev_rel=rel,
         nehari=float(ray.nehari(1.0)),
-        eigen_identity_rel=(
-            None if lam is None else abs(eigen_identity_residual(u, lam)) / max(I_functional(u), _GUARD)
-        ),
+        eigen_identity_rel=eigen_rel,
         ps_threshold=ps_threshold_value,
         grid_summary=u.grid.summary(),
     )

@@ -1,11 +1,12 @@
 """Critical-point finders.
 
 All solvers share the same two-phase strategy: a globalizing first-order
-phase (projected/preconditioned descent or ascent with Armijo backtracking)
-followed by a damped dense Newton polish on the stationarity system, which
-is affordable at desk scale and drives dual residuals to rounding.  Reports
-are always recomputed from the stored field so nothing leaks from solver
-internals.
+phase (projected/preconditioned descent or ascent with Armijo backtracking;
+for the mountain pass, a descent of the barrier level over the Nehari set
+started from the endpoint's ray) followed by a damped dense Newton polish
+on the stationarity system, which is affordable at desk scale and drives
+dual residuals to rounding.  Reports are always recomputed from the stored
+field so nothing leaks from solver internals.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class DegenerateSeedError(RuntimeError):
 
 
 class NoPassError(RuntimeError):
-    """Path relaxation found no positive-level barrier."""
+    """No positive-level barrier was found between 0 and the endpoint."""
 
 
 # Armijo sufficient-decrease constant and backtracking factor, fixed so that
@@ -95,15 +96,12 @@ class SolverOptions:
     seed: str = "gaussian"       # gaussian | bump | field
     seed_width: float = 1.0
     seed_field: Field | None = None
-    path_nodes: int = 21
 
     def __post_init__(self) -> None:
         if not (self.tol > 0.0):
             raise ValueError("tolerance must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.path_nodes < 5:
-            raise ValueError("need at least 5 path nodes")
 
     def seed_descriptor(self) -> str:
         if self.seed == "gaussian":
@@ -759,28 +757,6 @@ def find_negative_energy_point(
     return Field(grid, 1.05 * hi * g)
 
 
-def _respread(path: list[np.ndarray], grid: RadialGrid) -> list[np.ndarray]:
-    # re-distribute nodes by arclength in the quadrature L^2 metric
-    seg = [
-        math.sqrt(float(np.sum(grid.w * (b - a) ** 2)))
-        for a, b in zip(path[:-1], path[1:])
-    ]
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cum[-1]
-    if total == 0.0:
-        return path
-    targets = np.linspace(0.0, total, len(path))
-    out = [path[0]]
-    j = 0
-    for t in targets[1:-1]:
-        while cum[j + 1] < t:
-            j += 1
-        frac = (t - cum[j]) / max(cum[j + 1] - cum[j], 1e-300)
-        out.append((1.0 - frac) * path[j] + frac * path[j + 1])
-    out.append(path[-1])
-    return out
-
-
 def _nehari_amplitude(ray: _Ray) -> float | None:
     """Largest amplitude where the ray crosses the Nehari set.
 
@@ -802,7 +778,8 @@ def _nehari_descent(grid: RadialGrid, spec: NonlinearitySpec, shape0: np.ndarray
     """Monotone barrier-level reduction over amplitude-normalized shapes.
 
     Each trial shape's Nehari amplitude and level come from one ray; only
-    the accepted trial becomes a field.
+    the accepted trial becomes a field.  Returns the last Nehari point, the
+    iteration count and the dual residual at the first Nehari point.
     """
     nrm = math.sqrt(float(np.sum(grid.w * shape0 ** 2)))
     if nrm == 0.0:
@@ -815,12 +792,14 @@ def _nehari_descent(grid: RadialGrid, spec: NonlinearitySpec, shape0: np.ndarray
     u = Field(grid, amp * shape)
     phi = float(ray.phi(amp))
     eta = None
+    res0 = None
     it = 0
     for it in range(1, iters + 1):
         g = grad_Phi(u, spec)
         res = dual_norm(g)
         if eta is None:
             eta = 1.0 / max(res, 1e-30)
+            res0 = res
         if res < 1e-9:
             break
         d = precondition(g).values
@@ -845,7 +824,7 @@ def _nehari_descent(grid: RadialGrid, spec: NonlinearitySpec, shape0: np.ndarray
             break
         u, phi = Field(grid, amp * trial), phit
         eta *= 2.0
-    return u, it
+    return u, it, res0
 
 
 def _is_critical_family(spec: NonlinearitySpec, exps) -> bool:
@@ -862,12 +841,15 @@ def mountain_pass(
     e: Field,
     opts: SolverOptions | None = None,
 ) -> SolveReport:
-    """Discretized-path relaxation between 0 and a negative-action point.
+    """Mountain-pass critical point as the least action on the Nehari set.
 
-    The maximum-action node of a piecewise-linear path is repeatedly relaxed
-    by a preconditioned descent step and the nodes are re-spread by
-    arclength; the surviving barrier node is polished by Newton into a
-    critical-point candidate at positive level.  For the critical family the
+    For the superscaled and critical growth accepted here the mountain-pass
+    level between 0 and a negative-action point e equals the infimum of Phi
+    over the Nehari set.  The shape of e is put on that set at its barrier
+    amplitude (the outermost crossing of Phi'(a u) a u along its ray), the
+    barrier level is reduced over amplitude-normalized shapes, and Newton
+    polishes the result into a critical point at positive level.  An e whose
+    ray has no crossing raises ``NoPassError``.  For the critical family the
     report carries the concentration-threshold context and flags levels at
     or above it.
     """
@@ -886,85 +868,15 @@ def mountain_pass(
     if float(np.max(np.abs(e.values))) == 0.0:
         raise ValueError("endpoint e must be nonzero")
 
-    P = opts.path_nodes
-    path = [tau * e.values for tau in np.linspace(0.0, 1.0, P)]
-    res0 = None
-    eta = None
-    sweeps = 0
-    max_sweeps = 30
-    for sweeps in range(1, max_sweeps + 1):
-        phis = [Phi(Field(grid, v), spec) for v in path]
-        m = 1 + int(np.argmax(phis[1:-1]))
-        if phis[m] <= 0.0:
-            raise NoPassError("no pass detected: the path barrier collapsed to level <= 0")
-        um = Field(grid, path[m])
-        g = grad_Phi(um, spec)
-        res = dual_norm(g)
-        if res0 is None:
-            res0 = res
-            eta = 0.5 / max(res, 1e-30)
-        if res <= 1e-2 * res0:
-            break
-        # climbing-image step: reverse the tangential gradient component so
-        # the barrier node ascends along the path while relaxing transversely
-        # (a plain descent step on the barrier erodes it)
-        tan = path[m + 1] - path[m - 1]
-        tn = math.sqrt(float(np.sum(grid.w * tan ** 2)))
-        d = precondition(g).values
-        if tn > 0.0:
-            tan = tan / tn
-            c = float(np.sum(grid.w * d * tan))
-            d = d - 2.0 * c * tan
-        trial = um.values - eta * d
-        res_try = dual_norm(grad_Phi(Field(grid, trial), spec))
-        if res_try <= res:
-            path[m] = trial
-            eta *= 1.3
-        else:
-            eta *= 0.5
-        path = _respread(path, grid)
-
-    phis = [Phi(Field(grid, v), spec) for v in path]
-    order = sorted(range(1, P - 1), key=lambda i: -phis[i])
-    tol_abs = opts.tol * (res0 if res0 else 1.0)
-    u = Field(grid, path[order[0]])
-    it_n = 0
-    candidates = []
-    # primary finisher: amplitude-normalized (Nehari) descent from the
-    # barrier shape, which is monotone and lands in the Newton basin
-    try:
-        u_r, it_r = _nehari_descent(grid, spec, path[order[0]])
-        u_c, res_c, it_c = _newton_gradient(
-            u_r, spec, min(tol_abs, 1e-11 * (res0 or 1.0))
-        )
-        level_c = Phi(u_c, spec)
-        if level_c > 0.0 and res_c <= tol_abs:
-            candidates.append((level_c, res_c, u_c, it_r + it_c))
-    except (DegenerateSeedError, NoPassError):
-        pass
-    # fallback: plain Newton attempts from the highest path nodes
-    if not candidates:
-        for idx in order[:3]:
-            try:
-                u_c, res_c, it_c = _newton_gradient(
-                    Field(grid, path[idx]), spec, min(tol_abs, 1e-11 * (res0 or 1.0))
-                )
-            except DegenerateSeedError:
-                continue
-            level_c = Phi(u_c, spec)
-            if level_c > 0.0 and res_c <= tol_abs:
-                candidates.append((level_c, res_c, u_c, it_c))
-    if candidates:
-        candidates.sort(key=lambda c: (c[0], c[1]))  # lowest positive barrier
-        _, _, u, it_n = candidates[0]
+    u, it_r, res0 = _nehari_descent(grid, spec, e.values)
+    u, _, it_n = _newton_gradient(u, spec, min(opts.tol * res0, 1e-11 * res0))
     u = _normalize_sign(u)
 
     level = Phi(u, spec)
     res = dual_norm(grad_Phi(u, spec))
     if level <= 0.0:
-        raise NoPassError("no pass detected: relaxation ended at a nonpositive level")
-    converged = _meets_tol(res, res0 if res0 else 1.0, opts, u)
-    extras = {"I": I_functional(u), "path_nodes": P}
+        raise NoPassError("no pass detected: the Nehari reduction ended at a nonpositive level")
+    extras = {"I": I_functional(u), "iterations_nehari": it_r, "iterations_newton": it_n}
     if _is_critical_family(spec, exps):
         S = estimate_sobolev_constant(params, grid)
         cstar = ps_threshold(params, S)
@@ -976,8 +888,8 @@ def mountain_pass(
             }
         )
     return _certify(
-        u, spec, energy=level, res=res, res0=res0, iterations=sweeps + it_n,
-        converged=converged, seed=f"path[{P}]", extras=extras,
+        u, spec, energy=level, res=res, res0=res0, iterations=it_r + it_n,
+        converged=_meets_tol(res, res0, opts, u), seed="nehari[endpoint]", extras=extras,
     )
 
 

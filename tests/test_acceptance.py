@@ -324,15 +324,15 @@ def test_criterion_8_mountain_pass():
     g = make_grid(p, 20.0, 384)
     spec = pure_power(1.0, 4.1)
     e = find_negative_energy_point(p, g, spec)
-    rep = mountain_pass(p, g, spec, e, SolverOptions(path_nodes=21))
-    rep2 = mountain_pass(p, g, spec, e, SolverOptions(path_nodes=42))
+    rep = mountain_pass(p, g, spec, e)
+    rep2 = mountain_pass(p, g, spec, find_negative_energy_point(p, g, spec, width=0.5))
     stable = abs(rep2.energy - rep.energy) <= 2e-2 * rep.energy
     nehari_ok = abs(rep.nehari) <= 1e-6 * max(1.0, rep.energy)
     ok = rep.converged and rep.energy > 0.0 and nehari_ok and stable
     _line(
         "8",
         ok,
-        f"level c = {rep.energy:.6f} (doubled path: {rep2.energy:.6f}), "
+        f"level c = {rep.energy:.6f} (endpoint width 0.5: {rep2.energy:.6f}), "
         f"nehari {rep.nehari:.1e}, residual {rep.residual_rel:.1e}",
     )
     assert ok

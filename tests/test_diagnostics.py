@@ -83,6 +83,15 @@ def test_eigen_identity_by_construction(grid):
     assert abs(eigen_identity_residual(u, 0.5 * lam)) > 1e-6
 
 
+def test_pohozaev_record_eigen_identity_matches_the_direct_residual(grid):
+    # the record reads I from its own ray; the value is bitwise the direct one
+    rng = np.random.default_rng(8)
+    u = smooth_random_field(grid, rng)
+    lam = float(rng.uniform(0.5, 5.0))
+    rec = pohozaev_residual(u, pure_power(1.0, 2.7), lam=lam)
+    assert rec.eigen_identity_rel == abs(eigen_identity_residual(u, lam)) / I_functional(u)
+
+
 def test_identity_closure_is_algebraic(grid, exps):
     # the combination (theta * nehari - pohozaev)/sigma equals I - lam J for
     # ANY field and multiplier, to rounding, because all three residuals are

@@ -129,6 +129,16 @@ def test_config_rejects_unknown_key_with_line():
         parse_config(text, source="test.cfg")
 
 
+def test_config_rejects_the_removed_path_nodes_key(tmp_path, capsys):
+    text = GOOD_CFG.replace("tol = 1e-6\n", "tol = 1e-6\npath_nodes = 21\n")
+    with pytest.raises(ConfigError, match=r"unknown key 'path_nodes' in \[solver\]"):
+        parse_config(text, source="test.cfg")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert cli_main(["solve", "--config", str(cfg)]) == 1
+    capsys.readouterr()
+
+
 def test_config_rejects_unknown_section():
     with pytest.raises(ConfigError, match=r":1: unknown section"):
         parse_config("[wat]\n", source="t")

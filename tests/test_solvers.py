@@ -21,6 +21,7 @@ from fcs.operators import apply_A, apply_B, dual_norm
 from fcs.params import compute_exponents
 from fcs.solvers import (
     DegenerateSeedError,
+    NoPassError,
     RegimeMismatchError,
     SolverOptions,
     eigen1,
@@ -263,11 +264,28 @@ def test_mountain_pass_positive_level(mp_setup):
     assert rep.residual_rel <= 1e-6
 
 
-def test_mountain_pass_path_resolution_stability(mp_setup):
+def test_mountain_pass_endpoint_independence(mp_setup):
     p, g, spec, e = mp_setup
-    a = mountain_pass(p, g, spec, e, SolverOptions(path_nodes=15))
-    b = mountain_pass(p, g, spec, e, SolverOptions(path_nodes=30))
+    a = mountain_pass(p, g, spec, e)
+    b = mountain_pass(p, g, spec, find_negative_energy_point(p, g, spec, width=0.5))
     assert abs(a.energy - b.energy) <= 2e-2 * a.energy
+
+
+def test_mountain_pass_reports_its_two_phases(mp_setup):
+    p, g, spec, e = mp_setup
+    rep = mountain_pass(p, g, spec, e).to_dict()
+    assert rep["iterations"] == rep["iterations_nehari"] + rep["iterations_newton"]
+    assert rep["iterations_newton"] >= 1
+    assert rep["seed"] == "nehari[endpoint]"
+
+
+def test_mountain_pass_wide_endpoint_has_no_pass(mp_setup):
+    # the width-2 Gaussian ray never crosses the Nehari set inside the
+    # amplitude scan window, so there is no barrier to reduce from
+    p, g, spec, _ = mp_setup
+    e = find_negative_energy_point(p, g, spec, width=2.0)
+    with pytest.raises(NoPassError, match="no barrier crossing"):
+        mountain_pass(p, g, spec, e)
 
 
 def test_mountain_pass_rejects_positive_endpoint(mp_setup):
@@ -364,8 +382,6 @@ def test_solver_options_validation():
         SolverOptions(tol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverOptions(path_nodes=2)
 
 
 # ---------------------------------------------------------------------------
