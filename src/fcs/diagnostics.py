@@ -25,8 +25,7 @@ from .energy import (
     _Ray,
     eigen_spec,
 )
-from .grid import Field, RadialGrid, lp_norm
-from .operators import apply_fractional_laplacian, frac_seminorm_sq
+from .grid import Field, RadialGrid
 from .params import ProblemParams, Regime, compute_exponents
 from .scaling import _Fiber
 
@@ -165,30 +164,37 @@ def estimate_sobolev_constant(
         return cached
     exps = compute_exponents(params)
     p = exps.two_star_s
+    eng = grid.transform()
+    k2s = grid.k ** (2.0 * params.s)
+    inverse_mult = grid.k ** (-2.0 * params.s)
+
+    def norm_p(v: np.ndarray) -> float:  # ``lp_norm`` on node values
+        return float(np.sum(grid.w * np.abs(v) ** p)) ** (1.0 / p)
+
     seeds = [
         (1.0 + grid.r ** 2) ** (-(params.N - 2.0 * params.s) / 2.0),
         np.exp(-grid.r ** 2),
     ]
     best = math.inf
     best_u = None
-    for vals in seeds:
-        u = Field(grid, vals)
-        q_prev = None
+    for u in seeds:
+        # each step: two transforms and one L^p norm; |u|_s^2 is read off
+        # the multiplier coefficients, and the norm normalizes the next step
+        nrm = norm_p(u)
+        q = None
         for _ in range(max_iter):
-            nrm = lp_norm(u, p)
             if nrm == 0.0:
                 break
-            u = Field(u.grid, u.values / nrm)
-            g = Field(u.grid, np.abs(u.values) ** (p - 2.0) * u.values)
-            u = apply_fractional_laplacian(g, power=-2.0 * params.s)
-            q = frac_seminorm_sq(u) / lp_norm(u, p) ** 2
+            u = u / nrm
+            c = inverse_mult * eng.forward(np.abs(u) ** (p - 2.0) * u)
+            u = eng.inverse(c)
+            nrm = norm_p(u)
+            q_prev, q = q, float(np.sum(k2s * c * c)) / nrm ** 2
             if q_prev is not None and abs(q - q_prev) <= tol * abs(q):
                 break
-            q_prev = q
-        quotient = frac_seminorm_sq(u) / lp_norm(u, p) ** 2
-        if quotient < best:
-            best = quotient
-            best_u = u.values / lp_norm(u, p)
+        if q is not None and q < best:
+            best = q
+            best_u = u / nrm
     grid._caches["sobolev_constant"] = best
     # the values, not a Field: a Field points back at the grid, and that
     # cycle would leave a dead grid to the cycle collector

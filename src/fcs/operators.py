@@ -26,8 +26,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
-from scipy.fft import dst
+from scipy.fft import dct
 from scipy.special import gamma as sp_gamma, hyp1f1, zeta as sp_zeta
 
 from .grid import Field, RadialGrid, _check_same_grid
@@ -376,19 +377,31 @@ def coulomb_sobolev_norm(u: Field) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dense matrices for Newton solvers
+# dense matrix for the Newton solvers (they add the Hartree part in place)
 # ---------------------------------------------------------------------------
 
 def dense_fractional_matrix(grid: RadialGrid) -> np.ndarray:
-    """The fractional Laplacian as a dense matrix in node coordinates."""
+    """The fractional Laplacian as a dense matrix in node coordinates.
+
+    For N = 3 the sine pair makes it diag(1/r) [c(|i-j|) - c(i+j)] diag(r),
+    a Toeplitz-minus-Hankel core with
+    c(n) = (1/(M+1)) sum_m k_m^(2s) cos(pi m n / (M+1)), read from one DCT-I
+    of [0, k^(2s), 0] and extended by c(n) = c(2(M+1) - n).
+    """
     key = "dense_lap"
     L = grid._caches.get(key)
     if L is None:
         s2 = 2.0 * grid.params.s
         if grid.params.N == 3:
-            S = dst(np.eye(grid.M), type=1, norm="ortho", axis=0)
-            core = S.T @ (S * (grid.k ** s2)[:, None])
-            L = (1.0 / grid.r)[:, None] * core * grid.r[None, :]
+            M = grid.M
+            c = dct(np.concatenate(([0.0], grid.k ** s2, [0.0])), type=1) / (2.0 * (M + 1))
+            c = np.concatenate((c, c[-2:0:-1]))  # c(0..2M+1)
+            # strided views; the subtraction is the only M x M allocation
+            toeplitz = sliding_window_view(np.concatenate((c[M - 1:0:-1], c[:M])), M)[::-1]
+            hankel = sliding_window_view(c[2:2 * M + 1], M)
+            L = np.subtract(toeplitz, hankel)
+            L *= (1.0 / grid.r)[:, None]
+            L *= grid.r[None, :]
         else:
             eng = grid.transform()
             Q = eng._Q
@@ -397,12 +410,3 @@ def dense_fractional_matrix(grid: RadialGrid) -> np.ndarray:
             L = (1.0 / sw)[:, None] * L * sw[None, :]
         grid._caches[key] = L
     return L
-
-
-def hartree_jacobian(u: Field) -> np.ndarray:
-    """Jacobian of u -> (I_alpha * u^2) u at u, as a dense matrix."""
-    grid = u.grid
-    op = _riesz_kernel(grid, grid.params.alpha)
-    pot = op.sym_potential(u.values ** 2)
-    K = op.sym_matrix()
-    return np.diag(pot) + 2.0 * (u.values[:, None] * K * u.values[None, :])

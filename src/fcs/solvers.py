@@ -5,8 +5,12 @@ phase (projected/preconditioned descent or ascent with Armijo backtracking;
 for the mountain pass, a descent of the barrier level over the Nehari set
 started from the endpoint's ray) followed by a damped dense Newton polish
 on the stationarity system, which is affordable at desk scale and drives
-dual residuals to rounding.  Reports are always recomputed from the stored
-field so nothing leaks from solver internals.
+dual residuals to rounding.  The first-order phase only has to reach
+Newton's basin: the descents of Phi hand over once the dual residual has
+dropped by ``_HANDOVER_REL`` (the ascent of J by 1e-3), and Newton does the
+converging.  Each Newton call assembles its Jacobian in place, into one
+buffer.  Reports are always recomputed from the stored field so nothing
+leaks from solver internals.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from .grid import Field, RadialGrid, lp_norm
 from .operators import (
     apply_A,
     dense_fractional_matrix,
+    _riesz_kernel,
     dual_norm,
-    hartree_jacobian,
     hartree_potential_sym,
     apply_fractional_laplacian,
     precondition,
@@ -85,6 +89,11 @@ class NoPassError(RuntimeError):
 # reports are reproducible
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
+
+# the descents of Phi hand over to Newton once the dual residual has dropped
+# by this factor (or by the requested tolerance, if that is looser): they
+# only have to reach Newton's basin, Newton does the converging
+_HANDOVER_REL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -244,11 +253,33 @@ def _rayleigh(u: Field) -> float:
     return (ray.S + ray.Q) / den
 
 
+def _jacobian_into(out: np.ndarray, Lf: np.ndarray, K: np.ndarray, u: np.ndarray, diag: np.ndarray) -> None:
+    """out <- Lf + 2 u_i K_ij u_j + diag(diag), written in place.
+
+    With ``diag`` = pot + (the nonlinearity's part) this is the Jacobian of
+    the fractional Laplacian plus the Hartree term (I_alpha * u^2) u; no
+    M x M temporary is allocated.
+    """
+    np.multiply(K, u[None, :], out=out)
+    out *= (2.0 * u)[:, None]
+    out += Lf
+    idx = np.arange(u.size)
+    out[idx, idx] += diag
+
+
 def _newton_eigen(u: Field, lam: float, tol_abs: float, max_iter: int = 40):
-    """Damped Newton on the stationarity system {A(u) = lam B(u), I(u) = 1}."""
+    """Damped Newton on the stationarity system {A(u) = lam B(u), I(u) = 1}.
+
+    The bordered Jacobian [[L + H(u) - lam B'(u), -B(u)], [w A(u), 0]] is
+    assembled in place, into one buffer per call.
+    """
     grid = u.grid
+    M = grid.M
     p = compute_exponents(grid.params).two_star_s_alpha
     Lf = dense_fractional_matrix(grid)
+    K = _riesz_kernel(grid, grid.params.alpha).sym_matrix()
+    jac = np.empty((M + 1, M + 1))
+    jac[M, M] = 0.0
     res = dual_norm(_eigen_residual(u, lam, p))
     it = 0
     for it in range(1, max_iter + 1):
@@ -258,13 +289,11 @@ def _newton_eigen(u: Field, lam: float, tol_abs: float, max_iter: int = 40):
         Fv = np.concatenate([Au - lam * Bu, [I_functional(u) - 1.0]])
         if res <= tol_abs and abs(Fv[-1]) <= 1e-11:
             break
-        Jh = Lf + hartree_jacobian(u) - lam * (p - 1.0) * np.diag(np.abs(u.values) ** (p - 2.0))
-        jac = np.vstack(
-            [
-                np.hstack([Jh, -Bu[:, None]]),
-                np.concatenate([grid.w * Au, [0.0]])[None, :],
-            ]
+        _jacobian_into(
+            jac[:M, :M], Lf, K, u.values, pot - lam * (p - 1.0) * np.abs(u.values) ** (p - 2.0)
         )
+        jac[:M, M] = -Bu
+        jac[M, :M] = grid.w * Au
         try:
             delta = np.linalg.solve(jac, -Fv)
         except np.linalg.LinAlgError:
@@ -272,12 +301,12 @@ def _newton_eigen(u: Field, lam: float, tol_abs: float, max_iter: int = 40):
         step = 1.0
         improved = False
         for _ in range(10):
-            trial = u.values + step * delta[: grid.M]
+            trial = u.values + step * delta[:M]
             if not np.all(np.isfinite(trial)):
                 step *= 0.5
                 continue
             u_try = Field(grid, trial)
-            lam_try = lam + step * delta[grid.M]
+            lam_try = lam + step * delta[M]
             res_try = dual_norm(_eigen_residual(u_try, lam_try, p))
             if res_try < res or (res_try < tol_abs and abs(I_functional(u_try) - 1.0) < abs(Fv[-1])):
                 u, lam, res = u_try, lam_try, res_try
@@ -290,19 +319,26 @@ def _newton_eigen(u: Field, lam: float, tol_abs: float, max_iter: int = 40):
 
 
 def _newton_gradient(u: Field, spec: NonlinearitySpec, tol_abs: float, max_iter: int = 40):
-    """Damped Newton on grad Phi(u) = 0 (finds minima and saddles alike)."""
+    """Damped Newton on grad Phi(u) = 0 (finds minima and saddles alike).
+
+    The Jacobian L + H(u) - diag(f'(u)) is assembled in place, into one
+    buffer per call.
+    """
     grid = u.grid
     Lf = dense_fractional_matrix(grid)
+    K = _riesz_kernel(grid, grid.params.alpha).sym_matrix()
+    jac = np.empty((grid.M, grid.M))
     scale0 = float(np.max(np.abs(u.values)))
-    res = dual_norm(grad_Phi(u, spec))
+    g = grad_Phi(u, spec)
+    res = dual_norm(g)
     it = 0
     for it in range(1, max_iter + 1):
         if res <= tol_abs:
             break
-        g = grad_Phi(u, spec).values
-        jac = Lf + hartree_jacobian(u) - np.diag(spec.fprime(u.values, grid.r))
+        diag = hartree_potential_sym(u) - spec.fprime(u.values, grid.r)
+        _jacobian_into(jac, Lf, K, u.values, diag)
         try:
-            delta = np.linalg.solve(jac, -g)
+            delta = np.linalg.solve(jac, -g.values)
         except np.linalg.LinAlgError:
             break
         step = 1.0
@@ -313,9 +349,10 @@ def _newton_gradient(u: Field, spec: NonlinearitySpec, tol_abs: float, max_iter:
                 step *= 0.5
                 continue
             u_try = Field(grid, trial)
-            res_try = dual_norm(grad_Phi(u_try, spec))
+            g_try = grad_Phi(u_try, spec)
+            res_try = dual_norm(g_try)
             if res_try < res:
-                u, res = u_try, res_try
+                u, g, res = u_try, g_try, res_try
                 improved = True
                 break
             step *= 0.5
@@ -685,7 +722,7 @@ def _minimize(
         if res0 == 0.0:
             continue
         tol_abs = opts.tol * res0
-        u, it_d = _descend_Phi(u0, spec, max(tol_abs, 1e-2 * res0), opts.max_iter)
+        u, it_d = _descend_Phi(u0, spec, max(opts.tol, _HANDOVER_REL) * res0, opts.max_iter)
         try:
             u, _, it_n = _newton_gradient(u, spec, min(tol_abs, 1e-11 * res0))
         except DegenerateSeedError:
@@ -774,12 +811,17 @@ def _nehari_amplitude(ray: _Ray) -> float | None:
     return brentq(ray.nehari, lo, hi, xtol=1e-15 * lo, rtol=1e-15)
 
 
-def _nehari_descent(grid: RadialGrid, spec: NonlinearitySpec, shape0: np.ndarray, iters: int = 80):
+def _nehari_descent(
+    grid: RadialGrid, spec: NonlinearitySpec, shape0: np.ndarray, switch_rel: float, iters: int = 80
+):
     """Monotone barrier-level reduction over amplitude-normalized shapes.
 
     Each trial shape's Nehari amplitude and level come from one ray; only
-    the accepted trial becomes a field.  Returns the last Nehari point, the
-    iteration count and the dual residual at the first Nehari point.
+    the accepted trial becomes a field.  The descent only has to reach
+    Newton's basin: it stops once the dual residual has dropped to
+    ``switch_rel`` times its value at the first Nehari point, or after
+    ``iters`` steps.  Returns the last Nehari point, the iteration count and
+    the dual residual at the first Nehari point.
     """
     nrm = math.sqrt(float(np.sum(grid.w * shape0 ** 2)))
     if nrm == 0.0:
@@ -800,7 +842,7 @@ def _nehari_descent(grid: RadialGrid, spec: NonlinearitySpec, shape0: np.ndarray
         if eta is None:
             eta = 1.0 / max(res, 1e-30)
             res0 = res
-        if res < 1e-9:
+        if res <= switch_rel * res0:
             break
         d = precondition(g).values
         accepted = False
@@ -868,7 +910,7 @@ def mountain_pass(
     if float(np.max(np.abs(e.values))) == 0.0:
         raise ValueError("endpoint e must be nonzero")
 
-    u, it_r, res0 = _nehari_descent(grid, spec, e.values)
+    u, it_r, res0 = _nehari_descent(grid, spec, e.values, max(opts.tol, _HANDOVER_REL))
     u, _, it_n = _newton_gradient(u, spec, min(opts.tol * res0, 1e-11 * res0))
     u = _normalize_sign(u)
 

@@ -19,6 +19,7 @@ from fcs.energy import (
 )
 from fcs.operators import apply_A, apply_B, dual_norm
 from fcs.params import compute_exponents
+from fcs.scaling import scale
 from fcs.solvers import (
     DegenerateSeedError,
     NoPassError,
@@ -150,8 +151,6 @@ def test_eigen1_scaled_pair_still_solves(eigen_report):
     # node-wise residual of the dilated pair sits at the percent level on
     # this cutoff.  The robust integral form of the statement is that the
     # dilated pair reproduces the same multiplier.
-    from fcs.scaling import scale
-
     u = eigen_report.solution
     grid = u.grid
     lam = eigen_report.multiplier
@@ -286,6 +285,62 @@ def test_mountain_pass_wide_endpoint_has_no_pass(mp_setup):
     e = find_negative_energy_point(p, g, spec, width=2.0)
     with pytest.raises(NoPassError, match="no barrier crossing"):
         mountain_pass(p, g, spec, e)
+
+
+# levels of the benchmark's mountain-pass inputs (N=3, s=0.8, alpha=2, R=20,
+# M=128, CLI endpoint of width 1), as computed by the descent that ran to its
+# 80-step cap before handing over to Newton
+_MP_LEVELS = {
+    4.0: 6.6923160432339355,
+    4.05: 6.316904879032225,
+    4.1: 5.979041488319221,
+    4.15: 5.673426526625255,
+    4.2: 5.395767685317579,
+    4.25: 5.142537175549816,
+    "critical": 1.5462926880509418,
+}
+
+
+def _mp_input(q):
+    p = ProblemParams(3, 0.8, 2.0)
+    g = make_grid(p, 20.0, 128)
+    if q == "critical":
+        exps = compute_exponents(p)
+        spec = NonlinearitySpec.of(
+            PowerTerm(1.0, exps.two_star_s_alpha), PowerTerm(1.0, 3.5), PowerTerm(1.0, exps.two_star_s)
+        )
+    else:
+        spec = pure_power(1.0, q)
+    return p, g, spec, find_negative_energy_point(p, g, spec)
+
+
+@pytest.mark.parametrize("q", list(_MP_LEVELS))
+def test_mountain_pass_benchmark_levels(q):
+    rep = mountain_pass(*_mp_input(q))
+    assert rep.converged
+    assert math.isclose(rep.energy, _MP_LEVELS[q], rel_tol=1e-10, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("q", [4.0, 4.25])
+def test_nehari_descent_hands_over_to_newton(q):
+    # the first-order phase only has to reach Newton's basin: it stops on a
+    # relative residual drop well before its 80-step cap
+    rep = mountain_pass(*_mp_input(q)).to_dict()
+    assert rep["converged"]
+    assert rep["iterations_nehari"] < 80
+
+
+def test_mountain_pass_superscaled_level():
+    # q* < q = 3.43 < 2*_s at s = 0.75: no amplitude ray of a fixed shape has
+    # negative action, so the endpoint is the dilated Gaussian 8 u_{2.5}
+    p = ProblemParams(3, 0.75, 2.0)
+    g = make_grid(p, 20.0, 256)
+    spec = pure_power(1.0, 3.43)
+    e = g.field(8.0 * scale(g.field(np.exp(-g.r ** 2)), 2.5).values)
+    assert Phi(e, spec) < 0.0
+    rep = mountain_pass(p, g, spec, e)
+    assert rep.converged
+    assert math.isclose(rep.energy, 13.429835705445665, rel_tol=1e-10, abs_tol=0.0)
 
 
 def test_mountain_pass_rejects_positive_endpoint(mp_setup):
