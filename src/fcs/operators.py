@@ -12,6 +12,14 @@ Euler-Maclaurin-type corrections:
 * for N = 2 only, the rho = 0 endpoint term h^2/12 f'(0), which vanishes
   identically for N >= 3.
 
+For N != 3 the angular average is a graded-panel quadrature whose integrand
+is bitwise symmetric in (r, rho), so only the upper triangle of node pairs
+is integrated and then mirrored.  Energies and gradients need the matrix
+that is symmetric in the quadrature inner product; one such matrix is
+stored per kernel.  For N >= 3 it is P itself (W P is symmetric to
+rounding); the N = 2 endpoint term breaks the symmetry, so there it is
+0.5 (P + W^-1 P^T W), built once.
+
 A spectral route (multiplier k^(-alpha) on a zero-padded grid, with the total
 mass split off analytically through the closed-form Gaussian potential) is
 provided as an independent cross-check of the Fourier convention; it is
@@ -161,10 +169,15 @@ def _angular_kernel_generic(N: int, alpha: float, r: np.ndarray) -> np.ndarray:
 
     Geometrically graded panels toward t = 0 resolve the integrable
     singularity on the diagonal; the grading depth is chosen so the truncated
-    mass below the first panel is ~1e-16 relative.
+    mass below the first panel is ~1e-16 relative.  The integrand is bitwise
+    symmetric in (r, p) -- (a-b)^2 = (b-a)^2 and (4a)b = (4b)a since the
+    factor 4 is exact -- so only the upper triangle is integrated and then
+    mirrored.
     """
-    rr = r[:, None]
-    pp = r[None, :]
+    M = r.size
+    iu, ju = np.triu_indices(M)
+    rr = r[iu]
+    pp = r[ju]
     d2 = (rr - pp) ** 2
     s4 = 4.0 * rr * pp
     xg, wg = leggauss(12)
@@ -172,19 +185,24 @@ def _angular_kernel_generic(N: int, alpha: float, r: np.ndarray) -> np.ndarray:
     edges = [t_lo]
     while edges[-1] < math.pi:
         edges.append(min(edges[-1] * 3.0, math.pi))
-    out = np.zeros_like(d2)
+    tri = np.zeros_like(d2)
     for a_, b_ in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (a_ + b_)
         hl = 0.5 * (b_ - a_)
         for x_, w_ in zip(xg, wg):
             t = mid + hl * x_
             base = d2 + s4 * math.sin(0.5 * t) ** 2
-            out += (w_ * hl * math.sin(t) ** (N - 2)) * base ** ((alpha - N) / 2.0)
-    return sphere_area(N - 1) * out
+            tri += (w_ * hl * math.sin(t) ** (N - 2)) * base ** ((alpha - N) / 2.0)
+    tri *= sphere_area(N - 1)
+    out = np.empty((M, M))
+    out[iu, ju] = tri
+    out[ju, iu] = tri
+    return out
 
 
 class _RieszKernel:
-    """Assembled kernel matrix P with (I_alpha * v)(r_i) = (P v)_i."""
+    """Assembled kernel matrix P with (I_alpha * v)(r_i) = (P v)_i, and S,
+    its w-symmetric part (the same array as P for N >= 3)."""
 
     def __init__(self, grid: RadialGrid, alpha: float):
         N = grid.params.N
@@ -217,10 +235,16 @@ class _RieszKernel:
             stencil[:3] = (3.0, -3.0, 1.0)  # quadratic extrapolation of v to 0
             P += np.outer(col, stencil)
         self.P = P
-        if N == 3:
-            self._P_adj = P  # w-symmetric by construction
+        if N == 2:
+            # the endpoint stencil breaks the w-symmetry of P; for N >= 3,
+            # W P is symmetric by construction (to rounding)
+            S = P.T * grid.w[None, :]
+            S *= (1.0 / grid.w)[:, None]
+            S += P
+            S *= 0.5
         else:
-            self._P_adj = (1.0 / grid.w)[:, None] * P.T * grid.w[None, :]
+            S = P
+        self.S = S
 
     def potential(self, v: np.ndarray) -> np.ndarray:
         return self.P @ v
@@ -231,14 +255,11 @@ class _RieszKernel:
         This is the exact variational derivative of the Coulomb double
         integral and is what enters energies and gradients.
         """
-        if self._P_adj is self.P:
-            return self.P @ v
-        return 0.5 * (self.P @ v + self._P_adj @ v)
+        return self.S @ v
 
     def sym_matrix(self) -> np.ndarray:
-        if self._P_adj is self.P:
-            return self.P
-        return 0.5 * (self.P + self._P_adj)
+        """The stored w-symmetric matrix (not a copy)."""
+        return self.S
 
 
 def _riesz_kernel(grid: RadialGrid, alpha: float) -> _RieszKernel:

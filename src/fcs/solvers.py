@@ -45,7 +45,6 @@ from .operators import (
     _riesz_kernel,
     dual_norm,
     hartree_potential_sym,
-    apply_fractional_laplacian,
     precondition,
 )
 from .params import (
@@ -237,12 +236,6 @@ def _meets_tol(resid: float, res0: float, opts: SolverOptions, u: Field) -> bool
     return resid <= opts.tol * res0 + floor
 
 
-def _eigen_residual(u: Field, lam: float, p: float) -> Field:
-    Au = apply_A(u).values
-    Bu = np.abs(u.values) ** (p - 2.0) * u.values
-    return Field(u.grid, Au - lam * Bu)
-
-
 def _rayleigh(u: Field) -> float:
     """<A(u), u> / <B(u), u> = (S + Q) / sum_j w_j |u_j|^(q*)."""
     p = compute_exponents(u.grid.params).two_star_s_alpha
@@ -267,6 +260,30 @@ def _jacobian_into(out: np.ndarray, Lf: np.ndarray, K: np.ndarray, u: np.ndarray
     out[idx, idx] += diag
 
 
+class _EigenPoint:
+    """A(u), B(u), the residual A(u) - lam B(u), its dual norm and I(u).
+
+    One forward transform serves the Laplacian and the seminorm S, and one
+    kernel matvec serves the Hartree potential and Q.  A point accepted by
+    the Newton line search is carried into the next step as it is.
+    """
+
+    def __init__(self, u: Field, lam: float, p: float):
+        grid = u.grid
+        eng = grid.transform()
+        k2s = grid.k ** (2.0 * grid.params.s)
+        b = eng.forward(u.values)
+        self.u, self.lam = u, lam
+        self.pot = hartree_potential_sym(u)
+        self.Au = eng.inverse(k2s * b) + self.pot * u.values
+        self.Bu = np.abs(u.values) ** (p - 2.0) * u.values
+        self.resid = self.Au - lam * self.Bu
+        self.res = dual_norm(Field(grid, self.resid))
+        S = float(np.sum(k2s * b * b))
+        Q = float(np.sum(grid.w * u.values ** 2 * self.pot))
+        self.I = 0.5 * S + 0.25 * Q
+
+
 def _newton_eigen(u: Field, lam: float, tol_abs: float, max_iter: int = 40):
     """Damped Newton on the stationarity system {A(u) = lam B(u), I(u) = 1}.
 
@@ -280,42 +297,38 @@ def _newton_eigen(u: Field, lam: float, tol_abs: float, max_iter: int = 40):
     K = _riesz_kernel(grid, grid.params.alpha).sym_matrix()
     jac = np.empty((M + 1, M + 1))
     jac[M, M] = 0.0
-    res = dual_norm(_eigen_residual(u, lam, p))
+    pt = _EigenPoint(u, lam, p)
     it = 0
     for it in range(1, max_iter + 1):
-        pot = hartree_potential_sym(u)
-        Au = apply_fractional_laplacian(u).values + pot * u.values
-        Bu = np.abs(u.values) ** (p - 2.0) * u.values
-        Fv = np.concatenate([Au - lam * Bu, [I_functional(u) - 1.0]])
-        if res <= tol_abs and abs(Fv[-1]) <= 1e-11:
+        defect = pt.I - 1.0
+        if pt.res <= tol_abs and abs(defect) <= 1e-11:
             break
+        uv = pt.u.values
         _jacobian_into(
-            jac[:M, :M], Lf, K, u.values, pot - lam * (p - 1.0) * np.abs(u.values) ** (p - 2.0)
+            jac[:M, :M], Lf, K, uv, pt.pot - pt.lam * (p - 1.0) * np.abs(uv) ** (p - 2.0)
         )
-        jac[:M, M] = -Bu
-        jac[M, :M] = grid.w * Au
+        jac[:M, M] = -pt.Bu
+        jac[M, :M] = grid.w * pt.Au
         try:
-            delta = np.linalg.solve(jac, -Fv)
+            delta = np.linalg.solve(jac, -np.concatenate([pt.resid, [defect]]))
         except np.linalg.LinAlgError:
             break
         step = 1.0
         improved = False
         for _ in range(10):
-            trial = u.values + step * delta[:M]
+            trial = uv + step * delta[:M]
             if not np.all(np.isfinite(trial)):
                 step *= 0.5
                 continue
-            u_try = Field(grid, trial)
-            lam_try = lam + step * delta[M]
-            res_try = dual_norm(_eigen_residual(u_try, lam_try, p))
-            if res_try < res or (res_try < tol_abs and abs(I_functional(u_try) - 1.0) < abs(Fv[-1])):
-                u, lam, res = u_try, lam_try, res_try
+            pt_try = _EigenPoint(Field(grid, trial), pt.lam + step * delta[M], p)
+            if pt_try.res < pt.res or (pt_try.res < tol_abs and abs(pt_try.I - 1.0) < abs(defect)):
+                pt = pt_try
                 improved = True
                 break
             step *= 0.5
         if not improved:
             break
-    return u, lam, res, it
+    return pt.u, pt.lam, pt.res, it
 
 
 def _newton_gradient(u: Field, spec: NonlinearitySpec, tol_abs: float, max_iter: int = 40):
@@ -391,7 +404,7 @@ def _ascend_J(u: Field, opts: SolverOptions, penalty=None, switch_rel: float = 1
 
     J_hist = [objective(u)]
     lam = _rayleigh(u)
-    res0 = dual_norm(_eigen_residual(u, lam, p))
+    res0 = _EigenPoint(u, lam, p).res
     res = res0
     eta = 1.0
     it = 0
@@ -420,7 +433,7 @@ def _ascend_J(u: Field, opts: SolverOptions, penalty=None, switch_rel: float = 1
         u = u_try
         J_hist.append(objective(u))
         lam = _rayleigh(u)
-        res = dual_norm(_eigen_residual(u, lam, p))
+        res = _EigenPoint(u, lam, p).res
     return u, J_hist, it, res0, res
 
 
@@ -432,12 +445,11 @@ def _finish_eigen(u: Field, exps, res0: float, converged, iterations: int, seed:
     """
     u = _normalize_sign(u)
     lam = _rayleigh(u)
-    resid = dual_norm(_eigen_residual(u, lam, exps.two_star_s_alpha))
-    iu = I_functional(u)
+    pt = _EigenPoint(u, lam, exps.two_star_s_alpha)
     return _certify(
-        u, eigen_spec(lam, exps), energy=Phi_lambda(u, lam), multiplier=lam, res=resid,
-        res0=res0, iterations=iterations, converged=converged(u, resid, iu), seed=seed,
-        extras={"I": iu, "J": J_functional(u), "manifold_defect": iu - 1.0, **extras},
+        u, eigen_spec(lam, exps), energy=Phi_lambda(u, lam), multiplier=lam, res=pt.res,
+        res0=res0, iterations=iterations, converged=converged(u, pt.res, pt.I), seed=seed,
+        extras={"I": pt.I, "J": J_functional(u), "manifold_defect": pt.I - 1.0, **extras},
     )
 
 
@@ -459,7 +471,7 @@ def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None =
         raise DegenerateSeedError("degenerate seed: zero field")
     try:
         u = project_to_M(seed)
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:  # a wide seed may need t > 1, read past R
         raise DegenerateSeedError(f"degenerate seed: {exc}") from exc
 
     u, J_hist, it_ascent, res0, res = _ascend_J(u, opts, switch_rel=max(opts.tol, 1e-3))

@@ -335,6 +335,19 @@ def test_cli_eigen1_small_sigma_is_a_solver_failure(capsys):
     assert "Traceback" not in err
 
 
+def test_cli_eigen1_too_wide_seed_is_a_solver_failure(capsys):
+    # projecting this seed needs t > 1, which would read past the cutoff:
+    # a typed solver failure (exit 2), not an invalid-input error (exit 1)
+    rc = cli_main(
+        ["eigen1", "--N", "4", "--s", "0.75", "--alpha", "2.5", "--R", "20", "--M", "64",
+         "--seed-width", "5"]
+    )
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "degenerate seed" in err and "beyond cutoff" in err
+    assert "Traceback" not in err
+
+
 def test_cli_scaling_check(capsys):
     rc = cli_main(
         ["scaling-check", "--N", "3", "--s", "0.75", "--alpha", "2", "--R", "20", "--M", "96", "--json"]

@@ -1,5 +1,6 @@
 """The dense Newton matrices: the N = 3 Laplacian from its symbol, the
-in-place Jacobian assembly, and their memory footprint.
+in-place Jacobian assembly, their memory footprint, and the operator calls
+of a Newton step.
 
 The oracles are the direct constructions: the Laplacian as a DST of the
 identity, and the Hartree Jacobian diag(I_alpha * u^2) + 2 u K u from
@@ -14,9 +15,15 @@ import pytest
 from scipy.fft import dst
 
 import fcs.solvers as solvers
-from fcs import ProblemParams, make_grid
-from fcs.energy import pure_power
-from fcs.operators import _riesz_kernel, apply_A, dense_fractional_matrix, hartree_potential_sym
+from fcs import ProblemParams, make_grid, operators
+from fcs.energy import I_functional, pure_power
+from fcs.operators import (
+    _riesz_kernel,
+    apply_A,
+    dense_fractional_matrix,
+    dual_norm,
+    hartree_potential_sym,
+)
 from fcs.params import compute_exponents
 from fcs.scaling import project_to_M
 
@@ -93,6 +100,51 @@ def test_gradient_jacobian_matches_oracle(monkeypatch, manifold_point):
     assert len(seen) == 1
     oracle = dense_fractional_matrix(g) + _hartree_jacobian_oracle(u) - np.diag(spec.fprime(u.values, g.r))
     assert _rel(seen[0], oracle) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# operator calls: a point accepted by the line search is carried over
+# ---------------------------------------------------------------------------
+
+def test_eigen_point_matches_the_direct_evaluation(manifold_point):
+    # carried values are bitwise those of A(u) - lam B(u), its norm and I(u)
+    u = manifold_point
+    p = compute_exponents(u.grid.params).two_star_s_alpha
+    lam = solvers._rayleigh(u)
+    pt = solvers._EigenPoint(u, lam, p)
+    resid = apply_A(u).values - lam * (np.abs(u.values) ** (p - 2.0) * u.values)
+    assert np.array_equal(pt.resid, resid)
+    assert pt.res == dual_norm(u.grid.field(resid))
+    assert np.array_equal(pt.pot, hartree_potential_sym(u))
+    assert pt.I == I_functional(u)
+
+
+def test_newton_eigen_step_evaluates_each_point_once(monkeypatch, manifold_point):
+    u = manifold_point
+    lam = solvers._rayleigh(u)  # builds the kernel and the engine first
+    dense_fractional_matrix(u.grid)
+    calls = {"transform": 0, "matvec": 0, "points": 0}
+
+    def counting(fn, key):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    eng = u.grid.transform()
+    monkeypatch.setattr(eng, "forward", counting(eng.forward, "transform"))
+    monkeypatch.setattr(eng, "inverse", counting(eng.inverse, "transform"))
+    kernel = operators._RieszKernel
+    monkeypatch.setattr(kernel, "sym_potential", counting(kernel.sym_potential, "matvec"))
+    # every evaluated point (the start and each line-search trial) takes one
+    # dual norm; the top of a step re-evaluates nothing
+    monkeypatch.setattr(solvers, "dual_norm", counting(solvers.dual_norm, "points"))
+    _, _, _, it = solvers._newton_eigen(u, lam, 0.0, max_iter=2)
+    assert it == 2
+    assert calls["points"] >= 3
+    assert calls["matvec"] == calls["points"]
+    assert calls["transform"] == 3 * calls["points"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.special import erf
 
 from fcs import ProblemParams, make_grid
@@ -15,9 +16,11 @@ from fcs.operators import (
     gaussian_riesz_profile,
     precondition,
     quadrilinear_T,
+    _angular_kernel_generic,
+    _riesz_kernel,
     riesz_potential,
 )
-from fcs.params import compute_exponents, riesz_constant
+from fcs.params import compute_exponents, riesz_constant, sphere_area
 
 from conftest import smooth_random_field
 
@@ -165,6 +168,64 @@ def test_riesz_generic_dimension(grid_n2):
     ps = riesz_potential(u, method="spectral").values
     rel2 = math.sqrt(np.sum(w * (pot - ps) ** 2) / np.sum(w * pot ** 2))
     assert rel2 < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# N != 3 kernel matrix: triangle quadrature and the stored symmetric matrix
+# ---------------------------------------------------------------------------
+
+def _angular_kernel_full(N, alpha, r):
+    """Oracle: the graded-panel angular quadrature on all M^2 node pairs."""
+    rr = r[:, None]
+    pp = r[None, :]
+    d2 = (rr - pp) ** 2
+    s4 = 4.0 * rr * pp
+    xg, wg = leggauss(12)
+    t_lo = max(1e-120, 1e-16 ** (1.0 / (alpha - 1.0)))
+    edges = [t_lo]
+    while edges[-1] < math.pi:
+        edges.append(min(edges[-1] * 3.0, math.pi))
+    out = np.zeros_like(d2)
+    for a_, b_ in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (a_ + b_)
+        hl = 0.5 * (b_ - a_)
+        for x_, w_ in zip(xg, wg):
+            t = mid + hl * x_
+            base = d2 + s4 * math.sin(0.5 * t) ** 2
+            out += (w_ * hl * math.sin(t) ** (N - 2)) * base ** ((alpha - N) / 2.0)
+    return sphere_area(N - 1) * out
+
+
+def _kernel_grid(N, alpha, M=48):
+    return make_grid(ProblemParams(N, 0.75, alpha), 12.0, M)
+
+
+@pytest.mark.parametrize("N, alpha", [(4, 2.5), (5, 3.0), (2, 1.5)])
+def test_angular_kernel_triangle_is_the_full_quadrature(N, alpha):
+    r = _kernel_grid(N, alpha).r
+    assert np.array_equal(_angular_kernel_generic(N, alpha, r), _angular_kernel_full(N, alpha, r))
+
+
+@pytest.mark.parametrize("N, alpha", [(2, 1.5), (4, 2.5)])
+def test_sym_matrix_is_w_symmetric(N, alpha):
+    g = _kernel_grid(N, alpha)
+    WS = g.w[:, None] * _riesz_kernel(g, alpha).sym_matrix()
+    assert np.max(np.abs(WS - WS.T)) <= 1e-15 * np.max(np.abs(WS))
+
+
+@pytest.mark.parametrize("N, alpha", [(2, 1.5), (3, 2.0), (4, 2.5)])
+def test_sym_potential_is_one_product_with_sym_matrix(N, alpha):
+    g = _kernel_grid(N, alpha)
+    op = _riesz_kernel(g, alpha)
+    v = np.exp(-g.r ** 2)
+    assert np.array_equal(op.sym_potential(v), op.sym_matrix() @ v)
+    assert op.sym_matrix() is op.sym_matrix()  # stored, not rebuilt
+
+
+@pytest.mark.parametrize("N, alpha", [(3, 2.0), (4, 2.5), (5, 3.0)])
+def test_sym_matrix_is_P_from_three_dimensions(N, alpha):
+    op = _riesz_kernel(_kernel_grid(N, alpha), alpha)
+    assert op.sym_matrix() is op.P
 
 
 # ---------------------------------------------------------------------------
