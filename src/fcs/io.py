@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import functools
 import io as _io
 import json
 import math
@@ -77,7 +78,9 @@ def load_field(path) -> Field:
 # result envelopes
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _commit_hash() -> str | None:
+    # the code in memory cannot change commit within a process: look it up once
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -7,7 +7,8 @@ started from the endpoint's ray) followed by a damped dense Newton polish
 on the stationarity system, which is affordable at desk scale and drives
 dual residuals to rounding.  The first-order phase only has to reach
 Newton's basin: the descents of Phi hand over once the dual residual has
-dropped by ``_HANDOVER_REL`` (the ascent of J by 1e-3), and Newton does the
+dropped by ``_HANDOVER_REL`` (the ascent of J by 1e-3, or once its Armijo
+search runs out of its ``_ASCENT_TRIALS`` trials), and Newton does the
 converging.  Each Newton call assembles its Jacobian in place, into one
 buffer.  Reports are always recomputed from the stored field so nothing
 leaks from solver internals.
@@ -33,7 +34,6 @@ from .energy import (
     J_functional,
     NonlinearitySpec,
     Phi,
-    Phi_lambda,
     _Ray,
     eigen_spec,
     grad_Phi,
@@ -93,6 +93,12 @@ _ARMIJO_SHRINK = 0.5
 # by this factor (or by the requested tolerance, if that is looser): they
 # only have to reach Newton's basin, Newton does the converging
 _HANDOVER_REL = 1e-2
+
+# the ascent of J tries at most this many Armijo steps per iteration; a search
+# that runs out ends the ascent and hands over to Newton.  Near Newton's
+# basin the resampled dilation inside ``project_to_M`` no longer follows its
+# first-order model, so no shorter step would be accepted there
+_ASCENT_TRIALS = 4
 
 
 @dataclass(frozen=True)
@@ -237,7 +243,11 @@ def _meets_tol(resid: float, res0: float, opts: SolverOptions, u: Field) -> bool
 
 
 def _rayleigh(u: Field) -> float:
-    """<A(u), u> / <B(u), u> = (S + Q) / sum_j w_j |u_j|^(q*)."""
+    """<A(u), u> / <B(u), u> = (S + Q) / sum_j w_j |u_j|^(q*).
+
+    The solvers read lam from ``_EigenPoint``; this direct form is the
+    reference the tests compare it against.
+    """
     p = compute_exponents(u.grid.params).two_star_s_alpha
     den = float(np.sum(u.grid.w * np.abs(u.values) ** p))
     if den == 0.0:
@@ -264,40 +274,48 @@ class _EigenPoint:
     """A(u), B(u), the residual A(u) - lam B(u), its dual norm and I(u).
 
     One forward transform serves the Laplacian and the seminorm S, and one
-    kernel matvec serves the Hartree potential and Q.  A point accepted by
-    the Newton line search is carried into the next step as it is.
+    kernel matvec serves the Hartree potential and Q.  With ``lam=None`` the
+    point sits at its Rayleigh quotient (S + Q) / sum_j w_j |u_j|^p, read
+    from the same S and Q.  A point accepted by a line search is carried
+    into the next step as it is.
     """
 
-    def __init__(self, u: Field, lam: float, p: float):
+    def __init__(self, u: Field, lam: float | None, p: float):
         grid = u.grid
         eng = grid.transform()
         k2s = grid.k ** (2.0 * grid.params.s)
         b = eng.forward(u.values)
-        self.u, self.lam = u, lam
         self.pot = hartree_potential_sym(u)
+        S = float(np.sum(k2s * b * b))
+        Q = float(np.sum(grid.w * u.values ** 2 * self.pot))
+        self.I = 0.5 * S + 0.25 * Q
+        if lam is None:
+            den = float(np.sum(grid.w * np.abs(u.values) ** p))
+            if den == 0.0:
+                raise DegenerateSeedError("degenerate seed: B(u) u vanished")
+            lam = (S + Q) / den
+        self.u, self.lam = u, lam
         self.Au = eng.inverse(k2s * b) + self.pot * u.values
         self.Bu = np.abs(u.values) ** (p - 2.0) * u.values
         self.resid = self.Au - lam * self.Bu
         self.res = dual_norm(Field(grid, self.resid))
-        S = float(np.sum(k2s * b * b))
-        Q = float(np.sum(grid.w * u.values ** 2 * self.pot))
-        self.I = 0.5 * S + 0.25 * Q
 
 
-def _newton_eigen(u: Field, lam: float, tol_abs: float, max_iter: int = 40):
+def _newton_eigen(pt: _EigenPoint, tol_abs: float, max_iter: int = 40):
     """Damped Newton on the stationarity system {A(u) = lam B(u), I(u) = 1}.
 
-    The bordered Jacobian [[L + H(u) - lam B'(u), -B(u)], [w A(u), 0]] is
-    assembled in place, into one buffer per call.
+    Starts from the evaluated point ``pt`` and returns the last accepted
+    point and the iteration count.  The bordered Jacobian
+    [[L + H(u) - lam B'(u), -B(u)], [w A(u), 0]] is assembled in place,
+    into one buffer per call.
     """
-    grid = u.grid
+    grid = pt.u.grid
     M = grid.M
     p = compute_exponents(grid.params).two_star_s_alpha
     Lf = dense_fractional_matrix(grid)
     K = _riesz_kernel(grid, grid.params.alpha).sym_matrix()
     jac = np.empty((M + 1, M + 1))
     jac[M, M] = 0.0
-    pt = _EigenPoint(u, lam, p)
     it = 0
     for it in range(1, max_iter + 1):
         defect = pt.I - 1.0
@@ -328,7 +346,7 @@ def _newton_eigen(u: Field, lam: float, tol_abs: float, max_iter: int = 40):
             step *= 0.5
         if not improved:
             break
-    return pt.u, pt.lam, pt.res, it
+    return pt, it
 
 
 def _newton_gradient(u: Field, spec: NonlinearitySpec, tol_abs: float, max_iter: int = 40):
@@ -383,9 +401,14 @@ def _newton_gradient(u: Field, spec: NonlinearitySpec, tol_abs: float, max_iter:
 def _ascend_J(u: Field, opts: SolverOptions, penalty=None, switch_rel: float = 1e-3):
     """Projected preconditioned ascent of J (optionally penalized) on {I = 1}.
 
-    Returns the iterate, the accepted-step objective history (nondecreasing
-    by construction), the iteration count, and the initial/final dual
-    residuals of the eigen-equation.
+    Each iteration tries at most ``_ASCENT_TRIALS`` Armijo steps, each one a
+    ``project_to_M``; each accepted point is evaluated once, as an
+    ``_EigenPoint`` at its Rayleigh quotient.  Returns the last point, the
+    accepted-step objective history (nondecreasing by construction), the
+    iteration count, the initial dual residual of the eigen-equation and why
+    the ascent stopped: ``handover`` (the residual dropped to ``switch_rel``
+    of its initial value), ``line_search`` (the Armijo search ran out of
+    trials), ``slope`` (no ascent direction) or ``max_iter``.
     """
     grid = u.grid
     p = compute_exponents(grid.params).two_star_s_alpha
@@ -402,39 +425,42 @@ def _ascend_J(u: Field, opts: SolverOptions, penalty=None, switch_rel: float = 1
             g = g - penalty.gradient(v)
         return g
 
+    pt = _EigenPoint(u, None, p)
+    res0 = pt.res
     J_hist = [objective(u)]
-    lam = _rayleigh(u)
-    res0 = _EigenPoint(u, lam, p).res
-    res = res0
     eta = 1.0
     it = 0
+    stop = "max_iter"
     for it in range(1, opts.max_iter + 1):
-        if res <= switch_rel * res0:
+        if pt.res <= switch_rel * res0:
+            stop = "handover"
             break
+        u = pt.u
         g = obj_gradient(u)
         d = precondition(Field(grid, g)).values
         slope = float(np.sum(grid.w * g * d))
         if slope <= 0.0:
+            stop = "slope"
             break
         eta = min(eta * 2.0, 1.0 / max(dual_norm(Field(grid, g)), 1e-30))
         accepted = False
-        for _ in range(50):
+        for _ in range(_ASCENT_TRIALS):
             try:
                 u_try = project_to_M(Field(grid, u.values + eta * d))
             except (RuntimeError, ValueError):
                 eta *= _ARMIJO_SHRINK
                 continue
-            if objective(u_try) >= J_hist[-1] + _ARMIJO_C * eta * slope:
+            J_try = objective(u_try)
+            if J_try >= J_hist[-1] + _ARMIJO_C * eta * slope:
                 accepted = True
                 break
             eta *= _ARMIJO_SHRINK
         if not accepted:
+            stop = "line_search"
             break
-        u = u_try
-        J_hist.append(objective(u))
-        lam = _rayleigh(u)
-        res = _EigenPoint(u, lam, p).res
-    return u, J_hist, it, res0, res
+        J_hist.append(J_try)
+        pt = _EigenPoint(u_try, None, p)
+    return pt, J_hist, it, res0, stop
 
 
 def _finish_eigen(u: Field, exps, res0: float, converged, iterations: int, seed: str, extras: dict):
@@ -444,12 +470,12 @@ def _finish_eigen(u: Field, exps, res0: float, converged, iterations: int, seed:
     normalized field, its eigen residual and its energy I(u).
     """
     u = _normalize_sign(u)
-    lam = _rayleigh(u)
-    pt = _EigenPoint(u, lam, exps.two_star_s_alpha)
+    pt = _EigenPoint(u, None, exps.two_star_s_alpha)
+    lam, J = pt.lam, J_functional(u, exps)
     return _certify(
-        u, eigen_spec(lam, exps), energy=Phi_lambda(u, lam), multiplier=lam, res=pt.res,
+        u, eigen_spec(lam, exps), energy=pt.I - lam * J, multiplier=lam, res=pt.res,
         res0=res0, iterations=iterations, converged=converged(u, pt.res, pt.I), seed=seed,
-        extras={"I": pt.I, "J": J_functional(u), "manifold_defect": pt.I - 1.0, **extras},
+        extras={"I": pt.I, "J": J, "manifold_defect": pt.I - 1.0, **extras},
     )
 
 
@@ -474,23 +500,21 @@ def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None =
     except (RuntimeError, ValueError) as exc:  # a wide seed may need t > 1, read past R
         raise DegenerateSeedError(f"degenerate seed: {exc}") from exc
 
-    u, J_hist, it_ascent, res0, res = _ascend_J(u, opts, switch_rel=max(opts.tol, 1e-3))
+    pt, J_hist, it_ascent, res0, stop = _ascend_J(u, opts, switch_rel=max(opts.tol, 1e-3))
     tol_abs = opts.tol * res0
-    lam = _rayleigh(u)
     it_newton = 0
     newton_budget = min(40, max(0, opts.max_iter - it_ascent))
     if newton_budget > 0:
-        u, lam, res, it_newton = _newton_eigen(
-            u, lam, min(tol_abs, 1e-11 * res0), max_iter=newton_budget
-        )
+        pt, it_newton = _newton_eigen(pt, min(tol_abs, 1e-11 * res0), max_iter=newton_budget)
     report = _finish_eigen(
-        u, exps, res0,
+        pt.u, exps, res0,
         lambda v, resid, iu: _meets_tol(resid, res0, opts, v) and abs(iu - 1.0) <= 1e-8,
         it_ascent + it_newton, opts.seed_descriptor(),
         {
             "J_history_monotone": bool(np.all(np.diff(J_hist) >= 0.0)),
             "iterations_ascent": it_ascent,
             "iterations_newton": it_newton,
+            "ascent_stop": stop,
         },
     )
     if float(np.max(np.abs(report.solution.values))) < 1e-12:
@@ -561,10 +585,10 @@ def eigen_deflated(
             except (RuntimeError, ValueError):
                 break
             pen = _DeflationPenalty([rep.solution for rep in reports], weight)
-            u, _, it_a, res0, _ = _ascend_J(u, defl_opts, penalty=pen, switch_rel=5e-2)
-            lam = _rayleigh(u)
+            pt, _, it_a, res0, stop = _ascend_J(u, defl_opts, penalty=pen, switch_rel=5e-2)
             tol_abs = opts.tol * res0
-            u, lam, res, it_n = _newton_eigen(u, lam, min(tol_abs, 1e-11 * res0))
+            pt, it_n = _newton_eigen(pt, min(tol_abs, 1e-11 * res0))
+            u = pt.u
             # |cos| is blind to the sign normalization still ahead
             distinct = all(
                 abs(float(np.sum(grid.w * u.values * rep.solution.values)))
@@ -574,7 +598,8 @@ def eigen_deflated(
             )
             rep = _finish_eigen(
                 u, exps, res0, lambda v, resid, iu: resid <= tol_abs and distinct,
-                it_a + it_n, descriptor, {"ordering": "candidate, uncertified ordering"},
+                it_a + it_n, descriptor,
+                {"ordering": "candidate, uncertified ordering", "ascent_stop": stop},
             )
             if rep.converged:
                 reports.append(rep)

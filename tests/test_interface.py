@@ -225,6 +225,24 @@ def test_envelope_round_trip_and_runtime_isolation():
     assert "runtime" not in json.loads(canonical)
 
 
+def test_envelopes_look_up_the_commit_once(monkeypatch):
+    from fcs import io
+
+    calls = {"run": 0}
+    run = io.subprocess.run
+
+    def counting(*args, **kwargs):
+        calls["run"] += 1
+        return run(*args, **kwargs)
+
+    io._commit_hash.cache_clear()
+    monkeypatch.setattr(io.subprocess, "run", counting)
+    first = make_envelope({"a": 1}, {"r": 2.5}, 0.125)
+    second = make_envelope({"a": 2}, {"r": 3.5}, 0.25)
+    assert calls["run"] == 1
+    assert first["tool"]["commit"] == second["tool"]["commit"]
+
+
 # ---------------------------------------------------------------------------
 # CLI end to end
 # ---------------------------------------------------------------------------

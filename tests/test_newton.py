@@ -79,7 +79,7 @@ def test_bordered_eigen_jacobian_matches_oracle(monkeypatch, manifold_point):
     g = u.grid
     p = compute_exponents(g.params).two_star_s_alpha
     lam = solvers._rayleigh(u)
-    seen = _captured_jacobians(monkeypatch, lambda: solvers._newton_eigen(u, lam, 0.0, max_iter=1))
+    seen = _captured_jacobians(monkeypatch, lambda: solvers._newton_eigen(solvers._EigenPoint(u, lam, p), 0.0, max_iter=1))
     assert len(seen) == 1
     Au = apply_A(u).values
     Bu = np.abs(u.values) ** (p - 2.0) * u.values
@@ -121,6 +121,7 @@ def test_eigen_point_matches_the_direct_evaluation(manifold_point):
 
 def test_newton_eigen_step_evaluates_each_point_once(monkeypatch, manifold_point):
     u = manifold_point
+    p = compute_exponents(u.grid.params).two_star_s_alpha
     lam = solvers._rayleigh(u)  # builds the kernel and the engine first
     dense_fractional_matrix(u.grid)
     calls = {"transform": 0, "matvec": 0, "points": 0}
@@ -140,7 +141,7 @@ def test_newton_eigen_step_evaluates_each_point_once(monkeypatch, manifold_point
     # every evaluated point (the start and each line-search trial) takes one
     # dual norm; the top of a step re-evaluates nothing
     monkeypatch.setattr(solvers, "dual_norm", counting(solvers.dual_norm, "points"))
-    _, _, _, it = solvers._newton_eigen(u, lam, 0.0, max_iter=2)
+    _, it = solvers._newton_eigen(solvers._EigenPoint(u, lam, p), 0.0, max_iter=2)
     assert it == 2
     assert calls["points"] >= 3
     assert calls["matvec"] == calls["points"]
@@ -175,6 +176,11 @@ def test_laplacian_build_peak_memory():
 def test_newton_eigen_peak_memory():
     g = _grid512()
     u = project_to_M(g.field(np.exp(-g.r ** 2)))
+    p = compute_exponents(g.params).two_star_s_alpha
     lam = solvers._rayleigh(u)  # builds the Riesz kernel
     dense_fractional_matrix(g)
-    assert _peak_units(lambda: solvers._newton_eigen(u, lam, 0.0, max_iter=3), g.M) <= 1.5
+
+    def newton():
+        return solvers._newton_eigen(solvers._EigenPoint(u, lam, p), 0.0, max_iter=3)
+
+    assert _peak_units(newton, g.M) <= 1.5

@@ -72,6 +72,59 @@ def test_eigen1_pinned_multiplier(N, s, alpha, M, lam):
     assert abs(rep.multiplier - lam) <= 1e-12 * lam
 
 
+@pytest.fixture(scope="module")
+def grid256(pstar):
+    return make_grid(pstar, 20.0, 256)
+
+
+@pytest.mark.parametrize("width", [0.5, 1.0, 2.0])
+def test_eigen1_multiplier_does_not_depend_on_the_seed_width(pstar, grid256, width):
+    # the ascent only has to reach Newton's basin; where it stops must not
+    # move the eigenvalue
+    rep = eigen1(pstar, grid256, SolverOptions(seed_width=width))
+    assert rep.converged
+    assert abs(rep.multiplier - 2.521393247982033) <= 1e-12 * 2.521393247982033
+
+
+def test_eigen1_ascent_projects_a_bounded_number_of_times(pstar, grid256, monkeypatch):
+    # a line search that cannot succeed ends the ascent after a few trials
+    # instead of halving the step dozens of times, one projection each
+    from fcs import solvers
+
+    calls = {"project": 0}
+    project = solvers.project_to_M
+
+    def counting(*args, **kwargs):
+        calls["project"] += 1
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "project_to_M", counting)
+    rep = eigen1(pstar, grid256)
+    assert rep.converged
+    assert calls["project"] <= 20
+
+
+def test_eigen1_reports_why_the_ascent_stopped(pstar, grid256):
+    # at the reference configuration the Armijo search runs out of trials
+    # before the ascent's residual reaches the hand-over threshold
+    rep = eigen1(pstar, grid256)
+    assert rep.extras["ascent_stop"] == "line_search"
+    assert rep.to_dict()["ascent_stop"] == "line_search"
+
+
+@pytest.mark.parametrize("params", [(3, 0.75, 2.0), (4, 0.75, 2.5)], ids=["N3", "N4"])
+def test_eigen_point_reads_the_rayleigh_quotient(params):
+    from fcs import solvers
+    from fcs.scaling import project_to_M
+
+    p = ProblemParams(*params)
+    g = make_grid(p, 20.0, 96)
+    u = project_to_M(g.field(np.exp(-g.r ** 2)))
+    lam = solvers._rayleigh(u)
+    pt = solvers._EigenPoint(u, None, compute_exponents(p).two_star_s_alpha)
+    assert abs(pt.lam - lam) <= 1e-15 * lam
+
+
 def test_eigen1_converges(pstar, eigen_report):
     rep = eigen_report
     assert rep.converged
@@ -170,6 +223,25 @@ def test_deflated_k1_reduces_to_eigen1(pstar, grid, eigen_report):
     reps = eigen_deflated(pstar, grid, 1)
     assert len(reps) == 1
     assert math.isclose(reps[0].multiplier, eigen_report.multiplier, rel_tol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def deflated3(pstar, grid256):
+    return eigen_deflated(pstar, grid256, 3)
+
+
+def test_deflated_candidates_are_pinned(deflated3):
+    # the three candidates, their order and their convergence do not depend
+    # on how far each penalized ascent runs before Newton takes over
+    pinned = [2.521393247982033, 11.836618300439465, 4.1150954695728]
+    assert [rep.converged for rep in deflated3] == [True, True, True]
+    for rep, lam in zip(deflated3, pinned):
+        assert abs(rep.multiplier - lam) <= 1e-10 * lam
+
+
+def test_deflated_candidates_report_why_their_ascent_stopped(deflated3):
+    for rep in deflated3:
+        assert rep.extras["ascent_stop"] in ("handover", "line_search", "slope", "max_iter")
 
 
 def test_deflated_candidates(pstar, grid, eigen_report):
