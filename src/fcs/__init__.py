@@ -44,7 +44,6 @@ from .solvers import (
 )
 from .diagnostics import (
     DiagnosticsRecord,
-    eigen_identity_residual,
     estimate_sobolev_constant,
     linking_probe,
     nehari_residual,

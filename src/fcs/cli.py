@@ -2,8 +2,8 @@
 
 Commands: exponents | eigen1 | solve | check {pohozaev,nehari,identity} |
 scaling-check | sweep | sobolev.  Exit codes: 0 success, 1 validation
-error, 2 solver non-convergence (results are still written, with
-converged = false).
+error (command-line usage errors included), 2 solver non-convergence
+(results are still written, with converged = false).
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ def _cmd_check(args) -> int:
         if cfg.lam is None:
             raise ConfigError("identity check requires --lambda (or [solver] lambda)")
         iu = I_functional(u)
-        res = iu - cfg.lam * J_functional(u)  # as diagnostics.eigen_identity_residual
+        res = iu - cfg.lam * J_functional(u)  # as energy.Phi_lambda, sharing I(u) with the ratio
         payload = {
             "eigen_identity": res,
             "eigen_identity_rel": abs(res) / max(iu, 1e-300),
@@ -404,7 +404,10 @@ _DISPATCH = {
 
 
 def cli_main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return _DISPATCH[args.command](args)
     except (ConfigError, FieldFormatError, ValueError) as exc:

@@ -39,6 +39,7 @@ import numpy as np
 
 from .energy import DampedPowerTerm, NonlinearitySpec, PowerTerm, WeightedPowerTerm
 from .params import ProblemParams
+from .solvers import _SWEEP_METHODS
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
 
@@ -247,6 +248,10 @@ def parse_config(text: str, source: str = "<config>", base_dir: Path | None = No
     if cfg.method is not None and cfg.method not in _METHODS:
         raise ConfigError(
             f"{source}: unknown solver method {cfg.method!r} (expected one of {sorted(_METHODS)})"
+        )
+    if cfg.sweep_method not in _SWEEP_METHODS:
+        raise ConfigError(
+            f"{source}: unknown sweep method {cfg.sweep_method!r} (expected one of {list(_SWEEP_METHODS)})"
         )
     if cfg.seed not in ("gaussian", "bump", "file"):
         raise ConfigError(f"{source}: unknown seed kind {cfg.seed!r}")

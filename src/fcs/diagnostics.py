@@ -17,10 +17,10 @@ import numpy as np
 
 from .energy import (
     F_integral,
-    I_functional,
     J_functional,
     NonlinearitySpec,
     Phi,
+    Phi_lambda,
     Psi_tilde,
     _Ray,
     eigen_spec,
@@ -33,7 +33,6 @@ __all__ = [
     "DiagnosticsRecord",
     "pohozaev_residual",
     "nehari_residual",
-    "eigen_identity_residual",
     "identity_closure_gap",
     "estimate_sobolev_constant",
     "ps_threshold",
@@ -68,6 +67,19 @@ class DiagnosticsRecord:
         }
 
 
+def _pohozaev_sides(ray: _Ray) -> tuple[float, float, float]:
+    """lhs, rhs and relative residual of the Pohozaev balance of the ray's field.
+
+    lhs = (N-2s)/2 |(-Delta)^(s/2) u|^2 + C_alpha (N+alpha)/4 D(u) is read
+    from the ray's S and Q, rhs = N int F(u) from its ``spec``; the relative
+    residual is |lhs-rhs| over the larger magnitude.
+    """
+    p = ray.field.grid.params
+    lhs = 0.5 * (p.N - 2.0 * p.s) * ray.S + 0.25 * (p.N + p.alpha) * ray.Q
+    rhs = p.N * F_integral(ray.field, ray.spec)
+    return lhs, rhs, abs(lhs - rhs) / max(abs(lhs), abs(rhs), _GUARD)
+
+
 def pohozaev_residual(
     u: Field,
     spec: NonlinearitySpec,
@@ -76,24 +88,18 @@ def pohozaev_residual(
 ) -> DiagnosticsRecord:
     """Dilation identity residual for solutions of the autonomous equation.
 
-    lhs = (N-2s)/2 |(-Delta)^(s/2) u|^2 + C_alpha (N+alpha)/4 D(u),
-    rhs = N int F(u); the relative residual is |lhs-rhs| over the larger
-    magnitude.  The identity is stated only for x-independent f, so weighted
-    terms are rejected.  The left-hand side, the Nehari value and, given
-    ``lam``, the eigen identity I - lam J share one evaluation of S and Q
-    (see ``_Ray``).
+    The sides are those of ``_pohozaev_sides``.  The identity is stated only
+    for x-independent f, so weighted terms are rejected.  The left-hand side,
+    the Nehari value and, given ``lam``, the eigen identity I - lam J share
+    one evaluation of S and Q (see ``_Ray``).
     """
     if not spec.is_autonomous:
         raise ValueError("identity stated only for autonomous f (no radial weight)")
-    p = u.grid.params
     ray = _Ray(u, spec)
-    lhs = 0.5 * (p.N - 2.0 * p.s) * ray.S + 0.25 * (p.N + p.alpha) * ray.Q
-    rhs = p.N * F_integral(u, spec)
-    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), _GUARD)
+    lhs, rhs, rel = _pohozaev_sides(ray)
     eigen_rel = None
     if lam is not None:
-        iu = 0.5 * ray.S + 0.25 * ray.Q  # I(u), as in ``I_functional``
-        eigen_rel = abs(iu - lam * J_functional(u)) / max(iu, _GUARD)
+        eigen_rel = abs(ray.I - lam * J_functional(u)) / max(ray.I, _GUARD)
     return DiagnosticsRecord(
         pohozaev_lhs=lhs,
         pohozaev_rhs=rhs,
@@ -110,11 +116,6 @@ def nehari_residual(u: Field, spec: NonlinearitySpec) -> float:
     return float(_Ray(u, spec).nehari(1.0))
 
 
-def eigen_identity_residual(u: Field, lam: float) -> float:
-    """I(u) - lam J(u); small only for eigenpairs of the scaled problem."""
-    return I_functional(u) - lam * J_functional(u)
-
-
 def identity_closure_gap(u: Field, lam: float) -> dict:
     """Consistency of the three identities for the scaling-critical problem.
 
@@ -129,7 +130,7 @@ def identity_closure_gap(u: Field, lam: float) -> dict:
     poh_num = rec.pohozaev_lhs - rec.pohozaev_rhs
     neh = rec.nehari
     combo = (exps.theta * neh - poh_num) / exps.sigma
-    direct = eigen_identity_residual(u, lam)
+    direct = Phi_lambda(u, lam)
     return {
         "combination": combo,
         "direct": direct,

@@ -16,12 +16,14 @@ the level finite-difference tests can see.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .grid import Field, lp_norm
-from .operators import apply_A, frac_seminorm_sq, hartree_potential_sym
+# unused apply_A: perfbench/test_perfbench.py reads fcs.energy.apply_A
+from .operators import apply_A, dual_norm, hartree_potential_sym  # noqa: F401
 from .params import ExponentTable, compute_exponents
 
 __all__ = [
@@ -212,26 +214,69 @@ def critical_family(lam: float, mu: float, q6: float, exps: ExponentTable) -> No
 # ---------------------------------------------------------------------------
 
 class _Ray:
-    """The homogeneous parts of the action and their values along a -> a u.
+    """One evaluated field: the homogeneous parts of the action, their values
+    along a -> a u, and the strong form A(u).
 
-    This is the one place S = sum_m k_m^(2s) |u_m|^2 (one transform) and
-    Q = sum_j w_j u_j^2 (I_alpha * u^2)_j = C_alpha D(u) (one kernel matvec)
-    are computed.  Both parts are homogeneous in the amplitude, so
+    This is the one place S = sum_m k_m^(2s) |u_m|^2 (one forward transform),
+    the Hartree potential I_alpha * u^2 and Q = sum_j w_j u_j^2 (I_alpha * u^2)_j
+    = C_alpha D(u) (one kernel matvec) are computed.  Both parts are
+    homogeneous in the amplitude, so
 
         h(a)     = Phi'(a u) a u = a^2 S + a^4 Q - a sum_j w_j f(a u_j) u_j,
         Phi(a u) = a^2 S / 2 + a^4 Q / 4 - sum_j w_j F(a u_j)
 
     serve every amplitude of the shape.  ``nehari`` and ``phi`` need ``spec``
     and accept a scalar or a 1-D array of amplitudes.
+
+    A(u) = (-Delta)^s u + (I_alpha * u^2) u reuses the forward coefficients
+    and the potential; it costs one inverse transform on first read, so scans
+    that read only S and Q never pay for it.  The residual (grad Phi(u) =
+    A(u) - f(u), or A(u) - lam B(u) after ``eigen``), its dual norm (one
+    more forward transform) and Phi(u) are read lazily too.
     """
 
     def __init__(self, u: Field, spec: NonlinearitySpec | None = None):
+        grid = u.grid
+        self.field = u
         self.u = u.values
         self.spec = spec
-        self.w = u.grid.w
-        self.r = u.grid.r
-        self.S = frac_seminorm_sq(u)
-        self.Q = float(np.sum(self.w * self.u ** 2 * hartree_potential_sym(u)))
+        self.w = grid.w
+        self.r = grid.r
+        self._k2s = grid.k ** (2.0 * grid.params.s)
+        self._b = grid.transform().forward(self.u)
+        self.pot = hartree_potential_sym(u)
+        self.S = float(np.sum(self._k2s * self._b * self._b))
+        self.Q = float(np.sum(self.w * self.u ** 2 * self.pot))
+        self.I = 0.5 * self.S + 0.25 * self.Q
+
+    @cached_property
+    def Au(self) -> np.ndarray:
+        return self.field.grid.transform().inverse(self._k2s * self._b) + self.pot * self.u
+
+    @cached_property
+    def resid(self) -> np.ndarray:
+        return self.Au - self.spec.f(self.u, self.r)
+
+    @cached_property
+    def res(self) -> float:
+        return dual_norm(Field(self.field.grid, self.resid))
+
+    @cached_property
+    def action(self) -> float:
+        """Phi(u) = I(u) - int F(|x|, u)."""
+        return self.I - F_integral(self.field, self.spec)
+
+    def eigen(self, p: float, lam: float) -> "_Ray":
+        """Make this the point of I - lam J with J the L^p part, p = q*.
+
+        The residual becomes A(u) - lam B(u), B(u) = |u|^(p-2) u, with B(u)
+        kept for the Newton border; ``spec`` becomes lam |t|^(p-2) t, the same
+        nonlinearity, for the Nehari value and the Pohozaev sides.
+        """
+        self.lam, self.spec = lam, pure_power(lam, p)
+        self.Bu = np.abs(self.u) ** (p - 2.0) * self.u
+        self.resid = self.Au - lam * self.Bu
+        return self
 
     def _points(self, a):
         a = np.asarray(a, dtype=float)
@@ -250,8 +295,7 @@ class _Ray:
 
 def I_functional(u: Field) -> float:
     """Quadratic-plus-Coulomb energy: seminorm^2/2 + C_alpha D(u)/4."""
-    ray = _Ray(u)
-    return 0.5 * ray.S + 0.25 * ray.Q
+    return _Ray(u).I
 
 
 def J_functional(u: Field, exps: ExponentTable | None = None) -> float:
@@ -269,7 +313,7 @@ def F_integral(u: Field, spec: NonlinearitySpec) -> float:
 
 def Phi(u: Field, spec: NonlinearitySpec) -> float:
     """Action functional I(u) - int F(|x|, u)."""
-    return I_functional(u) - F_integral(u, spec)
+    return _Ray(u, spec).action
 
 
 def Phi_lambda(u: Field, lam: float) -> float:
@@ -283,7 +327,7 @@ def grad_Phi(u: Field, spec: NonlinearitySpec) -> Field:
     The returned node values g satisfy <g, v>_w = d/dh Phi(u + h v) exactly
     for the discrete functionals.
     """
-    return Field(u.grid, apply_A(u).values - spec.f(u.values, u.grid.r))
+    return Field(u.grid, _Ray(u, spec).resid)
 
 
 def Psi_tilde(u: Field) -> float:

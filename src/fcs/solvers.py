@@ -10,8 +10,11 @@ Newton's basin: the descents of Phi hand over once the dual residual has
 dropped by ``_HANDOVER_REL`` (the ascent of J by 1e-3, or once its Armijo
 search runs out of its ``_ASCENT_TRIALS`` trials), and Newton does the
 converging.  Each Newton call assembles its Jacobian in place, into one
-buffer.  Reports are always recomputed from the stored field so nothing
-leaks from solver internals.
+buffer.  Every field a solver evaluates is evaluated once, as one
+``energy._Ray`` (S, Q, the Hartree potential, A(u) and the residual), and a
+point accepted by a line search is carried into the next step as it is.
+Reports are recomputed from one evaluation of the stored, sign-normalized
+field, so nothing leaks from solver internals.
 """
 
 from __future__ import annotations
@@ -23,30 +26,11 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .diagnostics import (
-    estimate_sobolev_constant,
-    nehari_residual,
-    pohozaev_residual,
-    ps_threshold,
-)
-from .energy import (
-    I_functional,
-    J_functional,
-    NonlinearitySpec,
-    Phi,
-    _Ray,
-    eigen_spec,
-    grad_Phi,
-)
+from .diagnostics import _pohozaev_sides, estimate_sobolev_constant, ps_threshold
+from .energy import I_functional, J_functional, NonlinearitySpec, Phi, _Ray
 from .grid import Field, RadialGrid, lp_norm
-from .operators import (
-    apply_A,
-    dense_fractional_matrix,
-    _riesz_kernel,
-    dual_norm,
-    hartree_potential_sym,
-    precondition,
-)
+# unused apply_A: perfbench/test_perfbench.py reads fcs.solvers.apply_A
+from .operators import apply_A, dense_fractional_matrix, _riesz_kernel, dual_norm, precondition  # noqa: F401
 from .params import (
     ProblemParams,
     Regime,
@@ -116,6 +100,8 @@ class SolverOptions:
             raise ValueError("tolerance must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if not (math.isfinite(self.seed_width) and self.seed_width > 0.0):
+            raise ValueError(f"seed width must be finite and positive, got {self.seed_width!r}")
 
     def seed_descriptor(self) -> str:
         if self.seed == "gaussian":
@@ -198,8 +184,7 @@ def _normalize_sign(u: Field) -> Field:
 
 
 def _certify(
-    u: Field,
-    spec: NonlinearitySpec,
+    pt: _Ray,
     *,
     energy: float,
     res: float,
@@ -210,21 +195,18 @@ def _certify(
     multiplier: float | None = None,
     extras: dict | None = None,
 ) -> SolveReport:
-    """The one builder of a ``SolveReport``: identities recomputed from ``u``.
+    """The one builder of a ``SolveReport``: identities recomputed from the
+    one evaluation ``pt`` of the stored field, against its ``spec``.
 
-    The Pohozaev balance is stated only for autonomous f; its record also
-    carries Phi'(u) u, so the Nehari residual is evaluated once either way.
+    The Pohozaev balance is stated only for autonomous f.
     """
-    if spec.is_autonomous:
-        rec = pohozaev_residual(u, spec)
-        pohozaev_rel, nehari = rec.pohozaev_rel, rec.nehari
-    else:
-        pohozaev_rel, nehari = None, nehari_residual(u, spec)
+    pohozaev_rel = _pohozaev_sides(pt)[2] if pt.spec.is_autonomous else None
     return SolveReport(
-        solution=u, energy=energy, multiplier=multiplier, residual_dual=res,
-        residual_rel=res / res0 if res0 > 0 else 0.0, pohozaev_rel=pohozaev_rel, nehari=nehari,
+        solution=pt.field, energy=energy, multiplier=multiplier, residual_dual=res,
+        residual_rel=res / res0 if res0 > 0 else 0.0, pohozaev_rel=pohozaev_rel,
+        nehari=float(pt.nehari(1.0)),
         iterations=iterations, converged=converged, seed_descriptor=seed,
-        grid_summary=u.grid.summary(), extras=extras or {},
+        grid_summary=pt.field.grid.summary(), extras=extras or {},
     )
 
 
@@ -232,28 +214,14 @@ def _certify(
 # Newton engines
 # ---------------------------------------------------------------------------
 
-def _meets_tol(resid: float, res0: float, opts: SolverOptions, u: Field) -> bool:
+def _meets_tol(pt: _Ray, res0: float, opts: SolverOptions) -> bool:
     """Relative-to-initial-residual test with a rounding floor.
 
     A warm start from an already-converged field makes res0 itself rounding
     noise; the floor keeps the criterion meaningful there.
     """
-    floor = 1e-12 * max(dual_norm(apply_A(u)), 1.0)
-    return resid <= opts.tol * res0 + floor
-
-
-def _rayleigh(u: Field) -> float:
-    """<A(u), u> / <B(u), u> = (S + Q) / sum_j w_j |u_j|^(q*).
-
-    The solvers read lam from ``_EigenPoint``; this direct form is the
-    reference the tests compare it against.
-    """
-    p = compute_exponents(u.grid.params).two_star_s_alpha
-    den = float(np.sum(u.grid.w * np.abs(u.values) ** p))
-    if den == 0.0:
-        raise DegenerateSeedError("degenerate seed: B(u) u vanished")
-    ray = _Ray(u)
-    return (ray.S + ray.Q) / den
+    floor = 1e-12 * max(dual_norm(Field(pt.field.grid, pt.Au)), 1.0)
+    return pt.res <= opts.tol * res0 + floor
 
 
 def _jacobian_into(out: np.ndarray, Lf: np.ndarray, K: np.ndarray, u: np.ndarray, diag: np.ndarray) -> None:
@@ -270,46 +238,31 @@ def _jacobian_into(out: np.ndarray, Lf: np.ndarray, K: np.ndarray, u: np.ndarray
     out[idx, idx] += diag
 
 
-class _EigenPoint:
-    """A(u), B(u), the residual A(u) - lam B(u), its dual norm and I(u).
+def _eigen_point(u: Field, p: float, lam: float | None = None) -> _Ray:
+    """The ray of ``u`` with the eigen residual A(u) - lam B(u) (see ``_Ray.eigen``).
 
-    One forward transform serves the Laplacian and the seminorm S, and one
-    kernel matvec serves the Hartree potential and Q.  With ``lam=None`` the
-    point sits at its Rayleigh quotient (S + Q) / sum_j w_j |u_j|^p, read
-    from the same S and Q.  A point accepted by a line search is carried
-    into the next step as it is.
+    With ``lam=None`` the point sits at its Rayleigh quotient
+    (S + Q) / sum_j w_j |u_j|^p, read from the ray's own S and Q.
     """
-
-    def __init__(self, u: Field, lam: float | None, p: float):
-        grid = u.grid
-        eng = grid.transform()
-        k2s = grid.k ** (2.0 * grid.params.s)
-        b = eng.forward(u.values)
-        self.pot = hartree_potential_sym(u)
-        S = float(np.sum(k2s * b * b))
-        Q = float(np.sum(grid.w * u.values ** 2 * self.pot))
-        self.I = 0.5 * S + 0.25 * Q
-        if lam is None:
-            den = float(np.sum(grid.w * np.abs(u.values) ** p))
-            if den == 0.0:
-                raise DegenerateSeedError("degenerate seed: B(u) u vanished")
-            lam = (S + Q) / den
-        self.u, self.lam = u, lam
-        self.Au = eng.inverse(k2s * b) + self.pot * u.values
-        self.Bu = np.abs(u.values) ** (p - 2.0) * u.values
-        self.resid = self.Au - lam * self.Bu
-        self.res = dual_norm(Field(grid, self.resid))
+    pt = _Ray(u)
+    if lam is None:
+        den = float(np.sum(u.grid.w * np.abs(u.values) ** p))
+        if den == 0.0:
+            raise DegenerateSeedError("degenerate seed: B(u) u vanished")
+        lam = (pt.S + pt.Q) / den
+    return pt.eigen(p, lam)
 
 
-def _newton_eigen(pt: _EigenPoint, tol_abs: float, max_iter: int = 40):
+def _newton_eigen(pt: _Ray, tol_abs: float, max_iter: int = 40):
     """Damped Newton on the stationarity system {A(u) = lam B(u), I(u) = 1}.
 
-    Starts from the evaluated point ``pt`` and returns the last accepted
-    point and the iteration count.  The bordered Jacobian
+    Starts from the eigen point ``pt`` and returns the last accepted point
+    and the iteration count; a point accepted by the line search is carried
+    into the next step as it is.  The bordered Jacobian
     [[L + H(u) - lam B'(u), -B(u)], [w A(u), 0]] is assembled in place,
     into one buffer per call.
     """
-    grid = pt.u.grid
+    grid = pt.field.grid
     M = grid.M
     p = compute_exponents(grid.params).two_star_s_alpha
     Lf = dense_fractional_matrix(grid)
@@ -321,7 +274,7 @@ def _newton_eigen(pt: _EigenPoint, tol_abs: float, max_iter: int = 40):
         defect = pt.I - 1.0
         if pt.res <= tol_abs and abs(defect) <= 1e-11:
             break
-        uv = pt.u.values
+        uv = pt.u
         _jacobian_into(
             jac[:M, :M], Lf, K, uv, pt.pot - pt.lam * (p - 1.0) * np.abs(uv) ** (p - 2.0)
         )
@@ -338,7 +291,7 @@ def _newton_eigen(pt: _EigenPoint, tol_abs: float, max_iter: int = 40):
             if not np.all(np.isfinite(trial)):
                 step *= 0.5
                 continue
-            pt_try = _EigenPoint(Field(grid, trial), pt.lam + step * delta[M], p)
+            pt_try = _eigen_point(Field(grid, trial), p, pt.lam + step * delta[M])
             if pt_try.res < pt.res or (pt_try.res < tol_abs and abs(pt_try.I - 1.0) < abs(defect)):
                 pt = pt_try
                 improved = True
@@ -349,49 +302,46 @@ def _newton_eigen(pt: _EigenPoint, tol_abs: float, max_iter: int = 40):
     return pt, it
 
 
-def _newton_gradient(u: Field, spec: NonlinearitySpec, tol_abs: float, max_iter: int = 40):
+def _newton_gradient(pt: _Ray, tol_abs: float, max_iter: int = 40):
     """Damped Newton on grad Phi(u) = 0 (finds minima and saddles alike).
 
-    The Jacobian L + H(u) - diag(f'(u)) is assembled in place, into one
-    buffer per call.
+    Starts from the evaluated point ``pt`` (a ray with ``spec``) and returns
+    the last accepted point and the iteration count; a point accepted by the
+    line search is carried into the next step as it is.  The Jacobian
+    L + H(u) - diag(f'(u)) is assembled in place, into one buffer per call.
     """
-    grid = u.grid
+    grid, spec = pt.field.grid, pt.spec
     Lf = dense_fractional_matrix(grid)
     K = _riesz_kernel(grid, grid.params.alpha).sym_matrix()
     jac = np.empty((grid.M, grid.M))
-    scale0 = float(np.max(np.abs(u.values)))
-    g = grad_Phi(u, spec)
-    res = dual_norm(g)
+    scale0 = float(np.max(np.abs(pt.u)))
     it = 0
     for it in range(1, max_iter + 1):
-        if res <= tol_abs:
+        if pt.res <= tol_abs:
             break
-        diag = hartree_potential_sym(u) - spec.fprime(u.values, grid.r)
-        _jacobian_into(jac, Lf, K, u.values, diag)
+        _jacobian_into(jac, Lf, K, pt.u, pt.pot - spec.fprime(pt.u, grid.r))
         try:
-            delta = np.linalg.solve(jac, -g.values)
+            delta = np.linalg.solve(jac, -pt.resid)
         except np.linalg.LinAlgError:
             break
         step = 1.0
         improved = False
         for _ in range(10):
-            trial = u.values + step * delta
+            trial = pt.u + step * delta
             if not np.all(np.isfinite(trial)):
                 step *= 0.5
                 continue
-            u_try = Field(grid, trial)
-            g_try = grad_Phi(u_try, spec)
-            res_try = dual_norm(g_try)
-            if res_try < res:
-                u, g, res = u_try, g_try, res_try
+            pt_try = _Ray(Field(grid, trial), spec)
+            if pt_try.res < pt.res:
+                pt = pt_try
                 improved = True
                 break
             step *= 0.5
         if not improved:
             break
-        if float(np.max(np.abs(u.values))) < 1e-10 * max(scale0, 1.0):
+        if float(np.max(np.abs(pt.u))) < 1e-10 * max(scale0, 1.0):
             raise DegenerateSeedError("Newton iteration collapsed to the zero field")
-    return u, res, it
+    return pt, it
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +352,8 @@ def _ascend_J(u: Field, opts: SolverOptions, penalty=None, switch_rel: float = 1
     """Projected preconditioned ascent of J (optionally penalized) on {I = 1}.
 
     Each iteration tries at most ``_ASCENT_TRIALS`` Armijo steps, each one a
-    ``project_to_M``; each accepted point is evaluated once, as an
-    ``_EigenPoint`` at its Rayleigh quotient.  Returns the last point, the
+    ``project_to_M``; each accepted point is evaluated once, as an eigen
+    point at its Rayleigh quotient.  Returns the last point, the
     accepted-step objective history (nondecreasing by construction), the
     iteration count, the initial dual residual of the eigen-equation and why
     the ascent stopped: ``handover`` (the residual dropped to ``switch_rel``
@@ -419,13 +369,7 @@ def _ascend_J(u: Field, opts: SolverOptions, penalty=None, switch_rel: float = 1
             val -= penalty.value(v)
         return val
 
-    def obj_gradient(v: Field) -> np.ndarray:
-        g = np.abs(v.values) ** (p - 2.0) * v.values
-        if penalty is not None:
-            g = g - penalty.gradient(v)
-        return g
-
-    pt = _EigenPoint(u, None, p)
+    pt = _eigen_point(u, p)
     res0 = pt.res
     J_hist = [objective(u)]
     eta = 1.0
@@ -435,8 +379,8 @@ def _ascend_J(u: Field, opts: SolverOptions, penalty=None, switch_rel: float = 1
         if pt.res <= switch_rel * res0:
             stop = "handover"
             break
-        u = pt.u
-        g = obj_gradient(u)
+        u = pt.field
+        g = pt.Bu if penalty is None else pt.Bu - penalty.gradient(u)  # B(u) is J'(u)
         d = precondition(Field(grid, g)).values
         slope = float(np.sum(grid.w * g * d))
         if slope <= 0.0:
@@ -459,22 +403,21 @@ def _ascend_J(u: Field, opts: SolverOptions, penalty=None, switch_rel: float = 1
             stop = "line_search"
             break
         J_hist.append(J_try)
-        pt = _EigenPoint(u_try, None, p)
+        pt = _eigen_point(u_try, p)
     return pt, J_hist, it, res0, stop
 
 
 def _finish_eigen(u: Field, exps, res0: float, converged, iterations: int, seed: str, extras: dict):
     """Certify an eigen iterate at its Rayleigh quotient, sign-normalized.
 
-    ``converged(u, resid, I)`` is the caller's acceptance rule on the
-    normalized field, its eigen residual and its energy I(u).
+    ``converged(pt)`` is the caller's acceptance rule on the eigen point of
+    the normalized field, the one evaluation the report is read from.
     """
-    u = _normalize_sign(u)
-    pt = _EigenPoint(u, None, exps.two_star_s_alpha)
-    lam, J = pt.lam, J_functional(u, exps)
+    pt = _eigen_point(_normalize_sign(u), exps.two_star_s_alpha)
+    lam, J = pt.lam, J_functional(pt.field, exps)
     return _certify(
-        u, eigen_spec(lam, exps), energy=pt.I - lam * J, multiplier=lam, res=pt.res,
-        res0=res0, iterations=iterations, converged=converged(u, pt.res, pt.I), seed=seed,
+        pt, energy=pt.I - lam * J, multiplier=lam, res=pt.res,
+        res0=res0, iterations=iterations, converged=converged(pt), seed=seed,
         extras={"I": pt.I, "J": J, "manifold_defect": pt.I - 1.0, **extras},
     )
 
@@ -507,8 +450,8 @@ def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None =
     if newton_budget > 0:
         pt, it_newton = _newton_eigen(pt, min(tol_abs, 1e-11 * res0), max_iter=newton_budget)
     report = _finish_eigen(
-        pt.u, exps, res0,
-        lambda v, resid, iu: _meets_tol(resid, res0, opts, v) and abs(iu - 1.0) <= 1e-8,
+        pt.field, exps, res0,
+        lambda q: _meets_tol(q, res0, opts) and abs(q.I - 1.0) <= 1e-8,
         it_ascent + it_newton, opts.seed_descriptor(),
         {
             "J_history_monotone": bool(np.all(np.diff(J_hist) >= 0.0)),
@@ -588,7 +531,7 @@ def eigen_deflated(
             pt, _, it_a, res0, stop = _ascend_J(u, defl_opts, penalty=pen, switch_rel=5e-2)
             tol_abs = opts.tol * res0
             pt, it_n = _newton_eigen(pt, min(tol_abs, 1e-11 * res0))
-            u = pt.u
+            u = pt.field
             # |cos| is blind to the sign normalization still ahead
             distinct = all(
                 abs(float(np.sum(grid.w * u.values * rep.solution.values)))
@@ -597,7 +540,7 @@ def eigen_deflated(
                 for rep in reports
             )
             rep = _finish_eigen(
-                u, exps, res0, lambda v, resid, iu: resid <= tol_abs and distinct,
+                u, exps, res0, lambda q: q.res <= tol_abs and distinct,
                 it_a + it_n, descriptor,
                 {"ordering": "candidate, uncertified ordering", "ascent_stop": stop},
             )
@@ -618,31 +561,31 @@ def eigen_deflated(
 # coercive minimization (subscaled growth)
 # ---------------------------------------------------------------------------
 
-def _descend_Phi(u: Field, spec: NonlinearitySpec, switch_abs: float, max_iter: int):
-    grid = u.grid
-    phi = Phi(u, spec)
+def _descend_Phi(pt: _Ray, switch_abs: float, max_iter: int):
+    """Preconditioned Armijo descent of Phi from the evaluated point ``pt``.
+
+    Each trial is one ray; the accepted one is carried into the next step.
+    """
+    grid = pt.field.grid
     eta = 1.0
     it = 0
     for it in range(1, max_iter + 1):
-        g = grad_Phi(u, spec)
-        res = dual_norm(g)
-        if res <= switch_abs:
+        if pt.res <= switch_abs:
             break
-        d = precondition(g).values
-        slope = float(np.sum(grid.w * g.values * d))
-        eta = min(eta * 2.0, 1.0 / max(res, 1e-30))
+        d = precondition(Field(grid, pt.resid)).values
+        slope = float(np.sum(grid.w * pt.resid * d))
+        eta = min(eta * 2.0, 1.0 / max(pt.res, 1e-30))
         accepted = False
         for _ in range(60):
-            u_try = Field(grid, u.values - eta * d)
-            phi_try = Phi(u_try, spec)
-            if phi_try <= phi - _ARMIJO_C * eta * slope:
+            pt_try = _Ray(Field(grid, pt.u - eta * d), pt.spec)
+            if pt_try.action <= pt.action - _ARMIJO_C * eta * slope:
                 accepted = True
                 break
             eta *= _ARMIJO_SHRINK
         if not accepted:
             break
-        u, phi = u_try, phi_try
-    return u, it
+        pt = pt_try
+    return pt, it
 
 
 def _validate_subscaled(spec: NonlinearitySpec, exps) -> None:
@@ -755,20 +698,19 @@ def _minimize(
         starts = _minimization_starts(grid, spec, seed)
     best = None
     for descriptor, u0, _ in starts:
-        res0 = dual_norm(grad_Phi(u0, spec))
+        pt = _Ray(u0, spec)
+        res0 = pt.res
         if res0 == 0.0:
             continue
         tol_abs = opts.tol * res0
-        u, it_d = _descend_Phi(u0, spec, max(opts.tol, _HANDOVER_REL) * res0, opts.max_iter)
+        pt, it_d = _descend_Phi(pt, max(opts.tol, _HANDOVER_REL) * res0, opts.max_iter)
         try:
-            u, _, it_n = _newton_gradient(u, spec, min(tol_abs, 1e-11 * res0))
+            pt, it_n = _newton_gradient(pt, min(tol_abs, 1e-11 * res0))
         except DegenerateSeedError:
             continue
-        if float(np.max(np.abs(u.values))) < 1e-10:
+        if float(np.max(np.abs(pt.u))) < 1e-10:
             continue
-        phi = Phi(u, spec)
-        res = dual_norm(grad_Phi(u, spec))
-        entry = (phi, _meets_tol(res, res0, opts, u), u, it_d + it_n, descriptor, res0)
+        entry = (pt.action, _meets_tol(pt, res0, opts), pt.field, it_d + it_n, descriptor, res0)
         if best is None or (entry[1], -entry[0]) > (best[1], -best[0]):
             best = entry
 
@@ -780,16 +722,16 @@ def _minimize(
         )
 
     _, ok, u, iters, descriptor, res0 = best
-    u = _normalize_sign(u)
+    pt = _Ray(_normalize_sign(u), spec)
     return _certify(
-        u, spec, energy=Phi(u, spec), res=dual_norm(grad_Phi(u, spec)), res0=res0,
-        iterations=iters, converged=ok, seed=descriptor, extras={"I": I_functional(u)},
+        pt, energy=pt.action, res=pt.res, res0=res0,
+        iterations=iters, converged=ok, seed=descriptor, extras={"I": pt.I},
     )
 
 
 def _trivial_minimizer(grid: RadialGrid, spec: NonlinearitySpec, note: str) -> SolveReport:
     return _certify(
-        grid.zero_field(), spec, energy=0.0, res=0.0, res0=0.0, iterations=0,
+        _Ray(grid.zero_field(), spec), energy=0.0, res=0.0, res0=0.0, iterations=0,
         converged=True, seed="zero", extras={"note": note},
     )
 
@@ -845,7 +787,10 @@ def _nehari_amplitude(ray: _Ray) -> float | None:
     if crossings.size == 0:
         return None
     lo, hi = amps[crossings[-1]], amps[crossings[-1] + 1]
-    return brentq(ray.nehari, lo, hi, xtol=1e-15 * lo, rtol=1e-15)
+    # the ray goes in ``args``: brentq wraps its function in a closure that
+    # refers to itself, and a ray caught in that cycle would keep its field's
+    # grid alive until the cycle collector runs
+    return brentq(lambda a, ray: ray.nehari(a), lo, hi, args=(ray,), xtol=1e-15 * lo, rtol=1e-15)
 
 
 def _nehari_descent(
@@ -854,11 +799,11 @@ def _nehari_descent(
     """Monotone barrier-level reduction over amplitude-normalized shapes.
 
     Each trial shape's Nehari amplitude and level come from one ray; only
-    the accepted trial becomes a field.  The descent only has to reach
-    Newton's basin: it stops once the dual residual has dropped to
+    the accepted trial becomes a field, evaluated once.  The descent only has
+    to reach Newton's basin: it stops once the dual residual has dropped to
     ``switch_rel`` times its value at the first Nehari point, or after
-    ``iters`` steps.  Returns the last Nehari point, the iteration count and
-    the dual residual at the first Nehari point.
+    ``iters`` steps.  Returns the last Nehari point (evaluated), the
+    iteration count and the dual residual at the first Nehari point.
     """
     nrm = math.sqrt(float(np.sum(grid.w * shape0 ** 2)))
     if nrm == 0.0:
@@ -868,23 +813,19 @@ def _nehari_descent(
     amp = _nehari_amplitude(ray)
     if amp is None:
         raise NoPassError("no barrier crossing along the starting ray")
-    u = Field(grid, amp * shape)
+    pt = _Ray(Field(grid, amp * shape), spec)
     phi = float(ray.phi(amp))
-    eta = None
-    res0 = None
+    res0 = pt.res
+    eta = 1.0 / max(res0, 1e-30)
     it = 0
     for it in range(1, iters + 1):
-        g = grad_Phi(u, spec)
-        res = dual_norm(g)
-        if eta is None:
-            eta = 1.0 / max(res, 1e-30)
-            res0 = res
+        res = pt.res
         if res <= switch_rel * res0:
             break
-        d = precondition(g).values
+        d = precondition(Field(grid, pt.resid)).values
         accepted = False
         for _ in range(30):
-            trial = u.values - eta * d
+            trial = pt.u - eta * d
             tn = math.sqrt(float(np.sum(grid.w * trial ** 2)))
             if tn == 0.0:
                 break
@@ -901,9 +842,9 @@ def _nehari_descent(
             eta *= _ARMIJO_SHRINK
         if not accepted:
             break
-        u, phi = Field(grid, amp * trial), phit
+        pt, phi = _Ray(Field(grid, amp * trial), spec), phit
         eta *= 2.0
-    return u, it, res0
+    return pt, it, res0
 
 
 def _is_critical_family(spec: NonlinearitySpec, exps) -> bool:
@@ -947,15 +888,14 @@ def mountain_pass(
     if float(np.max(np.abs(e.values))) == 0.0:
         raise ValueError("endpoint e must be nonzero")
 
-    u, it_r, res0 = _nehari_descent(grid, spec, e.values, max(opts.tol, _HANDOVER_REL))
-    u, _, it_n = _newton_gradient(u, spec, min(opts.tol * res0, 1e-11 * res0))
-    u = _normalize_sign(u)
+    pt, it_r, res0 = _nehari_descent(grid, spec, e.values, max(opts.tol, _HANDOVER_REL))
+    pt, it_n = _newton_gradient(pt, min(opts.tol * res0, 1e-11 * res0))
+    pt = _Ray(_normalize_sign(pt.field), spec)
 
-    level = Phi(u, spec)
-    res = dual_norm(grad_Phi(u, spec))
+    level = pt.action
     if level <= 0.0:
         raise NoPassError("no pass detected: the Nehari reduction ended at a nonpositive level")
-    extras = {"I": I_functional(u), "iterations_nehari": it_r, "iterations_newton": it_n}
+    extras = {"I": pt.I, "iterations_nehari": it_r, "iterations_newton": it_n}
     if _is_critical_family(spec, exps):
         S = estimate_sobolev_constant(params, grid)
         cstar = ps_threshold(params, S)
@@ -967,14 +907,17 @@ def mountain_pass(
             }
         )
     return _certify(
-        u, spec, energy=level, res=res, res0=res0, iterations=it_r + it_n,
-        converged=_meets_tol(res, res0, opts, u), seed="nehari[endpoint]", extras=extras,
+        pt, energy=level, res=pt.res, res0=res0, iterations=it_r + it_n,
+        converged=_meets_tol(pt, res0, opts), seed="nehari[endpoint]", extras=extras,
     )
 
 
 # ---------------------------------------------------------------------------
 # parameter sweeps
 # ---------------------------------------------------------------------------
+
+_SWEEP_METHODS = ("minimize", "eigen1", "mountain-pass")
+
 
 @dataclass(frozen=True)
 class BranchRow:
@@ -1006,6 +949,8 @@ def sweep(
     are recorded (NaN energy sentinel) and the sweep continues.
     """
     opts = opts or SolverOptions()
+    if method not in _SWEEP_METHODS:
+        raise ValueError(f"unknown sweep method {method!r} (expected one of {list(_SWEEP_METHODS)})")
     vals = [float(v) for v in values]
     diffs = np.diff(vals)
     if len(vals) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
@@ -1022,11 +967,9 @@ def sweep(
                 rep = _minimize(params, grid, spec_v, run_opts, warm=True)
             elif method == "eigen1":
                 rep = eigen1(params, grid, run_opts)
-            elif method == "mountain-pass":
+            else:
                 e = find_negative_energy_point(params, grid, spec_v)
                 rep = mountain_pass(params, grid, spec_v, e, run_opts)
-            else:
-                raise ValueError(f"unknown sweep method {method!r}")
         except Exception as exc:  # record the failure, keep sweeping
             warnings.warn(f"sweep row {v}: {exc}", RuntimeWarning, stacklevel=2)
             rows.append(

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from fcs import ProblemParams, make_grid
+from fcs.operators import frac_seminorm_sq, hartree_potential_sym
+from fcs.params import compute_exponents
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +39,11 @@ def smooth_random_field(grid, rng, band_fraction=0.33, amplitude=1.0, windowed=T
         vals = vals * np.exp(-((grid.r / (0.45 * grid.R)) ** 8))
     peak = np.max(np.abs(vals))
     return grid.field(amplitude * vals / peak if peak > 0 else vals)
+
+
+def rayleigh_quotient(u):
+    """<A(u), u> / <B(u), u> = (S + Q) / sum_j w_j |u_j|^(q*), straight from
+    the operators: the reference for the eigen points of ``fcs.solvers``."""
+    p = compute_exponents(u.grid.params).two_star_s_alpha
+    Q = float(np.sum(u.grid.w * u.values ** 2 * hartree_potential_sym(u)))
+    return (frac_seminorm_sq(u) + Q) / float(np.sum(u.grid.w * np.abs(u.values) ** p))

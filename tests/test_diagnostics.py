@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from fcs import ProblemParams, make_grid
 from fcs.diagnostics import (
     estimate_sobolev_constant,
-    eigen_identity_residual,
     identity_closure_gap,
     linking_probe,
     nehari_residual,
@@ -18,6 +17,7 @@ from fcs.energy import (
     I_functional,
     J_functional,
     NonlinearitySpec,
+    Phi_lambda,
     WeightedPowerTerm,
     eigen_spec,
     pure_power,
@@ -78,9 +78,9 @@ def test_eigen_identity_by_construction(grid):
     rng = np.random.default_rng(6)
     u = smooth_random_field(grid, rng)
     lam = I_functional(u) / J_functional(u)
-    assert abs(eigen_identity_residual(u, lam)) <= 1e-12 * I_functional(u)
+    assert abs(Phi_lambda(u, lam)) <= 1e-12 * I_functional(u)
     # a random multiplier does not satisfy it
-    assert abs(eigen_identity_residual(u, 0.5 * lam)) > 1e-6
+    assert abs(Phi_lambda(u, 0.5 * lam)) > 1e-6
 
 
 def test_pohozaev_record_eigen_identity_matches_the_direct_residual(grid):
@@ -89,7 +89,7 @@ def test_pohozaev_record_eigen_identity_matches_the_direct_residual(grid):
     u = smooth_random_field(grid, rng)
     lam = float(rng.uniform(0.5, 5.0))
     rec = pohozaev_residual(u, pure_power(1.0, 2.7), lam=lam)
-    assert rec.eigen_identity_rel == abs(eigen_identity_residual(u, lam)) / I_functional(u)
+    assert rec.eigen_identity_rel == abs(Phi_lambda(u, lam)) / I_functional(u)
 
 
 def test_identity_closure_is_algebraic(grid, exps):

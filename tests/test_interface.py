@@ -154,6 +154,27 @@ def test_config_rejects_unknown_method():
         parse_config("[solver]\nmethod = magic\n", source="t")
 
 
+def test_config_rejects_unknown_sweep_method(tmp_path, capsys):
+    # a misspelt sweep method is invalid input (exit 1), caught when the
+    # config is parsed, not a sweep of failed rows (exit 2)
+    text = (
+        "[params]\nN = 3\ns = 0.75\nalpha = 2.0\n[grid]\nR = 20.0\nM = 64\n"
+        "[nonlinearity]\nterm = power coef=1.0 q=2.7\n"
+        "[solver]\nsweep_term = 0\nsweep_from = 0.5\nsweep_to = 1.5\nsweep_steps = 2\nsweep_method = minimise\n"
+    )
+    with pytest.raises(ConfigError, match=r"run\.cfg: unknown sweep method 'minimise'"):
+        parse_config(text, source="run.cfg")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert cli_main(["sweep", "--config", str(cfg)]) == 1
+    # the flag is checked by the sweep itself, before its first row
+    cfg.write_text(text.replace("minimise", "minimize"))
+    assert cli_main(["sweep", "--config", str(cfg), "--sweep-method", "minimise"]) == 1
+    err = capsys.readouterr().err
+    assert "unknown sweep method 'minimise'" in err
+    assert "Traceback" not in err
+
+
 def test_config_requires_explicit_parameters():
     cfg = parse_config("[params]\nN = 3\n", source="t")
     with pytest.raises(ConfigError, match="missing required"):
@@ -364,6 +385,39 @@ def test_cli_eigen1_too_wide_seed_is_a_solver_failure(capsys):
     assert rc == 2
     assert "degenerate seed" in err and "beyond cutoff" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("width", ["0", "-1", "inf", "nan"])
+def test_cli_eigen1_rejects_an_invalid_seed_width(width, capsys):
+    # a zero width is no seed and a negative one used to solve as its
+    # absolute value: both are invalid input (exit 1), not a solver failure
+    rc = cli_main(
+        ["eigen1", "--N", "3", "--s", "0.75", "--alpha", "2", "--R", "20", "--M", "64",
+         "--seed-width", width]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "seed width" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["eigen1", "--N", "x"], id="bad-value"),
+        pytest.param(["eigenl", "--N", "3"], id="unknown-command"),
+        pytest.param(["eigen1", "--N", "3", "--bogus", "1"], id="unknown-flag"),
+    ],
+)
+def test_cli_usage_errors_exit_as_validation_errors(argv, capsys):
+    # exit 2 is reserved for solver non-convergence
+    assert cli_main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_cli_help_exits_zero(capsys):
+    assert cli_main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_cli_scaling_check(capsys):

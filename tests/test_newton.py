@@ -15,8 +15,8 @@ import pytest
 from scipy.fft import dst
 
 import fcs.solvers as solvers
-from fcs import ProblemParams, make_grid, operators
-from fcs.energy import I_functional, pure_power
+from fcs import ProblemParams, energy, make_grid, operators
+from fcs.energy import I_functional, _Ray, pure_power
 from fcs.operators import (
     _riesz_kernel,
     apply_A,
@@ -26,6 +26,8 @@ from fcs.operators import (
 )
 from fcs.params import compute_exponents
 from fcs.scaling import project_to_M
+
+from conftest import rayleigh_quotient
 
 
 def _dense_lap_oracle(grid):
@@ -78,8 +80,8 @@ def test_bordered_eigen_jacobian_matches_oracle(monkeypatch, manifold_point):
     u = manifold_point
     g = u.grid
     p = compute_exponents(g.params).two_star_s_alpha
-    lam = solvers._rayleigh(u)
-    seen = _captured_jacobians(monkeypatch, lambda: solvers._newton_eigen(solvers._EigenPoint(u, lam, p), 0.0, max_iter=1))
+    lam = rayleigh_quotient(u)
+    seen = _captured_jacobians(monkeypatch, lambda: solvers._newton_eigen(solvers._eigen_point(u, p, lam), 0.0, max_iter=1))
     assert len(seen) == 1
     Au = apply_A(u).values
     Bu = np.abs(u.values) ** (p - 2.0) * u.values
@@ -96,7 +98,7 @@ def test_gradient_jacobian_matches_oracle(monkeypatch, manifold_point):
     u = manifold_point
     g = u.grid
     spec = pure_power(1.0, 3.6)
-    seen = _captured_jacobians(monkeypatch, lambda: solvers._newton_gradient(u, spec, 0.0, max_iter=1))
+    seen = _captured_jacobians(monkeypatch, lambda: solvers._newton_gradient(_Ray(u, spec), 0.0, max_iter=1))
     assert len(seen) == 1
     oracle = dense_fractional_matrix(g) + _hartree_jacobian_oracle(u) - np.diag(spec.fprime(u.values, g.r))
     assert _rel(seen[0], oracle) <= 1e-13
@@ -110,8 +112,8 @@ def test_eigen_point_matches_the_direct_evaluation(manifold_point):
     # carried values are bitwise those of A(u) - lam B(u), its norm and I(u)
     u = manifold_point
     p = compute_exponents(u.grid.params).two_star_s_alpha
-    lam = solvers._rayleigh(u)
-    pt = solvers._EigenPoint(u, lam, p)
+    lam = rayleigh_quotient(u)
+    pt = solvers._eigen_point(u, p, lam)
     resid = apply_A(u).values - lam * (np.abs(u.values) ** (p - 2.0) * u.values)
     assert np.array_equal(pt.resid, resid)
     assert pt.res == dual_norm(u.grid.field(resid))
@@ -119,10 +121,10 @@ def test_eigen_point_matches_the_direct_evaluation(manifold_point):
     assert pt.I == I_functional(u)
 
 
-def test_newton_eigen_step_evaluates_each_point_once(monkeypatch, manifold_point):
-    u = manifold_point
-    p = compute_exponents(u.grid.params).two_star_s_alpha
-    lam = solvers._rayleigh(u)  # builds the kernel and the engine first
+def _newton_calls(monkeypatch, u, run):
+    """Transforms, kernel matvecs and evaluated points (one dual norm each)
+    of ``run()``; the kernel, the engine and the dense Laplacian exist first."""
+    rayleigh_quotient(u)
     dense_fractional_matrix(u.grid)
     calls = {"transform": 0, "matvec": 0, "points": 0}
 
@@ -138,11 +140,30 @@ def test_newton_eigen_step_evaluates_each_point_once(monkeypatch, manifold_point
     monkeypatch.setattr(eng, "inverse", counting(eng.inverse, "transform"))
     kernel = operators._RieszKernel
     monkeypatch.setattr(kernel, "sym_potential", counting(kernel.sym_potential, "matvec"))
+    monkeypatch.setattr(energy, "dual_norm", counting(energy.dual_norm, "points"))
+    _, it = run()
+    assert it == 2
+    return calls
+
+
+def test_newton_eigen_step_evaluates_each_point_once(monkeypatch, manifold_point):
+    u = manifold_point
+    p = compute_exponents(u.grid.params).two_star_s_alpha
+    lam = rayleigh_quotient(u)
     # every evaluated point (the start and each line-search trial) takes one
     # dual norm; the top of a step re-evaluates nothing
-    monkeypatch.setattr(solvers, "dual_norm", counting(solvers.dual_norm, "points"))
-    _, it = solvers._newton_eigen(solvers._EigenPoint(u, lam, p), 0.0, max_iter=2)
-    assert it == 2
+    calls = _newton_calls(monkeypatch, u, lambda: solvers._newton_eigen(solvers._eigen_point(u, p, lam), 0.0, max_iter=2))
+    assert calls["points"] >= 3
+    assert calls["matvec"] == calls["points"]
+    assert calls["transform"] == 3 * calls["points"]
+
+
+def test_newton_gradient_step_evaluates_each_point_once(monkeypatch, manifold_point):
+    u = manifold_point
+    spec = pure_power(1.0, 3.6)
+    # the Jacobian's Hartree potential is the point's own: one matvec per
+    # evaluated point (the start and each line-search trial), none per step
+    calls = _newton_calls(monkeypatch, u, lambda: solvers._newton_gradient(_Ray(u, spec), 0.0, max_iter=2))
     assert calls["points"] >= 3
     assert calls["matvec"] == calls["points"]
     assert calls["transform"] == 3 * calls["points"]
@@ -177,10 +198,10 @@ def test_newton_eigen_peak_memory():
     g = _grid512()
     u = project_to_M(g.field(np.exp(-g.r ** 2)))
     p = compute_exponents(g.params).two_star_s_alpha
-    lam = solvers._rayleigh(u)  # builds the Riesz kernel
+    lam = rayleigh_quotient(u)  # builds the Riesz kernel
     dense_fractional_matrix(g)
 
     def newton():
-        return solvers._newton_eigen(solvers._EigenPoint(u, lam, p), 0.0, max_iter=3)
+        return solvers._newton_eigen(solvers._eigen_point(u, p, lam), 0.0, max_iter=3)
 
     assert _peak_units(newton, g.M) <= 1.5

@@ -34,6 +34,8 @@ from fcs.solvers import (
 )
 from fcs.grid import Field
 
+from conftest import rayleigh_quotient
+
 
 @pytest.fixture(scope="module")
 def grid(pstar):
@@ -120,8 +122,8 @@ def test_eigen_point_reads_the_rayleigh_quotient(params):
     p = ProblemParams(*params)
     g = make_grid(p, 20.0, 96)
     u = project_to_M(g.field(np.exp(-g.r ** 2)))
-    lam = solvers._rayleigh(u)
-    pt = solvers._EigenPoint(u, None, compute_exponents(p).two_star_s_alpha)
+    lam = rayleigh_quotient(u)
+    pt = solvers._eigen_point(u, compute_exponents(p).two_star_s_alpha)
     assert abs(pt.lam - lam) <= 1e-15 * lam
 
 
@@ -491,6 +493,12 @@ def test_sweep_records_failures_and_continues(pstar, grid):
     assert all(math.isnan(r.energy) for r in rows)
 
 
+def test_sweep_rejects_an_unknown_method_before_its_rows(pstar, grid, recwarn):
+    with pytest.raises(ValueError, match="unknown sweep method 'minimise'"):
+        sweep(pstar, grid, pure_power(1.0, 2.7), 0, [1.0, 2.0], method="minimise")
+    assert len(recwarn) == 0  # no row was attempted and recorded as failed
+
+
 def test_sweep_requires_monotone_range(pstar, grid):
     with pytest.raises(ValueError, match="monotone"):
         sweep(pstar, grid, pure_power(1.0, 2.7), 0, [1.0, 3.0, 2.0])
@@ -509,6 +517,9 @@ def test_solver_options_validation():
         SolverOptions(tol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(max_iter=0)
+    for width in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="seed width"):
+            SolverOptions(seed_width=width)
 
 
 # ---------------------------------------------------------------------------
@@ -557,3 +568,35 @@ def test_reports_are_recomputed_from_the_stored_field(entry, pstar, grid, eigen_
         assert rep.pohozaev_rel == pohozaev_residual(u, spec).pohozaev_rel
         assert rep.energy == energy
         assert rep.residual_dual == residual
+
+
+@pytest.mark.parametrize("entry", ["eigen1", "mountain-pass", "minimize"])
+def test_report_evaluates_the_returned_field_once(entry, pstar, grid, eigen_report, mp_setup, monkeypatch):
+    # from the field the solver returns to its report: one kernel matvec, the
+    # one evaluation of the sign-normalized field that every number of the
+    # report (level, residual, convergence floor, Nehari, Pohozaev) is read from
+    from fcs import operators, solvers
+
+    calls = {"matvec": 0}
+    kernel = operators._RieszKernel
+    sym_potential = kernel.sym_potential
+
+    def counting(self, v):
+        calls["matvec"] += 1
+        return sym_potential(self, v)
+
+    returned = []
+    normalize = solvers._normalize_sign
+    monkeypatch.setattr(kernel, "sym_potential", counting)
+    monkeypatch.setattr(solvers, "_normalize_sign", lambda u: returned.append(calls["matvec"]) or normalize(u))
+    if entry == "eigen1":
+        rep = eigen1(pstar, grid)
+    elif entry == "mountain-pass":
+        rep = mountain_pass(*mp_setup)
+    else:
+        exps = compute_exponents(pstar)
+        spec = NonlinearitySpec.of(DampedPowerTerm(4.5, exps.two_star_s_alpha, 0.3))
+        rep = minimize_subscaled(pstar, grid, spec, SolverOptions(seed="field", seed_field=eigen_report.solution))
+    assert rep.converged
+    assert len(returned) == 1
+    assert calls["matvec"] - returned[0] == 1
