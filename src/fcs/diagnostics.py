@@ -166,7 +166,7 @@ def estimate_sobolev_constant(
     exps = compute_exponents(params)
     p = exps.two_star_s
     eng = grid.transform()
-    k2s = grid.k ** (2.0 * params.s)
+    k2s = grid.k2s
     inverse_mult = grid.k ** (-2.0 * params.s)
 
     def norm_p(v: np.ndarray) -> float:  # ``lp_norm`` on node values

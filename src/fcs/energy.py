@@ -233,7 +233,12 @@ class _Ray:
     that read only S and Q never pay for it.  The residual (grad Phi(u) =
     A(u) - f(u), or A(u) - lam B(u) after ``eigen``), its dual norm (one
     more forward transform) and Phi(u) are read lazily too.
+
+    ``lam`` is None except on an eigen point, where it is the multiplier of
+    the stationarity system that ``solvers._newton`` borders with I(u) = 1.
     """
+
+    lam = None
 
     def __init__(self, u: Field, spec: NonlinearitySpec | None = None):
         grid = u.grid
@@ -242,7 +247,7 @@ class _Ray:
         self.spec = spec
         self.w = grid.w
         self.r = grid.r
-        self._k2s = grid.k ** (2.0 * grid.params.s)
+        self._k2s = grid.k2s
         self._b = grid.transform().forward(self.u)
         self.pot = hartree_potential_sym(u)
         self.S = float(np.sum(self._k2s * self._b * self._b))
@@ -271,9 +276,10 @@ class _Ray:
 
         The residual becomes A(u) - lam B(u), B(u) = |u|^(p-2) u, with B(u)
         kept for the Newton border; ``spec`` becomes lam |t|^(p-2) t, the same
-        nonlinearity, for the Nehari value and the Pohozaev sides.
+        nonlinearity, for the Nehari value, the Pohozaev sides and the
+        Newton Jacobian.
         """
-        self.lam, self.spec = lam, pure_power(lam, p)
+        self.lam, self.p, self.spec = lam, p, pure_power(lam, p)
         self.Bu = np.abs(self.u) ** (p - 2.0) * self.u
         self.resid = self.Au - lam * self.Bu
         return self

@@ -86,6 +86,15 @@ class RadialGrid:
         """Wavenumbers of the transform basis."""
         return self.transform().k
 
+    @property
+    def k2s(self) -> np.ndarray:
+        """The fractional symbol k^(2s) at the wavenumbers (read-only, built once)."""
+        k2s = self._caches.get("k2s")
+        if k2s is None:
+            k2s = self._caches["k2s"] = self.k ** (2.0 * self.params.s)
+            k2s.flags.writeable = False
+        return k2s
+
     def same_as(self, other: "RadialGrid") -> bool:
         return (
             self.params == other.params

@@ -45,7 +45,6 @@ from .params import riesz_constant, sphere_area
 __all__ = [
     "DualField",
     "frac_seminorm_sq",
-    "apply_fractional_laplacian",
     "riesz_potential",
     "gaussian_riesz_profile",
     "coulomb_energy",
@@ -78,15 +77,10 @@ class DualField:
 # fractional Laplacian (spectral)
 # ---------------------------------------------------------------------------
 
-def _apply_multiplier(u: Field, mult: np.ndarray) -> Field:
-    eng = u.grid.transform()
-    return Field(u.grid, eng.inverse(mult * eng.forward(u.values)))
-
-
 def frac_seminorm_sq(u: Field) -> float:
     """Squared Gagliardo-type seminorm, sum_m k_m^(2s) |u_m|^2."""
     b = u.grid.transform().forward(u.values)
-    return float(np.sum(u.grid.k ** (2.0 * u.grid.params.s) * b * b))
+    return float(np.sum(u.grid.k2s * b * b))
 
 
 def frac_form(u: Field, v: Field) -> float:
@@ -95,13 +89,7 @@ def frac_form(u: Field, v: Field) -> float:
     eng = u.grid.transform()
     bu = eng.forward(u.values)
     bv = eng.forward(v.values)
-    return float(np.sum(u.grid.k ** (2.0 * u.grid.params.s) * bu * bv))
-
-
-def apply_fractional_laplacian(u: Field, power: float | None = None) -> Field:
-    """Apply the Fourier multiplier k^(2s) (or k^power when given)."""
-    p = 2.0 * u.grid.params.s if power is None else power
-    return _apply_multiplier(u, u.grid.k ** p)
+    return float(np.sum(u.grid.k2s * bu * bv))
 
 
 def dual_norm(rho) -> float:
@@ -111,7 +99,7 @@ def dual_norm(rho) -> float:
     """
     grid = rho.grid
     b = grid.transform().forward(rho.values)
-    return math.sqrt(float(np.sum(b * b / (1.0 + grid.k ** (2.0 * grid.params.s)))))
+    return math.sqrt(float(np.sum(b * b / (1.0 + grid.k2s))))
 
 
 def precondition(rho) -> Field:
@@ -119,7 +107,7 @@ def precondition(rho) -> Field:
     grid = rho.grid
     eng = grid.transform()
     b = eng.forward(rho.values)
-    return Field(grid, eng.inverse(b / (1.0 + grid.k ** (2.0 * grid.params.s))))
+    return Field(grid, eng.inverse(b / (1.0 + grid.k2s)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +367,9 @@ def quadrilinear_T(u: Field, v: Field, w: Field, z: Field) -> float:
 def apply_A(u: Field) -> DualField:
     """Strong form of the quadratic-plus-Coulomb operator:
     (-Delta)^s u + (I_alpha * u^2) u."""
-    lap = apply_fractional_laplacian(u)
-    return DualField(u.grid, lap.values + hartree_potential_sym(u) * u.values)
+    eng = u.grid.transform()
+    lap = eng.inverse(u.grid.k2s * eng.forward(u.values))
+    return DualField(u.grid, lap + hartree_potential_sym(u) * u.values)
 
 
 def apply_B(u: Field) -> DualField:
@@ -412,10 +401,9 @@ def dense_fractional_matrix(grid: RadialGrid) -> np.ndarray:
     key = "dense_lap"
     L = grid._caches.get(key)
     if L is None:
-        s2 = 2.0 * grid.params.s
         if grid.params.N == 3:
             M = grid.M
-            c = dct(np.concatenate(([0.0], grid.k ** s2, [0.0])), type=1) / (2.0 * (M + 1))
+            c = dct(np.concatenate(([0.0], grid.k2s, [0.0])), type=1) / (2.0 * (M + 1))
             c = np.concatenate((c, c[-2:0:-1]))  # c(0..2M+1)
             # strided views; the subtraction is the only M x M allocation
             toeplitz = sliding_window_view(np.concatenate((c[M - 1:0:-1], c[:M])), M)[::-1]
@@ -427,7 +415,7 @@ def dense_fractional_matrix(grid: RadialGrid) -> np.ndarray:
             eng = grid.transform()
             Q = eng._Q
             sw = np.sqrt(grid.w)
-            L = (Q * (grid.k ** s2)[None, :]) @ Q.T
+            L = (Q * grid.k2s[None, :]) @ Q.T
             L = (1.0 / sw)[:, None] * L * sw[None, :]
         grid._caches[key] = L
     return L

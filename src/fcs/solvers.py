@@ -9,10 +9,13 @@ dual residuals to rounding.  The first-order phase only has to reach
 Newton's basin: the descents of Phi hand over once the dual residual has
 dropped by ``_HANDOVER_REL`` (the ascent of J by 1e-3, or once its Armijo
 search runs out of its ``_ASCENT_TRIALS`` trials), and Newton does the
-converging.  Each Newton call assembles its Jacobian in place, into one
-buffer.  Every field a solver evaluates is evaluated once, as one
-``energy._Ray`` (S, Q, the Hartree potential, A(u) and the residual), and a
-point accepted by a line search is carried into the next step as it is.
+converging.  There is one Newton, ``_newton``, and it reads its system off
+the evaluated point: grad Phi(u) = 0 for a plain point, and for an eigen
+point {A(u) = lam B(u), I(u) = 1} with lam as one more unknown.  Each call
+assembles its Jacobian in place, into one buffer.  Every field a solver
+evaluates is evaluated once, as one ``energy._Ray`` (S, Q, the Hartree
+potential, A(u) and the residual), and a point accepted by a line search is
+carried into the next step as it is.
 Reports are recomputed from one evaluation of the stored, sign-normalized
 field, so nothing leaks from solver internals.
 """
@@ -27,7 +30,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .diagnostics import _pohozaev_sides, estimate_sobolev_constant, ps_threshold
-from .energy import I_functional, J_functional, NonlinearitySpec, Phi, _Ray
+from .energy import J_functional, NonlinearitySpec, Phi, _Ray
 from .grid import Field, RadialGrid, lp_norm
 # unused apply_A: perfbench/test_perfbench.py reads fcs.solvers.apply_A
 from .operators import apply_A, dense_fractional_matrix, _riesz_kernel, dual_norm, precondition  # noqa: F401
@@ -96,8 +99,8 @@ class SolverOptions:
     seed_field: Field | None = None
 
     def __post_init__(self) -> None:
-        if not (self.tol > 0.0):
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not (math.isfinite(self.seed_width) and self.seed_width > 0.0):
@@ -211,7 +214,7 @@ def _certify(
 
 
 # ---------------------------------------------------------------------------
-# Newton engines
+# Newton
 # ---------------------------------------------------------------------------
 
 def _meets_tol(pt: _Ray, res0: float, opts: SolverOptions) -> bool:
@@ -253,86 +256,59 @@ def _eigen_point(u: Field, p: float, lam: float | None = None) -> _Ray:
     return pt.eigen(p, lam)
 
 
-def _newton_eigen(pt: _Ray, tol_abs: float, max_iter: int = 40):
-    """Damped Newton on the stationarity system {A(u) = lam B(u), I(u) = 1}.
+def _newton(pt: _Ray, tol_abs: float, max_iter: int = 40):
+    """Damped Newton on the stationarity system of the evaluated point ``pt``.
 
-    Starts from the eigen point ``pt`` and returns the last accepted point
-    and the iteration count; a point accepted by the line search is carried
-    into the next step as it is.  The bordered Jacobian
-    [[L + H(u) - lam B'(u), -B(u)], [w A(u), 0]] is assembled in place,
-    into one buffer per call.
+    A plain point solves grad Phi(u) = A(u) - f(u) = 0 (minima and saddles
+    alike).  An eigen point (``pt.lam`` set, see ``_Ray.eigen``) adds lam as
+    an unknown and I(u) = 1 as an equation, {A(u) = lam B(u), I(u) = 1},
+    with the bordered Jacobian
+
+        [[L + H(u) - diag(f'(u)), -B(u)], [w A(u), 0]],   f = lam |t|^(p-2) t.
+
+    The Jacobian is assembled in place, into one buffer per call.  A step is
+    halved until the residual decreases or, once the residual is under
+    ``tol_abs``, until the manifold defect I(u) - 1 does (0 for a plain
+    point).  Returns the last accepted point and the iteration count; a point
+    accepted by the line search is carried into the next step as it is.
     """
     grid = pt.field.grid
     M = grid.M
-    p = compute_exponents(grid.params).two_star_s_alpha
+    bordered = pt.lam is not None
     Lf = dense_fractional_matrix(grid)
     K = _riesz_kernel(grid, grid.params.alpha).sym_matrix()
-    jac = np.empty((M + 1, M + 1))
-    jac[M, M] = 0.0
-    it = 0
-    for it in range(1, max_iter + 1):
-        defect = pt.I - 1.0
-        if pt.res <= tol_abs and abs(defect) <= 1e-11:
-            break
-        uv = pt.u
-        _jacobian_into(
-            jac[:M, :M], Lf, K, uv, pt.pot - pt.lam * (p - 1.0) * np.abs(uv) ** (p - 2.0)
-        )
-        jac[:M, M] = -pt.Bu
-        jac[M, :M] = grid.w * pt.Au
-        try:
-            delta = np.linalg.solve(jac, -np.concatenate([pt.resid, [defect]]))
-        except np.linalg.LinAlgError:
-            break
-        step = 1.0
-        improved = False
-        for _ in range(10):
-            trial = uv + step * delta[:M]
-            if not np.all(np.isfinite(trial)):
-                step *= 0.5
-                continue
-            pt_try = _eigen_point(Field(grid, trial), p, pt.lam + step * delta[M])
-            if pt_try.res < pt.res or (pt_try.res < tol_abs and abs(pt_try.I - 1.0) < abs(defect)):
-                pt = pt_try
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return pt, it
+    jac = np.empty((M + bordered, M + bordered))
+    jac[M:, M:] = 0.0
 
+    def defect(q: _Ray) -> float:
+        return q.I - 1.0 if bordered else 0.0
 
-def _newton_gradient(pt: _Ray, tol_abs: float, max_iter: int = 40):
-    """Damped Newton on grad Phi(u) = 0 (finds minima and saddles alike).
-
-    Starts from the evaluated point ``pt`` (a ray with ``spec``) and returns
-    the last accepted point and the iteration count; a point accepted by the
-    line search is carried into the next step as it is.  The Jacobian
-    L + H(u) - diag(f'(u)) is assembled in place, into one buffer per call.
-    """
-    grid, spec = pt.field.grid, pt.spec
-    Lf = dense_fractional_matrix(grid)
-    K = _riesz_kernel(grid, grid.params.alpha).sym_matrix()
-    jac = np.empty((grid.M, grid.M))
     scale0 = float(np.max(np.abs(pt.u)))
     it = 0
     for it in range(1, max_iter + 1):
-        if pt.res <= tol_abs:
+        d0 = defect(pt)
+        if pt.res <= tol_abs and abs(d0) <= 1e-11:
             break
-        _jacobian_into(jac, Lf, K, pt.u, pt.pot - spec.fprime(pt.u, grid.r))
+        _jacobian_into(jac[:M, :M], Lf, K, pt.u, pt.pot - pt.spec.fprime(pt.u, grid.r))
+        rhs = pt.resid
+        if bordered:
+            jac[:M, M] = -pt.Bu
+            jac[M, :M] = grid.w * pt.Au
+            rhs = np.append(rhs, d0)
         try:
-            delta = np.linalg.solve(jac, -pt.resid)
+            delta = np.linalg.solve(jac, -rhs)
         except np.linalg.LinAlgError:
             break
         step = 1.0
         improved = False
         for _ in range(10):
-            trial = pt.u + step * delta
+            trial = pt.u + step * delta[:M]
             if not np.all(np.isfinite(trial)):
                 step *= 0.5
                 continue
-            pt_try = _Ray(Field(grid, trial), spec)
-            if pt_try.res < pt.res:
+            u_try = Field(grid, trial)
+            pt_try = _eigen_point(u_try, pt.p, pt.lam + step * delta[M]) if bordered else _Ray(u_try, pt.spec)
+            if pt_try.res < pt.res or (pt_try.res < tol_abs and abs(defect(pt_try)) < abs(d0)):
                 pt = pt_try
                 improved = True
                 break
@@ -448,7 +424,7 @@ def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None =
     it_newton = 0
     newton_budget = min(40, max(0, opts.max_iter - it_ascent))
     if newton_budget > 0:
-        pt, it_newton = _newton_eigen(pt, min(tol_abs, 1e-11 * res0), max_iter=newton_budget)
+        pt, it_newton = _newton(pt, min(tol_abs, 1e-11 * res0), max_iter=newton_budget)
     report = _finish_eigen(
         pt.field, exps, res0,
         lambda q: _meets_tol(q, res0, opts) and abs(q.I - 1.0) <= 1e-8,
@@ -530,7 +506,7 @@ def eigen_deflated(
             pen = _DeflationPenalty([rep.solution for rep in reports], weight)
             pt, _, it_a, res0, stop = _ascend_J(u, defl_opts, penalty=pen, switch_rel=5e-2)
             tol_abs = opts.tol * res0
-            pt, it_n = _newton_eigen(pt, min(tol_abs, 1e-11 * res0))
+            pt, it_n = _newton(pt, min(tol_abs, 1e-11 * res0))
             u = pt.field
             # |cos| is blind to the sign normalization still ahead
             distinct = all(
@@ -705,7 +681,7 @@ def _minimize(
         tol_abs = opts.tol * res0
         pt, it_d = _descend_Phi(pt, max(opts.tol, _HANDOVER_REL) * res0, opts.max_iter)
         try:
-            pt, it_n = _newton_gradient(pt, min(tol_abs, 1e-11 * res0))
+            pt, it_n = _newton(pt, min(tol_abs, 1e-11 * res0))
         except DegenerateSeedError:
             continue
         if float(np.max(np.abs(pt.u))) < 1e-10:
@@ -889,7 +865,7 @@ def mountain_pass(
         raise ValueError("endpoint e must be nonzero")
 
     pt, it_r, res0 = _nehari_descent(grid, spec, e.values, max(opts.tol, _HANDOVER_REL))
-    pt, it_n = _newton_gradient(pt, min(opts.tol * res0, 1e-11 * res0))
+    pt, it_n = _newton(pt, min(opts.tol * res0, 1e-11 * res0))
     pt = _Ray(_normalize_sign(pt.field), spec)
 
     level = pt.action
@@ -981,7 +957,7 @@ def sweep(
             BranchRow(
                 param=v,
                 energy=rep.energy if rep.converged else math.nan,
-                I=I_functional(rep.solution),
+                I=rep.extras.get("I", 0.0),
                 J=J_functional(rep.solution),
                 multiplier=rep.multiplier,
                 residual=rep.residual_dual,

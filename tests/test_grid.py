@@ -130,6 +130,17 @@ def test_generic_dimension_transform(grid_n2):
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(np.max(np.abs(rhs)), 1e-30)
 
 
+@pytest.mark.parametrize("N, s, alpha", [(3, 0.75, 2.0), (2, 0.6, 1.5)])
+def test_fractional_symbol_is_built_once_per_grid(N, s, alpha):
+    # every evaluation shares this array, so it is the direct power bit for
+    # bit and cannot be written through
+    g = make_grid(ProblemParams(N, s, alpha), 12.0, 64)
+    assert g.k2s is g.k2s
+    assert np.array_equal(g.k2s, g.k ** (2.0 * s))
+    with pytest.raises(ValueError):
+        g.k2s[0] = 0.0
+
+
 def test_grid_mismatch_rejected(pstar):
     g1 = make_grid(pstar, 20.0, 64)
     g2 = make_grid(pstar, 20.0, 96)

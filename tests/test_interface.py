@@ -401,6 +401,20 @@ def test_cli_eigen1_rejects_an_invalid_seed_width(width, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_cli_eigen1_rejects_an_invalid_tolerance(tol, capsys):
+    # res <= inf holds for any residual, so an infinite tolerance would
+    # certify whatever Newton reached: invalid input (exit 1)
+    rc = cli_main(
+        ["eigen1", "--N", "3", "--s", "0.75", "--alpha", "2", "--R", "20", "--M", "64",
+         "--tol", tol]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "tolerance must be finite and positive" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -76,31 +76,34 @@ def manifold_point(request):
     return project_to_M(g.field(np.exp(-g.r ** 2)))
 
 
-def test_bordered_eigen_jacobian_matches_oracle(monkeypatch, manifold_point):
-    u = manifold_point
-    g = u.grid
-    p = compute_exponents(g.params).two_star_s_alpha
-    lam = rayleigh_quotient(u)
-    seen = _captured_jacobians(monkeypatch, lambda: solvers._newton_eigen(solvers._eigen_point(u, p, lam), 0.0, max_iter=1))
-    assert len(seen) == 1
-    Au = apply_A(u).values
-    Bu = np.abs(u.values) ** (p - 2.0) * u.values
-    Jh = dense_fractional_matrix(g) + _hartree_jacobian_oracle(u) - lam * (p - 1.0) * np.diag(
-        np.abs(u.values) ** (p - 2.0)
-    )
-    oracle = np.vstack([np.hstack([Jh, -Bu[:, None]]), np.concatenate([g.w * Au, [0.0]])[None, :]])
-    assert seen[0].shape == oracle.shape
-    assert _rel(seen[0], oracle) <= 1e-13
-    assert seen[0][-1, -1] == 0.0
-
-
-def test_gradient_jacobian_matches_oracle(monkeypatch, manifold_point):
-    u = manifold_point
-    g = u.grid
+def _newton_system(kind, u):
+    """A constructor of the Newton start of ``kind`` at u, and the oracle's
+    f'(u) of its system: lam (p - 1) |u|^(p-2) for the eigen point at the
+    Rayleigh quotient, the derivative of a pure power for a plain point."""
+    if kind == "eigen":
+        p = compute_exponents(u.grid.params).two_star_s_alpha
+        lam = rayleigh_quotient(u)
+        return (lambda: solvers._eigen_point(u, p, lam)), lam * (p - 1.0) * np.abs(u.values) ** (p - 2.0)
     spec = pure_power(1.0, 3.6)
-    seen = _captured_jacobians(monkeypatch, lambda: solvers._newton_gradient(_Ray(u, spec), 0.0, max_iter=1))
+    return (lambda: _Ray(u, spec)), spec.fprime(u.values, u.grid.r)
+
+
+@pytest.mark.parametrize("kind", ["eigen", "gradient"])
+def test_newton_jacobian_matches_oracle(kind, monkeypatch, manifold_point):
+    u = manifold_point
+    g = u.grid
+    start, fprime = _newton_system(kind, u)
+    seen = _captured_jacobians(monkeypatch, lambda: solvers._newton(start(), 0.0, max_iter=1))
     assert len(seen) == 1
-    oracle = dense_fractional_matrix(g) + _hartree_jacobian_oracle(u) - np.diag(spec.fprime(u.values, g.r))
+    oracle = dense_fractional_matrix(g) + _hartree_jacobian_oracle(u) - np.diag(fprime)
+    if kind == "eigen":
+        # bordered by -B(u) and w A(u) for the multiplier and I(u) = 1
+        p = compute_exponents(g.params).two_star_s_alpha
+        Au = apply_A(u).values
+        Bu = np.abs(u.values) ** (p - 2.0) * u.values
+        oracle = np.vstack([np.hstack([oracle, -Bu[:, None]]), np.concatenate([g.w * Au, [0.0]])[None, :]])
+        assert seen[0][-1, -1] == 0.0
+    assert seen[0].shape == oracle.shape
     assert _rel(seen[0], oracle) <= 1e-13
 
 
@@ -146,24 +149,14 @@ def _newton_calls(monkeypatch, u, run):
     return calls
 
 
-def test_newton_eigen_step_evaluates_each_point_once(monkeypatch, manifold_point):
+@pytest.mark.parametrize("kind", ["eigen", "gradient"])
+def test_newton_step_evaluates_each_point_once(kind, monkeypatch, manifold_point):
     u = manifold_point
-    p = compute_exponents(u.grid.params).two_star_s_alpha
-    lam = rayleigh_quotient(u)
+    start, _ = _newton_system(kind, u)
     # every evaluated point (the start and each line-search trial) takes one
-    # dual norm; the top of a step re-evaluates nothing
-    calls = _newton_calls(monkeypatch, u, lambda: solvers._newton_eigen(solvers._eigen_point(u, p, lam), 0.0, max_iter=2))
-    assert calls["points"] >= 3
-    assert calls["matvec"] == calls["points"]
-    assert calls["transform"] == 3 * calls["points"]
-
-
-def test_newton_gradient_step_evaluates_each_point_once(monkeypatch, manifold_point):
-    u = manifold_point
-    spec = pure_power(1.0, 3.6)
-    # the Jacobian's Hartree potential is the point's own: one matvec per
-    # evaluated point (the start and each line-search trial), none per step
-    calls = _newton_calls(monkeypatch, u, lambda: solvers._newton_gradient(_Ray(u, spec), 0.0, max_iter=2))
+    # dual norm and one matvec; the top of a step re-evaluates nothing, and
+    # the Jacobian's Hartree potential is the point's own
+    calls = _newton_calls(monkeypatch, u, lambda: solvers._newton(start(), 0.0, max_iter=2))
     assert calls["points"] >= 3
     assert calls["matvec"] == calls["points"]
     assert calls["transform"] == 3 * calls["points"]
@@ -202,6 +195,6 @@ def test_newton_eigen_peak_memory():
     dense_fractional_matrix(g)
 
     def newton():
-        return solvers._newton_eigen(solvers._eigen_point(u, p, lam), 0.0, max_iter=3)
+        return solvers._newton(solvers._eigen_point(u, p, lam), 0.0, max_iter=3)
 
     assert _peak_units(newton, g.M) <= 1.5
