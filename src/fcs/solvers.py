@@ -337,6 +337,8 @@ def _ascend_J(u: Field, opts: SolverOptions, penalty=None, switch_rel: float = 1
     trials), ``slope`` (no ascent direction) or ``max_iter``.
     """
     grid = u.grid
+    eng = grid.transform()
+    k_den = 1.0 + grid.k2s
     p = compute_exponents(grid.params).two_star_s_alpha
 
     def objective(v: Field) -> float:
@@ -357,12 +359,16 @@ def _ascend_J(u: Field, opts: SolverOptions, penalty=None, switch_rel: float = 1
             break
         u = pt.field
         g = pt.Bu if penalty is None else pt.Bu - penalty.gradient(u)  # B(u) is J'(u)
-        d = precondition(Field(grid, g)).values
+        # one forward transform gives the preconditioned direction and the
+        # dual norm (``precondition`` and ``dual_norm``, bit for bit)
+        b = eng.forward(g)
+        d = eng.inverse(b / k_den)
         slope = float(np.sum(grid.w * g * d))
         if slope <= 0.0:
             stop = "slope"
             break
-        eta = min(eta * 2.0, 1.0 / max(dual_norm(Field(grid, g)), 1e-30))
+        g_dual = math.sqrt(float(np.sum(b * b / k_den)))
+        eta = min(eta * 2.0, 1.0 / max(g_dual, 1e-30))
         accepted = False
         for _ in range(_ASCENT_TRIALS):
             try:

@@ -204,6 +204,38 @@ def test_bessel_zeros_half_integer_order():
     assert np.max(np.abs(z - np.array(exact))) < 1e-12
 
 
+def _bessel_Q_oracle(grid):
+    """The Loewdin-orthonormalized Fourier-Bessel modes with every J_nu from
+    ``jv``, written out as in the engine."""
+    from scipy.special import jv
+
+    from fcs.grid import _bessel_zeros
+    from fcs.params import sphere_area
+
+    N = grid.params.N
+    nu = N / 2.0 - 1.0
+    z = _bessel_zeros(nu, grid.M)
+    k = z / grid.R
+    norm = np.sqrt(sphere_area(N) * grid.R ** 2 / 2.0) * np.abs(jv(nu + 1.0, z))
+    phi = grid.r[:, None] ** (-nu) * jv(nu, k[None, :] * grid.r[:, None]) / norm[None, :]
+    B = phi * np.sqrt(grid.w)[:, None]
+    evals, evecs = np.linalg.eigh(B.T @ B)
+    return B @ (evecs * evals ** -0.5) @ evecs.T
+
+
+@pytest.mark.parametrize("N, alpha", [(2, 1.5), (4, 2.5), (5, 3.0), (6, 2.0)])
+def test_bessel_modes_match_the_jv_oracle(N, alpha):
+    from fcs.grid import _BesselEngine
+
+    g = make_grid(ProblemParams(N, 0.75, alpha), 10.0, 64)
+    Q = _BesselEngine(g)._Q
+    oracle = _bessel_Q_oracle(g)
+    if N in (2, 4):  # J_0 / J_1 from j0 / j1
+        assert np.max(np.abs(Q - oracle)) <= 1e-13
+    else:
+        assert np.array_equal(Q, oracle)
+
+
 @pytest.mark.parametrize("N,s,alpha", [(4, 0.6, 2.5), (5, 0.9, 3.0)])
 def test_higher_dimension_transform_and_riesz(N, s, alpha):
     from fcs import forward_transform, inverse_transform

@@ -171,11 +171,13 @@ def test_riesz_generic_dimension(grid_n2):
 
 
 # ---------------------------------------------------------------------------
-# N != 3 kernel matrix: triangle quadrature and the stored symmetric matrix
+# N != 3 kernel matrix: graded quadrature, exact diagonal, stored symmetric matrix
 # ---------------------------------------------------------------------------
 
 def _angular_kernel_full(N, alpha, r):
-    """Oracle: the graded-panel angular quadrature on all M^2 node pairs."""
+    """Oracle: uniform geometric grading (ratio 3, 12-point Gauss-Legendre)
+    from t_lo = max(1e-120, 1e-16^(1/(alpha-1))) to pi on all M^2 node pairs;
+    accurate off the diagonal, where the integrand is analytic."""
     rr = r[:, None]
     pp = r[None, :]
     d2 = (rr - pp) ** 2
@@ -200,10 +202,75 @@ def _kernel_grid(N, alpha, M=48):
     return make_grid(ProblemParams(N, 0.75, alpha), 12.0, M)
 
 
-@pytest.mark.parametrize("N, alpha", [(4, 2.5), (5, 3.0), (2, 1.5)])
-def test_angular_kernel_triangle_is_the_full_quadrature(N, alpha):
+_KERNEL_CASES = [(4, 2.5), (5, 3.0), (2, 1.5), (6, 2.0), (4, 1.2)]
+
+
+@pytest.mark.parametrize("N, alpha", _KERNEL_CASES)
+def test_angular_kernel_is_bitwise_symmetric(N, alpha):
+    K = _angular_kernel_generic(N, alpha, _kernel_grid(N, alpha).r)
+    assert np.array_equal(K, K.T)
+
+
+@pytest.mark.parametrize("N, alpha", _KERNEL_CASES)
+def test_angular_kernel_matches_the_uniform_grading_off_the_diagonal(N, alpha):
     r = _kernel_grid(N, alpha).r
-    assert np.array_equal(_angular_kernel_generic(N, alpha, r), _angular_kernel_full(N, alpha, r))
+    K = _angular_kernel_generic(N, alpha, r)
+    F = _angular_kernel_full(N, alpha, r)
+    off = ~np.eye(r.size, dtype=bool)
+    assert np.max(np.abs(K[off] - F[off]) / F[off]) <= 1e-13
+
+
+@pytest.mark.parametrize("N, alpha", [(2, 1.05), (4, 1.2), (2, 1.5), (4, 2.5), (5, 3.0)])
+def test_angular_kernel_diagonal_is_the_beta_formula(N, alpha):
+    # at r = p the integral is 2^(N-2) (2r)^(alpha-N) B((alpha-1)/2, (N-1)/2);
+    # a quadrature truncated near t = 0 loses (t_lo)^(alpha-1) of it
+    r = _kernel_grid(N, alpha).r
+    a, b = (alpha - 1.0) / 2.0, (N - 1.0) / 2.0
+    beta = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+    exact = sphere_area(N - 1) * 2.0 ** (N - 2) * beta * (2.0 * r) ** (alpha - N)
+    diag = np.diag(_angular_kernel_generic(N, alpha, r))
+    assert np.max(np.abs(diag - exact) / exact) <= 1e-14
+
+
+# nearest neighbours at both ends and in the middle, ratios near 2, far pairs
+_PINNED_PAIRS = [
+    (0, 1), (1, 2), (45, 46), (46, 47), (10, 11), (24, 25), (30, 31),
+    (0, 2), (2, 5), (5, 9), (16, 32), (22, 46), (40, 44), (12, 36), (3, 30), (0, 47),
+]
+
+
+@pytest.mark.parametrize("N, alpha", _KERNEL_CASES)
+def test_angular_kernel_matches_mpmath_at_pinned_pairs(N, alpha):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    r = _kernel_grid(N, alpha).r
+    K = _angular_kernel_generic(N, alpha, r)
+    omega = 2 * mp.pi ** (mp.mpf(N - 1) / 2) / mp.gamma(mp.mpf(N - 1) / 2)
+    for i, j in _PINNED_PAIRS:
+        a, b = mp.mpf(r[i]), mp.mpf(r[j])
+        f = lambda t: ((a - b) ** 2 + 4 * a * b * mp.sin(t / 2) ** 2) ** (
+            mp.mpf(alpha - N) / 2
+        ) * mp.sin(t) ** (N - 2)
+        # split at multiples of the distance of the complex singularities
+        t_star = abs(a - b) / mp.sqrt(a * b)
+        pts = [mp.mpf(0)] + [t_star * 3 ** m / 4 for m in range(12) if t_star * 3 ** m / 4 < mp.pi]
+        exact = float(omega * mp.quad(f, pts + [mp.pi]))
+        assert abs(K[i, j] - exact) <= 5e-14 * exact, (i, j)
+
+
+def test_riesz_kernel_build_peak_memory():
+    import tracemalloc
+
+    M = 256
+    for N, alpha in [(4, 2.5), (2, 1.5)]:
+        g = make_grid(ProblemParams(N, 0.75, alpha), 20.0, M)
+        tracemalloc.start()
+        try:
+            _riesz_kernel(g, alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.0 * 8 * M * M, (N, peak / (8.0 * M * M))
 
 
 @pytest.mark.parametrize("N, alpha", [(2, 1.5), (4, 2.5)])

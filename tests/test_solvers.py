@@ -106,6 +106,26 @@ def test_eigen1_ascent_projects_a_bounded_number_of_times(pstar, grid256, monkey
     assert calls["project"] <= 20
 
 
+def test_ascent_transforms_each_gradient_once(grid256, monkeypatch):
+    # the preconditioned direction and the step cap's dual norm share one
+    # forward transform of the ascent gradient B(u)
+    from fcs import solvers
+    from fcs.scaling import project_to_M
+
+    u = project_to_M(grid256.field(np.exp(-grid256.r ** 2)))
+    points = []
+    make_point = solvers._eigen_point
+    monkeypatch.setattr(solvers, "_eigen_point", lambda *a: points.append(make_point(*a)) or points[-1])
+    eng = grid256.transform()
+    args = []
+    forward = eng.forward
+    monkeypatch.setattr(eng, "forward", lambda v: args.append(v) or forward(v))
+    _, _, it, _, _ = solvers._ascend_J(u, SolverOptions(max_iter=3), switch_rel=0.0)
+    assert it >= 1
+    per_point = [sum(a is q.Bu for a in args) for q in points]
+    assert per_point == [1] * it + [0] * (len(points) - it)
+
+
 def test_eigen1_reports_why_the_ascent_stopped(pstar, grid256):
     # at the reference configuration the Armijo search runs out of trials
     # before the ascent's residual reaches the hand-over threshold
