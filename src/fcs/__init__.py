@@ -31,7 +31,7 @@ from .energy import (
     Psi_tilde,
     grad_Phi,
 )
-from .scaling import FiberPoint, fiber_profile, project_to_M, scale
+from .scaling import fiber_profile, project_to_M, scale
 from .solvers import (
     SolveReport,
     SolverOptions,

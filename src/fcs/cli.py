@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, _check_sweep_steps, load_config
 from .diagnostics import (
     estimate_sobolev_constant,
     nehari_residual,
@@ -347,6 +347,7 @@ def _cmd_scaling_check(args) -> int:
 def _sweep_impl(cfg: RunConfig, t0: float) -> int:
     params = cfg.problem()
     cfg.require("R", "M", "sweep_from", "sweep_to", "sweep_steps")
+    _check_sweep_steps(cfg.source, cfg.sweep_steps)  # --steps bypasses the parser
     grid = make_grid(params, cfg.R, cfg.M)
     spec = cfg.spec()
     if not spec.terms:

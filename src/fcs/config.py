@@ -253,6 +253,7 @@ def parse_config(text: str, source: str = "<config>", base_dir: Path | None = No
         raise ConfigError(
             f"{source}: unknown sweep method {cfg.sweep_method!r} (expected one of {list(_SWEEP_METHODS)})"
         )
+    _check_sweep_steps(source, cfg.sweep_steps)
     if cfg.seed not in ("gaussian", "bump", "file"):
         raise ConfigError(f"{source}: unknown seed kind {cfg.seed!r}")
     if cfg.seed == "file" and cfg.seed_file is None:
@@ -260,6 +261,12 @@ def parse_config(text: str, source: str = "<config>", base_dir: Path | None = No
     for line_no, value in pending_terms:
         cfg.terms.append(_parse_term(source, line_no, value, base_dir, cfg.M))
     return cfg
+
+
+def _check_sweep_steps(source: str, steps: int | None) -> None:
+    # a sweep of no rows would certify nothing and exit 0
+    if steps is not None and steps < 1:
+        raise ConfigError(f"{source}: sweep_steps must be at least 1, got {steps}")
 
 
 def load_config(path) -> RunConfig:

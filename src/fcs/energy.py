@@ -15,6 +15,7 @@ the level finite-difference tests can see.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -226,7 +227,8 @@ class _Ray:
         Phi(a u) = a^2 S / 2 + a^4 Q / 4 - sum_j w_j F(a u_j)
 
     serve every amplitude of the shape.  ``nehari`` and ``phi`` need ``spec``
-    and accept a scalar or a 1-D array of amplitudes.
+    and accept a scalar or a 1-D array of amplitudes; ``on_manifold`` is the
+    point of the ray on {I = 1}, in closed form.
 
     A(u) = (-Delta)^s u + (I_alpha * u^2) u reuses the forward coefficients
     and the potential; it costs one inverse transform on first read, so scans
@@ -241,6 +243,9 @@ class _Ray:
     lam = None
 
     def __init__(self, u: Field, spec: NonlinearitySpec | None = None):
+        self._fill(u, spec, u.grid.transform().forward(u.values), hartree_potential_sym(u))
+
+    def _fill(self, u: Field, spec, b: np.ndarray, pot: np.ndarray) -> None:
         grid = u.grid
         self.field = u
         self.u = u.values
@@ -248,10 +253,10 @@ class _Ray:
         self.w = grid.w
         self.r = grid.r
         self._k2s = grid.k2s
-        self._b = grid.transform().forward(self.u)
-        self.pot = hartree_potential_sym(u)
-        self.S = float(np.sum(self._k2s * self._b * self._b))
-        self.Q = float(np.sum(self.w * self.u ** 2 * self.pot))
+        self._b = b
+        self.pot = pot
+        self.S = float(np.sum(self._k2s * b * b))
+        self.Q = float(np.sum(self.w * self.u ** 2 * pot))
         self.I = 0.5 * self.S + 0.25 * self.Q
 
     @cached_property
@@ -283,6 +288,19 @@ class _Ray:
         self.Bu = np.abs(self.u) ** (p - 2.0) * self.u
         self.resid = self.Au - lam * self.Bu
         return self
+
+    def on_manifold(self) -> "_Ray":
+        """The ray of a u on {I = 1}: a^2 S / 2 + a^4 Q / 4 = 1, so
+        a^2 = 4 / (S + sqrt(S^2 + 4 Q)).
+
+        The coefficients and the potential of a u are those of u times a and
+        a^2, so this does no transform and no kernel matvec.
+        """
+        a2 = 4.0 / (self.S + math.sqrt(self.S * self.S + 4.0 * self.Q))
+        a = math.sqrt(a2)
+        pt = _Ray.__new__(_Ray)
+        pt._fill(Field(self.field.grid, a * self.u), self.spec, a * self._b, a2 * self.pot)
+        return pt
 
     def _points(self, a):
         a = np.asarray(a, dtype=float)

@@ -164,22 +164,10 @@ class SpectralField:
 
     Coefficients are stored in the Plancherel normalization: the sum of
     squared coefficients equals the quadrature L^2 norm of the field exactly.
-    For N = 3 the physical radial Fourier transform is recovered by
-    ``physical()``.
     """
 
     grid: RadialGrid
     coefficients: np.ndarray
-
-    @property
-    def k(self) -> np.ndarray:
-        return self.grid.k
-
-    def physical(self) -> np.ndarray:
-        """Radial Fourier transform values (N = 3 sine layout only)."""
-        if self.grid.params.N != 3:
-            raise ValueError("physical Fourier normalization is defined on the N=3 path")
-        return self.coefficients * math.sqrt(2.0 * math.pi * self.grid.R) / self.k
 
 
 class _TransformEngine:

@@ -11,7 +11,6 @@ for t along the fiber.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -21,24 +20,7 @@ from .energy import I_functional, NonlinearitySpec, Phi
 from .grid import Field
 from .params import compute_exponents
 
-__all__ = ["FiberPoint", "scale", "project_to_M", "fiber_profile"]
-
-
-@dataclass(frozen=True)
-class FiberPoint:
-    """A manifold base point paired with a dilation parameter."""
-
-    base: Field
-    t: float
-
-    def __post_init__(self) -> None:
-        if self.t < 0.0:
-            raise ValueError("dilation parameter must be nonnegative")
-        if abs(I_functional(self.base) - 1.0) > 1e-8:
-            raise ValueError("fiber base point must satisfy I(u) = 1")
-
-    def field(self) -> Field:
-        return scale(self.base, self.t)
+__all__ = ["scale", "project_to_M", "fiber_profile"]
 
 
 class _Fiber:

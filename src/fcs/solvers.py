@@ -1,21 +1,21 @@
 """Critical-point finders.
 
 All solvers share the same two-phase strategy: a globalizing first-order
-phase (projected/preconditioned descent or ascent with Armijo backtracking;
-for the mountain pass, a descent of the barrier level over the Nehari set
-started from the endpoint's ray) followed by a damped dense Newton polish
-on the stationarity system, which is affordable at desk scale and drives
-dual residuals to rounding.  The first-order phase only has to reach
-Newton's basin: the descents of Phi hand over once the dual residual has
-dropped by ``_HANDOVER_REL`` (the ascent of J by 1e-3, or once its Armijo
-search runs out of its ``_ASCENT_TRIALS`` trials), and Newton does the
-converging.  There is one Newton, ``_newton``, and it reads its system off
-the evaluated point: grad Phi(u) = 0 for a plain point, and for an eigen
-point {A(u) = lam B(u), I(u) = 1} with lam as one more unknown.  Each call
-assembles its Jacobian in place, into one buffer.  Every field a solver
-evaluates is evaluated once, as one ``energy._Ray`` (S, Q, the Hartree
-potential, A(u) and the residual), and a point accepted by a line search is
-carried into the next step as it is.
+phase with Armijo backtracking (preconditioned descent of Phi; for the
+eigenproblem, a tangent ascent of J on {I = 1} whose trials return to it
+along their own amplitude rays; for the mountain pass, a descent of the
+barrier level over the Nehari set started from the endpoint's ray) followed
+by a damped dense Newton polish on the stationarity system, which is
+affordable at desk scale and drives dual residuals to rounding.  The
+first-order phase only has to reach Newton's basin: every one hands over
+once its dual residual (for the ascent, the tangent gradient's) has dropped
+by ``_HANDOVER_REL``, and Newton does the converging.  There is one Newton,
+``_newton``, and it reads its system off the evaluated point: grad Phi(u) =
+0 for a plain point, and for an eigen point {A(u) = lam B(u), I(u) = 1}
+with lam as one more unknown.  Each call assembles its Jacobian in place,
+into one buffer.  Every field a solver evaluates is evaluated once, as one
+``energy._Ray`` (S, Q, the Hartree potential, A(u) and the residual), and a
+point accepted by a line search is carried into the next step as it is.
 Reports are recomputed from one evaluation of the stored, sign-normalized
 field, so nothing leaks from solver internals.
 """
@@ -76,16 +76,10 @@ class NoPassError(RuntimeError):
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 
-# the descents of Phi hand over to Newton once the dual residual has dropped
-# by this factor (or by the requested tolerance, if that is looser): they
-# only have to reach Newton's basin, Newton does the converging
+# every first-order phase hands over to Newton once its dual residual has
+# dropped by this factor (or by the requested tolerance, if that is looser):
+# it only has to reach Newton's basin, Newton does the converging
 _HANDOVER_REL = 1e-2
-
-# the ascent of J tries at most this many Armijo steps per iteration; a search
-# that runs out ends the ascent and hands over to Newton.  Near Newton's
-# basin the resampled dilation inside ``project_to_M`` no longer follows its
-# first-order model, so no shorter step would be accepted there
-_ASCENT_TRIALS = 4
 
 
 @dataclass(frozen=True)
@@ -241,15 +235,14 @@ def _jacobian_into(out: np.ndarray, Lf: np.ndarray, K: np.ndarray, u: np.ndarray
     out[idx, idx] += diag
 
 
-def _eigen_point(u: Field, p: float, lam: float | None = None) -> _Ray:
-    """The ray of ``u`` with the eigen residual A(u) - lam B(u) (see ``_Ray.eigen``).
+def _eigen_point(pt: _Ray, p: float, lam: float | None = None) -> _Ray:
+    """The ray ``pt`` with the eigen residual A(u) - lam B(u) (see ``_Ray.eigen``).
 
     With ``lam=None`` the point sits at its Rayleigh quotient
     (S + Q) / sum_j w_j |u_j|^p, read from the ray's own S and Q.
     """
-    pt = _Ray(u)
     if lam is None:
-        den = float(np.sum(u.grid.w * np.abs(u.values) ** p))
+        den = float(np.sum(pt.w * np.abs(pt.u) ** p))
         if den == 0.0:
             raise DegenerateSeedError("degenerate seed: B(u) u vanished")
         lam = (pt.S + pt.Q) / den
@@ -307,7 +300,7 @@ def _newton(pt: _Ray, tol_abs: float, max_iter: int = 40):
                 step *= 0.5
                 continue
             u_try = Field(grid, trial)
-            pt_try = _eigen_point(u_try, pt.p, pt.lam + step * delta[M]) if bordered else _Ray(u_try, pt.spec)
+            pt_try = _eigen_point(_Ray(u_try), pt.p, pt.lam + step * delta[M]) if bordered else _Ray(u_try, pt.spec)
             if pt_try.res < pt.res or (pt_try.res < tol_abs and abs(defect(pt_try)) < abs(d0)):
                 pt = pt_try
                 improved = True
@@ -324,69 +317,73 @@ def _newton(pt: _Ray, tol_abs: float, max_iter: int = 40):
 # eigenproblem on the manifold
 # ---------------------------------------------------------------------------
 
-def _ascend_J(u: Field, opts: SolverOptions, penalty=None, switch_rel: float = 1e-3):
-    """Projected preconditioned ascent of J (optionally penalized) on {I = 1}.
+def _ascend_J(pt: _Ray, opts: SolverOptions, penalty=None):
+    """Tangent preconditioned ascent of J (optionally penalized) on {I = 1}.
 
-    Each iteration tries at most ``_ASCENT_TRIALS`` Armijo steps, each one a
-    ``project_to_M``; each accepted point is evaluated once, as an eigen
-    point at its Rayleigh quotient.  Returns the last point, the
-    accepted-step objective history (nondecreasing by construction), the
-    iteration count, the initial dual residual of the eigen-equation and why
-    the ascent stopped: ``handover`` (the residual dropped to ``switch_rel``
-    of its initial value), ``line_search`` (the Armijo search ran out of
-    trials), ``slope`` (no ascent direction) or ``max_iter``.
+    From ``pt`` on {I = 1}, the direction is d = P g - (<A, P g> / <A, P A>)
+    P A: the preconditioned gradient g = B(u) (less the penalty's) made
+    tangent to {I = 1}, with A = A(u) = I'(u) and P ``precondition``; its
+    slope <g, d> is the squared dual norm of the tangent gradient.  Each
+    Armijo trial returns to {I = 1} along its own amplitude ray
+    (``_Ray.on_manifold``) and the accepted one is the next point as it is.
+    The first step is min(2, 1/||g||_*); later searches start from the
+    Barzilai-Borwein step <s, s> / <s, y> in the metric 1 + k^(2s).
+
+    Returns the last point (at its Rayleigh quotient), the objective history
+    (nondecreasing), the step count, the initial dual residual of the eigen
+    equation and why the ascent stopped: ``handover`` (the tangent gradient's
+    dual norm dropped by max(tol, ``_HANDOVER_REL``)), ``line_search`` (no
+    trial accepted) or ``max_iter``.
     """
-    grid = u.grid
+    grid = pt.field.grid
     eng = grid.transform()
     k_den = 1.0 + grid.k2s
     p = compute_exponents(grid.params).two_star_s_alpha
 
-    def objective(v: Field) -> float:
-        val = J_functional(v)
+    def objective(q: _Ray) -> float:
+        val = float(np.sum(q.w * np.abs(q.u) ** p)) / p  # J(u)
         if penalty is not None:
-            val -= penalty.value(v)
+            val -= penalty.value(q.field)
         return val
 
-    pt = _eigen_point(u, p)
+    pt = _eigen_point(pt, p)
     res0 = pt.res
-    J_hist = [objective(u)]
+    J_hist = [objective(pt)]
     eta = 1.0
-    it = 0
+    prev = None  # the previous point's coefficients and tangent gradient
+    gt0 = None
     stop = "max_iter"
-    for it in range(1, opts.max_iter + 1):
-        if pt.res <= switch_rel * res0:
+    for _ in range(opts.max_iter):
+        g = pt.Bu if penalty is None else pt.Bu - penalty.gradient(pt.field)  # B(u) is J'(u)
+        b_g, b_A = eng.forward(g), eng.forward(pt.Au)
+        c = float(np.sum(b_A * b_g / k_den)) / float(np.sum(b_A * b_A / k_den))
+        b_t = b_g - c * b_A  # the tangent gradient g - c A(u)
+        slope = float(np.sum(b_t * b_t / k_den))  # <g, d> = ||g - c A||_*^2
+        gt, g_dual = math.sqrt(slope), math.sqrt(float(np.sum(b_g * b_g / k_den)))
+        gt0 = gt if gt0 is None else gt0
+        # the floor: from a converged field gt0 is itself rounding noise
+        if gt <= max(opts.tol, _HANDOVER_REL) * gt0 + 1e-12 * g_dual:
             stop = "handover"
             break
-        u = pt.field
-        g = pt.Bu if penalty is None else pt.Bu - penalty.gradient(u)  # B(u) is J'(u)
-        # one forward transform gives the preconditioned direction and the
-        # dual norm (``precondition`` and ``dual_norm``, bit for bit)
-        b = eng.forward(g)
-        d = eng.inverse(b / k_den)
-        slope = float(np.sum(grid.w * g * d))
-        if slope <= 0.0:
-            stop = "slope"
-            break
-        g_dual = math.sqrt(float(np.sum(b * b / k_den)))
-        eta = min(eta * 2.0, 1.0 / max(g_dual, 1e-30))
-        accepted = False
-        for _ in range(_ASCENT_TRIALS):
-            try:
-                u_try = project_to_M(Field(grid, u.values + eta * d))
-            except (RuntimeError, ValueError):
-                eta *= _ARMIJO_SHRINK
-                continue
-            J_try = objective(u_try)
+        d = eng.inverse(b_t / k_den)
+        sy = 0.0
+        if prev is not None:  # y is the change of -g_t: J is ascended
+            s = pt._b - prev[0]
+            sy = float(np.sum(s * (prev[1] - b_t)))
+        eta = float(np.sum(k_den * s * s)) / sy if sy > 0.0 else min(eta * 2.0, 1.0 / max(g_dual, 1e-30))
+        for _ in range(30):
+            trial = _Ray(Field(grid, pt.u + eta * d)).on_manifold()
+            J_try = objective(trial)
             if J_try >= J_hist[-1] + _ARMIJO_C * eta * slope:
-                accepted = True
                 break
             eta *= _ARMIJO_SHRINK
-        if not accepted:
+        else:
             stop = "line_search"
             break
         J_hist.append(J_try)
-        pt = _eigen_point(u_try, p)
-    return pt, J_hist, it, res0, stop
+        prev = (pt._b, b_t)
+        pt = _eigen_point(trial, p)
+    return pt, J_hist, len(J_hist) - 1, res0, stop
 
 
 def _finish_eigen(u: Field, exps, res0: float, converged, iterations: int, seed: str, extras: dict):
@@ -395,7 +392,7 @@ def _finish_eigen(u: Field, exps, res0: float, converged, iterations: int, seed:
     ``converged(pt)`` is the caller's acceptance rule on the eigen point of
     the normalized field, the one evaluation the report is read from.
     """
-    pt = _eigen_point(_normalize_sign(u), exps.two_star_s_alpha)
+    pt = _eigen_point(_Ray(_normalize_sign(u)), exps.two_star_s_alpha)
     lam, J = pt.lam, J_functional(pt.field, exps)
     return _certify(
         pt, energy=pt.I - lam * J, multiplier=lam, res=pt.res,
@@ -407,7 +404,8 @@ def _finish_eigen(u: Field, exps, res0: float, converged, iterations: int, seed:
 def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None = None) -> SolveReport:
     """First-eigenvalue run: maximize J on the unit-energy manifold.
 
-    The first-order phase is projected ascent; a Newton polish on the
+    The seed goes onto {I = 1} along its amplitude ray, the first-order
+    phase is the tangent ascent ``_ascend_J``, and a Newton polish on the
     stationarity system then drives the dual residual of A(u) - lam B(u) to
     the requested relative tolerance.  Reported multiplier is the Rayleigh
     quotient <A(u), u> / <B(u), u>.
@@ -420,20 +418,28 @@ def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None =
     seed = make_seed(grid, opts)
     if float(np.max(np.abs(seed.values))) == 0.0:
         raise DegenerateSeedError("degenerate seed: zero field")
-    try:
-        u = project_to_M(seed)
-    except (RuntimeError, ValueError) as exc:  # a wide seed may need t > 1, read past R
-        raise DegenerateSeedError(f"degenerate seed: {exc}") from exc
 
-    pt, J_hist, it_ascent, res0, stop = _ascend_J(u, opts, switch_rel=max(opts.tol, 1e-3))
-    tol_abs = opts.tol * res0
+    pt, J_hist, it_ascent, res0, stop = _ascend_J(_Ray(seed).on_manifold(), opts)
+
+    def certified(q: _Ray) -> bool:
+        return _meets_tol(q, res0, opts) and abs(q.I - 1.0) <= 1e-8
+
     it_newton = 0
-    newton_budget = min(40, max(0, opts.max_iter - it_ascent))
-    if newton_budget > 0:
-        pt, it_newton = _newton(pt, min(tol_abs, 1e-11 * res0), max_iter=newton_budget)
+    for attempt in range(2):
+        budget = min(40, opts.max_iter - it_ascent - it_newton)
+        polished, n = _newton(pt, min(opts.tol, 1e-11) * res0, max_iter=budget) if budget > 0 else (pt, 0)
+        it_newton += n
+        left = opts.max_iter - it_ascent - it_newton
+        if attempt or stop != "handover" or left <= 0 or certified(polished):
+            break
+        # Newton stalled: the ascent handed over near a saddle of J on
+        # {I = 1}, outside Newton's basin.  It goes on from the hand-over
+        # point, and hands over again relative to the gradient there
+        pt, more, n, _, stop = _ascend_J(pt, replace(opts, max_iter=left))
+        J_hist += more[1:]
+        it_ascent += n
     report = _finish_eigen(
-        pt.field, exps, res0,
-        lambda q: _meets_tol(q, res0, opts) and abs(q.I - 1.0) <= 1e-8,
+        polished.field, exps, res0, certified,
         it_ascent + it_newton, opts.seed_descriptor(),
         {
             "J_history_monotone": bool(np.all(np.diff(J_hist) >= 0.0)),
@@ -504,13 +510,10 @@ def eigen_deflated(
         if len(reports) >= k:
             break
         weight = 10.0 / max(J_functional(first.solution), 1e-12)
+        start = _Ray(Field(grid, seed_vals)).on_manifold()
         for _ in range(3):  # halve the penalty on stagnation
-            try:
-                u = project_to_M(Field(grid, seed_vals))
-            except (RuntimeError, ValueError):
-                break
             pen = _DeflationPenalty([rep.solution for rep in reports], weight)
-            pt, _, it_a, res0, stop = _ascend_J(u, defl_opts, penalty=pen, switch_rel=5e-2)
+            pt, _, it_a, res0, stop = _ascend_J(start, defl_opts, penalty=pen)
             tol_abs = opts.tol * res0
             pt, it_n = _newton(pt, min(tol_abs, 1e-11 * res0))
             u = pt.field

@@ -200,6 +200,27 @@ def test_compare_reports_moved_numbers_and_structure():
     assert _compare({k: v for k, v in want.items() if k != "d"}, want)
 
 
+def what_moved(name: str, text: str, old: bytes | None) -> list[str]:
+    """How a new output ``text`` differs from the stored bytes ``old``:
+    "new", "unchanged" (same bytes), "within tolerance" (other bytes, no
+    number moved) or "moved" followed by the moved keys."""
+    if old is None:
+        return ["new"]
+    if text.encode() == old:
+        return ["unchanged"]
+    diffs = _compare(_load(name, text), _load(name, old.decode()))
+    return ["moved", *diffs] if diffs else ["within tolerance"]
+
+
+def test_what_moved_tells_bytes_tolerance_and_moved_keys_apart():
+    old = '{"a": 1.0, "n": 2}\n'
+    assert what_moved("x.json", old, None) == ["new"]
+    assert what_moved("x.json", old, old.encode()) == ["unchanged"]
+    assert what_moved("x.json", '{"a": 1.0000000000000002, "n": 2}\n', old.encode()) == ["within tolerance"]
+    assert what_moved("x.json", '{"a": 1.5, "n": 3}\n', old.encode()) == ["moved", "$.a: 1.5 != 1.0", "$.n: 3 != 2"]
+    assert what_moved("x.csv", "p,e\n1,2.0\n", b"p,e\n1,2.5\n") == ["moved", "$.rows[0].e: 2.0 != 2.5"]
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     cwd = os.getcwd()
@@ -210,8 +231,10 @@ def regenerate() -> None:
                 text = run_case(name)
             finally:
                 os.chdir(cwd)
-        (GOLDEN / name).write_text(text, newline="")
-        print(f"wrote {GOLDEN / name}")
+        path = GOLDEN / name
+        status, *moved = what_moved(name, text, path.read_bytes() if path.exists() else None)
+        print(f"{path}: {status}" + "".join(f"\n  {d}" for d in moved))
+        path.write_text(text, newline="")
 
 
 if __name__ == "__main__":

@@ -364,27 +364,36 @@ def test_cli_determinism(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
-def test_cli_eigen1_small_sigma_is_a_solver_failure(capsys):
-    # sigma = 4s + alpha - N = 0.002: the seed cannot be projected onto the
-    # manifold, which is a typed solver failure (exit 2), not a crash
-    rc = cli_main(["eigen1", "--N", "3", "--s", "0.442", "--alpha", "1.234", "--R", "20", "--M", "128"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "degenerate seed" in err
-    assert "Traceback" not in err
+def test_cli_eigen1_small_sigma_converges(tmp_path, capsys):
+    # sigma = 4s + alpha - N = 0.002: J is nearly flat along dilations, but
+    # the amplitude ray still reaches {I = 1} and the ascent converges (at
+    # sigma ~ 0 the state may depend on the ball)
+    out = tmp_path / "r.json"
+    rc = cli_main(
+        ["eigen1", "--N", "3", "--s", "0.442", "--alpha", "1.234", "--R", "20", "--M", "128",
+         "--out", str(out)]
+    )
+    assert "Traceback" not in capsys.readouterr().err
+    assert rc == 0
+    rep = json.loads(out.read_text())["report"]
+    assert rep["converged"] is True
+    assert abs(rep["I"] - 1.0) <= 1e-8
+    assert abs(rep["multiplier"] - 2.946597782285463) <= 1e-12 * 2.946597782285463
 
 
-def test_cli_eigen1_too_wide_seed_is_a_solver_failure(capsys):
-    # projecting this seed needs t > 1, which would read past the cutoff:
-    # a typed solver failure (exit 2), not an invalid-input error (exit 1)
+def test_cli_eigen1_wide_seed_reaches_the_width1_state(tmp_path, capsys):
+    # a seed of width 5 at R = 20: no dilation is needed to reach {I = 1},
+    # so nothing reads past the cutoff; the multiplier is the width-1 one
+    out = tmp_path / "r.json"
     rc = cli_main(
         ["eigen1", "--N", "4", "--s", "0.75", "--alpha", "2.5", "--R", "20", "--M", "64",
-         "--seed-width", "5"]
+         "--seed-width", "5", "--out", str(out)]
     )
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "degenerate seed" in err and "beyond cutoff" in err
-    assert "Traceback" not in err
+    assert "Traceback" not in capsys.readouterr().err
+    assert rc == 0
+    rep = json.loads(out.read_text())["report"]
+    assert rep["converged"] is True
+    assert abs(rep["multiplier"] - 2.818926174990945) <= 1e-10 * 2.818926174990945
 
 
 @pytest.mark.parametrize("width", ["0", "-1", "inf", "nan"])
@@ -491,6 +500,30 @@ def test_cli_sweep_csv(tmp_path, capsys, monkeypatch):
     assert lines[0] == "param,energy,I,J,multiplier,residual,converged"
     assert len(lines) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("steps", ["0", "-2"])
+def test_sweep_without_rows_is_invalid_input(steps, tmp_path, capsys):
+    # a sweep of no rows certifies nothing: invalid input (exit 1) naming the
+    # setting, from the config parser and from the --steps flag alike
+    head = (
+        "[params]\nN = 3\ns = 0.75\nalpha = 2.0\n[grid]\nR = 20.0\nM = 64\n"
+        "[nonlinearity]\nterm = power coef=1.0 q=2.7\n"
+        "[solver]\nmethod = sweep\nsweep_term = 0\nsweep_from = 0.5\nsweep_to = 1.5\n"
+    )
+    with pytest.raises(ConfigError, match=f"run.cfg: sweep_steps must be at least 1, got {steps}"):
+        parse_config(head + f"sweep_steps = {steps}\n", source="run.cfg")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(head + f"sweep_steps = {steps}\n")
+    assert cli_main(["solve", "--config", str(cfg)]) == 1
+    assert f"sweep_steps must be at least 1, got {steps}" in capsys.readouterr().err
+    cfg.write_text(head + "sweep_steps = 2\n")
+    assert cli_main(["sweep", "--config", str(cfg), "--steps", steps]) == 1
+    assert f"sweep_steps must be at least 1, got {steps}" in capsys.readouterr().err
+    flags = ["sweep", "--N", "3", "--s", "0.75", "--alpha", "2", "--R", "20", "--M", "64",
+             "--from", "0.5", "--to", "1.5", "--steps", steps]
+    assert cli_main(flags) == 1
+    assert f"<flags>: sweep_steps must be at least 1, got {steps}" in capsys.readouterr().err
 
 
 def test_cli_sobolev(capsys):

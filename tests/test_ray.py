@@ -142,3 +142,25 @@ def test_homogeneous_parts_cost_one_transform_and_one_matvec(mp_grid, counts, ev
     # second forward transform or matvec for the Pohozaev sides
     evaluate(Field(mp_grid, _unit_gaussian(mp_grid)), pure_power(1.0, 4.1))
     assert counts == {"forward": 1, "inverse": 0, "matvec": 1}
+
+
+@pytest.mark.parametrize(
+    "params", [(2, 0.75, 1.5), (3, 0.75, 2.0), (4, 0.75, 2.5)], ids=["N2", "N3", "N4"]
+)
+@pytest.mark.parametrize("amp", [0.05, 1.0, 30.0])
+def test_on_manifold_is_the_ray_through_I_equal_one(params, amp):
+    # the closed-form retraction lands on {I = 1} and carries exactly what a
+    # fresh evaluation of the retracted field computes
+    p = ProblemParams(*params)
+    g = make_grid(p, 20.0, 96)
+    u = Field(g, amp * (1.0 - 0.3 * g.r ** 2) * np.exp(-0.5 * g.r ** 2))
+    pt = _Ray(u).on_manifold()
+    assert abs(pt.I - 1.0) <= 1e-14
+    a = pt.u[0] / u.values[0]
+    assert np.allclose(pt.u, a * u.values, rtol=1e-15, atol=0.0)
+    fresh = _Ray(Field(g, pt.u))
+    for key in ("S", "Q"):
+        assert abs(getattr(pt, key) - getattr(fresh, key)) <= 1e-13 * abs(getattr(fresh, key))
+    for key in ("pot", "Au"):
+        got, want = getattr(pt, key), getattr(fresh, key)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -6,7 +6,7 @@ from fcs import ProblemParams, make_grid
 from fcs.energy import I_functional, Psi_tilde, eigen_spec, pure_power
 from fcs.operators import coulomb_sobolev_norm
 from fcs.params import compute_exponents
-from fcs.scaling import FiberPoint, _Fiber, fiber_profile, project_to_M, scale
+from fcs.scaling import _Fiber, fiber_profile, project_to_M, scale
 
 from conftest import smooth_random_field
 
@@ -250,14 +250,6 @@ def test_projection_small_sigma_raises_typed_error():
 def test_projection_rejects_zero(grid_small):
     with pytest.raises(ValueError):
         project_to_M(grid_small.zero_field())
-
-
-def test_fiber_point_validation(gaussian):
-    u = project_to_M(gaussian)
-    fp = FiberPoint(u, 0.5)
-    assert abs(I_functional(fp.field()) - 0.5 ** 2 * 1.0) <= 2e-3
-    with pytest.raises(ValueError):
-        FiberPoint(gaussian, 1.0)  # not on the manifold
 
 
 # ---------------------------------------------------------------------------
