@@ -227,8 +227,9 @@ class _Ray:
         Phi(a u) = a^2 S / 2 + a^4 Q / 4 - sum_j w_j F(a u_j)
 
     serve every amplitude of the shape.  ``nehari`` and ``phi`` need ``spec``
-    and accept a scalar or a 1-D array of amplitudes; ``on_manifold`` is the
-    point of the ray on {I = 1}, in closed form.
+    and accept a scalar or a 1-D array of amplitudes; ``at`` evaluates the ray
+    at one amplitude and ``on_manifold`` at its point on {I = 1}, in closed
+    form.
 
     A(u) = (-Delta)^s u + (I_alpha * u^2) u reuses the forward coefficients
     and the potential; it costs one inverse transform on first read, so scans
@@ -289,18 +290,21 @@ class _Ray:
         self.resid = self.Au - lam * self.Bu
         return self
 
-    def on_manifold(self) -> "_Ray":
-        """The ray of a u on {I = 1}: a^2 S / 2 + a^4 Q / 4 = 1, so
-        a^2 = 4 / (S + sqrt(S^2 + 4 Q)).
+    def at(self, a2: float) -> "_Ray":
+        """The ray of a u, evaluated, given a^2 = ``a2``.
 
         The coefficients and the potential of a u are those of u times a and
         a^2, so this does no transform and no kernel matvec.
         """
-        a2 = 4.0 / (self.S + math.sqrt(self.S * self.S + 4.0 * self.Q))
         a = math.sqrt(a2)
         pt = _Ray.__new__(_Ray)
         pt._fill(Field(self.field.grid, a * self.u), self.spec, a * self._b, a2 * self.pot)
         return pt
+
+    def on_manifold(self) -> "_Ray":
+        """The ray of a u on {I = 1}: a^2 S / 2 + a^4 Q / 4 = 1, so
+        a^2 = 4 / (S + sqrt(S^2 + 4 Q))."""
+        return self.at(4.0 / (self.S + math.sqrt(self.S * self.S + 4.0 * self.Q)))
 
     def _points(self, a):
         a = np.asarray(a, dtype=float)

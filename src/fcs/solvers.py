@@ -1,19 +1,23 @@
 """Critical-point finders.
 
-All solvers share the same two-phase strategy: a globalizing first-order
-phase with Armijo backtracking (preconditioned descent of Phi; for the
-eigenproblem, a tangent ascent of J on {I = 1} whose trials return to it
-along their own amplitude rays; for the mountain pass, a descent of the
-barrier level over the Nehari set started from the endpoint's ray) followed
-by a damped dense Newton polish on the stationarity system, which is
-affordable at desk scale and drives dual residuals to rounding.  The
-first-order phase only has to reach Newton's basin: every one hands over
-once its dual residual (for the ascent, the tangent gradient's) has dropped
-by ``_HANDOVER_REL``, and Newton does the converging.  There is one Newton,
-``_newton``, and it reads its system off the evaluated point: grad Phi(u) =
-0 for a plain point, and for an eigen point {A(u) = lam B(u), I(u) = 1}
-with lam as one more unknown.  Each call assembles its Jacobian in place,
-into one buffer.  Every field a solver evaluates is evaluated once, as one
+Every solver runs the same two phases: one globalizing first-order phase,
+``_first_order``, then one damped dense Newton polish, ``_newton``, which is
+affordable at desk scale and drives dual residuals to rounding.
+
+``_first_order`` is a preconditioned Armijo line search with
+Barzilai-Borwein steps over a retraction; each solver supplies a value, its
+gradient and the retraction onto its set.  The eigen ascent descends -J on
+{I = 1}, tangent to it, and each trial returns to it along its own
+amplitude ray.  The minimizer descends Phi in the whole space (the identity
+retraction).  The mountain pass descends Phi on the Nehari set: each trial
+is normalized and moved to its Nehari amplitude.  The phase only has to
+reach Newton's basin: it hands over once the dual norm of its (tangent)
+gradient has dropped by ``_HANDOVER_REL``, and Newton does the converging.
+
+``_newton`` reads its system off the evaluated point: grad Phi(u) = 0 for a
+plain point, and for an eigen point {A(u) = lam B(u), I(u) = 1} with lam as
+one more unknown.  Each call assembles its Jacobian in place, into one
+buffer.  Every field a solver evaluates is evaluated once, as one
 ``energy._Ray`` (S, Q, the Hartree potential, A(u) and the residual), and a
 point accepted by a line search is carried into the next step as it is.
 Reports are recomputed from one evaluation of the stored, sign-normalized
@@ -33,7 +37,7 @@ from .diagnostics import _pohozaev_sides, estimate_sobolev_constant, ps_threshol
 from .energy import J_functional, NonlinearitySpec, Phi, _Ray
 from .grid import Field, RadialGrid, lp_norm
 # unused apply_A: perfbench/test_perfbench.py reads fcs.solvers.apply_A
-from .operators import apply_A, dense_fractional_matrix, _riesz_kernel, dual_norm, precondition  # noqa: F401
+from .operators import apply_A, dense_fractional_matrix, _riesz_kernel, dual_norm  # noqa: F401
 from .params import (
     ProblemParams,
     Regime,
@@ -211,14 +215,23 @@ def _certify(
 # Newton
 # ---------------------------------------------------------------------------
 
-def _meets_tol(pt: _Ray, res0: float, opts: SolverOptions) -> bool:
-    """Relative-to-initial-residual test with a rounding floor.
+def _rounding_floor(pt: _Ray) -> float:
+    """1e-12 max(||A(u)||_*, 1): the residual no step can get under.
 
     A warm start from an already-converged field makes res0 itself rounding
-    noise; the floor keeps the criterion meaningful there.
+    noise; the floor keeps a relative target meaningful there.
     """
-    floor = 1e-12 * max(dual_norm(Field(pt.field.grid, pt.Au)), 1.0)
-    return pt.res <= opts.tol * res0 + floor
+    return 1e-12 * max(dual_norm(Field(pt.field.grid, pt.Au)), 1.0)
+
+
+def _meets_tol(pt: _Ray, res0: float, opts: SolverOptions) -> bool:
+    """Relative-to-initial-residual test with the rounding floor."""
+    return pt.res <= opts.tol * res0 + _rounding_floor(pt)
+
+
+def _eigen_certified(pt: _Ray, res0: float, opts: SolverOptions) -> bool:
+    """The acceptance rule of an eigen result: ``_meets_tol`` and I(u) = 1."""
+    return _meets_tol(pt, res0, opts) and abs(pt.I - 1.0) <= 1e-8
 
 
 def _jacobian_into(out: np.ndarray, Lf: np.ndarray, K: np.ndarray, u: np.ndarray, diag: np.ndarray) -> None:
@@ -249,7 +262,7 @@ def _eigen_point(pt: _Ray, p: float, lam: float | None = None) -> _Ray:
     return pt.eigen(p, lam)
 
 
-def _newton(pt: _Ray, tol_abs: float, max_iter: int = 40):
+def _newton(pt: _Ray, res0: float, tol: float, max_iter: int = 40):
     """Damped Newton on the stationarity system of the evaluated point ``pt``.
 
     A plain point solves grad Phi(u) = A(u) - f(u) = 0 (minima and saddles
@@ -259,11 +272,13 @@ def _newton(pt: _Ray, tol_abs: float, max_iter: int = 40):
 
         [[L + H(u) - diag(f'(u)), -B(u)], [w A(u), 0]],   f = lam |t|^(p-2) t.
 
-    The Jacobian is assembled in place, into one buffer per call.  A step is
-    halved until the residual decreases or, once the residual is under
-    ``tol_abs``, until the manifold defect I(u) - 1 does (0 for a plain
-    point).  Returns the last accepted point and the iteration count; a point
-    accepted by the line search is carried into the next step as it is.
+    The Jacobian is assembled in place, into one buffer per call.  The
+    target is min(tol, 1e-11) res0 plus the rounding floor of the start
+    point (see ``_rounding_floor``).  A step is halved until the residual
+    decreases or, once the residual is under the target, until the manifold
+    defect I(u) - 1 does (0 for a plain point).  Returns the last accepted
+    point and the iteration count; a point accepted by the line search is
+    carried into the next step as it is.
     """
     grid = pt.field.grid
     M = grid.M
@@ -272,6 +287,7 @@ def _newton(pt: _Ray, tol_abs: float, max_iter: int = 40):
     K = _riesz_kernel(grid, grid.params.alpha).sym_matrix()
     jac = np.empty((M + bordered, M + bordered))
     jac[M:, M:] = 0.0
+    tol_abs = min(tol, 1e-11) * res0 + _rounding_floor(pt)
 
     def defect(q: _Ray) -> float:
         return q.I - 1.0 if bordered else 0.0
@@ -314,76 +330,98 @@ def _newton(pt: _Ray, tol_abs: float, max_iter: int = 40):
 
 
 # ---------------------------------------------------------------------------
-# eigenproblem on the manifold
+# the first-order phase
 # ---------------------------------------------------------------------------
 
-def _ascend_J(pt: _Ray, opts: SolverOptions, penalty=None):
-    """Tangent preconditioned ascent of J (optionally penalized) on {I = 1}.
+def _first_order(pt: _Ray, value, grad, retract, tol: float, max_iter: int, normal=None):
+    """Retracted, preconditioned Armijo descent of ``value`` from ``pt``.
 
-    From ``pt`` on {I = 1}, the direction is d = P g - (<A, P g> / <A, P A>)
-    P A: the preconditioned gradient g = B(u) (less the penalty's) made
-    tangent to {I = 1}, with A = A(u) = I'(u) and P ``precondition``; its
-    slope <g, d> is the squared dual norm of the tangent gradient.  Each
-    Armijo trial returns to {I = 1} along its own amplitude ray
-    (``_Ray.on_manifold``) and the accepted one is the next point as it is.
-    The first step is min(2, 1/||g||_*); later searches start from the
-    Barzilai-Borwein step <s, s> / <s, y> in the metric 1 + k^(2s).
+    The one first-order phase of every solver; each supplies its problem as
+    ``value(q)`` and ``grad(q)`` of an evaluated point q, and ``retract(v)``,
+    which returns the evaluated point its set assigns to the node values v
+    (None where there is none).  The direction is d = P g with g =
+    ``grad(q)`` and P ``precondition``; with a ``normal`` n = ``normal(q)``
+    it is made tangent to that level set, d = P g - (<n, P g> / <n, P n>) P n.
+    Its slope <g, d> is the squared dual norm of the tangent gradient.  Each
+    search backtracks over ``retract(u - eta d)`` (at most 30 trials) and the
+    accepted trial is the next point as it is.  The first step is
+    min(2, 1/||g||_*); later searches start from the Barzilai-Borwein step
+    <s, s> / <s, y> in the metric 1 + k^(2s) where <s, y> > 0, and else from
+    min(2 eta, 1/||g||_*), eta the last accepted step.
 
-    Returns the last point (at its Rayleigh quotient), the objective history
-    (nondecreasing), the step count, the initial dual residual of the eigen
-    equation and why the ascent stopped: ``handover`` (the tangent gradient's
-    dual norm dropped by max(tol, ``_HANDOVER_REL``)), ``line_search`` (no
-    trial accepted) or ``max_iter``.
+    Returns the last point, the value history (nonincreasing), the step count
+    and why the phase stopped: ``handover`` (the tangent gradient's dual
+    norm dropped by max(tol, ``_HANDOVER_REL``), or under 1e-12 ||g||_*),
+    ``line_search`` (no trial accepted) or ``max_iter``.
     """
     grid = pt.field.grid
     eng = grid.transform()
     k_den = 1.0 + grid.k2s
-    p = compute_exponents(grid.params).two_star_s_alpha
-
-    def objective(q: _Ray) -> float:
-        val = float(np.sum(q.w * np.abs(q.u) ** p)) / p  # J(u)
-        if penalty is not None:
-            val -= penalty.value(q.field)
-        return val
-
-    pt = _eigen_point(pt, p)
-    res0 = pt.res
-    J_hist = [objective(pt)]
+    values = [value(pt)]
     eta = 1.0
     prev = None  # the previous point's coefficients and tangent gradient
     gt0 = None
     stop = "max_iter"
-    for _ in range(opts.max_iter):
-        g = pt.Bu if penalty is None else pt.Bu - penalty.gradient(pt.field)  # B(u) is J'(u)
-        b_g, b_A = eng.forward(g), eng.forward(pt.Au)
-        c = float(np.sum(b_A * b_g / k_den)) / float(np.sum(b_A * b_A / k_den))
-        b_t = b_g - c * b_A  # the tangent gradient g - c A(u)
-        slope = float(np.sum(b_t * b_t / k_den))  # <g, d> = ||g - c A||_*^2
+    for _ in range(max_iter):
+        b_g = b_t = eng.forward(grad(pt))
+        if normal is not None:
+            b_n = eng.forward(normal(pt))
+            b_t = b_g - float(np.sum(b_n * b_g / k_den)) / float(np.sum(b_n * b_n / k_den)) * b_n
+        slope = float(np.sum(b_t * b_t / k_den))  # <g, d> = ||g_t||_*^2
         gt, g_dual = math.sqrt(slope), math.sqrt(float(np.sum(b_g * b_g / k_den)))
         gt0 = gt if gt0 is None else gt0
         # the floor: from a converged field gt0 is itself rounding noise
-        if gt <= max(opts.tol, _HANDOVER_REL) * gt0 + 1e-12 * g_dual:
+        if gt <= max(tol, _HANDOVER_REL) * gt0 + 1e-12 * g_dual:
             stop = "handover"
             break
         d = eng.inverse(b_t / k_den)
         sy = 0.0
-        if prev is not None:  # y is the change of -g_t: J is ascended
+        if prev is not None:
             s = pt._b - prev[0]
-            sy = float(np.sum(s * (prev[1] - b_t)))
+            sy = float(np.sum(s * (b_t - prev[1])))
         eta = float(np.sum(k_den * s * s)) / sy if sy > 0.0 else min(eta * 2.0, 1.0 / max(g_dual, 1e-30))
         for _ in range(30):
-            trial = _Ray(Field(grid, pt.u + eta * d)).on_manifold()
-            J_try = objective(trial)
-            if J_try >= J_hist[-1] + _ARMIJO_C * eta * slope:
-                break
+            trial = retract(pt.u - eta * d)
+            if trial is not None:
+                v_try = value(trial)
+                if v_try <= values[-1] - _ARMIJO_C * eta * slope:
+                    break
             eta *= _ARMIJO_SHRINK
         else:
             stop = "line_search"
             break
-        J_hist.append(J_try)
+        values.append(v_try)
         prev = (pt._b, b_t)
-        pt = _eigen_point(trial, p)
-    return pt, J_hist, len(J_hist) - 1, res0, stop
+        pt = trial
+    return pt, values, len(values) - 1, stop
+
+
+# ---------------------------------------------------------------------------
+# eigenproblem on the manifold
+# ---------------------------------------------------------------------------
+
+def _ascend_J(pt: _Ray, opts: SolverOptions, penalty=None):
+    """``_first_order`` on {I = 1}: the ascent of J (less a ``penalty``).
+
+    It descends -J with gradient -B(u), tangent to {I = 1} (the normal is
+    A(u) = I'(u)), and each trial returns to {I = 1} along its own amplitude
+    ray (``_Ray.on_manifold``).
+    """
+    grid = pt.field.grid
+    p = compute_exponents(grid.params).two_star_s_alpha
+
+    def value(q: _Ray) -> float:
+        val = -float(np.sum(q.w * np.abs(q.u) ** p)) / p  # -J(u)
+        return val if penalty is None else val + penalty.value(q.field)
+
+    def grad(q: _Ray) -> np.ndarray:
+        g = -(np.abs(q.u) ** (p - 2.0) * q.u)  # -B(u) = -J'(u)
+        return g if penalty is None else g + penalty.gradient(q.field)
+
+    return _first_order(
+        pt, value, grad, lambda v: _Ray(Field(grid, v)).on_manifold(), opts.tol, opts.max_iter,
+        normal=lambda q: q.Au,
+    )
 
 
 def _finish_eigen(u: Field, exps, res0: float, converged, iterations: int, seed: str, extras: dict):
@@ -405,7 +443,7 @@ def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None =
     """First-eigenvalue run: maximize J on the unit-energy manifold.
 
     The seed goes onto {I = 1} along its amplitude ray, the first-order
-    phase is the tangent ascent ``_ascend_J``, and a Newton polish on the
+    phase is the tangent ascent ``_ascend_J`` of J, and a Newton polish on the
     stationarity system then drives the dual residual of A(u) - lam B(u) to
     the requested relative tolerance.  Reported multiplier is the Rayleigh
     quotient <A(u), u> / <B(u), u>.
@@ -419,30 +457,31 @@ def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None =
     if float(np.max(np.abs(seed.values))) == 0.0:
         raise DegenerateSeedError("degenerate seed: zero field")
 
-    pt, J_hist, it_ascent, res0, stop = _ascend_J(_Ray(seed).on_manifold(), opts)
-
-    def certified(q: _Ray) -> bool:
-        return _meets_tol(q, res0, opts) and abs(q.I - 1.0) <= 1e-8
+    p = exps.two_star_s_alpha
+    pt = _eigen_point(_Ray(seed).on_manifold(), p)
+    res0 = pt.res
+    pt, values, it_ascent, stop = _ascend_J(pt, opts)
 
     it_newton = 0
     for attempt in range(2):
         budget = min(40, opts.max_iter - it_ascent - it_newton)
-        polished, n = _newton(pt, min(opts.tol, 1e-11) * res0, max_iter=budget) if budget > 0 else (pt, 0)
+        pt = _eigen_point(pt, p)
+        polished, n = _newton(pt, res0, opts.tol, max_iter=budget) if budget > 0 else (pt, 0)
         it_newton += n
         left = opts.max_iter - it_ascent - it_newton
-        if attempt or stop != "handover" or left <= 0 or certified(polished):
+        if attempt or stop != "handover" or left <= 0 or _eigen_certified(polished, res0, opts):
             break
         # Newton stalled: the ascent handed over near a saddle of J on
         # {I = 1}, outside Newton's basin.  It goes on from the hand-over
         # point, and hands over again relative to the gradient there
-        pt, more, n, _, stop = _ascend_J(pt, replace(opts, max_iter=left))
-        J_hist += more[1:]
+        pt, more, n, stop = _ascend_J(pt, replace(opts, max_iter=left))
+        values += more[1:]
         it_ascent += n
     report = _finish_eigen(
-        polished.field, exps, res0, certified,
+        polished.field, exps, res0, lambda q: _eigen_certified(q, res0, opts),
         it_ascent + it_newton, opts.seed_descriptor(),
         {
-            "J_history_monotone": bool(np.all(np.diff(J_hist) >= 0.0)),
+            "J_history_monotone": bool(np.all(np.diff(values) <= 0.0)),  # values are -J
             "iterations_ascent": it_ascent,
             "iterations_newton": it_newton,
             "ascent_stop": stop,
@@ -492,8 +531,8 @@ def eigen_deflated(
     """Heuristic search for k eigenpair candidates by penalized reruns.
 
     Ordering of the returned multipliers is NOT certified; each candidate
-    individually satisfies the same residual and identity postconditions as
-    an ``eigen1`` output.
+    meets the acceptance rule of an ``eigen1`` output (``_eigen_certified``)
+    and is distinct from the candidates before it.
     """
     opts = opts or SolverOptions()
     if k < 1:
@@ -505,17 +544,18 @@ def eigen_deflated(
         return reports
 
     exps = compute_exponents(params)
+    p = exps.two_star_s_alpha
     defl_opts = replace(opts, max_iter=min(opts.max_iter, 300))
     for descriptor, seed_vals in _deflation_seed_bank(grid):
         if len(reports) >= k:
             break
         weight = 10.0 / max(J_functional(first.solution), 1e-12)
-        start = _Ray(Field(grid, seed_vals)).on_manifold()
+        start = _eigen_point(_Ray(Field(grid, seed_vals)).on_manifold(), p)
+        res0 = start.res
         for _ in range(3):  # halve the penalty on stagnation
             pen = _DeflationPenalty([rep.solution for rep in reports], weight)
-            pt, _, it_a, res0, stop = _ascend_J(start, defl_opts, penalty=pen)
-            tol_abs = opts.tol * res0
-            pt, it_n = _newton(pt, min(tol_abs, 1e-11 * res0))
+            pt, _, it_a, stop = _ascend_J(start, defl_opts, penalty=pen)
+            pt, it_n = _newton(_eigen_point(pt, p), res0, opts.tol)
             u = pt.field
             # |cos| is blind to the sign normalization still ahead
             distinct = all(
@@ -525,7 +565,7 @@ def eigen_deflated(
                 for rep in reports
             )
             rep = _finish_eigen(
-                u, exps, res0, lambda q: q.res <= tol_abs and distinct,
+                u, exps, res0, lambda q: _eigen_certified(q, res0, opts) and distinct,
                 it_a + it_n, descriptor,
                 {"ordering": "candidate, uncertified ordering", "ascent_stop": stop},
             )
@@ -545,33 +585,6 @@ def eigen_deflated(
 # ---------------------------------------------------------------------------
 # coercive minimization (subscaled growth)
 # ---------------------------------------------------------------------------
-
-def _descend_Phi(pt: _Ray, switch_abs: float, max_iter: int):
-    """Preconditioned Armijo descent of Phi from the evaluated point ``pt``.
-
-    Each trial is one ray; the accepted one is carried into the next step.
-    """
-    grid = pt.field.grid
-    eta = 1.0
-    it = 0
-    for it in range(1, max_iter + 1):
-        if pt.res <= switch_abs:
-            break
-        d = precondition(Field(grid, pt.resid)).values
-        slope = float(np.sum(grid.w * pt.resid * d))
-        eta = min(eta * 2.0, 1.0 / max(pt.res, 1e-30))
-        accepted = False
-        for _ in range(60):
-            pt_try = _Ray(Field(grid, pt.u - eta * d), pt.spec)
-            if pt_try.action <= pt.action - _ARMIJO_C * eta * slope:
-                accepted = True
-                break
-            eta *= _ARMIJO_SHRINK
-        if not accepted:
-            break
-        pt = pt_try
-    return pt, it
-
 
 def _validate_subscaled(spec: NonlinearitySpec, exps) -> None:
     regime = classify_nonlinearity(spec, exps)
@@ -650,9 +663,9 @@ def minimize_subscaled(
 ) -> SolveReport:
     """Global-minimization attempt for coercive (subscaled) actions.
 
-    Multi-start preconditioned descent over a seed bank of widths and
-    amplitudes, followed by a Newton polish; the zero field is the answer
-    for f = 0.
+    Multi-start preconditioned descent (``_first_order`` on the whole space)
+    over a seed bank of widths and amplitudes, followed by a Newton polish;
+    the zero field is the answer for f = 0.
     """
     return _minimize(params, grid, spec, opts or SolverOptions(), warm=False)
 
@@ -687,10 +700,11 @@ def _minimize(
         res0 = pt.res
         if res0 == 0.0:
             continue
-        tol_abs = opts.tol * res0
-        pt, it_d = _descend_Phi(pt, max(opts.tol, _HANDOVER_REL) * res0, opts.max_iter)
+        pt, _, it_d, _ = _first_order(
+            pt, lambda q: q.action, lambda q: q.resid, lambda v: _Ray(Field(grid, v), spec), opts.tol, opts.max_iter
+        )
         try:
-            pt, it_n = _newton(pt, min(tol_abs, 1e-11 * res0))
+            pt, it_n = _newton(pt, res0, opts.tol)
         except DegenerateSeedError:
             continue
         if float(np.max(np.abs(pt.u))) < 1e-10:
@@ -763,8 +777,9 @@ def _nehari_amplitude(ray: _Ray) -> float | None:
 
     h(a) = Phi'(a u) a u is positive near zero and eventually negative for
     superscaled/critical growth; the outermost + -> - crossing is the
-    barrier amplitude of the ray.  A log scan brackets it and ``brentq``
-    refines it; both read h from the ray's S and Q (see ``_Ray``).
+    barrier amplitude of the ray.  A ray that crosses more than once has its
+    maximum at the first crossing, not here.  A log scan brackets it and
+    ``brentq`` refines it; both read h from the ray's S and Q (see ``_Ray``).
     """
     amps = np.logspace(-3.0, 3.0, 61)
     hs = ray.nehari(amps)
@@ -776,60 +791,6 @@ def _nehari_amplitude(ray: _Ray) -> float | None:
     # refers to itself, and a ray caught in that cycle would keep its field's
     # grid alive until the cycle collector runs
     return brentq(lambda a, ray: ray.nehari(a), lo, hi, args=(ray,), xtol=1e-15 * lo, rtol=1e-15)
-
-
-def _nehari_descent(
-    grid: RadialGrid, spec: NonlinearitySpec, shape0: np.ndarray, switch_rel: float, iters: int = 80
-):
-    """Monotone barrier-level reduction over amplitude-normalized shapes.
-
-    Each trial shape's Nehari amplitude and level come from one ray; only
-    the accepted trial becomes a field, evaluated once.  The descent only has
-    to reach Newton's basin: it stops once the dual residual has dropped to
-    ``switch_rel`` times its value at the first Nehari point, or after
-    ``iters`` steps.  Returns the last Nehari point (evaluated), the
-    iteration count and the dual residual at the first Nehari point.
-    """
-    nrm = math.sqrt(float(np.sum(grid.w * shape0 ** 2)))
-    if nrm == 0.0:
-        raise DegenerateSeedError("zero shape for the barrier reduction")
-    shape = shape0 / nrm
-    ray = _Ray(Field(grid, shape), spec)
-    amp = _nehari_amplitude(ray)
-    if amp is None:
-        raise NoPassError("no barrier crossing along the starting ray")
-    pt = _Ray(Field(grid, amp * shape), spec)
-    phi = float(ray.phi(amp))
-    res0 = pt.res
-    eta = 1.0 / max(res0, 1e-30)
-    it = 0
-    for it in range(1, iters + 1):
-        res = pt.res
-        if res <= switch_rel * res0:
-            break
-        d = precondition(Field(grid, pt.resid)).values
-        accepted = False
-        for _ in range(30):
-            trial = pt.u - eta * d
-            tn = math.sqrt(float(np.sum(grid.w * trial ** 2)))
-            if tn == 0.0:
-                break
-            trial = trial / tn
-            ray = _Ray(Field(grid, trial), spec)
-            amp = _nehari_amplitude(ray)
-            if amp is None:
-                eta *= _ARMIJO_SHRINK
-                continue
-            phit = float(ray.phi(amp))
-            if phit <= phi - _ARMIJO_C * eta * res ** 2:
-                accepted = True
-                break
-            eta *= _ARMIJO_SHRINK
-        if not accepted:
-            break
-        pt, phi = _Ray(Field(grid, amp * trial), spec), phit
-        eta *= 2.0
-    return pt, it, res0
 
 
 def _is_critical_family(spec: NonlinearitySpec, exps) -> bool:
@@ -852,9 +813,12 @@ def mountain_pass(
     level between 0 and a negative-action point e equals the infimum of Phi
     over the Nehari set.  The shape of e is put on that set at its barrier
     amplitude (the outermost crossing of Phi'(a u) a u along its ray), the
-    barrier level is reduced over amplitude-normalized shapes, and Newton
-    polishes the result into a critical point at positive level.  An e whose
-    ray has no crossing raises ``NoPassError``.  For the critical family the
+    first-order phase lowers Phi over the Nehari set (each trial normalized
+    and moved to its own Nehari amplitude; at most 80 steps), and Newton
+    polishes the result into a critical point.  A polished level <= 0, or an
+    e whose ray has no crossing, raises ``NoPassError``.  Rays that cross the
+    Nehari set more than once can lead the descent below 0 although a pass
+    exists (ROADMAP item 3).  For the critical family the
     report carries the concentration-threshold context and flags levels at
     or above it.
     """
@@ -873,8 +837,21 @@ def mountain_pass(
     if float(np.max(np.abs(e.values))) == 0.0:
         raise ValueError("endpoint e must be nonzero")
 
-    pt, it_r, res0 = _nehari_descent(grid, spec, e.values, max(opts.tol, _HANDOVER_REL))
-    pt, it_n = _newton(pt, min(opts.tol * res0, 1e-11 * res0))
+    def to_nehari(v: np.ndarray) -> _Ray | None:
+        # v normalized and moved to the Nehari amplitude of its ray
+        nrm = math.sqrt(float(np.sum(grid.w * v ** 2)))
+        if nrm == 0.0:
+            return None
+        ray = _Ray(Field(grid, v / nrm), spec)
+        amp = _nehari_amplitude(ray)
+        return None if amp is None else ray.at(amp * amp)
+
+    pt = to_nehari(e.values)
+    if pt is None:
+        raise NoPassError("no barrier crossing along the starting ray")
+    res0 = pt.res
+    pt, _, it_r, _ = _first_order(pt, lambda q: q.action, lambda q: q.resid, to_nehari, opts.tol, 80)
+    pt, it_n = _newton(pt, res0, opts.tol)
     pt = _Ray(_normalize_sign(pt.field), spec)
 
     level = pt.action

@@ -6,7 +6,8 @@ volatile ``runtime`` block and without ``tool.commit``.  Structure, strings,
 booleans and integers must match exactly; floats must agree to 1e-12
 relative.  Quantities at rounding level (the ``ROUNDING_KEYS``: dual
 residuals, Nehari values and manifold defects of converged fields) may also
-differ by up to ``ABS_FLOOR``.
+differ by up to ``ABS_FLOOR``, and so may the entries of ``VANISHING_KEYS``
+whose stored value is below it.
 
 A change that moves a number on purpose regenerates the files and says why
 in CHANGES.md::
@@ -38,6 +39,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 REL_TOL = 1e-12
 ABS_FLOOR = 1e-12
 ROUNDING_KEYS = {"residual_dual", "residual_rel", "residual", "nehari", "manifold_defect"}
+# keys at rounding level only where they vanish: the dilation law of J holds
+# to rounding at t = 2 (J_ratio_err -1.1e-16) and to ~6.7e-6 elsewhere
+VANISHING_KEYS = {"J_ratio_err"}
 
 _Q_STAR = repr(compute_exponents(ProblemParams(3, 0.75, 2.0)).two_star_s_alpha)
 _MP_EXPS = compute_exponents(ProblemParams(3, 0.8, 2.0))
@@ -53,12 +57,13 @@ def _config(params: str, grid: str, terms: tuple[str, ...], solver: str, output:
 
 
 _N3 = "N = 3\ns = 0.75\nalpha = 2.0"
+_EIGEN1_N3 = ["eigen1", "--N", "3", "--s", "0.75", "--alpha", "2", "--R", "20", "--M", "256"]
 _MP = "N = 3\ns = 0.8\nalpha = 2.0"
 
 # name -> (config file text or None, command lines, file the case compares)
 CASES = {
     "eigen1-n2.json": (None, [["eigen1", "--N", "2", "--s", "0.75", "--alpha", "1.5", "--R", "20", "--M", "256"]], "out.json"),
-    "eigen1-n3.json": (None, [["eigen1", "--N", "3", "--s", "0.75", "--alpha", "2", "--R", "20", "--M", "256"]], "out.json"),
+    "eigen1-n3.json": (None, [_EIGEN1_N3], "out.json"),
     "eigen1-n4.json": (None, [["eigen1", "--N", "4", "--s", "0.75", "--alpha", "2.5", "--R", "20", "--M", "256"]], "out.json"),
     "eigen-deflated-k3.json": (
         _config(_N3, "R = 20.0\nM = 256", (), "method = eigen-deflated\nk = 3", "json = out.json"),
@@ -103,14 +108,32 @@ CASES = {
         [["solve", "--config", "run.cfg"]],
         "out.csv",
     ),
-    "check-pohozaev.json": (
-        None,
-        [
-            ["eigen1", "--N", "3", "--s", "0.75", "--alpha", "2", "--R", "20", "--M", "256", "--field", "u.fld"],
-            ["check", "pohozaev", "--field", "u.fld", "--lambda", "{lambda}", "--out", "out.json"],
-        ],
-        "out.json",
+    # every row after the first is an eigen1 warm-started from the row before;
+    # the CSV has no iteration column, so the rows' Newton counts are pinned by
+    # test_solvers.py::test_eigen1_sweep_rows_after_the_first_take_one_newton_check
+    "sweep-eigen1.csv": (
+        _config(
+            _N3,
+            "R = 20.0\nM = 128",
+            (f"power coef=1.0 q={_Q_STAR}",),
+            "method = sweep\nsweep_method = eigen1\nsweep_term = 0\nsweep_from = 1.0\nsweep_to = 2.0\nsweep_steps = 3",
+            "csv = out.csv",
+        ),
+        [["solve", "--config", "run.cfg"]],
+        "out.csv",
     ),
+    **{
+        f"check-{what}.json": (
+            None,
+            [
+                _EIGEN1_N3 + ["--field", "u.fld"],
+                ["check", what, "--field", "u.fld", "--lambda", "{lambda}", "--out", "out.json"],
+            ],
+            "out.json",
+        )
+        for what in ("pohozaev", "nehari", "identity")
+    },
+    "scaling-check.csv": (None, [["scaling-check", "--N", "3", "--s", "0.75", "--alpha", "2", "--R", "20", "--M", "256", "--out", "out.csv"]], "out.csv"),
 }
 
 
@@ -157,7 +180,8 @@ def _compare(got, want, path: str = "$", key: str = "") -> list[str]:
             return [f"{path}: length {len(got)} != {len(want)}"]
         return [d for i, (g, w) in enumerate(zip(got, want)) for d in _compare(g, w, f"{path}[{i}]", key)]
     if isinstance(want, float):
-        floor = ABS_FLOOR if key in ROUNDING_KEYS else 0.0
+        rounding = key in ROUNDING_KEYS or (key in VANISHING_KEYS and abs(want) < ABS_FLOOR)
+        floor = ABS_FLOOR if rounding else 0.0
         close = math.isclose(got, want, rel_tol=REL_TOL, abs_tol=floor)
         return [] if close else [f"{path}: {got!r} != {want!r}"]
     return [] if got == want else [f"{path}: {got!r} != {want!r}"]
@@ -198,6 +222,9 @@ def test_compare_reports_moved_numbers_and_structure():
     assert _compare({**want, "b": [1.0, True, "x"]}, want)  # int is not a float
     assert _compare({**want, "d": 0.0}, want)
     assert _compare({k: v for k, v in want.items() if k != "d"}, want)
+    vanishing = {"J_ratio_err": [6.7e-6, -1.1e-16]}
+    assert _compare({"J_ratio_err": [6.7e-6, 5e-13]}, vanishing) == []  # rounding level where it vanishes
+    assert _compare({"J_ratio_err": [6.7e-6 + 1e-13, -1.1e-16]}, vanishing)  # relative elsewhere
 
 
 def what_moved(name: str, text: str, old: bytes | None) -> list[str]:

@@ -93,7 +93,7 @@ def test_newton_jacobian_matches_oracle(kind, monkeypatch, manifold_point):
     u = manifold_point
     g = u.grid
     start, fprime = _newton_system(kind, u)
-    seen = _captured_jacobians(monkeypatch, lambda: solvers._newton(start(), 0.0, max_iter=1))
+    seen = _captured_jacobians(monkeypatch, lambda: solvers._newton(start(), 0.0, 0.0, max_iter=1))
     assert len(seen) == 1
     oracle = dense_fractional_matrix(g) + _hartree_jacobian_oracle(u) - np.diag(fprime)
     if kind == "eigen":
@@ -155,11 +155,12 @@ def test_newton_step_evaluates_each_point_once(kind, monkeypatch, manifold_point
     start, _ = _newton_system(kind, u)
     # every evaluated point (the start and each line-search trial) takes one
     # dual norm and one matvec; the top of a step re-evaluates nothing, and
-    # the Jacobian's Hartree potential is the point's own
-    calls = _newton_calls(monkeypatch, u, lambda: solvers._newton(start(), 0.0, max_iter=2))
+    # the Jacobian's Hartree potential is the point's own.  The one transform
+    # more per call is the rounding floor's dual norm of the start's A(u)
+    calls = _newton_calls(monkeypatch, u, lambda: solvers._newton(start(), 0.0, 0.0, max_iter=2))
     assert calls["points"] >= 3
     assert calls["matvec"] == calls["points"]
-    assert calls["transform"] == 3 * calls["points"]
+    assert calls["transform"] == 3 * calls["points"] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +196,6 @@ def test_newton_eigen_peak_memory():
     dense_fractional_matrix(g)
 
     def newton():
-        return solvers._newton(solvers._eigen_point(_Ray(u), p, lam), 0.0, max_iter=3)
+        return solvers._newton(solvers._eigen_point(_Ray(u), p, lam), 0.0, 0.0, max_iter=3)
 
     assert _peak_units(newton, g.M) <= 1.5

@@ -149,18 +149,22 @@ def test_homogeneous_parts_cost_one_transform_and_one_matvec(mp_grid, counts, ev
 )
 @pytest.mark.parametrize("amp", [0.05, 1.0, 30.0])
 def test_on_manifold_is_the_ray_through_I_equal_one(params, amp):
-    # the closed-form retraction lands on {I = 1} and carries exactly what a
-    # fresh evaluation of the retracted field computes
+    # the closed-form retraction lands on {I = 1}; it and the ray at another
+    # amplitude (``at``) carry exactly what a fresh evaluation of the field
+    # computes
     p = ProblemParams(*params)
     g = make_grid(p, 20.0, 96)
     u = Field(g, amp * (1.0 - 0.3 * g.r ** 2) * np.exp(-0.5 * g.r ** 2))
-    pt = _Ray(u).on_manifold()
-    assert abs(pt.I - 1.0) <= 1e-14
-    a = pt.u[0] / u.values[0]
-    assert np.allclose(pt.u, a * u.values, rtol=1e-15, atol=0.0)
-    fresh = _Ray(Field(g, pt.u))
-    for key in ("S", "Q"):
-        assert abs(getattr(pt, key) - getattr(fresh, key)) <= 1e-13 * abs(getattr(fresh, key))
-    for key in ("pot", "Au"):
-        got, want = getattr(pt, key), getattr(fresh, key)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    on = _Ray(u).on_manifold()
+    assert abs(on.I - 1.0) <= 1e-14
+    at = _Ray(u).at(0.25)
+    assert np.array_equal(at.u, 0.5 * u.values)
+    for pt in (on, at):
+        a = pt.u[0] / u.values[0]
+        assert np.allclose(pt.u, a * u.values, rtol=1e-15, atol=0.0)
+        fresh = _Ray(Field(g, pt.u))
+        for key in ("S", "Q"):
+            assert abs(getattr(pt, key) - getattr(fresh, key)) <= 1e-13 * abs(getattr(fresh, key))
+        for key in ("pot", "Au"):
+            got, want = getattr(pt, key), getattr(fresh, key)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -14,6 +14,7 @@ from fcs.energy import (
     Phi_lambda,
     PowerTerm,
     _Ray,
+    critical_family,
     eigen_spec,
     grad_Phi,
     pure_power,
@@ -104,23 +105,54 @@ def test_eigen1_ascent_projects_a_bounded_number_of_times(pstar, grid256, monkey
 
 
 def test_ascent_transforms_each_gradient_once(grid256, monkeypatch):
-    # each step transforms the ascent gradient B(u) once and A(u) once: the
-    # tangent direction, its slope and the tangent gradient's dual norm
-    # share the two transforms
+    # each step transforms its gradient -B(u) once and the normal A(u) once:
+    # the tangent direction, its slope and the tangent gradient's dual norm
+    # share the two transforms.  Every other forward transform is the one of
+    # a line-search trial's own evaluation
     from fcs import solvers
 
     start = _Ray(grid256.field(np.exp(-grid256.r ** 2))).on_manifold()
-    points = []
-    make_point = solvers._eigen_point
-    monkeypatch.setattr(solvers, "_eigen_point", lambda *a: points.append(make_point(*a)) or points[-1])
+    calls = {"forward": 0, "trials": 0}
     eng = grid256.transform()
-    args = []
     forward = eng.forward
-    monkeypatch.setattr(eng, "forward", lambda v: args.append(v) or forward(v))
-    _, _, it, _, stop = solvers._ascend_J(start, SolverOptions(max_iter=3))
+
+    def counted(v):
+        calls["forward"] += 1
+        return forward(v)
+
+    class Trial(_Ray):
+        def __init__(self, *args):
+            calls["trials"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(eng, "forward", counted)
+    monkeypatch.setattr(solvers, "_Ray", Trial)
+    _, _, it, stop = solvers._ascend_J(start, SolverOptions(max_iter=3))
     assert (it, stop) == (3, "max_iter")
-    per_point = [(sum(a is q.Bu for a in args), sum(a is q.Au for a in args)) for q in points]
-    assert per_point == [(1, 1)] * it + [(0, 0)]
+    assert calls["trials"] >= it
+    assert calls["forward"] - calls["trials"] == 2 * it
+
+
+def test_every_solver_runs_the_one_first_order_phase(pstar, monkeypatch):
+    from fcs import solvers
+
+    engine = solvers._first_order
+    seen = []
+    monkeypatch.setattr(solvers, "_first_order", lambda *a, **k: seen.append(1) or engine(*a, **k))
+    g = make_grid(pstar, 20.0, 64)
+    exps = compute_exponents(pstar)
+    damped = NonlinearitySpec.of(DampedPowerTerm(4.5, exps.two_star_s_alpha, 0.3))
+    mp_p, mp_g, mp_spec, e = _mp_input(4.1)
+    runs = {
+        "eigen1": lambda: eigen1(pstar, g),
+        "eigen_deflated": lambda: eigen_deflated(pstar, g, 2),
+        "minimize_subscaled": lambda: minimize_subscaled(pstar, g, damped),
+        "mountain_pass": lambda: mountain_pass(mp_p, mp_g, mp_spec, e),
+    }
+    for name, run in runs.items():
+        seen.clear()
+        run()
+        assert seen, f"{name} did not run _first_order"
 
 
 def test_eigen1_reports_why_the_ascent_stopped(pstar, grid256):
@@ -160,13 +192,15 @@ def test_eigen1_hard_seeds_reach_the_ground_state(N, s, alpha, M, seed, width, l
 
 
 def test_eigen1_from_a_converged_field_hands_over_at_once(pstar, grid256):
-    # from a converged field the first tangent gradient is rounding noise, so
-    # a drop relative to it never comes; the rounding floor hands over at once
+    # from a converged field the first tangent gradient and the residual are
+    # rounding noise, so a drop relative to them never comes: the rounding
+    # floor hands over at once, and Newton stops at its first check
     rep = eigen1(pstar, grid256)
     again = eigen1(pstar, grid256, SolverOptions(seed="field", seed_field=rep.solution))
     assert again.converged
     assert (again.extras["iterations_ascent"], again.extras["ascent_stop"]) == (0, "handover")
-    assert abs(again.multiplier - rep.multiplier) <= 1e-12 * rep.multiplier
+    assert again.extras["iterations_newton"] <= 1
+    assert abs(again.multiplier - rep.multiplier) <= 1e-14 * rep.multiplier
 
 
 def test_eigen1_after_a_stalled_newton_ascends_on():
@@ -319,6 +353,19 @@ def test_deflated_candidates_are_pinned(deflated3):
         assert abs(rep.multiplier - lam) <= 1e-10 * lam
 
 
+def test_deflated_candidates_meet_the_eigen1_rule(deflated3):
+    # one acceptance rule for eigen results: the relative residual with the
+    # rounding floor, and I(u) = 1; deflation adds only distinctness
+    from fcs import solvers
+
+    opts = SolverOptions()
+    for rep in deflated3:
+        assert rep.converged
+        u = rep.solution
+        pt = solvers._eigen_point(_Ray(u), compute_exponents(u.grid.params).two_star_s_alpha)
+        assert solvers._eigen_certified(pt, rep.residual_dual / rep.residual_rel, opts)
+
+
 def test_deflated_candidates_report_why_their_ascent_stopped(deflated3):
     for rep in deflated3:
         assert rep.extras["ascent_stop"] in ("handover", "line_search", "max_iter")
@@ -376,6 +423,16 @@ def test_minimize_damped_worked_example(pstar, grid, eigen_report):
     assert rep.energy < 0.0
     assert np.max(np.abs(rep.solution.values)) > 1e-3
     assert rep.residual_rel <= 1e-6
+
+
+def test_minimize_damped_golden_config_takes_few_steps(pstar):
+    # the minimize-damped golden configuration: its descent starts each line
+    # search after the first from a Barzilai-Borwein step
+    exps = compute_exponents(pstar)
+    spec = NonlinearitySpec.of(DampedPowerTerm(4.5, exps.two_star_s_alpha, 0.3))
+    rep = minimize_subscaled(pstar, make_grid(pstar, 20.0, 128), spec)
+    assert rep.converged
+    assert rep.iterations <= 25
 
 
 def test_minimize_pure_power_on_small_ball_is_trivial(pstar, grid):
@@ -495,6 +552,56 @@ def test_mountain_pass_superscaled_level():
     assert math.isclose(rep.energy, 13.429835705445665, rel_tol=1e-10, abs_tol=0.0)
 
 
+def _near_lambda1_xfail(reason):
+    return pytest.mark.xfail(
+        strict=True,
+        reason="the rays cross the Nehari set more than once and the outermost crossing is not "
+        "the ray's barrier: the first-order phase goes from level 1.94 (lam = 2) or 1.51 "
+        f"(lam = 2.5) down to -2.08 or -15.53, and Newton starts from there; measured {reason}",
+    )
+
+
+@pytest.mark.parametrize(
+    "lam, M",
+    [
+        pytest.param(2.0, 64, marks=_near_lambda1_xfail("NoPassError, Newton ended at a nonpositive level")),
+        (2.0, 128),
+        pytest.param(2.5, 64, marks=_near_lambda1_xfail("converged=False, level 7.494, residual_rel 6.3")),
+        pytest.param(2.5, 128, marks=_near_lambda1_xfail("converged=False, level 2.247, residual_rel 2.2")),
+    ],
+)
+def test_mountain_pass_critical_family_near_lambda1_converges(lam, M):
+    # lam < lam_1 = 2.659 here, and every exponent is above 2, so
+    # Phi >= (1 - lam/lam_1) I - higher powers is positive on a small sphere
+    # around 0: the mountain-pass geometry holds and a pass at a positive
+    # level exists (lam = 2, M = 128 converges at 0.44929)
+    p = ProblemParams(3, 0.875, 2.0)
+    g = make_grid(p, 20.0, M)
+    spec = critical_family(lam, 1.0, 3.8666666666666663, compute_exponents(p))
+    rep = mountain_pass(p, g, spec, find_negative_energy_point(p, g, spec))
+    assert rep.converged
+    assert rep.energy > 0.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="sigma = 4s + alpha - N = 0.053: q* = 2.44804, q6 = 2.45269 and 2*_s = 2.45288 nearly "
+    "coincide; measured converged=False, residual_rel 9.5e-3, level 0.34823 after 80 first-order "
+    "and 40 Newton steps (M=64; M=128 converges at 0.34752, M=256 gives residual_rel 7.7e-3)",
+)
+def test_mountain_pass_converges_at_small_sigma():
+    p = ProblemParams(6, 0.5538945091884342, 3.8372579236766784)
+    g = make_grid(p, 20.0, 64)
+    exps = compute_exponents(p)
+    spec = NonlinearitySpec.of(
+        PowerTerm(2.276263964041046, exps.two_star_s_alpha),
+        PowerTerm(2.346106376674073, 2.4526876820353665),
+        PowerTerm(1.0, exps.two_star_s),
+    )
+    rep = mountain_pass(p, g, spec, find_negative_energy_point(p, g, spec))
+    assert rep.converged
+
+
 def test_mountain_pass_rejects_positive_endpoint(mp_setup):
     p, g, spec, _ = mp_setup
     tiny = g.field(1e-3 * np.exp(-g.r ** 2))
@@ -559,6 +666,19 @@ def test_sweep_rows_agree_with_single_solves(pstar):
         single = minimize_subscaled(pstar, g, spec.with_coef(0, lam), opts)
         assert row.converged
         assert math.isclose(row.energy, single.energy, rel_tol=1e-6, abs_tol=1e-12)
+
+
+def test_eigen1_sweep_rows_after_the_first_take_one_newton_check(pstar):
+    # the configuration of the sweep-eigen1 golden file: each row after the
+    # first starts from the converged field of the row before, hands over at
+    # once and stops at Newton's first check
+    g = make_grid(pstar, 20.0, 128)
+    spec = pure_power(1.0, compute_exponents(pstar).two_star_s_alpha)
+    rows = sweep(pstar, g, spec, 0, [1.0, 1.5, 2.0], method="eigen1")
+    assert all(r.converged for r in rows)
+    assert [r.iterations for r in rows[1:]] == [1, 1]
+    for r in rows[1:]:
+        assert abs(r.multiplier - rows[0].multiplier) <= 1e-14 * rows[0].multiplier
 
 
 def test_sweep_records_failures_and_continues(pstar, grid):
