@@ -71,7 +71,7 @@ class RadialGrid:
         self.r = self.h * np.arange(1, self.M + 1, dtype=float)
         self.w = sphere_area(self.params.N) * self.r ** (self.params.N - 1) * self.h
 
-    def transform(self) -> "_TransformEngine":
+    def transform(self) -> "_SineEngine | _BesselEngine":
         eng = self._caches.get("transform")
         if eng is None:
             if self.params.N == 3:
@@ -170,17 +170,7 @@ class SpectralField:
     coefficients: np.ndarray
 
 
-class _TransformEngine:
-    k: np.ndarray
-
-    def forward(self, values: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-    def inverse(self, coeffs: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-
-class _SineEngine(_TransformEngine):
+class _SineEngine:
     """Exact DST-I pair for N = 3: u <-> sqrt(4 pi h) DST1(r u)."""
 
     def __init__(self, grid: RadialGrid):
@@ -213,7 +203,7 @@ def _bessel_zeros(nu: float, count: int) -> np.ndarray:
     return zeros
 
 
-class _BesselEngine(_TransformEngine):
+class _BesselEngine:
     """Dense Fourier-Bessel transform for general N, discretely unitary.
 
     The M x M samples of J_{N/2-1}(k_m r_j) come from ``j0``/``j1`` for N = 2

@@ -116,18 +116,6 @@ def precondition(rho) -> Field:
 # Riesz kernel matrix
 # ---------------------------------------------------------------------------
 
-def _zeta_negative(x: float) -> float:
-    # Riemann zeta continued to x < 1 via the functional equation.
-    a = 1.0 - x
-    return (
-        2.0 ** (1.0 - a)
-        * math.pi ** (-a)
-        * math.cos(math.pi * a / 2.0)
-        * sp_gamma(a)
-        * float(sp_zeta(a))
-    )
-
-
 def _kink_correction_constant(N: int, alpha: float) -> float:
     """Coefficient of the h^alpha diagonal correction (potential units).
 

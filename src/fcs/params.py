@@ -151,10 +151,6 @@ class NonlinearityRegime:
     sign: int = 0
 
     @property
-    def is_subscaled(self) -> bool:
-        return self.tag is RegimeTag.SUBSCALED
-
-    @property
     def is_superscaled(self) -> bool:
         return self.tag is RegimeTag.SUPERSCALED
 

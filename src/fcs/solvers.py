@@ -45,7 +45,6 @@ from .params import (
     classify_nonlinearity,
     compute_exponents,
 )
-from .scaling import _Fiber, project_to_M
 
 __all__ = [
     "SolverOptions",
@@ -609,25 +608,14 @@ def _validate_subscaled(spec: NonlinearitySpec, exps) -> None:
 def _minimization_starts(grid: RadialGrid, spec: NonlinearitySpec, seed: Field | None = None):
     """Seed candidates for coercive minimization, most negative action first.
 
-    Two families are scanned: amplitude rays over Gaussian/parabolic-cap
-    profiles (captures wide flat wells), and manifold fibers u_t with t <= 1
-    over projected Gaussian and heavy-tailed bases.  Fibers matter because
-    near the origin the action of a near-critical leading term goes negative
-    only along dilations of low reciprocal-J profiles, never along plain
-    amplitude rays.  A caller-provided seed joins the bank together with its
-    own fiber.
+    Amplitude rays over Gaussian/parabolic-cap profiles, each at its least
+    scanned action (the cap captures wide flat wells); a caller-provided
+    seed joins the bank as it is.  No start is dilated.
     """
     r, R = grid.r, grid.R
     starts = []
     if seed is not None and float(np.max(np.abs(seed.values))) > 0.0:
         starts.append(("seed", seed.copy(), Phi(seed, spec)))
-        try:
-            fiber = _Fiber(project_to_M(seed))
-            for t in np.logspace(-1.5, 0.0, 9):
-                ut = fiber.at(float(t))
-                starts.append((f"fiber[seed, t={t:.3g}]", ut, Phi(ut, spec)))
-        except (RuntimeError, ValueError):
-            pass
     profiles = [(f"gaussian{{{w}}}", np.exp(-((r / w) ** 2))) for w in (0.5, 1.0, 2.0, R / 4, R / 2)]
     profiles.append(("cap", np.maximum(1.0 - (r / R) ** 2, 0.0) ** 2))
     amps = np.logspace(-3.5, 2.0, 34)
@@ -638,19 +626,6 @@ def _minimization_starts(grid: RadialGrid, spec: NonlinearitySpec, seed: Field |
         phis = [ray.phi(a) for a in amps]
         i = int(np.argmin(phis))
         starts.append((f"{name}*{amps[i]:.3g}", Field(grid, amps[i] * prof), float(phis[i])))
-    bases = [("gaussian{1.0}", np.exp(-(r ** 2)))]
-    bases += [
-        (f"heavytail{{{w}}}", (1.0 + (r / w) ** 2) ** (-1.75))
-        for w in (1.0, 2.0, 4.0)
-    ]
-    for name, prof in bases:
-        try:
-            fiber = _Fiber(project_to_M(Field(grid, prof)))
-        except (RuntimeError, ValueError):
-            continue
-        for t in np.logspace(-2.0, 0.0, 13):
-            ut = fiber.at(float(t))
-            starts.append((f"fiber[{name}, t={t:.3g}]", ut, Phi(ut, spec)))
     starts.sort(key=lambda s: s[2])
     return starts[:3]
 
@@ -664,8 +639,9 @@ def minimize_subscaled(
     """Global-minimization attempt for coercive (subscaled) actions.
 
     Multi-start preconditioned descent (``_first_order`` on the whole space)
-    over a seed bank of widths and amplitudes, followed by a Newton polish;
-    the zero field is the answer for f = 0.
+    from the three lowest starts of ``_minimization_starts`` (amplitude rays
+    of a few profiles, and the caller's field seed), each followed by a
+    Newton polish; the zero field is the answer for f = 0.
     """
     return _minimize(params, grid, spec, opts or SolverOptions(), warm=False)
 
@@ -773,20 +749,24 @@ def find_negative_energy_point(
 
 
 def _nehari_amplitude(ray: _Ray) -> float | None:
-    """Largest amplitude where the ray crosses the Nehari set.
+    """The barrier amplitude of the ray: where Phi(a u) is largest.
 
-    h(a) = Phi'(a u) a u is positive near zero and eventually negative for
-    superscaled/critical growth; the outermost + -> - crossing is the
-    barrier amplitude of the ray.  A ray that crosses more than once has its
-    maximum at the first crossing, not here.  A log scan brackets it and
-    ``brentq`` refines it; both read h from the ray's S and Q (see ``_Ray``).
+    h(a) = Phi'(a u) a u = a d/da Phi(a u) is positive near zero and
+    eventually negative for superscaled/critical growth, so each + -> -
+    crossing of h is a local maximum of Phi along the ray.  A log scan
+    brackets the crossings; a ray that crosses more than once takes the one
+    whose scanned Phi is largest, and ``brentq`` refines it.  Both read the
+    ray's S and Q (see ``_Ray``).
     """
     amps = np.logspace(-3.0, 3.0, 61)
     hs = ray.nehari(amps)
     crossings = np.flatnonzero((hs[:-1] > 0.0) & (hs[1:] <= 0.0))
     if crossings.size == 0:
         return None
-    lo, hi = amps[crossings[-1]], amps[crossings[-1] + 1]
+    c = crossings[-1]
+    if crossings.size > 1:
+        c = crossings[np.argmax(ray.phi(amps[crossings + 1]))]
+    lo, hi = amps[c], amps[c + 1]
     # the ray goes in ``args``: brentq wraps its function in a closure that
     # refers to itself, and a ray caught in that cycle would keep its field's
     # grid alive until the cycle collector runs
@@ -812,15 +792,13 @@ def mountain_pass(
     For the superscaled and critical growth accepted here the mountain-pass
     level between 0 and a negative-action point e equals the infimum of Phi
     over the Nehari set.  The shape of e is put on that set at its barrier
-    amplitude (the outermost crossing of Phi'(a u) a u along its ray), the
+    amplitude (``_nehari_amplitude``: the maximum of Phi along its ray), the
     first-order phase lowers Phi over the Nehari set (each trial normalized
-    and moved to its own Nehari amplitude; at most 80 steps), and Newton
+    and moved to its own barrier amplitude; at most 80 steps), and Newton
     polishes the result into a critical point.  A polished level <= 0, or an
-    e whose ray has no crossing, raises ``NoPassError``.  Rays that cross the
-    Nehari set more than once can lead the descent below 0 although a pass
-    exists (ROADMAP item 3).  For the critical family the
-    report carries the concentration-threshold context and flags levels at
-    or above it.
+    e whose ray has no crossing, raises ``NoPassError``.  For the critical
+    family the report carries the concentration-threshold context and flags
+    levels at or above it.
     """
     opts = opts or SolverOptions()
     _check_grid(params, grid)

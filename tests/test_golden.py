@@ -45,6 +45,7 @@ VANISHING_KEYS = {"J_ratio_err"}
 
 _Q_STAR = repr(compute_exponents(ProblemParams(3, 0.75, 2.0)).two_star_s_alpha)
 _MP_EXPS = compute_exponents(ProblemParams(3, 0.8, 2.0))
+_NEAR_EXPS = compute_exponents(ProblemParams(3, 0.875, 2.0))
 
 
 def _config(params: str, grid: str, terms: tuple[str, ...], solver: str, output: str) -> str:
@@ -90,6 +91,22 @@ CASES = {
             _MP,
             "R = 20.0\nM = 128",
             tuple(f"power coef=1.0 q={q!r}" for q in (_MP_EXPS.two_star_s_alpha, 3.5, _MP_EXPS.two_star_s)),
+            "method = mountain-pass",
+            "json = out.json",
+        ),
+        [["solve", "--config", "run.cfg"]],
+        "out.json",
+    ),
+    # lam = 2.5 < lam_1 = 2.659: the rays cross the Nehari set more than once,
+    # and the barrier is the crossing where Phi is largest along the ray
+    "mountain-pass-critical-lambda2.5.json": (
+        _config(
+            "N = 3\ns = 0.875\nalpha = 2.0",
+            "R = 20.0\nM = 64",
+            tuple(
+                f"power coef={c} q={q!r}"
+                for c, q in ((2.5, _NEAR_EXPS.two_star_s_alpha), (1.0, 3.8666666666666663), (1.0, _NEAR_EXPS.two_star_s))
+            ),
             "method = mountain-pass",
             "json = out.json",
         ),

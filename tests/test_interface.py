@@ -277,6 +277,20 @@ def test_cli_exponents_json(capsys):
     assert math.isclose(out["p_rad"], 28.0 / 11.0, rel_tol=1e-9)
 
 
+def test_cli_exponents_table(tmp_path, capsys):
+    out = tmp_path / "exps.txt"
+    rc = cli_main(["exponents", "--N", "3", "--s", "0.75", "--alpha", "2", "--out", str(out)])
+    assert rc == 0
+    text = capsys.readouterr().out
+    assert out.read_text() == text
+    rows = {k.strip(): v for k, v in (line.split(" = ") for line in text.splitlines())}
+    assert list(rows) == ["theta", "sigma", "p_rad", "two_star_s", "two_star_s_alpha", "c_alpha", "regime"]
+    assert len({line.index("=") for line in text.splitlines()}) == 1  # one column
+    assert rows["theta"] == "1.75"
+    assert rows["two_star_s_alpha"] == f"{20.0 / 7.0:.12g}"
+    assert rows["regime"] == "above"
+
+
 def test_cli_exponents_rejects_bad_params(capsys):
     rc = cli_main(["exponents", "--N", "3", "--s", "0.25", "--alpha", "2", "--json"])
     assert rc == 1
@@ -348,6 +362,22 @@ def test_cli_exit_code_two_on_nonconvergence(tmp_path, capsys):
     assert rc == 2
     env = json.loads(out.read_text())  # results still written
     assert env["report"]["converged"] is False
+
+
+def test_cli_mountain_pass_without_a_negative_ray_is_a_solver_failure(tmp_path, capsys):
+    # q* < q = 3.43 < 4 = 2*_s: a^4 Q beats a^q along every amplitude ray, so
+    # the endpoint search finds no negative action (exit 2, no traceback)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[params]\nN = 3\ns = 0.75\nalpha = 2.0\n"
+        "[grid]\nR = 20.0\nM = 128\n"
+        "[nonlinearity]\nterm = power coef=1.0 q=3.43\n"
+        "[solver]\nmethod = mountain-pass\n"
+    )
+    assert cli_main(["solve", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: ")
+    assert "Traceback" not in err
 
 
 def test_cli_determinism(tmp_path, capsys):
@@ -502,6 +532,26 @@ def test_cli_sweep_csv(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_cli_sweep_of_mountain_passes(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    csv_path = tmp_path / "branch.csv"
+    cfg.write_text(
+        "[params]\nN = 3\ns = 0.8\nalpha = 2.0\n"
+        "[grid]\nR = 20.0\nM = 64\n"
+        "[nonlinearity]\nterm = power coef=1.0 q=4.1\n"
+        "[solver]\nmethod = sweep\nsweep_method = mountain-pass\nsweep_term = 0\n"
+        "sweep_from = 1.0\nsweep_to = 2.0\nsweep_steps = 3\n"
+        f"[output]\ncsv = {csv_path}\n"
+    )
+    assert cli_main(["solve", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    rows = csv_path.read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["true"] * 3
+    levels = [float(row.split(",")[1]) for row in rows]
+    # a stronger nonlinearity lowers the pass
+    assert levels[0] > levels[1] > levels[2] > 0.0
+
+
 @pytest.mark.parametrize("steps", ["0", "-2"])
 def test_sweep_without_rows_is_invalid_input(steps, tmp_path, capsys):
     # a sweep of no rows certifies nothing: invalid input (exit 1) naming the
@@ -526,7 +576,7 @@ def test_sweep_without_rows_is_invalid_input(steps, tmp_path, capsys):
     assert f"<flags>: sweep_steps must be at least 1, got {steps}" in capsys.readouterr().err
 
 
-def test_cli_sobolev(capsys):
+def test_cli_sobolev(tmp_path, capsys):
     rc = cli_main(
         ["sobolev", "--N", "3", "--s", "0.5", "--alpha", "2", "--R", "10", "--M", "96", "--json"]
     )
@@ -534,6 +584,15 @@ def test_cli_sobolev(capsys):
     env = json.loads(capsys.readouterr().out)
     assert env["report"]["sobolev_constant"] > 0
     assert env["report"]["ps_threshold"] > 0
+    # method = sobolev under solve reports the same
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[params]\nN = 3\ns = 0.5\nalpha = 2.0\n[grid]\nR = 10.0\nM = 96\n"
+        f"[solver]\nmethod = sobolev\n[output]\njson = {tmp_path / 'sob.json'}\n"
+    )
+    assert cli_main(["solve", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "sob.json").read_text())["report"] == env["report"]
 
 
 def test_cli_seed_file(tmp_path, capsys):

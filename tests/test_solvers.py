@@ -91,17 +91,26 @@ def test_eigen1_multiplier_does_not_depend_on_the_seed_width(pstar, grid256, wid
 
 
 def test_eigen1_ascent_projects_a_bounded_number_of_times(pstar, grid256, monkeypatch):
-    # the bound is zero: eigen1 and every deflated rerun reach {I = 1} along
-    # amplitude rays only, never through a dilation
-    from fcs import solvers
+    # the bound is zero, for every solver: the eigen path reaches {I = 1}
+    # along amplitude rays, the minimizer's seed bank scans amplitude rays
+    # and the mountain pass moves along rays to the Nehari set; none of them
+    # dilates, so all four converge with the dilation map refusing to exist
+    from fcs import scaling, solvers
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the eigen path must not dilate")
+        raise AssertionError("no solver may dilate")
 
-    monkeypatch.setattr(solvers, "project_to_M", refuse)
-    monkeypatch.setattr(solvers, "_Fiber", refuse)
+    # every dilation goes through scaling._Fiber, and no solver holds its own
+    # reference to the dilation API
+    assert not {"_Fiber", "project_to_M", "scale", "fiber_profile"} & set(vars(solvers))
+    monkeypatch.setattr(scaling, "_Fiber", refuse)
+    exps = compute_exponents(pstar)
+    damped = NonlinearitySpec.of(DampedPowerTerm(4.5, exps.two_star_s_alpha, 0.3))
     assert eigen1(pstar, grid256).converged
     assert [rep.converged for rep in eigen_deflated(pstar, grid256, 3)] == [True, True, True]
+    rep = minimize_subscaled(pstar, make_grid(pstar, 20.0, 128), damped)
+    assert rep.converged and rep.energy < 0.0
+    assert mountain_pass(*_mp_input("critical")).converged
 
 
 def test_ascent_transforms_each_gradient_once(grid256, monkeypatch):
@@ -435,6 +444,26 @@ def test_minimize_damped_golden_config_takes_few_steps(pstar):
     assert rep.iterations <= 25
 
 
+@pytest.mark.parametrize(
+    "s, alpha, coef, q, level",
+    [
+        pytest.param(0.558659005139381, 1.5602482427490312, 7.118964372197348, 2.8099365924064217,
+                     -20.55078971585351, id="q2.810"),
+        pytest.param(0.7148242640794724, 1.5769343302001118, 21.807237291411663, 2.8437404350415,
+                     -1641.1628298898077, id="q2.844"),
+    ],
+)
+def test_minimize_wide_ball_descends_from_the_lowest_amplitude_start(s, alpha, coef, q, level):
+    # N = 2, R = 160: the lowest level descends from a wide Gaussian on its
+    # amplitude ray; dilated starts of other profiles, with lower starting
+    # actions, would push it out of the seed bank's top three and end the
+    # minimizer at -16.05 and -1053.8
+    p = ProblemParams(2, s, alpha)
+    rep = minimize_subscaled(p, make_grid(p, 160.0, 128), NonlinearitySpec.of(PowerTerm(coef, q)))
+    assert rep.converged
+    assert math.isclose(rep.energy, level, rel_tol=1e-10, abs_tol=0.0)
+
+
 def test_minimize_pure_power_on_small_ball_is_trivial(pstar, grid):
     # at this cutoff the beta = 2.7 action is nonnegative, so the honest
     # global minimizer is the origin (negative wells need a far larger ball)
@@ -552,35 +581,29 @@ def test_mountain_pass_superscaled_level():
     assert math.isclose(rep.energy, 13.429835705445665, rel_tol=1e-10, abs_tol=0.0)
 
 
-def _near_lambda1_xfail(reason):
-    return pytest.mark.xfail(
-        strict=True,
-        reason="the rays cross the Nehari set more than once and the outermost crossing is not "
-        "the ray's barrier: the first-order phase goes from level 1.94 (lam = 2) or 1.51 "
-        f"(lam = 2.5) down to -2.08 or -15.53, and Newton starts from there; measured {reason}",
-    )
+# levels of the critical family near lam_1 (N=3, s=0.875, alpha=2, mu=1,
+# q6=3.8667, R=20, CLI endpoint of width 1): its rays cross the Nehari set
+# more than once, and the outermost crossing is not the ray's maximum
+_NEAR_LAMBDA1_LEVELS = {
+    (2.0, 64): 0.4493027406666341,
+    (2.0, 128): 0.44929113994829484,
+    (2.5, 64): 0.029834131218866022,
+    (2.5, 128): 0.02983402494740206,
+}
 
 
-@pytest.mark.parametrize(
-    "lam, M",
-    [
-        pytest.param(2.0, 64, marks=_near_lambda1_xfail("NoPassError, Newton ended at a nonpositive level")),
-        (2.0, 128),
-        pytest.param(2.5, 64, marks=_near_lambda1_xfail("converged=False, level 7.494, residual_rel 6.3")),
-        pytest.param(2.5, 128, marks=_near_lambda1_xfail("converged=False, level 2.247, residual_rel 2.2")),
-    ],
-)
+@pytest.mark.parametrize("lam, M", list(_NEAR_LAMBDA1_LEVELS))
 def test_mountain_pass_critical_family_near_lambda1_converges(lam, M):
     # lam < lam_1 = 2.659 here, and every exponent is above 2, so
     # Phi >= (1 - lam/lam_1) I - higher powers is positive on a small sphere
     # around 0: the mountain-pass geometry holds and a pass at a positive
-    # level exists (lam = 2, M = 128 converges at 0.44929)
+    # level exists
     p = ProblemParams(3, 0.875, 2.0)
     g = make_grid(p, 20.0, M)
     spec = critical_family(lam, 1.0, 3.8666666666666663, compute_exponents(p))
     rep = mountain_pass(p, g, spec, find_negative_energy_point(p, g, spec))
     assert rep.converged
-    assert rep.energy > 0.0
+    assert math.isclose(rep.energy, _NEAR_LAMBDA1_LEVELS[lam, M], rel_tol=1e-10, abs_tol=0.0)
 
 
 @pytest.mark.xfail(
