@@ -754,23 +754,23 @@ def _nehari_amplitude(ray: _Ray) -> float | None:
     h(a) = Phi'(a u) a u = a d/da Phi(a u) is positive near zero and
     eventually negative for superscaled/critical growth, so each + -> -
     crossing of h is a local maximum of Phi along the ray.  A log scan
-    brackets the crossings; a ray that crosses more than once takes the one
-    whose scanned Phi is largest, and ``brentq`` refines it.  Both read the
-    ray's S and Q (see ``_Ray``).
+    brackets the crossings, ``brentq`` refines each one, and the root with
+    the largest Phi is the ray's maximum.  Both read the ray's S and Q (see
+    ``_Ray``).
     """
     amps = np.logspace(-3.0, 3.0, 61)
     hs = ray.nehari(amps)
     crossings = np.flatnonzero((hs[:-1] > 0.0) & (hs[1:] <= 0.0))
     if crossings.size == 0:
         return None
-    c = crossings[-1]
-    if crossings.size > 1:
-        c = crossings[np.argmax(ray.phi(amps[crossings + 1]))]
-    lo, hi = amps[c], amps[c + 1]
     # the ray goes in ``args``: brentq wraps its function in a closure that
     # refers to itself, and a ray caught in that cycle would keep its field's
     # grid alive until the cycle collector runs
-    return brentq(lambda a, ray: ray.nehari(a), lo, hi, args=(ray,), xtol=1e-15 * lo, rtol=1e-15)
+    roots = [
+        brentq(lambda a, ray: ray.nehari(a), lo, hi, args=(ray,), xtol=1e-15 * lo, rtol=1e-15)
+        for lo, hi in zip(amps[crossings], amps[crossings + 1])
+    ]
+    return max(roots, key=ray.phi)
 
 
 def _is_critical_family(spec: NonlinearitySpec, exps) -> bool:

@@ -99,19 +99,30 @@ def test_nehari_amplitude_is_outermost_sign_change(mp_grid):
     assert _nehari_amplitude(_Ray(Field(mp_grid, shape), NonlinearitySpec())) is None
 
 
-def test_nehari_amplitude_takes_the_ray_maximum_among_its_crossings(mp_grid):
+@pytest.mark.parametrize(
+    "c3, c45, outer_wins",
+    [
+        # the outer maximum lies at a negative level, far below the inner one
+        (11.7, 0.038, False),
+        # the outer maximum (3.3e3) lies above the inner one (0.11), but Phi
+        # falls so fast past it that the 0.1-decade scan node just beyond
+        # reads -2.3e4: ranking the crossings by scanned Phi takes the inner
+        (11.0, 0.03852, True),
+    ],
+)
+def test_nehari_amplitude_takes_the_ray_maximum_among_its_crossings(mp_grid, c3, c45, outer_wins):
     # a^3 beats a^2 S early, a^4 Q brings h back above 0 and a^4.5 takes it
-    # below again: two + -> - crossings, and the outer one is a local
-    # maximum of Phi at a negative level, far below the inner one
-    spec = NonlinearitySpec.of(PowerTerm(11.7, 3.0), PowerTerm(0.038, 4.5))
+    # below again: two + -> - crossings, each a local maximum of Phi
+    spec = NonlinearitySpec.of(PowerTerm(c3, 3.0), PowerTerm(c45, 4.5))
     ray = _Ray(Field(mp_grid, _unit_gaussian(mp_grid)), spec)
     amps = np.logspace(-3.0, 3.0, 6001)
     hs = ray.nehari(amps)
     crossings = np.flatnonzero((hs[:-1] > 0.0) & (hs[1:] <= 0.0))
     assert crossings.size == 2
     phis = ray.phi(amps)
-    assert phis[crossings[0]] > 0.0 > phis[crossings[1]]
+    assert (phis[crossings[1]] > phis[crossings[0]] > 0.0) if outer_wins else (phis[crossings[0]] > 0.0 > phis[crossings[1]])
     amp = _nehari_amplitude(ray)
+    assert (amp > amps[crossings[1]]) == outer_wins
     assert ray.nehari(amp * (1.0 - 1e-6)) > 0.0 >= ray.nehari(amp * (1.0 + 1e-6))
     assert ray.phi(amp) >= phis.max()
 
