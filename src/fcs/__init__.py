@@ -7,9 +7,8 @@ from .params import (
     NonlinearityRegime,
     compute_exponents,
     classify_nonlinearity,
-    check_embedding,
 )
-from .grid import Field, RadialGrid, SpectralField, make_grid, forward_transform, inverse_transform, lp_norm
+from .grid import Field, RadialGrid, SpectralField, make_grid, forward_transform, lp_norm
 from .operators import (
     apply_A,
     apply_B,
@@ -31,7 +30,7 @@ from .energy import (
     Psi_tilde,
     grad_Phi,
 )
-from .scaling import fiber_profile, project_to_M, scale
+from .scaling import project_to_M, scale
 from .solvers import (
     SolveReport,
     SolverOptions,

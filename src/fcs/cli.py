@@ -35,7 +35,7 @@ from .io import (
     save_field,
 )
 from .params import compute_exponents
-from .scaling import _Fiber, project_to_M, scale
+from .scaling import _Fiber, scale
 from .solvers import (
     DegenerateSeedError,
     NoPassError,
@@ -294,7 +294,6 @@ def _cmd_scaling_check(args) -> int:
     exps = compute_exponents(params)
     u = Field(grid, np.exp(-grid.r ** 2))
     base_I, base_J = I_functional(u), J_functional(u)
-    um = project_to_M(u)
     fiber = _Fiber(u)
     rows = []
     for t in args.t:
@@ -316,7 +315,7 @@ def _cmd_scaling_check(args) -> int:
         )
         phi_ratio = Phi_lambda(ut, 1.0) / (t_sigma * Phi_lambda(u, 1.0)) - 1.0
         rows.append((t, ratio_I, ratio_J, phi_ratio, comp))
-    identity_err = float(np.max(np.abs(scale(um, 1.0).values - um.values)))
+    identity_err = float(np.max(np.abs(scale(u, 1.0).values - u.values)))
     payload = {
         "rows": [
             {

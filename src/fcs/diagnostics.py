@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 _GUARD = 1e-300
+_SOBOLEV_MAX_ITER = 400  # inverse-iteration steps per start
+_SOBOLEV_TOL = 1e-12     # relative change of the quotient that stops a start
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,6 @@ class DiagnosticsRecord:
     pohozaev_rel: float
     nehari: float
     eigen_identity_rel: float | None
-    ps_threshold: float | None
     grid_summary: dict
 
     def to_dict(self) -> dict:
@@ -62,7 +63,6 @@ class DiagnosticsRecord:
             "pohozaev_rel": self.pohozaev_rel,
             "nehari": self.nehari,
             "eigen_identity_rel": self.eigen_identity_rel,
-            "ps_threshold": self.ps_threshold,
             "grid": self.grid_summary,
         }
 
@@ -80,12 +80,7 @@ def _pohozaev_sides(ray: _Ray) -> tuple[float, float, float]:
     return lhs, rhs, abs(lhs - rhs) / max(abs(lhs), abs(rhs), _GUARD)
 
 
-def pohozaev_residual(
-    u: Field,
-    spec: NonlinearitySpec,
-    lam: float | None = None,
-    ps_threshold_value: float | None = None,
-) -> DiagnosticsRecord:
+def pohozaev_residual(u: Field, spec: NonlinearitySpec, lam: float | None = None) -> DiagnosticsRecord:
     """Dilation identity residual for solutions of the autonomous equation.
 
     The sides are those of ``_pohozaev_sides``.  The identity is stated only
@@ -106,7 +101,6 @@ def pohozaev_residual(
         pohozaev_rel=rel,
         nehari=float(ray.nehari(1.0)),
         eigen_identity_rel=eigen_rel,
-        ps_threshold=ps_threshold_value,
         grid_summary=u.grid.summary(),
     )
 
@@ -145,18 +139,14 @@ def identity_closure_gap(u: Field, lam: float) -> dict:
 # best-constant estimation and the concentration threshold
 # ---------------------------------------------------------------------------
 
-def estimate_sobolev_constant(
-    params: ProblemParams,
-    grid: RadialGrid,
-    max_iter: int = 400,
-    tol: float = 1e-12,
-) -> float:
+def estimate_sobolev_constant(params: ProblemParams, grid: RadialGrid) -> float:
     """Estimate the best constant S with |u|_{2*_s}^2 <= S^{-1} |(-Delta)^{s/2}u|^2.
 
     The Rayleigh quotient is minimized by renormalized inverse iteration
     u <- (-Delta)^{-s} |u|^(2*-2) u, started from a bump-type extremal
-    profile and a Gaussian; the smallest quotient over the starts is
-    returned.  Cached per grid.
+    profile and a Gaussian, each for at most ``_SOBOLEV_MAX_ITER`` steps or
+    until the quotient moves by less than ``_SOBOLEV_TOL`` relative; the
+    smallest quotient over the starts is returned.  Cached per grid.
     """
     if params.regime is not Regime.ABOVE:
         raise ValueError("below-regime ranges not supported")
@@ -183,7 +173,7 @@ def estimate_sobolev_constant(
         # the multiplier coefficients, and the norm normalizes the next step
         nrm = norm_p(u)
         q = None
-        for _ in range(max_iter):
+        for _ in range(_SOBOLEV_MAX_ITER):
             if nrm == 0.0:
                 break
             u = u / nrm
@@ -191,7 +181,7 @@ def estimate_sobolev_constant(
             u = eng.inverse(c)
             nrm = norm_p(u)
             q_prev, q = q, float(np.sum(k2s * c * c)) / nrm ** 2
-            if q_prev is not None and abs(q - q_prev) <= tol * abs(q):
+            if q_prev is not None and abs(q - q_prev) <= _SOBOLEV_TOL * abs(q):
                 break
         if q is not None and q < best:
             best = q

@@ -35,7 +35,6 @@ __all__ = [
     "SpectralField",
     "make_grid",
     "forward_transform",
-    "inverse_transform",
     "lp_norm",
 ]
 
@@ -242,11 +241,6 @@ class _BesselEngine:
 def forward_transform(u: Field) -> SpectralField:
     """Expand a field over the transform basis (Plancherel normalization)."""
     return SpectralField(u.grid, u.grid.transform().forward(u.values))
-
-
-def inverse_transform(uhat: SpectralField) -> Field:
-    """Invert :func:`forward_transform`; the round trip is exact to rounding."""
-    return Field(uhat.grid, uhat.grid.transform().inverse(uhat.coefficients))
 
 
 def lp_norm(u: Field, p: float) -> float:

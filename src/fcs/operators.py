@@ -54,8 +54,6 @@ __all__ = [
     "apply_A",
     "apply_B",
     "dual_norm",
-    "precondition",
-    "coulomb_sobolev_norm",
 ]
 
 
@@ -85,15 +83,6 @@ def frac_seminorm_sq(u: Field) -> float:
     return float(np.sum(u.grid.k2s * b * b))
 
 
-def frac_form(u: Field, v: Field) -> float:
-    """Bilinear form of the fractional Laplacian between two fields."""
-    _check_same_grid(u, v)
-    eng = u.grid.transform()
-    bu = eng.forward(u.values)
-    bv = eng.forward(v.values)
-    return float(np.sum(u.grid.k2s * bu * bv))
-
-
 def dual_norm(rho) -> float:
     """Discrete negative-order norm: sqrt(sum |rho_m|^2 / (1 + k_m^(2s))).
 
@@ -102,14 +91,6 @@ def dual_norm(rho) -> float:
     grid = rho.grid
     b = grid.transform().forward(rho.values)
     return math.sqrt(float(np.sum(b * b / (1.0 + grid.k2s))))
-
-
-def precondition(rho) -> Field:
-    """Descent representative of a gradient: divide by (1 + k^(2s)) in k-space."""
-    grid = rho.grid
-    eng = grid.transform()
-    b = eng.forward(rho.values)
-    return Field(grid, eng.inverse(b / (1.0 + grid.k2s)))
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +375,6 @@ def apply_B(u: Field) -> DualField:
 
     p = compute_exponents(u.grid.params).two_star_s_alpha
     return DualField(u.grid, np.abs(u.values) ** (p - 2.0) * u.values)
-
-
-def coulomb_sobolev_norm(u: Field) -> float:
-    """Norm of the ambient function space:
-    sqrt(seminorm^2 + sqrt(coulomb double integral))."""
-    return math.sqrt(frac_seminorm_sq(u) + math.sqrt(max(coulomb_energy(u), 0.0)))
 
 
 # ---------------------------------------------------------------------------

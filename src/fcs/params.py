@@ -21,7 +21,6 @@ __all__ = [
     "NonlinearityRegime",
     "compute_exponents",
     "classify_nonlinearity",
-    "check_embedding",
     "sphere_area",
     "riesz_constant",
 ]
@@ -183,18 +182,3 @@ def classify_nonlinearity(spec, exps: ExponentTable) -> NonlinearityRegime:
         l_infinity=math.copysign(math.inf, lead),
         sign=int(math.copysign(1.0, lead)),
     )
-
-
-def check_embedding(p: float, exps: ExponentTable) -> dict:
-    """Continuity / compactness of the embedding into L^p for radial fields.
-
-    Valid only above the threshold (4s + alpha > N): the embedding is
-    continuous for p in (p_rad, 2*_s] and compact on the open interval.
-    """
-    if exps.regime_flag is not Regime.ABOVE:
-        raise ValueError("below-regime ranges not supported")
-    if not (p >= 1.0) or not math.isfinite(p):
-        raise ValueError(f"p must be a finite real >= 1, got {p!r}")
-    continuous = exps.p_rad < p <= exps.two_star_s
-    compact = exps.p_rad < p < exps.two_star_s
-    return {"continuous": continuous, "compact": compact}

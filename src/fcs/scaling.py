@@ -1,4 +1,4 @@
-"""The dilation map u_t = t^theta u(t .), fiber projection, and fiber probes.
+"""The dilation map u_t = t^theta u(t .) and the fiber projection.
 
 On the fixed grid the dilated field is resampled by monotone cubic
 interpolation (no overshoot, preserves positivity of bump profiles) with
@@ -16,11 +16,14 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from .energy import I_functional, NonlinearitySpec, Phi
+from .energy import I_functional
 from .grid import Field
 from .params import compute_exponents
 
-__all__ = ["scale", "project_to_M", "fiber_profile"]
+__all__ = ["scale", "project_to_M"]
+
+_PROJECT_TOL = 1e-11    # |I(u_t) - 1| read as an exact root
+_PROJECT_NEWTON = 8     # Newton/secant steps before the bracketed fallback
 
 
 class _Fiber:
@@ -73,24 +76,25 @@ def scale(u: Field, t: float, assume_zero_tail: bool = False) -> Field:
     return _Fiber(u, assume_zero_tail).at(t)
 
 
-def _gap(t: float, fiber: _Fiber, sign: float, tol: float, seen: dict) -> float:
+def _gap(t: float, fiber: _Fiber, sign: float, seen: dict) -> float:
     # sign(sigma) g(t), which increases in t, memoised with u_t in seen[t];
-    # |g| < tol reads as an exact root, which stops brentq there.  Module
-    # level, state in arguments: brentq keeps its callable in a ref cycle.
+    # |g| < _PROJECT_TOL reads as an exact root, which stops brentq there.
+    # Module level, state in arguments: brentq keeps its callable in a ref cycle.
     if t not in seen:
         ut = fiber.at(t)
         seen[t] = (sign * (I_functional(ut) - 1.0), ut)
-    return 0.0 if abs(seen[t][0]) < tol else seen[t][0]
+    return 0.0 if abs(seen[t][0]) < _PROJECT_TOL else seen[t][0]
 
 
-def project_to_M(u: Field, tol: float = 1e-11, max_iter: int = 8) -> Field:
+def project_to_M(u: Field) -> Field:
     """Fiber projection onto the unit-energy manifold {I = 1}.
 
     Solves g(t) = I(u_t) - 1 = 0 on one interpolant of u with g memoised,
     from t = I(u)^(-1/sigma) taken in log space: Newton with the analytic
     slope sigma I/t, then secant slopes (a rough field's resampled energy is
     not exactly t^sigma-homogeneous), then Brent's method on a bracket grown
-    around the best iterate.  Returns u_t at the first |g| < tol, else the
+    around the best iterate.  Returns u_t at the first |g| < ``_PROJECT_TOL``
+    (after at most ``_PROJECT_NEWTON`` Newton/secant steps), else the
     best u_t if |g| <= 1e-8; otherwise, or if the start t does not fit a
     float, raises RuntimeError.
     """
@@ -103,9 +107,9 @@ def project_to_M(u: Field, tol: float = 1e-11, max_iter: int = 8) -> Field:
     if abs(log_t) * max(1.0, fiber.theta) > 700.0:
         raise RuntimeError(f"fiber parameter t = exp({log_t:.4g}) is not representable")
     sign, seen = math.copysign(1.0, sigma), {}
-    state = (fiber, sign, tol, seen)
+    state = (fiber, sign, seen)
     t, prev = math.exp(log_t), None
-    for _ in range(max_iter):
+    for _ in range(_PROJECT_NEWTON):
         g = _gap(t, *state)
         if g == 0.0:
             return seen[t][1]
@@ -130,29 +134,3 @@ def project_to_M(u: Field, tol: float = 1e-11, max_iter: int = 8) -> Field:
     if abs(g) <= 1e-8:
         return ut
     raise RuntimeError("fiber projection did not converge to the manifold")
-
-
-def fiber_profile(
-    u: Field, spec: NonlinearitySpec, ts, rel_step: float = 1e-4
-) -> list[tuple[float, float, float]]:
-    """Energy along the fiber: rows (t, Phi(u_t), dPhi(u_t)/dt).
-
-    ``u`` must lie on the manifold and ``ts`` must be positive ascending.
-    The derivative is a centered difference with relative step ``rel_step``.
-    Used as a geometry probe (sign patterns near the origin, pass geometry).
-    """
-    ts = [float(t) for t in ts]
-    if any(t < 0.0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("ts must be nonnegative and strictly ascending")
-    if abs(I_functional(u) - 1.0) > 1e-8:
-        raise ValueError("fiber profiles are taken from a manifold base point")
-    fiber, rows = _Fiber(u), []
-    for t in ts:
-        if t == 0.0:
-            rows.append((0.0, 0.0, float("nan")))
-            continue
-        dt = rel_step * t
-        phi = Phi(fiber.at(t), spec)
-        dphi = (Phi(fiber.at(t + dt), spec) - Phi(fiber.at(t - dt), spec)) / (2.0 * dt)
-        rows.append((t, phi, dphi))
-    return rows

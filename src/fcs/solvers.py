@@ -4,15 +4,16 @@ Every solver runs the same two phases: one globalizing first-order phase,
 ``_first_order``, then one damped dense Newton polish, ``_newton``, which is
 affordable at desk scale and drives dual residuals to rounding.
 
-``_first_order`` is a preconditioned Armijo line search with
-Barzilai-Borwein steps over a retraction; each solver supplies a value, its
-gradient and the retraction onto its set.  The eigen ascent descends -J on
-{I = 1}, tangent to it, and each trial returns to it along its own
-amplitude ray.  The minimizer descends Phi in the whole space (the identity
-retraction).  The mountain pass descends Phi on the Nehari set: each trial
-is normalized and moved to its Nehari amplitude.  The phase only has to
-reach Newton's basin: it hands over once the dual norm of its (tangent)
-gradient has dropped by ``_HANDOVER_REL``, and Newton does the converging.
+``_first_order`` is an Armijo line search, preconditioned by the k-space
+multiplier 1/(1 + k^(2s)), with Barzilai-Borwein steps over a retraction;
+each solver supplies a value, its gradient and the retraction onto its set.
+The eigen ascent descends -J on {I = 1}, tangent to it, and each trial
+returns to it along its own amplitude ray.  The minimizer descends Phi in
+the whole space (the identity retraction).  The mountain pass descends Phi
+on the Nehari set: each trial is normalized and moved to its Nehari
+amplitude.  The phase only has to reach Newton's basin: it hands over once
+the dual norm of its (tangent) gradient has dropped by ``_HANDOVER_REL``,
+and Newton does the converging.
 
 ``_newton`` reads its system off the evaluated point: grad Phi(u) = 0 for a
 plain point, and for an eigen point {A(u) = lam B(u), I(u) = 1} with lam as
@@ -339,8 +340,9 @@ def _first_order(pt: _Ray, value, grad, retract, tol: float, max_iter: int, norm
     ``value(q)`` and ``grad(q)`` of an evaluated point q, and ``retract(v)``,
     which returns the evaluated point its set assigns to the node values v
     (None where there is none).  The direction is d = P g with g =
-    ``grad(q)`` and P ``precondition``; with a ``normal`` n = ``normal(q)``
-    it is made tangent to that level set, d = P g - (<n, P g> / <n, P n>) P n.
+    ``grad(q)`` and P the k-space multiplier 1/(1 + k^(2s)); with a
+    ``normal`` n = ``normal(q)`` it is made tangent to that level set,
+    d = P g - (<n, P g> / <n, P n>) P n.
     Its slope <g, d> is the squared dual norm of the tangent gradient.  Each
     search backtracks over ``retract(u - eta d)`` (at most 30 trials) and the
     accepted trial is the next point as it is.  The first step is
@@ -883,10 +885,13 @@ def sweep(
     """Warm-started solves along a monotone parameter range.
 
     Each row replaces the coefficient of ``base_spec.terms[term_index]`` by
-    the next value; the previous solution seeds the next solve.  A
-    ``minimize`` row descends from that seed alone and, like a single solve,
-    reports the trivial minimizer when no negative level is found.  Failures
-    are recorded (NaN energy sentinel) and the sweep continues.
+    the next value; the previous solution seeds the next ``minimize`` or
+    ``eigen1`` solve.  A ``minimize`` row descends from that seed alone and,
+    like a single solve, reports the trivial minimizer when no negative
+    level is found.  A ``mountain-pass`` row ignores the seed: it takes its
+    endpoint from the width-1 Gaussian ray (``find_negative_energy_point``),
+    so it equals the single solve at its coefficient.  Failures are
+    recorded (NaN energy sentinel) and the sweep continues.
     """
     opts = opts or SolverOptions()
     if method not in _SWEEP_METHODS:

@@ -1,11 +1,16 @@
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 import struct
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fcs
 from fcs import ProblemParams, make_grid
 from fcs.cli import cli_main
 from fcs.config import ConfigError, parse_config
@@ -485,6 +490,23 @@ def test_cli_scaling_check(capsys):
     assert data["scale_identity_err"] == 0.0
 
 
+def test_cli_scaling_check_runs_without_the_fiber_projection(capsys, monkeypatch):
+    # the dilation laws and scale(u, 1) = u are read on the seed field itself;
+    # no module may reach the root solve onto {I = 1}
+    def refuse(*args, **kwargs):
+        raise AssertionError("scaling-check must not project")
+
+    binders = [m for name, m in sys.modules.items() if name.split(".")[0] == "fcs" and hasattr(m, "project_to_M")]
+    assert binders
+    for module in binders:
+        monkeypatch.setattr(module, "project_to_M", refuse)
+    rc = cli_main(
+        ["scaling-check", "--N", "3", "--s", "0.75", "--alpha", "2", "--R", "20", "--M", "96", "--json"]
+    )
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["scale_identity_err"] == 0.0
+
+
 @pytest.mark.parametrize(
     "t, word",
     [
@@ -550,6 +572,29 @@ def test_cli_sweep_of_mountain_passes(tmp_path, capsys):
     levels = [float(row.split(",")[1]) for row in rows]
     # a stronger nonlinearity lowers the pass
     assert levels[0] > levels[1] > levels[2] > 0.0
+
+
+def test_cli_mountain_pass_sweep_row_equals_the_single_solve(tmp_path, capsys):
+    # a mountain-pass row takes its endpoint from the width-1 Gaussian ray,
+    # not from the previous row, so the second row is the single solve at
+    # its coefficient, bit for bit
+    head = "[params]\nN = 3\ns = 0.8\nalpha = 2.0\n[grid]\nR = 20.0\nM = 64\n"
+    (tmp_path / "sweep.cfg").write_text(
+        head + "[nonlinearity]\nterm = power coef=1.0 q=4.1\n"
+        "[solver]\nmethod = sweep\nsweep_method = mountain-pass\nsweep_term = 0\n"
+        f"sweep_from = 1.0\nsweep_to = 2.0\nsweep_steps = 2\n[output]\ncsv = {tmp_path / 'branch.csv'}\n"
+    )
+    (tmp_path / "single.cfg").write_text(
+        head + "[nonlinearity]\nterm = power coef=2.0 q=4.1\n"
+        f"[solver]\nmethod = mountain-pass\n[output]\njson = {tmp_path / 'single.json'}\n"
+    )
+    assert cli_main(["solve", "--config", str(tmp_path / "sweep.cfg")]) == 0
+    assert cli_main(["solve", "--config", str(tmp_path / "single.cfg")]) == 0
+    capsys.readouterr()
+    param, energy, I, _, _, residual, converged = (tmp_path / "branch.csv").read_text().splitlines()[2].split(",")
+    rep = json.loads((tmp_path / "single.json").read_text())["report"]
+    assert (float(param), converged) == (2.0, "true") and rep["converged"]
+    assert (float(energy), float(I), float(residual)) == (rep["energy"], rep["I"], rep["residual_dual"])
 
 
 @pytest.mark.parametrize("steps", ["0", "-2"])
@@ -625,3 +670,44 @@ def test_config_rejects_bad_seed():
         parse_config("[solver]\nseed = banana\n", source="t")
     with pytest.raises(ConfigError, match="requires seed_file"):
         parse_config("[solver]\nseed = file\n", source="t")
+
+
+# ---------------------------------------------------------------------------
+# public surface
+# ---------------------------------------------------------------------------
+
+_FCS_MODULES = sorted(m.name for m in pkgutil.iter_modules(fcs.__path__))
+
+# removed public names; README lists each with its replacement
+_REMOVED_NAMES = (
+    "inverse_transform",
+    "frac_form",
+    "precondition",
+    "coulomb_sobolev_norm",
+    "apply_fractional_laplacian",
+    "check_embedding",
+    "fiber_profile",
+    "FiberPoint",
+    "eigen_identity_residual",
+)
+
+
+@pytest.mark.parametrize("module", _FCS_MODULES)
+def test_star_import_resolves_every_exported_name(module):
+    # a stale __all__ entry makes ``import *`` raise AttributeError
+    namespace: dict = {}
+    exec(f"from fcs.{module} import *", namespace)
+    exported = getattr(importlib.import_module(f"fcs.{module}"), "__all__", [])
+    assert set(exported) <= set(namespace)
+
+
+def test_removed_names_are_unreachable_from_fcs():
+    for name in _REMOVED_NAMES:
+        assert not hasattr(fcs, name)
+        for module in _FCS_MODULES:
+            assert not hasattr(importlib.import_module(f"fcs.{module}"), name), (module, name)
+    # the keywords that became module constants, and the always-null field
+    assert set(inspect.signature(fcs.estimate_sobolev_constant).parameters) == {"params", "grid"}
+    assert set(inspect.signature(fcs.project_to_M).parameters) == {"u"}
+    assert "ps_threshold_value" not in inspect.signature(fcs.pohozaev_residual).parameters
+    assert "ps_threshold" not in fcs.DiagnosticsRecord.__dataclass_fields__

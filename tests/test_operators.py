@@ -11,10 +11,8 @@ from fcs.operators import (
     apply_B,
     coulomb_energy,
     dual_norm,
-    frac_form,
     frac_seminorm_sq,
     gaussian_riesz_profile,
-    precondition,
     quadrilinear_T,
     _angular_kernel_generic,
     _riesz_kernel,
@@ -379,10 +377,12 @@ def test_operator_oddness(grid256):
 
 def test_weak_strong_consistency(grid256):
     # <A(u), v> must reproduce the bilinear assembly:
-    # frac_form(u, v) + T(u, v, u, u)
+    # sum_m k_m^(2s) b_u b_v + T(u, v, u, u)
     rng = np.random.default_rng(19)
     u, v = smooth_random_field(grid256, rng), smooth_random_field(grid256, rng)
-    weak = frac_form(u, v) + quadrilinear_T(u, v, u, u)
+    eng = grid256.transform()
+    frac = float(np.sum(grid256.k2s * eng.forward(u.values) * eng.forward(v.values)))
+    weak = frac + quadrilinear_T(u, v, u, u)
     strong = apply_A(u).pair(v)
     assert abs(weak - strong) <= 1e-6 * max(abs(weak), 1e-30)
 
@@ -404,7 +404,7 @@ def test_scaled_operator_law(grid256, t):
 
 
 # ---------------------------------------------------------------------------
-# dual norm and preconditioner
+# dual norm
 # ---------------------------------------------------------------------------
 
 def test_dual_norm_formula(grid256):
@@ -415,14 +415,3 @@ def test_dual_norm_formula(grid256):
     b = forward_transform(u).coefficients
     expected = math.sqrt(np.sum(b ** 2 / (1.0 + grid256.k ** (2 * grid256.params.s))))
     assert math.isclose(dual_norm(u), expected, rel_tol=1e-12)
-
-
-def test_preconditioner_is_multiplier_inverse(grid256):
-    from fcs.grid import forward_transform
-
-    rng = np.random.default_rng(31)
-    u = smooth_random_field(grid256, rng)
-    pre = precondition(u)
-    b_pre = forward_transform(pre).coefficients
-    b = forward_transform(u).coefficients
-    assert np.allclose(b_pre * (1.0 + grid256.k ** (2 * grid256.params.s)), b, rtol=1e-10)

@@ -10,7 +10,6 @@ from fcs.params import (
     ProblemParams,
     Regime,
     RegimeTag,
-    check_embedding,
     classify_nonlinearity,
     compute_exponents,
     riesz_constant,
@@ -155,24 +154,3 @@ def test_classify_invariant_under_positive_rescaling(scale, q):
     if a.tag is RegimeTag.ASYMPTOTICALLY_SCALED:
         assert math.isclose(b.l_infinity, scale * a.l_infinity, rel_tol=1e-12)
 
-
-# ---------------------------------------------------------------------------
-# embedding ranges
-# ---------------------------------------------------------------------------
-
-def test_embedding_ranges(exps_star):
-    assert check_embedding(3.0, exps_star) == {"continuous": True, "compact": True}
-    assert check_embedding(4.0, exps_star) == {"continuous": True, "compact": False}
-    assert check_embedding(2.5, exps_star) == {"continuous": False, "compact": False}
-
-
-def test_embedding_rejects_below_regime():
-    t = compute_exponents(ProblemParams(5, 0.3, 1.5))  # 4s + alpha = 2.7 < 5
-    assert t.regime_flag is Regime.BELOW
-    with pytest.raises(ValueError, match="below-regime"):
-        check_embedding(3.0, t)
-
-
-def test_embedding_rejects_bad_p(exps_star):
-    with pytest.raises(ValueError):
-        check_embedding(0.5, exps_star)

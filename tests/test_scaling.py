@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 import fcs.scaling as scaling
 from fcs import ProblemParams, make_grid
-from fcs.energy import I_functional, Psi_tilde, eigen_spec, pure_power
-from fcs.operators import coulomb_sobolev_norm
+from fcs.energy import I_functional, Phi, Psi_tilde, eigen_spec, pure_power
+from fcs.operators import coulomb_energy, frac_seminorm_sq
 from fcs.params import compute_exponents
-from fcs.scaling import _Fiber, fiber_profile, project_to_M, scale
+from fcs.scaling import _Fiber, project_to_M, scale
 
 from conftest import smooth_random_field
 
@@ -105,11 +107,15 @@ def test_fiber_at_overflow_is_a_value_error(gaussian):
 
 
 def test_dilation_norm_bound(gaussian, exps):
-    # |u_t| <= max(t^(sigma/2), t^(sigma/4)) |u| on the sampled family
-    base = coulomb_sobolev_norm(gaussian)
+    # |u_t| <= max(t^(sigma/2), t^(sigma/4)) |u| on the sampled family, in
+    # the Coulomb-Sobolev norm sqrt(|u|_s^2 + sqrt(D(u)))
+    def norm(u):
+        return math.sqrt(frac_seminorm_sq(u) + math.sqrt(max(coulomb_energy(u), 0.0)))
+
+    base = norm(gaussian)
     for t in np.linspace(0.25, 4.0, 8):
         bound = max(t ** (exps.sigma / 2.0), t ** (exps.sigma / 4.0)) * base
-        assert coulomb_sobolev_norm(scale(gaussian, float(t))) <= bound * (1.0 + 1e-3)
+        assert norm(scale(gaussian, float(t))) <= bound * (1.0 + 1e-3)
 
 
 @pytest.mark.parametrize("t", [0.5, 2.0])
@@ -253,7 +259,7 @@ def test_projection_rejects_zero(grid_small):
 
 
 # ---------------------------------------------------------------------------
-# fiber profiles
+# the action along a fiber
 # ---------------------------------------------------------------------------
 
 def test_fiber_profile_eigen_geometry(gaussian, exps):
@@ -261,35 +267,21 @@ def test_fiber_profile_eigen_geometry(gaussian, exps):
     u = project_to_M(gaussian)
     psi = Psi_tilde(u)
     lam = 0.5 * psi
-    rows = fiber_profile(u, eigen_spec(lam, exps), [0.25, 0.5, 0.75, 1.0])
-    for t, phi, _ in rows:
+    ts = [0.25, 0.5, 0.75, 1.0]
+    phis = [Phi(scale(u, t), eigen_spec(lam, exps)) for t in ts]
+    for t, phi in zip(ts, phis):
         expect = t ** exps.sigma * (1.0 - lam / psi)
         assert abs(phi - expect) <= 5e-3 * abs(expect)
         assert phi > 0.0
     # convexity in t^sigma for sigma = 2: phi / t^2 constant
-    vals = [phi / t ** 2 for t, phi, _ in rows]
+    vals = [phi / t ** 2 for t, phi in zip(ts, phis)]
     assert max(vals) - min(vals) <= 5e-3 * abs(vals[0])
 
 
 def test_fiber_profile_superscaled_sign_pattern(grid_small):
     # superscaled growth: positive barrier for small t, negative afterwards
-    p = grid_small.params
     spec = pure_power(40.0, 3.4)
     u = project_to_M(grid_small.field(np.exp(-grid_small.r ** 2)))
-    rows = fiber_profile(u, spec, [0.05, 0.1, 1.0])
-    assert rows[0][1] > 0.0 and rows[1][1] > 0.0
-    assert rows[-1][1] < 0.0
-
-
-def test_fiber_profile_zero_endpoint(gaussian, exps):
-    u = project_to_M(gaussian)
-    rows = fiber_profile(u, eigen_spec(1.0, exps), [0.0, 0.5])
-    assert rows[0][0] == 0.0 and rows[0][1] == 0.0
-
-
-def test_fiber_profile_validates_input(gaussian, exps):
-    u = project_to_M(gaussian)
-    with pytest.raises(ValueError):
-        fiber_profile(u, eigen_spec(1.0, exps), [0.5, 0.4])
-    with pytest.raises(ValueError):
-        fiber_profile(gaussian, eigen_spec(1.0, exps), [0.5, 1.0])
+    phis = [Phi(scale(u, t), spec) for t in (0.05, 0.1, 1.0)]
+    assert phis[0] > 0.0 and phis[1] > 0.0
+    assert phis[-1] < 0.0

@@ -105,7 +105,7 @@ def test_eigen1_ascent_projects_a_bounded_number_of_times(pstar, grid256, monkey
     # every dilation builds a _Fiber; each module that binds the name (the
     # dilation API in scaling, linking_probe in diagnostics, the CLI) gets
     # the refusing one, and no solver holds its own reference to the API
-    assert not {"_Fiber", "project_to_M", "scale", "fiber_profile"} & set(vars(solvers))
+    assert not {"_Fiber", "project_to_M", "scale"} & set(vars(solvers))
     binders = [m for name, m in sys.modules.items() if name.split(".")[0] == "fcs" and hasattr(m, "_Fiber")]
     assert scaling in binders and diagnostics in binders
     for module in binders:
