@@ -4,16 +4,18 @@ Every solver runs the same two phases: one globalizing first-order phase,
 ``_first_order``, then one damped dense Newton polish, ``_newton``, which is
 affordable at desk scale and drives dual residuals to rounding.
 
-``_first_order`` is an Armijo line search, preconditioned by the k-space
-multiplier 1/(1 + k^(2s)), with Barzilai-Borwein steps over a retraction;
-each solver supplies a value, its gradient and the retraction onto its set.
-The eigen ascent descends -J on {I = 1}, tangent to it, and each trial
-returns to it along its own amplitude ray.  The minimizer descends Phi in
-the whole space (the identity retraction).  The mountain pass descends Phi
-on the Nehari set: each trial is normalized and moved to its Nehari
-amplitude.  The phase only has to reach Newton's basin: it hands over once
-the dual norm of its (tangent) gradient has dropped by ``_HANDOVER_REL``,
-and Newton does the converging.
+``_first_order`` is an L-BFGS Armijo line search over a retraction: a
+two-loop recursion over the last ``_LBFGS_MEMORY`` coefficient pairs, with
+the k-space multiplier 1/(1 + k^(2s)) as its initial inverse metric and the
+preconditioned gradient as its fallback; each solver supplies a value, its
+gradient and the retraction onto its set.  The eigen ascent descends -J on
+{I = 1}, tangent to it, and each trial returns to it along its own
+amplitude ray.  The minimizer descends Phi in the whole space (the identity
+retraction).  The mountain pass descends Phi on the Nehari set: each trial
+is normalized and moved to its Nehari amplitude.  The phase only has to
+reach Newton's basin: it hands over once the dual norm of its (tangent)
+gradient has dropped by ``_HANDOVER_REL`` (``_EIGEN_HANDOVER_REL`` in
+``eigen1``), and Newton does the converging.
 
 ``_newton`` reads its system off the evaluated point: grad Phi(u) = 0 for a
 plain point, and for an eigen point {A(u) = lam B(u), I(u) = 1} with lam as
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -80,10 +83,14 @@ class NoPassError(RuntimeError):
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 
-# every first-order phase hands over to Newton once its dual residual has
+# a first-order phase hands over to Newton once its dual residual has
 # dropped by this factor (or by the requested tolerance, if that is looser):
 # it only has to reach Newton's basin, Newton does the converging
 _HANDOVER_REL = 1e-2
+# eigen1's ascent hands over a decade later: ~3 cheap L-BFGS steps more,
+# one of three (M+1) x (M+1) Newton factorizations less
+_EIGEN_HANDOVER_REL = 1e-3
+_LBFGS_MEMORY = 6  # (s, y) pairs kept by _first_order
 
 
 @dataclass(frozen=True)
@@ -333,26 +340,44 @@ def _newton(pt: _Ray, res0: float, tol: float, max_iter: int = 40):
 # the first-order phase
 # ---------------------------------------------------------------------------
 
-def _first_order(pt: _Ray, value, grad, retract, tol: float, max_iter: int, normal=None):
-    """Retracted, preconditioned Armijo descent of ``value`` from ``pt``.
+def _two_loop(b: np.ndarray, pairs, k_den: np.ndarray) -> np.ndarray:
+    """L-BFGS two-loop recursion H b over ``pairs`` (s, y, <s, y>), oldest
+    first, from the inverse metric P = 1/k_den scaled by <s, y> / <y, P y>."""
+    q = b.copy()
+    alphas = []
+    for s, y, sy in reversed(pairs):
+        a = float(np.sum(s * q)) / sy
+        q -= a * y
+        alphas.append(a)
+    _, y, sy = pairs[-1]
+    r = (sy / float(np.sum(y * y / k_den))) * q / k_den
+    for (s, y, sy), a in zip(pairs, reversed(alphas)):
+        r += (a - float(np.sum(y * r)) / sy) * s
+    return r
+
+
+def _first_order(pt: _Ray, value, grad, retract, tol: float, max_iter: int, normal=None, handover=_HANDOVER_REL):
+    """Retracted, preconditioned L-BFGS descent of ``value`` from ``pt``.
 
     The one first-order phase of every solver; each supplies its problem as
     ``value(q)`` and ``grad(q)`` of an evaluated point q, and ``retract(v)``,
     which returns the evaluated point its set assigns to the node values v
-    (None where there is none).  The direction is d = P g with g =
-    ``grad(q)`` and P the k-space multiplier 1/(1 + k^(2s)); with a
-    ``normal`` n = ``normal(q)`` it is made tangent to that level set,
-    d = P g - (<n, P g> / <n, P n>) P n.
-    Its slope <g, d> is the squared dual norm of the tangent gradient.  Each
-    search backtracks over ``retract(u - eta d)`` (at most 30 trials) and the
-    accepted trial is the next point as it is.  The first step is
-    min(2, 1/||g||_*); later searches start from the Barzilai-Borwein step
-    <s, s> / <s, y> in the metric 1 + k^(2s) where <s, y> > 0, and else from
-    min(2 eta, 1/||g||_*), eta the last accepted step.
+    (None where there is none).  With g = ``grad(q)`` and P the k-space
+    multiplier 1/(1 + k^(2s)), a ``normal`` n = ``normal(q)`` makes the
+    gradient tangent to its level set, P g_t = P g - (<n, P g> / <n, P n>) P n.
+    The direction d is the L-BFGS two-loop recursion (``_two_loop``, Nocedal
+    & Wright ch. 7) on g_t over the last ``_LBFGS_MEMORY`` pairs s, y
+    (differences of the points' and of the tangent gradients' coefficients,
+    kept where <s, y> > 0, no vector transport), projected back onto the
+    tangent space the same way; its first trial step is 1.  With an empty
+    memory, or where the slope <g, d> is not positive, d = P g_t from the
+    step min(2 eta, 1/||g||_*), eta the last accepted step (1 before the
+    first).  Each search backtracks over ``retract(u - eta d)`` (at most 30
+    Armijo trials) and the accepted trial is the next point as it is.
 
     Returns the last point, the value history (nonincreasing), the step count
     and why the phase stopped: ``handover`` (the tangent gradient's dual
-    norm dropped by max(tol, ``_HANDOVER_REL``), or under 1e-12 ||g||_*),
+    norm dropped by max(tol, ``handover``), or under 1e-12 ||g||_*),
     ``line_search`` (no trial accepted) or ``max_iter``.
     """
     grid = pt.field.grid
@@ -361,26 +386,39 @@ def _first_order(pt: _Ray, value, grad, retract, tol: float, max_iter: int, norm
     values = [value(pt)]
     eta = 1.0
     prev = None  # the previous point's coefficients and tangent gradient
+    pairs = deque(maxlen=_LBFGS_MEMORY)
     gt0 = None
     stop = "max_iter"
     for _ in range(max_iter):
         b_g = b_t = eng.forward(grad(pt))
         if normal is not None:
             b_n = eng.forward(normal(pt))
-            b_t = b_g - float(np.sum(b_n * b_g / k_den)) / float(np.sum(b_n * b_n / k_den)) * b_n
-        slope = float(np.sum(b_t * b_t / k_den))  # <g, d> = ||g_t||_*^2
-        gt, g_dual = math.sqrt(slope), math.sqrt(float(np.sum(b_g * b_g / k_den)))
+            n_dual = float(np.sum(b_n * b_n / k_den))
+            b_t = b_g - float(np.sum(b_n * b_g / k_den)) / n_dual * b_n
+        gt_sq = float(np.sum(b_t * b_t / k_den))  # ||g_t||_*^2
+        gt, g_dual = math.sqrt(gt_sq), math.sqrt(float(np.sum(b_g * b_g / k_den)))
         gt0 = gt if gt0 is None else gt0
         # the floor: from a converged field gt0 is itself rounding noise
-        if gt <= max(tol, _HANDOVER_REL) * gt0 + 1e-12 * g_dual:
+        if gt <= max(tol, handover) * gt0 + 1e-12 * g_dual:
             stop = "handover"
             break
-        d = eng.inverse(b_t / k_den)
-        sy = 0.0
         if prev is not None:
-            s = pt._b - prev[0]
-            sy = float(np.sum(s * (b_t - prev[1])))
-        eta = float(np.sum(k_den * s * s)) / sy if sy > 0.0 else min(eta * 2.0, 1.0 / max(g_dual, 1e-30))
+            s, y = pt._b - prev[0], b_t - prev[1]
+            sy = float(np.sum(s * y))
+            if sy > 0.0:
+                pairs.append((s, y, sy))
+        slope = 0.0
+        if pairs:
+            r = _two_loop(b_t, pairs, k_den)
+            if normal is not None:
+                r -= float(np.sum(b_n * r)) / n_dual * (b_n / k_den)
+            slope = float(np.sum(b_t * r))
+        if slope > 0.0:
+            eta = 1.0
+        else:  # the preconditioned gradient, of slope ||g_t||_*^2
+            r, slope = b_t / k_den, gt_sq
+            eta = min(eta * 2.0, 1.0 / max(g_dual, 1e-30))
+        d = eng.inverse(r)
         for _ in range(30):
             trial = retract(pt.u - eta * d)
             if trial is not None:
@@ -401,12 +439,12 @@ def _first_order(pt: _Ray, value, grad, retract, tol: float, max_iter: int, norm
 # eigenproblem on the manifold
 # ---------------------------------------------------------------------------
 
-def _ascend_J(pt: _Ray, opts: SolverOptions, penalty=None):
+def _ascend_J(pt: _Ray, opts: SolverOptions, penalty=None, handover: float = _HANDOVER_REL):
     """``_first_order`` on {I = 1}: the ascent of J (less a ``penalty``).
 
     It descends -J with gradient -B(u), tangent to {I = 1} (the normal is
     A(u) = I'(u)), and each trial returns to {I = 1} along its own amplitude
-    ray (``_Ray.on_manifold``).
+    ray (``_Ray.on_manifold``).  ``handover`` is passed on to ``_first_order``.
     """
     grid = pt.field.grid
     p = compute_exponents(grid.params).two_star_s_alpha
@@ -421,7 +459,7 @@ def _ascend_J(pt: _Ray, opts: SolverOptions, penalty=None):
 
     return _first_order(
         pt, value, grad, lambda v: _Ray(Field(grid, v)).on_manifold(), opts.tol, opts.max_iter,
-        normal=lambda q: q.Au,
+        normal=lambda q: q.Au, handover=handover,
     )
 
 
@@ -461,7 +499,7 @@ def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None =
     p = exps.two_star_s_alpha
     pt = _eigen_point(_Ray(seed).on_manifold(), p)
     res0 = pt.res
-    pt, values, it_ascent, stop = _ascend_J(pt, opts)
+    pt, values, it_ascent, stop = _ascend_J(pt, opts, handover=_EIGEN_HANDOVER_REL)
 
     it_newton = 0
     for attempt in range(2):
@@ -475,7 +513,7 @@ def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None =
         # Newton stalled: the ascent handed over near a saddle of J on
         # {I = 1}, outside Newton's basin.  It goes on from the hand-over
         # point, and hands over again relative to the gradient there
-        pt, more, n, stop = _ascend_J(pt, replace(opts, max_iter=left))
+        pt, more, n, stop = _ascend_J(pt, replace(opts, max_iter=left), handover=_EIGEN_HANDOVER_REL)
         values += more[1:]
         it_ascent += n
     report = _finish_eigen(
@@ -533,7 +571,9 @@ def eigen_deflated(
 
     Ordering of the returned multipliers is NOT certified; each candidate
     meets the acceptance rule of an ``eigen1`` output (``_eigen_certified``)
-    and is distinct from the candidates before it.
+    and is distinct from the candidates before it.  The first candidate is
+    ``eigen1``'s; the penalized ascents after it hand over at
+    ``_HANDOVER_REL``, not at ``eigen1``'s later ``_EIGEN_HANDOVER_REL``.
     """
     opts = opts or SolverOptions()
     if k < 1:

@@ -3,8 +3,9 @@
 Every draw either certifies a result or fails with a typed error: below the
 threshold 4s + alpha = N a ``ValueError``; above it, for ``eigen1``, a
 converged report on {I = 1} whose multiplier is the Rayleigh quotient of the
-stored field; for ``minimize_subscaled`` (a damped term at q*), a converged
-report at a level <= 0; for ``mountain_pass`` (a pure power q in
+stored field, after an ascent that never lowered J; for
+``minimize_subscaled`` (a damped term at q*), a converged report at a level
+<= 0; for ``mountain_pass`` (a pure power q in
 (q*, 2*_s), or the critical family), a converged report at a positive level
 or ``NoPassError``.  Along an amplitude ray a^4 Q outgrows every power below
 4, so many draws there find no negative-action endpoint and raise
@@ -69,6 +70,7 @@ def test_eigen1_certifies_or_raises_a_typed_error(draw):
         return
     rep = eigen1(params, grid, opts)
     assert rep.converged
+    assert rep.extras["J_history_monotone"]
     assert abs(rep.extras["I"] - 1.0) <= 1e-8
     lam = rayleigh_quotient(rep.solution)
     assert abs(rep.multiplier - lam) <= 1e-10 * lam

@@ -12,7 +12,8 @@ whose stored value is below it.
 A change that moves a number on purpose regenerates the files and says why
 in CHANGES.md::
 
-    python tests/test_golden.py --regenerate
+    python tests/test_golden.py --dry-run      # print what would move
+    python tests/test_golden.py --regenerate   # print it and rewrite the files
 """
 
 from __future__ import annotations
@@ -265,7 +266,9 @@ def test_what_moved_tells_bytes_tolerance_and_moved_keys_apart():
     assert what_moved("x.csv", "p,e\n1,2.0\n", b"p,e\n1,2.5\n") == ["moved", "$.rows[0].e: 2.0 != 2.5"]
 
 
-def regenerate() -> None:
+def regenerate(write: bool = True) -> None:
+    """Run every case and print how its output moved from the stored file;
+    with ``write`` the output then replaces the stored file."""
     GOLDEN.mkdir(exist_ok=True)
     cwd = os.getcwd()
     for name in CASES:
@@ -278,10 +281,11 @@ def regenerate() -> None:
         path = GOLDEN / name
         status, *moved = what_moved(name, text, path.read_bytes() if path.exists() else None)
         print(f"{path}: {status}" + "".join(f"\n  {d}" for d in moved))
-        path.write_text(text, newline="")
+        if write:
+            path.write_text(text, newline="")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regenerate"]:
-        sys.exit(f"usage: python {sys.argv[0]} --regenerate")
-    regenerate()
+    if sys.argv[1:] not in (["--regenerate"], ["--dry-run"]):
+        sys.exit(f"usage: python {sys.argv[0]} --regenerate | --dry-run")
+    regenerate(write=sys.argv[1] == "--regenerate")

@@ -170,6 +170,111 @@ def test_every_solver_runs_the_one_first_order_phase(pstar, monkeypatch):
         assert seen, f"{name} did not run _first_order"
 
 
+@pytest.mark.parametrize(
+    "N, s, alpha, width",
+    [
+        (3, 0.75, 2.0, 0.5),
+        (3, 0.75, 2.0, 1.0),
+        (3, 0.75, 2.0, 2.0),
+        (4, 0.75, 2.5, 1.0),
+        (2, 0.75, 1.5, 1.0),
+    ],
+)
+def test_eigen1_factorizes_two_newton_jacobians(N, s, alpha, width, monkeypatch):
+    # the ascent hands over at _EIGEN_HANDOVER_REL, close enough to the
+    # ground state that Newton's second step converges and its third only
+    # checks: two dense LU factorizations per eigenpair
+    solve = np.linalg.solve
+    calls = []
+    monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    p = ProblemParams(N, s, alpha)
+    rep = eigen1(p, make_grid(p, 20.0, 256), SolverOptions(seed_width=width))
+    assert rep.converged
+    assert len(calls) == 2
+
+
+def test_eigen1_n4_ascent_takes_few_steps():
+    # the eigen1-n4 golden configuration: 20 L-BFGS ascent steps, where a
+    # plain preconditioned-gradient ascent takes twice as many
+    p = ProblemParams(4, 0.75, 2.5)
+    rep = eigen1(p, make_grid(p, 20.0, 256))
+    assert rep.converged
+    assert rep.extras["iterations_ascent"] <= 25
+
+
+def test_first_order_first_step_is_the_preconditioned_gradient(pstar):
+    # with an empty memory the first trial is u - eta P g, with
+    # eta = min(2, 1/||g||_*), bit for bit
+    from fcs import solvers
+
+    g = make_grid(pstar, 20.0, 128)
+    spec = NonlinearitySpec.of(DampedPowerTerm(4.5, compute_exponents(pstar).two_star_s_alpha, 0.3))
+    pt = _Ray(g.field(0.3 * np.exp(-g.r ** 2)), spec)
+    trials = []
+
+    def retract(v):
+        trials.append(v)
+        return _Ray(g.field(v), spec)
+
+    solvers._first_order(pt, lambda q: q.action, lambda q: q.resid, retract, 1e-6, 1)
+    eng, k_den = g.transform(), 1.0 + g.k2s
+    b = eng.forward(pt.resid)
+    eta = min(2.0, 1.0 / math.sqrt(float(np.sum(b * b / k_den))))
+    np.testing.assert_array_equal(trials[0], pt.u - eta * eng.inverse(b / k_den))
+
+
+def test_first_order_directions_are_tangent_to_the_manifold(grid256, monkeypatch):
+    # on {I = 1} every direction d, the two-loop ones included, satisfies
+    # <A(u), d> = 0 to rounding: it is projected back onto the tangent space
+    from fcs import solvers
+
+    engine, two_loop = solvers._first_order, solvers._two_loop
+    dirs, loops = [], []
+
+    def spy(pt, value, grad, retract, *args, **kwargs):
+        here = []
+
+        def grad_at(q):
+            here[:] = [q]
+            return grad(q)
+
+        def first_trial(v):
+            if here:  # the first trial of a step is u - eta d, eta > 0
+                q = here.pop()
+                dirs.append((q, q.u - v))
+            return retract(v)
+
+        return engine(pt, value, grad_at, first_trial, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_first_order", spy)
+    monkeypatch.setattr(solvers, "_two_loop", lambda *a: loops.append(1) or two_loop(*a))
+    start = _Ray(grid256.field(np.exp(-grid256.r ** 2))).on_manifold()
+    _, _, it, _ = solvers._ascend_J(start, SolverOptions(max_iter=8))
+    assert len(dirs) == it >= 6
+    assert len(loops) >= it - 2
+    w = grid256.w
+    for q, d in dirs:
+        scale = math.sqrt(float(np.sum(w * q.Au ** 2)) * float(np.sum(w * d ** 2)))
+        assert abs(float(np.sum(w * q.Au * d))) <= 1e-12 * scale
+
+
+def test_first_order_drops_a_two_loop_direction_that_does_not_descend(grid256, monkeypatch):
+    # a two-loop direction of non-positive slope gives way to the
+    # preconditioned gradient: the search runs as with an empty memory
+    from fcs import solvers
+
+    start = _Ray(grid256.field(np.exp(-grid256.r ** 2))).on_manifold()
+    opts = SolverOptions(max_iter=8)
+    uphill = []
+    monkeypatch.setattr(solvers, "_two_loop", lambda b, pairs, k_den: uphill.append(1) or -b)
+    got = solvers._ascend_J(start, opts)
+    monkeypatch.setattr(solvers, "_LBFGS_MEMORY", 0)
+    want = solvers._ascend_J(start, opts)
+    assert uphill
+    assert got[1:] == want[1:]
+    np.testing.assert_array_equal(got[0].u, want[0].u)
+
+
 def test_eigen1_reports_why_the_ascent_stopped(pstar, grid256):
     # at the reference configuration the tangent gradient drops to the
     # hand-over threshold, and Newton takes over from there
@@ -230,16 +335,15 @@ def test_eigen1_after_a_stalled_newton_ascends_on():
     assert abs(rep.multiplier - eigen1(p, g).multiplier) <= 1e-10 * rep.multiplier
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="sigma = 4s + alpha - N = 1.35e-4: J is nearly flat along dilations; measured "
-    "converged=False, lam = 3.62928, residual_rel = 7.1e-5, I - 1 = 1.3e-5 after 862 ascent "
-    "and 80 Newton steps",
-)
-def test_eigen1_converges_at_sigma_near_zero():
+@pytest.mark.parametrize("width", [1.0, 2.097])
+def test_eigen1_converges_at_sigma_near_zero(width):
+    # sigma = 4s + alpha - N = 1.35e-4: J is nearly flat along dilations, a
+    # direction a plain gradient ascent crawls along; L-BFGS crosses it
+    # (width 1: 76 ascent and 42 Newton steps, width 2.097: 104 and 5)
     p = ProblemParams(5, 0.4282336703906352, 3.2872006000442404)
-    rep = eigen1(p, make_grid(p, 20.0, 128))
+    rep = eigen1(p, make_grid(p, 20.0, 128), SolverOptions(seed_width=width))
     assert rep.converged
+    assert abs(rep.multiplier - 3.6074965831311) <= 1e-12 * 3.6074965831311
 
 
 @pytest.mark.parametrize("params", [(3, 0.75, 2.0), (4, 0.75, 2.5)], ids=["N3", "N4"])
@@ -441,8 +545,8 @@ def test_minimize_damped_worked_example(pstar, grid, eigen_report):
 
 
 def test_minimize_damped_golden_config_takes_few_steps(pstar):
-    # the minimize-damped golden configuration: its descent starts each line
-    # search after the first from a Barzilai-Borwein step
+    # the minimize-damped golden configuration: 8 L-BFGS descent steps and
+    # 3 Newton steps
     exps = compute_exponents(pstar)
     spec = NonlinearitySpec.of(DampedPowerTerm(4.5, exps.two_star_s_alpha, 0.3))
     rep = minimize_subscaled(pstar, make_grid(pstar, 20.0, 128), spec)
@@ -612,15 +716,20 @@ def test_mountain_pass_critical_family_near_lambda1_converges(lam, M):
     assert math.isclose(rep.energy, _NEAR_LAMBDA1_LEVELS[lam, M], rel_tol=1e-10, abs_tol=0.0)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="sigma = 4s + alpha - N = 0.053: q* = 2.44804, q6 = 2.45269 and 2*_s = 2.45288 nearly "
-    "coincide; measured converged=False, residual_rel 9.5e-3, level 0.34823 after 80 first-order "
-    "and 40 Newton steps (M=64; M=128 converges at 0.34752, M=256 gives residual_rel 7.7e-3)",
-)
-def test_mountain_pass_converges_at_small_sigma():
+# levels at sigma = 4s + alpha - N = 0.053 (N=6, R=20, CLI endpoint of
+# width 1), where q* = 2.44804, q6 = 2.45269 and 2*_s = 2.45288 nearly
+# coincide; the Nehari descent takes 28-30 of its 80 steps, Newton 4
+_SMALL_SIGMA_LEVELS = {
+    64: 0.34751867370163914,
+    128: 0.34751881062592815,
+    256: 0.34751881275213137,
+}
+
+
+@pytest.mark.parametrize("M", list(_SMALL_SIGMA_LEVELS))
+def test_mountain_pass_converges_at_small_sigma(M):
     p = ProblemParams(6, 0.5538945091884342, 3.8372579236766784)
-    g = make_grid(p, 20.0, 64)
+    g = make_grid(p, 20.0, M)
     exps = compute_exponents(p)
     spec = NonlinearitySpec.of(
         PowerTerm(2.276263964041046, exps.two_star_s_alpha),
@@ -629,6 +738,7 @@ def test_mountain_pass_converges_at_small_sigma():
     )
     rep = mountain_pass(p, g, spec, find_negative_energy_point(p, g, spec))
     assert rep.converged
+    assert math.isclose(rep.energy, _SMALL_SIGMA_LEVELS[M], rel_tol=1e-10, abs_tol=0.0)
 
 
 def test_mountain_pass_rejects_positive_endpoint(mp_setup):
