@@ -1,16 +1,16 @@
-"""Identity residuals and constants.
+"""Identity residuals, the best Sobolev constant and the linking probe.
 
 The Pohozaev-type balance is the designated detector for convention or
 quadrature inconsistencies: for a genuine critical point it must close, and
 any Fourier-normalization mismatch between the spectral and kernel paths
 would leave an O(1) floor in it.  All diagnostics are pure functions of
 (field, nonlinearity, parameters): byte-identical inputs give byte-identical
-records.
+records.  The Sobolev quotient is minimized by the solvers' first-order
+engine.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +41,8 @@ __all__ = [
 ]
 
 _GUARD = 1e-300
-_SOBOLEV_MAX_ITER = 400  # inverse-iteration steps per start
-_SOBOLEV_TOL = 1e-12     # relative change of the quotient that stops a start
+_SOBOLEV_MAX_ITER = 400  # first-order steps per start, a guard
+_SOBOLEV_TOL = 1e-7      # drop of the tangent gradient's dual norm that stops a start
 
 
 @dataclass(frozen=True)
@@ -142,55 +142,48 @@ def identity_closure_gap(u: Field, lam: float) -> dict:
 def estimate_sobolev_constant(params: ProblemParams, grid: RadialGrid) -> float:
     """Estimate the best constant S with |u|_{2*_s}^2 <= S^{-1} |(-Delta)^{s/2}u|^2.
 
-    The Rayleigh quotient is minimized by renormalized inverse iteration
-    u <- (-Delta)^{-s} |u|^(2*-2) u, started from a bump-type extremal
-    profile and a Gaussian, each for at most ``_SOBOLEV_MAX_ITER`` steps or
-    until the quotient moves by less than ``_SOBOLEV_TOL`` relative; the
-    smallest quotient over the starts is returned.  Cached per grid.
+    ``solvers._first_order`` minimizes S(u) = |(-Delta)^{s/2}u|^2 (gradient
+    2 (-Delta)^s u) on {|u|_p = 1}, p = 2*_s (normal |u|^(p-2) u, retraction
+    v -> v / |v|_p), over points with no Hartree part, from a bump-type
+    extremal profile and from a Gaussian.  Each start hands over once its
+    tangent gradient's dual norm has dropped by ``_SOBOLEV_TOL`` (at most
+    ``_SOBOLEV_MAX_ITER`` steps); the smallest quotient wins.  Cached per grid.
     """
+    # imported here: solvers imports this module, so a top-level import is a cycle
+    from .solvers import _first_order
+
     if params.regime is not Regime.ABOVE:
         raise ValueError("below-regime ranges not supported")
     cached = grid._caches.get("sobolev_constant")
     if cached is not None:
         return cached
-    exps = compute_exponents(params)
-    p = exps.two_star_s
+    p = compute_exponents(params).two_star_s
     eng = grid.transform()
-    k2s = grid.k2s
-    inverse_mult = grid.k ** (-2.0 * params.s)
+    no_potential = np.zeros(grid.M)
 
-    def norm_p(v: np.ndarray) -> float:  # ``lp_norm`` on node values
-        return float(np.sum(grid.w * np.abs(v) ** p)) ** (1.0 / p)
+    def on_sphere(v: np.ndarray) -> _Ray | None:
+        # v / |v|_p, evaluated without the Hartree part
+        nrm = float(np.sum(grid.w * np.abs(v) ** p)) ** (1.0 / p)
+        if nrm == 0.0:
+            return None
+        v = v / nrm
+        pt = _Ray.__new__(_Ray)
+        pt._fill(Field(grid, v), None, eng.forward(v), no_potential)
+        return pt
 
-    seeds = [
-        (1.0 + grid.r ** 2) ** (-(params.N - 2.0 * params.s) / 2.0),
-        np.exp(-grid.r ** 2),
+    ends = [
+        _first_order(
+            on_sphere(u), lambda q: q.S, lambda q: 2.0 * q.Au, on_sphere, _SOBOLEV_TOL, _SOBOLEV_MAX_ITER,
+            normal=lambda q: np.abs(q.u) ** (p - 2.0) * q.u, handover=_SOBOLEV_TOL,
+        )[0]
+        for u in ((1.0 + grid.r ** 2) ** (-(params.N - 2.0 * params.s) / 2.0), np.exp(-grid.r ** 2))
     ]
-    best = math.inf
-    best_u = None
-    for u in seeds:
-        # each step: two transforms and one L^p norm; |u|_s^2 is read off
-        # the multiplier coefficients, and the norm normalizes the next step
-        nrm = norm_p(u)
-        q = None
-        for _ in range(_SOBOLEV_MAX_ITER):
-            if nrm == 0.0:
-                break
-            u = u / nrm
-            c = inverse_mult * eng.forward(np.abs(u) ** (p - 2.0) * u)
-            u = eng.inverse(c)
-            nrm = norm_p(u)
-            q_prev, q = q, float(np.sum(k2s * c * c)) / nrm ** 2
-            if q_prev is not None and abs(q - q_prev) <= _SOBOLEV_TOL * abs(q):
-                break
-        if q is not None and q < best:
-            best = q
-            best_u = u / nrm
-    grid._caches["sobolev_constant"] = best
+    best = min(ends, key=lambda q: q.S)
+    grid._caches["sobolev_constant"] = best.S
     # the values, not a Field: a Field points back at the grid, and that
     # cycle would leave a dead grid to the cycle collector
-    grid._caches["sobolev_extremal"] = best_u
-    return best
+    grid._caches["sobolev_extremal"] = best.u
+    return best.S
 
 
 def sobolev_extremal(params: ProblemParams, grid: RadialGrid) -> Field:

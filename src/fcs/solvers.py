@@ -91,6 +91,9 @@ _HANDOVER_REL = 1e-2
 # one of three (M+1) x (M+1) Newton factorizations less
 _EIGEN_HANDOVER_REL = 1e-3
 _LBFGS_MEMORY = 6  # (s, y) pairs kept by _first_order
+# a Newton call hands back once its last _NEWTON_STALL steps together cut the
+# residual by less than 10 %: it started outside its basin
+_NEWTON_STALL = 6
 
 
 @dataclass(frozen=True)
@@ -283,9 +286,10 @@ def _newton(pt: _Ray, res0: float, tol: float, max_iter: int = 40):
     target is min(tol, 1e-11) res0 plus the rounding floor of the start
     point (see ``_rounding_floor``).  A step is halved until the residual
     decreases or, once the residual is under the target, until the manifold
-    defect I(u) - 1 does (0 for a plain point).  Returns the last accepted
-    point and the iteration count; a point accepted by the line search is
-    carried into the next step as it is.
+    defect I(u) - 1 does (0 for a plain point), and a call stops once its
+    last ``_NEWTON_STALL`` steps cut a residual above the target by < 10 %.
+    Returns the last accepted point and the iteration count; a point accepted
+    by the line search is carried into the next step as it is.
     """
     grid = pt.field.grid
     M = grid.M
@@ -300,10 +304,12 @@ def _newton(pt: _Ray, res0: float, tol: float, max_iter: int = 40):
         return q.I - 1.0 if bordered else 0.0
 
     scale0 = float(np.max(np.abs(pt.u)))
+    recent = deque([pt.res], maxlen=_NEWTON_STALL + 1)
     it = 0
     for it in range(1, max_iter + 1):
         d0 = defect(pt)
-        if pt.res <= tol_abs and abs(d0) <= 1e-11:
+        stalled = len(recent) > _NEWTON_STALL and pt.res > max(0.9 * recent[0], tol_abs)
+        if stalled or (pt.res <= tol_abs and abs(d0) <= 1e-11):
             break
         _jacobian_into(jac[:M, :M], Lf, K, pt.u, pt.pot - pt.spec.fprime(pt.u, grid.r))
         rhs = pt.resid
@@ -316,7 +322,6 @@ def _newton(pt: _Ray, res0: float, tol: float, max_iter: int = 40):
         except np.linalg.LinAlgError:
             break
         step = 1.0
-        improved = False
         for _ in range(10):
             trial = pt.u + step * delta[:M]
             if not np.all(np.isfinite(trial)):
@@ -326,10 +331,10 @@ def _newton(pt: _Ray, res0: float, tol: float, max_iter: int = 40):
             pt_try = _eigen_point(_Ray(u_try), pt.p, pt.lam + step * delta[M]) if bordered else _Ray(u_try, pt.spec)
             if pt_try.res < pt.res or (pt_try.res < tol_abs and abs(defect(pt_try)) < abs(d0)):
                 pt = pt_try
-                improved = True
+                recent.append(pt.res)
                 break
             step *= 0.5
-        if not improved:
+        else:  # no trial was accepted
             break
         if float(np.max(np.abs(pt.u))) < 1e-10 * max(scale0, 1.0):
             raise DegenerateSeedError("Newton iteration collapsed to the zero field")
@@ -359,7 +364,8 @@ def _two_loop(b: np.ndarray, pairs, k_den: np.ndarray) -> np.ndarray:
 def _first_order(pt: _Ray, value, grad, retract, tol: float, max_iter: int, normal=None, handover=_HANDOVER_REL):
     """Retracted, preconditioned L-BFGS descent of ``value`` from ``pt``.
 
-    The one first-order phase of every solver; each supplies its problem as
+    The one first-order phase of every solver and of the Sobolev-constant
+    estimate (``diagnostics``); each caller supplies its problem as
     ``value(q)`` and ``grad(q)`` of an evaluated point q, and ``retract(v)``,
     which returns the evaluated point its set assigns to the node values v
     (None where there is none).  With g = ``grad(q)`` and P the k-space

@@ -144,6 +144,64 @@ def test_sobolev_estimate_domain_stability():
     assert abs(b - a) <= 1e-2 * b
 
 
+def _random_grids(count, seed=18):
+    # seeded (N, s, alpha) above the threshold 4s + alpha > N, M in {64, 128}
+    rng = np.random.default_rng(seed)
+    grids = []
+    while len(grids) < count:
+        N = int(rng.integers(2, 7))
+        s, alpha = float(rng.uniform(0.3, 0.95)), float(rng.uniform(1.05, N - 0.05))
+        if 4.0 * s + alpha > N + 1e-3:
+            grids.append((N, s, alpha, int(rng.choice([64, 128]))))
+    return grids
+
+
+@pytest.mark.parametrize(
+    "N,s,alpha,M", _random_grids(12), ids=lambda v: f"{v:.4g}" if isinstance(v, float) else str(v)
+)
+def test_sobolev_extremal_is_stationary(N, s, alpha, M, monkeypatch):
+    # the extremal solves (-Delta)^s u = S |u|^(p-2) u on |u|_p = 1, p = 2*_s:
+    # its Euler-Lagrange residual, in the dual norm relative to (-Delta)^s u,
+    # is at the level the first-order engine hands over at; both starts
+    # reach the same quotient, and neither stops at the step guard
+    from fcs import solvers
+    from fcs.diagnostics import sobolev_extremal
+    from fcs.operators import dual_norm
+
+    first_order = solvers._first_order
+    starts = []
+
+    def spy(*args, **kwargs):
+        out = first_order(*args, **kwargs)
+        starts.append((out[0].S, out[3]))
+        return out
+
+    monkeypatch.setattr(solvers, "_first_order", spy)
+    p = ProblemParams(N, s, alpha)
+    g = make_grid(p, 20.0, M)
+    S = estimate_sobolev_constant(p, g)
+    (S_bump, stop_bump), (S_gauss, stop_gauss) = starts
+    assert S == min(S_bump, S_gauss)
+    assert abs(S_bump - S_gauss) <= 1e-10 * S
+    assert "max_iter" not in (stop_bump, stop_gauss)
+    u = sobolev_extremal(p, g).values
+    q = compute_exponents(p).two_star_s
+    assert abs(float(np.sum(g.w * np.abs(u) ** q)) - 1.0) <= 1e-12
+    eng = g.transform()
+    Lu = eng.inverse(g.k2s * eng.forward(u))
+    residual = Lu - S * np.abs(u) ** (q - 2.0) * u
+    assert dual_norm(g.field(residual)) <= 1e-6 * dual_norm(g.field(Lu))
+
+
+def test_sobolev_constant_meets_the_closed_form_to_2e4():
+    # the oracle of acceptance criterion 9 (N=3, s=1/2: S = (2 pi^2)^(1/3))
+    # at its grid, ten times tighter than that criterion's bound
+    p = ProblemParams(3, 0.5, 2.0)
+    S = estimate_sobolev_constant(p, make_grid(p, 20.0, 512))
+    exact = (2.0 * math.pi ** 2) ** (1.0 / 3.0)
+    assert abs(S - exact) <= 2e-4 * exact
+
+
 def test_sobolev_rejects_below_regime():
     p = ProblemParams(5, 0.3, 1.5)
     g = make_grid(p, 10.0, 32)

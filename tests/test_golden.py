@@ -151,6 +151,8 @@ CASES = {
         )
         for what in ("pohozaev", "nehari", "identity")
     },
+    # the README example of the Sobolev constant
+    "sobolev-n3.json": (None, [["sobolev", "--N", "3", "--s", "0.5", "--alpha", "2", "--R", "20", "--M", "512", "--out", "out.json"]], "out.json"),
     "scaling-check.csv": (None, [["scaling-check", "--N", "3", "--s", "0.75", "--alpha", "2", "--R", "20", "--M", "256", "--out", "out.csv"]], "out.csv"),
 }
 
