@@ -23,6 +23,7 @@ from .diagnostics import (
     nehari_residual,
     pohozaev_residual,
     ps_threshold,
+    sobolev_residual_dual,
 )
 from .energy import I_functional, J_functional, Phi_lambda, eigen_spec
 from .grid import Field, make_grid
@@ -379,6 +380,7 @@ def _cmd_sobolev_impl(cfg: RunConfig, t0: float) -> int:
     payload = {
         "sobolev_constant": S,
         "ps_threshold": ps_threshold(params, S),
+        "residual_dual": sobolev_residual_dual(params, grid),
         "grid": grid.summary(),
     }
     _emit_envelope(cfg, payload, t0)

@@ -26,6 +26,7 @@ from .energy import (
     eigen_spec,
 )
 from .grid import Field, RadialGrid
+from .operators import dual_norm
 from .params import ProblemParams, Regime, compute_exponents
 from .scaling import _Fiber
 
@@ -35,14 +36,15 @@ __all__ = [
     "nehari_residual",
     "identity_closure_gap",
     "estimate_sobolev_constant",
+    "sobolev_residual_dual",
     "ps_threshold",
     "linking_probe",
     "LinkingRow",
 ]
 
 _GUARD = 1e-300
-_SOBOLEV_MAX_ITER = 400  # first-order steps per start, a guard
-_SOBOLEV_TOL = 1e-7      # drop of the tangent gradient's dual norm that stops a start
+_SOBOLEV_MAX_ITER = 400  # first-order steps, a guard
+_SOBOLEV_TOL = 1e-7      # drop of the tangent gradient's dual norm that stops the descent
 
 
 @dataclass(frozen=True)
@@ -139,25 +141,12 @@ def identity_closure_gap(u: Field, lam: float) -> dict:
 # best-constant estimation and the concentration threshold
 # ---------------------------------------------------------------------------
 
-def estimate_sobolev_constant(params: ProblemParams, grid: RadialGrid) -> float:
-    """Estimate the best constant S with |u|_{2*_s}^2 <= S^{-1} |(-Delta)^{s/2}u|^2.
-
-    ``solvers._first_order`` minimizes S(u) = |(-Delta)^{s/2}u|^2 (gradient
-    2 (-Delta)^s u) on {|u|_p = 1}, p = 2*_s (normal |u|^(p-2) u, retraction
-    v -> v / |v|_p), over points with no Hartree part, from a bump-type
-    extremal profile and from a Gaussian.  Each start hands over once its
-    tangent gradient's dual norm has dropped by ``_SOBOLEV_TOL`` (at most
-    ``_SOBOLEV_MAX_ITER`` steps); the smallest quotient wins.  Cached per grid.
-    """
+def _sobolev_descent(grid: RadialGrid, u0: np.ndarray):
+    """``solvers._first_order`` on the Sobolev quotient from ``u0``, as the estimate runs it."""
     # imported here: solvers imports this module, so a top-level import is a cycle
     from .solvers import _first_order
 
-    if params.regime is not Regime.ABOVE:
-        raise ValueError("below-regime ranges not supported")
-    cached = grid._caches.get("sobolev_constant")
-    if cached is not None:
-        return cached
-    p = compute_exponents(params).two_star_s
+    p = compute_exponents(grid.params).two_star_s
     eng = grid.transform()
     no_potential = np.zeros(grid.M)
 
@@ -171,14 +160,27 @@ def estimate_sobolev_constant(params: ProblemParams, grid: RadialGrid) -> float:
         pt._fill(Field(grid, v), None, eng.forward(v), no_potential)
         return pt
 
-    ends = [
-        _first_order(
-            on_sphere(u), lambda q: q.S, lambda q: 2.0 * q.Au, on_sphere, _SOBOLEV_TOL, _SOBOLEV_MAX_ITER,
-            normal=lambda q: np.abs(q.u) ** (p - 2.0) * q.u, handover=_SOBOLEV_TOL,
-        )[0]
-        for u in ((1.0 + grid.r ** 2) ** (-(params.N - 2.0 * params.s) / 2.0), np.exp(-grid.r ** 2))
-    ]
-    best = min(ends, key=lambda q: q.S)
+    return _first_order(
+        on_sphere(u0), lambda q: q.S, lambda q: 2.0 * q.Au, on_sphere, _SOBOLEV_TOL, _SOBOLEV_MAX_ITER,
+        normal=lambda q: np.abs(q.u) ** (p - 2.0) * q.u, handover=_SOBOLEV_TOL,
+    )
+
+
+def estimate_sobolev_constant(params: ProblemParams, grid: RadialGrid) -> float:
+    """Estimate the best constant S with |u|_{2*_s}^2 <= S^{-1} |(-Delta)^{s/2}u|^2.
+
+    ``solvers._first_order`` minimizes S(u) = |(-Delta)^{s/2}u|^2 (gradient
+    2 (-Delta)^s u) on {|u|_p = 1}, p = 2*_s (normal |u|^(p-2) u, retraction
+    v -> v / |v|_p), over points with no Hartree part, from exp(-r^2), and
+    hands over once its tangent gradient's dual norm has dropped by
+    ``_SOBOLEV_TOL`` (at most ``_SOBOLEV_MAX_ITER`` steps).  Cached per grid.
+    """
+    if params.regime is not Regime.ABOVE:
+        raise ValueError("below-regime ranges not supported")
+    cached = grid._caches.get("sobolev_constant")
+    if cached is not None:
+        return cached
+    best = _sobolev_descent(grid, np.exp(-grid.r ** 2))[0]
     grid._caches["sobolev_constant"] = best.S
     # the values, not a Field: a Field points back at the grid, and that
     # cycle would leave a dead grid to the cycle collector
@@ -190,6 +192,13 @@ def sobolev_extremal(params: ProblemParams, grid: RadialGrid) -> Field:
     """The minimizing profile behind :func:`estimate_sobolev_constant`."""
     estimate_sobolev_constant(params, grid)
     return Field(grid, grid._caches["sobolev_extremal"].copy())
+
+
+def sobolev_residual_dual(params: ProblemParams, grid: RadialGrid) -> float:
+    """||(-Delta)^s u - S |u|^(p-2) u||_* at the extremal u, p = 2*_s."""
+    S = estimate_sobolev_constant(params, grid)
+    u, p, eng = grid._caches["sobolev_extremal"], compute_exponents(params).two_star_s, grid.transform()
+    return dual_norm(Field(grid, eng.inverse(grid.k2s * eng.forward(u)) - S * np.abs(u) ** (p - 2.0) * u))
 
 
 def ps_threshold(params: ProblemParams, S: float) -> float:

@@ -12,10 +12,12 @@ Euler-Maclaurin-type corrections:
 * for N = 2 only, the rho = 0 endpoint term h^2/12 f'(0), which vanishes
   identically for N >= 3.
 
-For N != 3 the angular average is exact on the diagonal (a Beta function)
-and off it a graded-panel quadrature, graded from each pair's distance to
-the complex singularities of its integrand.  The integrand is bitwise
-symmetric in (r, rho), so only the upper triangle of node pairs is
+For N = 3 the angular average is closed-form, and on the uniform grid P is
+a Hankel-minus-Toeplitz core of the values (n h)^(alpha-1) between diag(1/r)
+and diag(r).  For N != 3 the angular average is exact on the diagonal (a
+Beta function) and off it a graded-panel quadrature, graded from each pair's
+distance to the complex singularities of its integrand.  The integrand is
+bitwise symmetric in (r, rho), so only the upper triangle of node pairs is
 integrated and then mirrored.  Energies and gradients need the matrix
 that is symmetric in the quadrature inner product; one such matrix is
 stored per kernel.  For N >= 3 it is P itself (W P is symmetric to
@@ -185,6 +187,17 @@ def _angular_kernel_generic(N: int, alpha: float, r: np.ndarray) -> np.ndarray:
     return out
 
 
+def _toeplitz_minus_hankel(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """diag(1/r) [c(|i-j|) - c(i+j)] diag(r), i, j = 1..M, from c(0..2M); both
+    cores are strided views, so the subtraction is the only M x M allocation."""
+    M = r.size
+    toeplitz = sliding_window_view(np.concatenate((c[M - 1:0:-1], c[:M])), M)[::-1]
+    L = np.subtract(toeplitz, sliding_window_view(c[2:2 * M + 1], M))
+    L *= (1.0 / r)[:, None]
+    L *= r[None, :]
+    return L
+
+
 class _RieszKernel:
     """Assembled kernel matrix P with (I_alpha * v)(r_i) = (P v)_i, and S,
     its w-symmetric part (the same array as P for N >= 3)."""
@@ -200,17 +213,11 @@ class _RieszKernel:
         r, h, M = grid.r, grid.h, grid.M
         c_a = riesz_constant(N, alpha)
         if N == 3:
-            rr = r[:, None]
-            pp = r[None, :]
-            ang = (
-                2.0
-                * math.pi
-                * ((rr + pp) ** (alpha - 1.0) - np.abs(rr - pp) ** (alpha - 1.0))
-                / ((alpha - 1.0) * rr * pp)
-            )
+            # diag(1/r) [g(i+j) - g(|i-j|)] diag(r), g(n) = c (n h)^(alpha-1): T - H of -g
+            g = 2.0 * math.pi * c_a * h / (alpha - 1.0) * (h * np.arange(2 * M + 1)) ** (alpha - 1.0)
+            P = _toeplitz_minus_hankel(-g, r)
         else:
-            ang = _angular_kernel_generic(N, alpha, r)
-        P = c_a * h * r[None, :] ** (N - 1) * ang
+            P = c_a * h * r[None, :] ** (N - 1) * _angular_kernel_generic(N, alpha, r)
         P[np.arange(M), np.arange(M)] += _kink_correction_constant(N, alpha) * h ** alpha
         if N == 2:
             # endpoint Euler-Maclaurin term: the integrand rho v(rho) G(r, rho)
@@ -248,11 +255,9 @@ class _RieszKernel:
 
 
 def _riesz_kernel(grid: RadialGrid, alpha: float) -> _RieszKernel:
-    key = ("riesz", alpha)
-    op = grid._caches.get(key)
+    op = grid._caches.get(("riesz", alpha))
     if op is None:
-        op = _RieszKernel(grid, alpha)
-        grid._caches[key] = op
+        op = grid._caches[("riesz", alpha)] = _RieszKernel(grid, alpha)
     return op
 
 
@@ -271,11 +276,9 @@ def gaussian_riesz_profile(N: int, alpha: float, r: np.ndarray, gamma_width: flo
 
 
 def _padded_grid(grid: RadialGrid, pad: int) -> RadialGrid:
-    key = ("padgrid", pad)
-    pg = grid._caches.get(key)
+    pg = grid._caches.get(("padgrid", pad))
     if pg is None:
-        pg = RadialGrid(grid.params, grid.R * pad, pad * (grid.M + 1) - 1)
-        grid._caches[key] = pg
+        pg = grid._caches[("padgrid", pad)] = RadialGrid(grid.params, grid.R * pad, pad * (grid.M + 1) - 1)
     return pg
 
 
@@ -393,15 +396,8 @@ def dense_fractional_matrix(grid: RadialGrid) -> np.ndarray:
     L = grid._caches.get(key)
     if L is None:
         if grid.params.N == 3:
-            M = grid.M
-            c = dct(np.concatenate(([0.0], grid.k2s, [0.0])), type=1) / (2.0 * (M + 1))
-            c = np.concatenate((c, c[-2:0:-1]))  # c(0..2M+1)
-            # strided views; the subtraction is the only M x M allocation
-            toeplitz = sliding_window_view(np.concatenate((c[M - 1:0:-1], c[:M])), M)[::-1]
-            hankel = sliding_window_view(c[2:2 * M + 1], M)
-            L = np.subtract(toeplitz, hankel)
-            L *= (1.0 / grid.r)[:, None]
-            L *= grid.r[None, :]
+            c = dct(np.concatenate(([0.0], grid.k2s, [0.0])), type=1) / (2.0 * (grid.M + 1))
+            L = _toeplitz_minus_hankel(np.concatenate((c, c[-2:0:-1])), grid.r)  # c(0..2M+1)
         else:
             eng = grid.transform()
             Q = eng._Q

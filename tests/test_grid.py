@@ -204,6 +204,25 @@ def test_bessel_zeros_half_integer_order():
     assert np.max(np.abs(z - np.array(exact))) < 1e-12
 
 
+@pytest.mark.parametrize("nu", [0, 1])
+def test_bessel_zeros_of_orders_zero_and_one(nu):
+    # N = 2 and 4: McMahon guesses refined by Newton on j0/j1 must meet
+    # scipy's zeros to 2 ulp and an arbitrary-precision evaluation
+    from scipy.special import jn_zeros
+
+    from fcs.grid import _bessel_zeros
+
+    for M in (16, 256, 4096):
+        z, ref = _bessel_zeros(nu, M), jn_zeros(nu, M)
+        assert np.all(np.abs(z - ref) <= 2.0 * np.spacing(ref)), M
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    z = _bessel_zeros(nu, 100)
+    for m in (1, 2, 10, 100):
+        exact = float(mp.besseljzero(nu, m))
+        assert abs(z[m - 1] - exact) <= 2.0 * np.spacing(exact), m
+
+
 def _bessel_Q_oracle(grid):
     """The Loewdin-orthonormalized Fourier-Bessel modes with every J_nu from
     ``jv``, written out as in the engine."""

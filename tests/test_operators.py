@@ -293,6 +293,28 @@ def test_sym_matrix_is_P_from_three_dimensions(N, alpha):
     assert op.sym_matrix() is op.P
 
 
+@pytest.mark.parametrize("M", [64, 1024])
+@pytest.mark.parametrize("alpha", [1.4, 2.0, 2.7])
+def test_three_dimensional_kernel_matches_the_direct_formula(alpha, M):
+    # the kernel is built from the 2M + 1 values (n h)^(alpha-1); the oracle
+    # evaluates the angular average 2 pi [(r+p)^(alpha-1) - |r-p|^(alpha-1)]
+    # / ((alpha-1) r p) at every node pair
+    from fcs.operators import _kink_correction_constant
+
+    g = make_grid(ProblemParams(3, 0.75, alpha), 20.0, M)
+    r, h = g.r, g.h
+    rr, pp = r[:, None], r[None, :]
+    ang = 2.0 * math.pi * ((rr + pp) ** (alpha - 1.0) - np.abs(rr - pp) ** (alpha - 1.0)) / ((alpha - 1.0) * rr * pp)
+    direct = riesz_constant(3, alpha) * h * pp ** 2 * ang
+    direct[np.arange(M), np.arange(M)] += _kink_correction_constant(3, alpha) * h ** alpha
+    P = _riesz_kernel(g, alpha).P
+    assert np.max(np.abs(P - direct)) <= 1e-13 * np.max(np.abs(direct))
+    v = smooth_random_field(g, np.random.default_rng(11)).values
+    assert np.linalg.norm(P @ v - direct @ v) <= 1e-14 * np.linalg.norm(direct @ v)
+    WP = g.w[:, None] * P
+    assert np.max(np.abs(WP - WP.T)) <= 1e-15 * np.max(np.abs(WP))
+
+
 # ---------------------------------------------------------------------------
 # Coulomb energy and quadrilinear form
 # ---------------------------------------------------------------------------
