@@ -161,8 +161,8 @@ def _sobolev_descent(grid: RadialGrid, u0: np.ndarray):
         return pt
 
     return _first_order(
-        on_sphere(u0), lambda q: q.S, lambda q: 2.0 * q.Au, on_sphere, _SOBOLEV_TOL, _SOBOLEV_MAX_ITER,
-        normal=lambda q: np.abs(q.u) ** (p - 2.0) * q.u, handover=_SOBOLEV_TOL,
+        on_sphere(u0), lambda q: q.S, lambda q: 2.0 * q.Au, on_sphere, _SOBOLEV_MAX_ITER, _SOBOLEV_TOL,
+        normal=lambda q: np.abs(q.u) ** (p - 2.0) * q.u,
     )
 
 

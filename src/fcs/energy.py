@@ -256,8 +256,8 @@ class _Ray:
         self._k2s = grid.k2s
         self._b = b
         self.pot = pot
-        self.S = float(np.sum(self._k2s * b * b))
-        self.Q = float(np.sum(self.w * self.u ** 2 * pot))
+        self.S = float((self._k2s * b * b).sum())
+        self.Q = float((self.w * self.u ** 2 * pot).sum())
         self.I = 0.5 * self.S + 0.25 * self.Q
 
     @cached_property

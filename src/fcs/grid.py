@@ -127,7 +127,7 @@ class Field:
             raise ValueError(
                 f"field has {self.values.shape} values for an M={self.grid.M} grid"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("field values must be finite")
 
     @property

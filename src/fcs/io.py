@@ -2,8 +2,9 @@
 
 Field files use a fixed little-endian layout (magic "FCSF", version 1) so a
 round trip is bit-exact.  Envelopes isolate every volatile quantity
-(timestamp, wall time) under the "runtime" key: two runs with identical
-config and seed produce byte-identical JSON once that key is dropped.
+(timestamp, wall time, and the numpy/scipy/BLAS build and FCS_THREADS the
+run used) under the "runtime" key: two runs with identical config and seed
+produce byte-identical JSON once that key is dropped.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ import functools
 import io as _io
 import json
 import math
+import os
 import struct
 import subprocess
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .grid import Field, make_grid
 from .params import ProblemParams
@@ -94,6 +97,20 @@ def _commit_hash() -> str | None:
     return out.stdout.strip() if out.returncode == 0 else None
 
 
+@functools.cache
+def _numerics() -> dict:
+    # what the last bits of a result can depend on besides config and seed
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 takes no mode
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+    }
+
+
 def make_envelope(config_echo: dict, report: dict, wall_time_s: float) -> dict:
     from . import __version__
 
@@ -104,6 +121,8 @@ def make_envelope(config_echo: dict, report: dict, wall_time_s: float) -> dict:
         "runtime": {
             "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
             "wall_time_s": wall_time_s,
+            **_numerics(),
+            "fcs_threads": os.environ.get("FCS_THREADS"),
         },
     }
 

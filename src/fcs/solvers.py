@@ -14,8 +14,12 @@ amplitude ray.  The minimizer descends Phi in the whole space (the identity
 retraction).  The mountain pass descends Phi on the Nehari set: each trial
 is normalized and moved to its Nehari amplitude.  The phase only has to
 reach Newton's basin: it hands over once the dual norm of its (tangent)
-gradient has dropped by ``_HANDOVER_REL`` (``_EIGEN_HANDOVER_REL`` in
-``eigen1``), and Newton does the converging.
+gradient has dropped by the factor its caller passes, max(tol,
+``_HANDOVER_REL``), and Newton does the converging.  ``eigen1``'s ascent
+runs on to ``_EIGEN_HANDOVER_REL`` = 1e-7 whatever tol is: from there
+Newton's first step lands at rounding, so each eigenpair costs one dense
+factorization, and the ascent keeps ``_NEWTON_RESERVE`` steps of a capped
+``max_iter`` for that polish.
 
 ``_newton`` reads its system off the evaluated point: grad Phi(u) = 0 for a
 plain point, and for an eigen point {A(u) = lam B(u), I(u) = 1} with lam as
@@ -87,9 +91,13 @@ _ARMIJO_SHRINK = 0.5
 # dropped by this factor (or by the requested tolerance, if that is looser):
 # it only has to reach Newton's basin, Newton does the converging
 _HANDOVER_REL = 1e-2
-# eigen1's ascent hands over a decade later: ~3 cheap L-BFGS steps more,
-# one of three (M+1) x (M+1) Newton factorizations less
-_EIGEN_HANDOVER_REL = 1e-3
+# eigen1's ascent hands over at this drop whatever the tolerance: ~10-15
+# O(M^2) L-BFGS steps more than at 1e-3, and Newton's first step then lands
+# at rounding, so one (M+1) x (M+1) factorization per eigenpair, not two
+_EIGEN_HANDOVER_REL = 1e-7
+# eigen1's first ascent stops this many steps short of max_iter (it takes at
+# least one), so that a capped run still ends with a Newton polish
+_NEWTON_RESERVE = 3
 _LBFGS_MEMORY = 6  # (s, y) pairs kept by _first_order
 # a Newton call hands back once its last _NEWTON_STALL steps together cut the
 # residual by less than 10 %: it started outside its basin
@@ -265,7 +273,7 @@ def _eigen_point(pt: _Ray, p: float, lam: float | None = None) -> _Ray:
     (S + Q) / sum_j w_j |u_j|^p, read from the ray's own S and Q.
     """
     if lam is None:
-        den = float(np.sum(pt.w * np.abs(pt.u) ** p))
+        den = float((pt.w * np.abs(pt.u) ** p).sum())
         if den == 0.0:
             raise DegenerateSeedError("degenerate seed: B(u) u vanished")
         lam = (pt.S + pt.Q) / den
@@ -345,23 +353,25 @@ def _newton(pt: _Ray, res0: float, tol: float, max_iter: int = 40):
 # the first-order phase
 # ---------------------------------------------------------------------------
 
+# the engine reduces with x.sum(), not np.sum(x): the same add.reduce at half
+# the call overhead, and at M = 256 an ascent step is mostly call overhead
 def _two_loop(b: np.ndarray, pairs, k_den: np.ndarray) -> np.ndarray:
     """L-BFGS two-loop recursion H b over ``pairs`` (s, y, <s, y>), oldest
     first, from the inverse metric P = 1/k_den scaled by <s, y> / <y, P y>."""
     q = b.copy()
     alphas = []
     for s, y, sy in reversed(pairs):
-        a = float(np.sum(s * q)) / sy
+        a = float((s * q).sum()) / sy
         q -= a * y
         alphas.append(a)
     _, y, sy = pairs[-1]
-    r = (sy / float(np.sum(y * y / k_den))) * q / k_den
+    r = (sy / float((y * y / k_den).sum())) * q / k_den
     for (s, y, sy), a in zip(pairs, reversed(alphas)):
-        r += (a - float(np.sum(y * r)) / sy) * s
+        r += (a - float((y * r).sum()) / sy) * s
     return r
 
 
-def _first_order(pt: _Ray, value, grad, retract, tol: float, max_iter: int, normal=None, handover=_HANDOVER_REL):
+def _first_order(pt: _Ray, value, grad, retract, max_iter: int, handover: float, normal=None):
     """Retracted, preconditioned L-BFGS descent of ``value`` from ``pt``.
 
     The one first-order phase of every solver and of the Sobolev-constant
@@ -383,7 +393,7 @@ def _first_order(pt: _Ray, value, grad, retract, tol: float, max_iter: int, norm
 
     Returns the last point, the value history (nonincreasing), the step count
     and why the phase stopped: ``handover`` (the tangent gradient's dual
-    norm dropped by max(tol, ``handover``), or under 1e-12 ||g||_*),
+    norm dropped by ``handover``, or under 1e-12 ||g||_*),
     ``line_search`` (no trial accepted) or ``max_iter``.
     """
     grid = pt.field.grid
@@ -399,26 +409,26 @@ def _first_order(pt: _Ray, value, grad, retract, tol: float, max_iter: int, norm
         b_g = b_t = eng.forward(grad(pt))
         if normal is not None:
             b_n = eng.forward(normal(pt))
-            n_dual = float(np.sum(b_n * b_n / k_den))
-            b_t = b_g - float(np.sum(b_n * b_g / k_den)) / n_dual * b_n
-        gt_sq = float(np.sum(b_t * b_t / k_den))  # ||g_t||_*^2
-        gt, g_dual = math.sqrt(gt_sq), math.sqrt(float(np.sum(b_g * b_g / k_den)))
+            n_dual = float((b_n * b_n / k_den).sum())
+            b_t = b_g - float((b_n * b_g / k_den).sum()) / n_dual * b_n
+        gt_sq = float((b_t * b_t / k_den).sum())  # ||g_t||_*^2
+        gt, g_dual = math.sqrt(gt_sq), math.sqrt(float((b_g * b_g / k_den).sum()))
         gt0 = gt if gt0 is None else gt0
         # the floor: from a converged field gt0 is itself rounding noise
-        if gt <= max(tol, handover) * gt0 + 1e-12 * g_dual:
+        if gt <= handover * gt0 + 1e-12 * g_dual:
             stop = "handover"
             break
         if prev is not None:
             s, y = pt._b - prev[0], b_t - prev[1]
-            sy = float(np.sum(s * y))
+            sy = float((s * y).sum())
             if sy > 0.0:
                 pairs.append((s, y, sy))
         slope = 0.0
         if pairs:
             r = _two_loop(b_t, pairs, k_den)
             if normal is not None:
-                r -= float(np.sum(b_n * r)) / n_dual * (b_n / k_den)
-            slope = float(np.sum(b_t * r))
+                r -= float((b_n * r).sum()) / n_dual * (b_n / k_den)
+            slope = float((b_t * r).sum())
         if slope > 0.0:
             eta = 1.0
         else:  # the preconditioned gradient, of slope ||g_t||_*^2
@@ -445,18 +455,24 @@ def _first_order(pt: _Ray, value, grad, retract, tol: float, max_iter: int, norm
 # eigenproblem on the manifold
 # ---------------------------------------------------------------------------
 
-def _ascend_J(pt: _Ray, opts: SolverOptions, penalty=None, handover: float = _HANDOVER_REL):
+def _handover(opts: SolverOptions) -> float:
+    """The hand-over drop of every first-order phase but ``eigen1``'s."""
+    return max(opts.tol, _HANDOVER_REL)
+
+
+def _ascend_J(pt: _Ray, opts: SolverOptions, penalty=None, handover: float | None = None):
     """``_first_order`` on {I = 1}: the ascent of J (less a ``penalty``).
 
     It descends -J with gradient -B(u), tangent to {I = 1} (the normal is
     A(u) = I'(u)), and each trial returns to {I = 1} along its own amplitude
-    ray (``_Ray.on_manifold``).  ``handover`` is passed on to ``_first_order``.
+    ray (``_Ray.on_manifold``).  ``handover`` (``_handover(opts)`` if None)
+    is passed on to ``_first_order``.
     """
     grid = pt.field.grid
     p = compute_exponents(grid.params).two_star_s_alpha
 
     def value(q: _Ray) -> float:
-        val = -float(np.sum(q.w * np.abs(q.u) ** p)) / p  # -J(u)
+        val = -float((q.w * np.abs(q.u) ** p).sum()) / p  # -J(u)
         return val if penalty is None else val + penalty.value(q.field)
 
     def grad(q: _Ray) -> np.ndarray:
@@ -464,8 +480,8 @@ def _ascend_J(pt: _Ray, opts: SolverOptions, penalty=None, handover: float = _HA
         return g if penalty is None else g + penalty.gradient(q.field)
 
     return _first_order(
-        pt, value, grad, lambda v: _Ray(Field(grid, v)).on_manifold(), opts.tol, opts.max_iter,
-        normal=lambda q: q.Au, handover=handover,
+        pt, value, grad, lambda v: _Ray(Field(grid, v)).on_manifold(), opts.max_iter,
+        _handover(opts) if handover is None else handover, normal=lambda q: q.Au,
     )
 
 
@@ -488,10 +504,11 @@ def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None =
     """First-eigenvalue run: maximize J on the unit-energy manifold.
 
     The seed goes onto {I = 1} along its amplitude ray, the first-order
-    phase is the tangent ascent ``_ascend_J`` of J, and a Newton polish on the
-    stationarity system then drives the dual residual of A(u) - lam B(u) to
-    the requested relative tolerance.  Reported multiplier is the Rayleigh
-    quotient <A(u), u> / <B(u), u>.
+    phase is the tangent ascent ``_ascend_J`` of J to ``_EIGEN_HANDOVER_REL``
+    (at most max_iter - ``_NEWTON_RESERVE`` steps), and a Newton polish on
+    the stationarity system then drives the dual residual of A(u) - lam B(u)
+    to the requested relative tolerance.  Reported multiplier is the
+    Rayleigh quotient <A(u), u> / <B(u), u>.
     """
     opts = opts or SolverOptions()
     _check_grid(params, grid)
@@ -505,7 +522,8 @@ def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None =
     p = exps.two_star_s_alpha
     pt = _eigen_point(_Ray(seed).on_manifold(), p)
     res0 = pt.res
-    pt, values, it_ascent, stop = _ascend_J(pt, opts, handover=_EIGEN_HANDOVER_REL)
+    first = replace(opts, max_iter=max(opts.max_iter - _NEWTON_RESERVE, 1))
+    pt, values, it_ascent, stop = _ascend_J(pt, first, handover=_EIGEN_HANDOVER_REL)
 
     it_newton = 0
     for attempt in range(2):
@@ -725,7 +743,8 @@ def _minimize(
         if res0 == 0.0:
             continue
         pt, _, it_d, _ = _first_order(
-            pt, lambda q: q.action, lambda q: q.resid, lambda v: _Ray(Field(grid, v), spec), opts.tol, opts.max_iter
+            pt, lambda q: q.action, lambda q: q.resid, lambda v: _Ray(Field(grid, v), spec), opts.max_iter,
+            _handover(opts),
         )
         try:
             pt, it_n = _newton(pt, res0, opts.tol)
@@ -865,7 +884,7 @@ def mountain_pass(
 
     def to_nehari(v: np.ndarray) -> _Ray | None:
         # v normalized and moved to the Nehari amplitude of its ray
-        nrm = math.sqrt(float(np.sum(grid.w * v ** 2)))
+        nrm = math.sqrt(float((grid.w * v ** 2).sum()))
         if nrm == 0.0:
             return None
         ray = _Ray(Field(grid, v / nrm), spec)
@@ -876,7 +895,7 @@ def mountain_pass(
     if pt is None:
         raise NoPassError("no barrier crossing along the starting ray")
     res0 = pt.res
-    pt, _, it_r, _ = _first_order(pt, lambda q: q.action, lambda q: q.resid, to_nehari, opts.tol, 80)
+    pt, _, it_r, _ = _first_order(pt, lambda q: q.action, lambda q: q.resid, to_nehari, 80, _handover(opts))
     pt, it_n = _newton(pt, res0, opts.tol)
     pt = _Ray(_normalize_sign(pt.field), spec)
 

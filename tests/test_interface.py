@@ -251,6 +251,18 @@ def test_envelope_round_trip_and_runtime_isolation():
     assert "runtime" not in json.loads(canonical)
 
 
+def test_envelope_runtime_records_the_numerics_build(monkeypatch):
+    # the last bits of a result depend on the numpy/scipy/BLAS build and the
+    # thread cap, so the volatile block names them
+    import scipy
+
+    monkeypatch.setenv("FCS_THREADS", "1")
+    runtime = make_envelope({}, {}, 0.0)["runtime"]
+    assert (runtime["numpy"], runtime["scipy"]) == (np.__version__, scipy.__version__)
+    assert runtime["blas"] and "unknown" not in runtime["blas"]
+    assert runtime["fcs_threads"] == "1"
+
+
 def test_envelopes_look_up_the_commit_once(monkeypatch):
     from fcs import io
 

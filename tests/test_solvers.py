@@ -170,6 +170,13 @@ def test_every_solver_runs_the_one_first_order_phase(pstar, monkeypatch):
         assert seen, f"{name} did not run _first_order"
 
 
+def _count_solves(monkeypatch) -> list:
+    solve = np.linalg.solve
+    calls = []
+    monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    return calls
+
+
 @pytest.mark.parametrize(
     "N, s, alpha, width",
     [
@@ -180,26 +187,74 @@ def test_every_solver_runs_the_one_first_order_phase(pstar, monkeypatch):
         (2, 0.75, 1.5, 1.0),
     ],
 )
-def test_eigen1_factorizes_two_newton_jacobians(N, s, alpha, width, monkeypatch):
-    # the ascent hands over at _EIGEN_HANDOVER_REL, close enough to the
-    # ground state that Newton's second step converges and its third only
-    # checks: two dense LU factorizations per eigenpair
-    solve = np.linalg.solve
-    calls = []
-    monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
+def test_eigen1_factorizes_one_newton_jacobian(N, s, alpha, width, monkeypatch):
+    # the ascent hands over at _EIGEN_HANDOVER_REL = 1e-7, close enough to
+    # the ground state that Newton's first step lands at rounding and its
+    # second only checks: one dense LU factorization per eigenpair
+    calls = _count_solves(monkeypatch)
     p = ProblemParams(N, s, alpha)
     rep = eigen1(p, make_grid(p, 20.0, 256), SolverOptions(seed_width=width))
     assert rep.converged
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
-def test_eigen1_n4_ascent_takes_few_steps():
-    # the eigen1-n4 golden configuration: 20 L-BFGS ascent steps, where a
-    # plain preconditioned-gradient ascent takes twice as many
+def test_eigen1_n4_ascent_takes_few_steps(monkeypatch):
+    # the eigen1-n4 golden configuration.  To a 1e-3 hand-over the L-BFGS
+    # ascent takes 20 steps, where a plain preconditioned-gradient ascent
+    # takes twice as many; eigen1 runs on to 1e-7 (32 steps) and then
+    # factorizes one Newton Jacobian
+    from fcs import solvers
+
     p = ProblemParams(4, 0.75, 2.5)
-    rep = eigen1(p, make_grid(p, 20.0, 256))
+    g = make_grid(p, 20.0, 256)
+    start = _Ray(g.field(np.exp(-g.r ** 2))).on_manifold()  # eigen1's start
+    _, _, it, stop = solvers._ascend_J(start, SolverOptions(), handover=1e-3)
+    assert stop == "handover"
+    assert it <= 25
+    calls = _count_solves(monkeypatch)
+    rep = eigen1(p, g)
     assert rep.converged
-    assert rep.extras["iterations_ascent"] <= 25
+    assert rep.extras["iterations_ascent"] <= 36
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("N, s, alpha, width", [(3, 0.75, 2.0, 1.0), (4, 0.75, 2.5, 2.0)])
+def test_eigen1_handover_ignores_tol(N, s, alpha, width, monkeypatch):
+    # eigen1's ascent hands over at _EIGEN_HANDOVER_REL whatever tol is, so
+    # a loose and a tight tolerance both end in one Newton factorization at
+    # the same multiplier
+    calls = _count_solves(monkeypatch)
+    p = ProblemParams(N, s, alpha)
+    g = make_grid(p, 20.0, 256)
+    lams = []
+    for tol in (1e-3, 1e-9):
+        calls.clear()
+        rep = eigen1(p, g, SolverOptions(tol=tol, seed_width=width))
+        assert rep.converged
+        assert len(calls) == 1
+        lams.append(rep.multiplier)
+    assert abs(lams[0] - lams[1]) <= 1e-14 * lams[1]
+
+
+@pytest.mark.parametrize(
+    "N, s, alpha, M, seed, width",
+    [
+        (4, 0.75, 2.5, 256, "gaussian", 2.0),
+        (3, 0.75, 2.0, 512, "gaussian", 3.0),
+        (3, 0.75, 2.0, 512, "bump", 1.0),
+    ],
+    ids=["eigen-n4-width2", "eigen-n3-width3", "eigen-n3-bump"],
+)
+def test_eigen1_capped_run_keeps_a_newton_reserve(N, s, alpha, M, seed, width):
+    # the benchmark's eigen probe inputs under their 20-step cap: the first
+    # ascent stops _NEWTON_RESERVE = 3 steps short of it, and the Newton
+    # polish in those steps still converges
+    p = ProblemParams(N, s, alpha)
+    rep = eigen1(p, make_grid(p, 20.0, M), SolverOptions(max_iter=20, seed=seed, seed_width=width))
+    assert rep.converged
+    assert rep.iterations <= 20
+    assert (rep.extras["iterations_ascent"], rep.extras["ascent_stop"]) == (17, "max_iter")
+    assert 1 <= rep.extras["iterations_newton"] <= 3
 
 
 def test_first_order_first_step_is_the_preconditioned_gradient(pstar):
@@ -216,7 +271,7 @@ def test_first_order_first_step_is_the_preconditioned_gradient(pstar):
         trials.append(v)
         return _Ray(g.field(v), spec)
 
-    solvers._first_order(pt, lambda q: q.action, lambda q: q.resid, retract, 1e-6, 1)
+    solvers._first_order(pt, lambda q: q.action, lambda q: q.resid, retract, 1, 1e-2)
     eng, k_den = g.transform(), 1.0 + g.k2s
     b = eng.forward(pt.resid)
     eta = min(2.0, 1.0 / math.sqrt(float(np.sum(b * b / k_den))))
