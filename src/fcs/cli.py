@@ -1,14 +1,18 @@
 """Command-line interface.
 
 Commands: exponents | eigen1 | solve | check {pohozaev,nehari,identity} |
-scaling-check | sweep | sobolev.  Exit codes: 0 success, 1 validation
-error (command-line usage errors included), 2 solver non-convergence
-(results are still written, with converged = false).
+scaling-check | sweep | sobolev.  eigen1, sweep and sobolev are solve with
+the method fixed.  Their --out names the JSON envelope, except for sweep,
+where it names the branch CSV and no envelope file is written.  Exit codes:
+0 success, 1 validation error (command-line usage errors and missing or
+unwritable files included), 2 solver non-convergence (results are still
+written, with converged = false).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -17,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, _check_sweep_steps, load_config
+from .config import ConfigError, RunConfig, load_config
 from .diagnostics import (
     estimate_sobolev_constant,
     nehari_residual,
@@ -67,7 +71,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--seed-width", type=float, default=None)
     p.add_argument("--out", type=str, default=None, help="write the JSON envelope here")
-    p.add_argument("--field", type=str, default=None, help="write the solution field here")
+    p.add_argument("--field", dest="out_field", metavar="FIELD", type=str, default=None,
+                   help="write the solution field here")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,20 +80,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exponents", help="derived exponents for (N, s, alpha)")
+    p.set_defaults(cmd=_cmd_exponents)
     _add_param_flags(p, grid_too=False)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", type=str, default=None)
 
+    # eigen1, sweep and sobolev are solve with the method fixed
     p = sub.add_parser("eigen1", help="first eigenpair of the scaled problem")
+    p.set_defaults(cmd=_cmd_solve, run="eigen1")
     _add_param_flags(p)
     _add_solver_flags(p)
 
     p = sub.add_parser("solve", help="run the solver selected in the config")
+    p.set_defaults(cmd=_cmd_solve, run=None)
     _add_param_flags(p)
     _add_solver_flags(p)
     p.add_argument("--method", type=str, default=None)
 
     p = sub.add_parser("check", help="identity diagnostics on a stored field")
+    p.set_defaults(cmd=_cmd_check)
     p.add_argument("what", choices=["pohozaev", "nehari", "identity"])
     p.add_argument("--field", type=str, required=True)
     p.add_argument("--config", type=str, default=None)
@@ -97,12 +107,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("scaling-check", help="verify the dilation laws on the grid")
+    p.set_defaults(cmd=_cmd_scaling_check)
     _add_param_flags(p)
     p.add_argument("--t", type=float, nargs="*", default=[0.5, 0.8, 1.25, 2.0])
     p.add_argument("--out", type=str, default=None, help="write the check table as CSV")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("sweep", help="parameter continuation over a coefficient")
+    p.set_defaults(cmd=_cmd_solve, run="sweep", out_to="out_csv")
     _add_param_flags(p)
     _add_solver_flags(p)
     p.add_argument("--sweep-term", type=int, default=None)
@@ -112,38 +124,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-method", type=str, default=None)
 
     p = sub.add_parser("sobolev", help="best-constant estimate and PS threshold")
+    p.set_defaults(cmd=_cmd_solve, run="sobolev")
     _add_param_flags(p)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", type=str, default=None)
     return ap
 
 
+_SETTINGS = {f.name for f in dataclasses.fields(RunConfig)}
+
+
 def _merged_config(args) -> RunConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    for flag, attr in [
-        ("N", "N"),
-        ("s", "s"),
-        ("alpha", "alpha"),
-        ("R", "R"),
-        ("M", "M"),
-        ("tol", "tol"),
-        ("max_iter", "max_iter"),
-        ("seed_width", "seed_width"),
-        ("method", "method"),
-        ("sweep_term", "sweep_term"),
-        ("sweep_from", "sweep_from"),
-        ("sweep_to", "sweep_to"),
-        ("sweep_steps", "sweep_steps"),
-        ("sweep_method", "sweep_method"),
-        ("lam", "lam"),
-    ]:
-        v = getattr(args, flag, None)
-        if v is not None:
-            setattr(cfg, attr, v)
-    for flag, attr in [("out", "out_json"), ("field", "out_field")]:
-        v = getattr(args, flag, None)
-        if v is not None:
-            setattr(cfg, attr, v)
+    """The config file with every given flag laid over it, then validated."""
+    cfg = load_config(args.config) if args.config else RunConfig()
+    for dest, value in vars(args).items():
+        if value is not None and dest in _SETTINGS:
+            setattr(cfg, dest, value)
+    if args.out is not None:
+        cfg.out_json = None  # a sweep's --out names its CSV, and no envelope file is written
+        setattr(cfg, getattr(args, "out_to", "out_json"), args.out)
+    cfg.validate()
     return cfg
 
 
@@ -162,6 +162,12 @@ def _solver_options(cfg: RunConfig) -> SolverOptions:
     )
 
 
+def _write(text: str, out: str | None) -> None:
+    if out:
+        Path(out).write_text(text)
+    sys.stdout.write(text)
+
+
 def _emit_envelope(cfg: RunConfig, report_dict: dict, t0: float, to_stdout: bool = True) -> None:
     env = make_envelope(cfg.echo(), report_dict, time.perf_counter() - t0)
     text = envelope_to_json(env)
@@ -171,22 +177,8 @@ def _emit_envelope(cfg: RunConfig, report_dict: dict, t0: float, to_stdout: bool
         sys.stdout.write(text)
 
 
-def _human_exponents(t) -> str:
-    lines = [
-        f"theta            = {t.theta:.12g}",
-        f"sigma            = {t.sigma:.12g}",
-        f"p_rad            = {t.p_rad:.12g}",
-        f"two_star_s       = {t.two_star_s:.12g}",
-        f"two_star_s_alpha = {t.two_star_s_alpha:.12g}",
-        f"c_alpha          = {t.c_alpha:.12g}",
-        f"regime           = {t.regime_flag.value}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_exponents(args) -> int:
-    cfg = _merged_config(args)
-    table = compute_exponents(cfg.problem())
+    table = compute_exponents(_merged_config(args).problem())
     payload = {
         "theta": table.theta,
         "sigma": table.sigma,
@@ -196,15 +188,18 @@ def _cmd_exponents(args) -> int:
         "c_alpha": table.c_alpha,
         "regime": table.regime_flag.value,
     }
-    text = (
-        json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        if args.json
-        else _human_exponents(table)
-    )
-    if args.out:
-        Path(args.out).write_text(text)
-    sys.stdout.write(text)
+    if args.json:
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    else:
+        text = "".join(f"{k:<16} = {v if k == 'regime' else format(v, '.12g')}\n" for k, v in payload.items())
+    _write(text, args.out)
     return 0
+
+
+def _grid(cfg: RunConfig, *required: str):
+    params = cfg.problem()
+    cfg.require("R", "M", *required)
+    return make_grid(params, cfg.R, cfg.M)
 
 
 def _run_report(cfg: RunConfig, report, t0: float) -> int:
@@ -214,52 +209,85 @@ def _run_report(cfg: RunConfig, report, t0: float) -> int:
     return 0 if report.converged else 2
 
 
-def _cmd_eigen1(args) -> int:
-    cfg = _merged_config(args)
-    t0 = time.perf_counter()
-    params = cfg.problem()
-    cfg.require("R", "M")
-    grid = make_grid(params, cfg.R, cfg.M)
-    report = eigen1(params, grid, _solver_options(cfg))
-    return _run_report(cfg, report, t0)
+# Each runner looks up the solver by its module-global name when it runs, so
+# a rebinding of that name (a test double, a profiler) sees the call.
+def _run_eigen1(cfg: RunConfig, t0: float) -> int:
+    grid = _grid(cfg)
+    return _run_report(cfg, eigen1(grid.params, grid, _solver_options(cfg)), t0)
+
+
+def _run_eigen_deflated(cfg: RunConfig, t0: float) -> int:
+    grid = _grid(cfg)
+    reports = eigen_deflated(grid.params, grid, cfg.k, _solver_options(cfg))
+    if cfg.out_field:
+        save_field(reports[0].solution, cfg.out_field)
+    _emit_envelope(cfg, {"candidates": [r.to_dict() for r in reports]}, t0)
+    return 0 if all(r.converged for r in reports) else 2
+
+
+def _run_minimize(cfg: RunConfig, t0: float) -> int:
+    grid = _grid(cfg)
+    return _run_report(cfg, minimize_subscaled(grid.params, grid, cfg.spec(), _solver_options(cfg)), t0)
+
+
+def _run_mountain_pass(cfg: RunConfig, t0: float) -> int:
+    grid, spec = _grid(cfg), cfg.spec()
+    e = find_negative_energy_point(grid.params, grid, spec)
+    return _run_report(cfg, mountain_pass(grid.params, grid, spec, e, _solver_options(cfg)), t0)
+
+
+def _run_sweep(cfg: RunConfig, t0: float) -> int:
+    grid = _grid(cfg, "sweep_from", "sweep_to", "sweep_steps")
+    spec = cfg.spec()
+    if not spec.terms:
+        raise ConfigError(f"{cfg.source}: sweep requires a nonlinearity with at least one term")
+    if not (0 <= cfg.sweep_term < len(spec.terms)):
+        raise ConfigError(f"{cfg.source}: sweep_term {cfg.sweep_term} out of range")
+    values = np.linspace(cfg.sweep_from, cfg.sweep_to, cfg.sweep_steps)
+    opts = _solver_options(cfg)
+    rows = sweep(grid.params, grid, spec, cfg.sweep_term, values, opts, method=cfg.sweep_method)
+    sys.stdout.write(emit_branch_csv(rows, cfg.out_csv))
+    if cfg.out_json:
+        payload = {"rows": len(rows), "converged": sum(r.converged for r in rows)}
+        _emit_envelope(cfg, payload, t0, to_stdout=False)
+    return 0 if all(r.converged for r in rows) else 2
+
+
+def _run_sobolev(cfg: RunConfig, t0: float) -> int:
+    grid = _grid(cfg)
+    S = estimate_sobolev_constant(grid.params, grid)
+    payload = {
+        "sobolev_constant": S,
+        "ps_threshold": ps_threshold(grid.params, S),
+        "residual_dual": sobolev_residual_dual(grid.params, grid),
+        "grid": grid.summary(),
+    }
+    _emit_envelope(cfg, payload, t0)
+    return 0
+
+
+# one runner per config._METHODS entry
+_RUNNERS = {
+    "eigen1": _run_eigen1,
+    "eigen-deflated": _run_eigen_deflated,
+    "minimize": _run_minimize,
+    "mountain-pass": _run_mountain_pass,
+    "sweep": _run_sweep,
+    "sobolev": _run_sobolev,
+}
 
 
 def _cmd_solve(args) -> int:
     cfg = _merged_config(args)
-    if cfg.method is None:
+    method = args.run or cfg.method  # the preset is not echoed as the configured method
+    if method is None:
         raise ConfigError(f"{cfg.source}: no solver method configured (set [solver] method or --method)")
-    t0 = time.perf_counter()
-    if cfg.method == "sobolev":
-        return _cmd_sobolev_impl(cfg, t0)
-    if cfg.method == "sweep":
-        return _sweep_impl(cfg, t0)
-    params = cfg.problem()
-    cfg.require("R", "M")
-    grid = make_grid(params, cfg.R, cfg.M)
-    opts = _solver_options(cfg)
-    if cfg.method == "eigen1":
-        return _run_report(cfg, eigen1(params, grid, opts), t0)
-    if cfg.method == "eigen-deflated":
-        reports = eigen_deflated(params, grid, cfg.k, opts)
-        payload = {"candidates": [r.to_dict() for r in reports]}
-        if cfg.out_field:
-            save_field(reports[0].solution, cfg.out_field)
-        _emit_envelope(cfg, payload, t0)
-        return 0 if all(r.converged for r in reports) else 2
-    if cfg.method == "minimize":
-        return _run_report(cfg, minimize_subscaled(params, grid, cfg.spec(), opts), t0)
-    if cfg.method == "mountain-pass":
-        spec = cfg.spec()
-        e = find_negative_energy_point(params, grid, spec)
-        return _run_report(cfg, mountain_pass(params, grid, spec, e, opts), t0)
-    raise ConfigError(f"{cfg.source}: unsupported method {cfg.method!r}")
+    return _RUNNERS[method](cfg, time.perf_counter())
 
 
 def _cmd_check(args) -> int:
     u = load_field(args.field)
-    cfg = load_config(args.config) if args.config else RunConfig()
-    if getattr(args, "lam", None) is not None:
-        cfg.lam = args.lam
+    cfg = _merged_config(args)
     spec = cfg.spec()
     if spec.is_empty and cfg.lam is not None:
         # bare eigenpair check: lam |t|^(q*-2) t is the implied nonlinearity
@@ -280,19 +308,16 @@ def _cmd_check(args) -> int:
             "lambda": cfg.lam,
             "grid": u.grid.summary(),
         }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    sys.stdout.write(text)
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0
 
 
+_SCALING_COLUMNS = ("t", "I_ratio_err", "J_ratio_err", "phi_lambda_ratio_err", "composition_err")
+
+
 def _cmd_scaling_check(args) -> int:
-    cfg = _merged_config(args)
-    params = cfg.problem()
-    cfg.require("R", "M")
-    grid = make_grid(params, cfg.R, cfg.M)
-    exps = compute_exponents(params)
+    grid = _grid(_merged_config(args))
+    exps = compute_exponents(grid.params)
     u = Field(grid, np.exp(-grid.r ** 2))
     base_I, base_J = I_functional(u), J_functional(u)
     fiber = _Fiber(u)
@@ -316,93 +341,20 @@ def _cmd_scaling_check(args) -> int:
         )
         phi_ratio = Phi_lambda(ut, 1.0) / (t_sigma * Phi_lambda(u, 1.0)) - 1.0
         rows.append((t, ratio_I, ratio_J, phi_ratio, comp))
-    identity_err = float(np.max(np.abs(scale(u, 1.0).values - u.values)))
-    payload = {
-        "rows": [
-            {
-                "t": t,
-                "I_ratio_err": a,
-                "J_ratio_err": b,
-                "phi_lambda_ratio_err": c,
-                "composition_err": d,
-            }
-            for (t, a, b, c, d) in rows
-        ],
-        "scale_identity_err": identity_err,
-        "grid": grid.summary(),
-    }
+    header = ",".join(_SCALING_COLUMNS)
     if args.json:
+        payload = {
+            "rows": [dict(zip(_SCALING_COLUMNS, row)) for row in rows],
+            "scale_identity_err": float(np.max(np.abs(scale(u, 1.0).values - u.values))),
+            "grid": grid.summary(),
+        }
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
-        sys.stdout.write("t,I_ratio_err,J_ratio_err,phi_lambda_ratio_err,composition_err\n")
-        for row in rows:
-            sys.stdout.write(",".join(f"{x:.6e}" for x in row) + "\n")
+        sys.stdout.write(header + "\n" + "".join(",".join(f"{x:.6e}" for x in row) + "\n" for row in rows))
     if args.out:
-        lines = ["t,I_ratio_err,J_ratio_err,phi_lambda_ratio_err,composition_err"]
-        lines += [",".join(repr(float(x)) for x in row) for row in rows]
+        lines = [header, *(",".join(repr(float(x)) for x in row) for row in rows)]
         Path(args.out).write_text("\r\n".join(lines) + "\r\n")
     return 0
-
-
-def _sweep_impl(cfg: RunConfig, t0: float) -> int:
-    params = cfg.problem()
-    cfg.require("R", "M", "sweep_from", "sweep_to", "sweep_steps")
-    _check_sweep_steps(cfg.source, cfg.sweep_steps)  # --steps bypasses the parser
-    grid = make_grid(params, cfg.R, cfg.M)
-    spec = cfg.spec()
-    if not spec.terms:
-        raise ConfigError(f"{cfg.source}: sweep requires a nonlinearity with at least one term")
-    if not (0 <= cfg.sweep_term < len(spec.terms)):
-        raise ConfigError(f"{cfg.source}: sweep_term {cfg.sweep_term} out of range")
-    values = np.linspace(cfg.sweep_from, cfg.sweep_to, cfg.sweep_steps)
-    rows = sweep(params, grid, spec, cfg.sweep_term, values, _solver_options(cfg), method=cfg.sweep_method)
-    text = emit_branch_csv(rows, cfg.out_csv)
-    sys.stdout.write(text)
-    payload = {"rows": len(rows), "converged": sum(r.converged for r in rows)}
-    if cfg.out_json:
-        _emit_envelope(cfg, payload, t0, to_stdout=False)
-    return 0 if all(r.converged for r in rows) else 2
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _merged_config(args)
-    if getattr(args, "out", None):
-        cfg.out_csv = args.out
-        cfg.out_json = None
-    return _sweep_impl(cfg, time.perf_counter())
-
-
-def _cmd_sobolev_impl(cfg: RunConfig, t0: float) -> int:
-    params = cfg.problem()
-    cfg.require("R", "M")
-    grid = make_grid(params, cfg.R, cfg.M)
-    S = estimate_sobolev_constant(params, grid)
-    payload = {
-        "sobolev_constant": S,
-        "ps_threshold": ps_threshold(params, S),
-        "residual_dual": sobolev_residual_dual(params, grid),
-        "grid": grid.summary(),
-    }
-    _emit_envelope(cfg, payload, t0)
-    return 0
-
-
-def _cmd_sobolev(args) -> int:
-    cfg = _merged_config(args)
-    if getattr(args, "out", None):
-        cfg.out_json = args.out
-    return _cmd_sobolev_impl(cfg, time.perf_counter())
-
-
-_DISPATCH = {
-    "exponents": _cmd_exponents,
-    "eigen1": _cmd_eigen1,
-    "solve": _cmd_solve,
-    "check": _cmd_check,
-    "scaling-check": _cmd_scaling_check,
-    "sweep": _cmd_sweep,
-    "sobolev": _cmd_sobolev,
-}
 
 
 def cli_main(argv=None) -> int:
@@ -411,8 +363,8 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
         return 1 if exc.code else 0
     try:
-        return _DISPATCH[args.command](args)
-    except (ConfigError, FieldFormatError, ValueError) as exc:
+        return args.cmd(args)
+    except (ConfigError, FieldFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NoPassError, DegenerateSeedError) as exc:

@@ -27,7 +27,11 @@ Example::
     field = run.fld
 
 Unknown sections or keys are hard errors with file:line anchors; there are
-deliberately no defaults for N, s, alpha, R, or M.
+deliberately no defaults for N, s, alpha, R, or M.  One table, ``_KEYS``,
+gives each key its section, type and ``RunConfig`` attribute; the parser and
+the echo both read it, and command-line flags set the same attributes.
+``RunConfig.validate`` checks the settings no single key can, once the file
+and any flags are merged.
 """
 
 from __future__ import annotations
@@ -48,27 +52,34 @@ class ConfigError(ValueError):
     """Invalid configuration; message carries a file:line anchor."""
 
 
-_SECTION_KEYS = {
-    "params": {"N", "s", "alpha"},
-    "grid": {"R", "M"},
-    "nonlinearity": {"term"},
-    "solver": {
-        "method",
-        "tol",
-        "max_iter",
-        "seed",
-        "seed_width",
-        "seed_file",
-        "k",
-        "sweep_term",
-        "sweep_from",
-        "sweep_to",
-        "sweep_steps",
-        "sweep_method",
-        "lambda",
-    },
-    "output": {"json", "field", "csv"},
+# every config key: (section, type, RunConfig attribute).  The echo nests the
+# sweep_* keys under "sweep" with the prefix dropped; [nonlinearity] terms are
+# parsed by _parse_term once the grid size is known.
+_KEYS = {
+    "N": ("params", int, "N"),
+    "s": ("params", float, "s"),
+    "alpha": ("params", float, "alpha"),
+    "R": ("grid", float, "R"),
+    "M": ("grid", int, "M"),
+    "term": ("nonlinearity", str, "terms"),
+    "method": ("solver", str, "method"),
+    "tol": ("solver", float, "tol"),
+    "max_iter": ("solver", int, "max_iter"),
+    "seed": ("solver", str, "seed"),
+    "seed_width": ("solver", float, "seed_width"),
+    "seed_file": ("solver", str, "seed_file"),
+    "k": ("solver", int, "k"),
+    "lambda": ("solver", float, "lam"),
+    "sweep_term": ("solver", int, "sweep_term"),
+    "sweep_from": ("solver", float, "sweep_from"),
+    "sweep_to": ("solver", float, "sweep_to"),
+    "sweep_steps": ("solver", int, "sweep_steps"),
+    "sweep_method": ("solver", str, "sweep_method"),
+    "json": ("output", str, "out_json"),
+    "field": ("output", str, "out_field"),
+    "csv": ("output", str, "out_csv"),
 }
+_SECTIONS = {section for section, _, _ in _KEYS.values()}
 
 _METHODS = {"eigen1", "eigen-deflated", "minimize", "mountain-pass", "sweep", "sobolev"}
 _TERM_KINDS = {"power", "damped", "weighted"}
@@ -121,52 +132,44 @@ class RunConfig:
     def spec(self) -> NonlinearitySpec:
         return NonlinearitySpec(tuple(self.terms))
 
+    def validate(self) -> None:
+        """Check the settings that no single key can, on the merged file and flags."""
+        if self.method is not None and self.method not in _METHODS:
+            raise ConfigError(
+                f"{self.source}: unknown solver method {self.method!r} (expected one of {sorted(_METHODS)})"
+            )
+        if self.sweep_method not in _SWEEP_METHODS:
+            raise ConfigError(
+                f"{self.source}: unknown sweep method {self.sweep_method!r} "
+                f"(expected one of {list(_SWEEP_METHODS)})"
+            )
+        # a sweep of no rows would certify nothing and exit 0
+        if self.sweep_steps is not None and self.sweep_steps < 1:
+            raise ConfigError(f"{self.source}: sweep_steps must be at least 1, got {self.sweep_steps}")
+        if self.seed not in ("gaussian", "bump", "file"):
+            raise ConfigError(f"{self.source}: unknown seed kind {self.seed!r}")
+        if self.seed == "file" and self.seed_file is None:
+            raise ConfigError(f"{self.source}: seed = file requires seed_file = PATH")
+
     def echo(self) -> dict:
         """Canonical parsed form (what was validated, not the raw text)."""
-        terms = []
-        for t in self.terms:
-            d = {"kind": type(t).__name__, "coef": t.coef, "q": t.q}
-            if isinstance(t, DampedPowerTerm):
-                d["gamma"] = t.gamma
-            if isinstance(t, WeightedPowerTerm):
-                d["weight_len"] = len(t.weight)
-            terms.append(d)
-        return {
-            "params": {"N": self.N, "s": self.s, "alpha": self.alpha},
-            "grid": {"R": self.R, "M": self.M},
-            "nonlinearity": terms,
-            "solver": {
-                "method": self.method,
-                "tol": self.tol,
-                "max_iter": self.max_iter,
-                "seed": self.seed,
-                "seed_width": self.seed_width,
-                "seed_file": self.seed_file,
-                "k": self.k,
-                "lambda": self.lam,
-                "sweep": {
-                    "term": self.sweep_term,
-                    "from": self.sweep_from,
-                    "to": self.sweep_to,
-                    "steps": self.sweep_steps,
-                    "method": self.sweep_method,
-                },
-            },
-            "output": {"json": self.out_json, "field": self.out_field, "csv": self.out_csv},
-        }
+        out: dict = {"nonlinearity": [_echo_term(t) for t in self.terms]}
+        for key, (section, _, attr) in _KEYS.items():
+            if section != "nonlinearity":
+                node = out.setdefault(section, {})
+                if key.startswith("sweep_"):
+                    node, key = node.setdefault("sweep", {}), key[len("sweep_"):]
+                node[key] = getattr(self, attr)
+        return out
 
 
-def _convert(source: str, line_no: int, key: str, raw: str):
-    integer = {"N", "M", "max_iter", "k", "sweep_term", "sweep_steps"}
-    floating = {"s", "alpha", "R", "tol", "seed_width", "sweep_from", "sweep_to", "lambda"}
-    try:
-        if key in integer:
-            return int(raw)
-        if key in floating:
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"{source}:{line_no}: cannot parse {key} = {raw!r}") from None
-    return raw
+def _echo_term(t) -> dict:
+    d = {"kind": type(t).__name__, "coef": t.coef, "q": t.q}
+    if isinstance(t, DampedPowerTerm):
+        d["gamma"] = t.gamma
+    if isinstance(t, WeightedPowerTerm):
+        d["weight_len"] = len(t.weight)
+    return d
 
 
 def _parse_term(source: str, line_no: int, raw: str, base_dir: Path, expected_m: int | None):
@@ -225,7 +228,7 @@ def parse_config(text: str, source: str = "<config>", base_dir: Path | None = No
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SECTION_KEYS:
+            if section not in _SECTIONS:
                 raise ConfigError(f"{source}:{line_no}: unknown section [{section}]")
             continue
         if section is None:
@@ -233,40 +236,20 @@ def parse_config(text: str, source: str = "<config>", base_dir: Path | None = No
         if "=" not in line:
             raise ConfigError(f"{source}:{line_no}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SECTION_KEYS[section]:
+        if _KEYS.get(key, (None,))[0] != section:
             raise ConfigError(f"{source}:{line_no}: unknown key {key!r} in [{section}]")
         if section == "nonlinearity":
             pending_terms.append((line_no, value))
             continue
-        attr = {
-            "lambda": "lam",
-            "json": "out_json",
-            "field": "out_field",
-            "csv": "out_csv",
-        }.get(key, key)
-        setattr(cfg, attr, _convert(source, line_no, key, value))
-    if cfg.method is not None and cfg.method not in _METHODS:
-        raise ConfigError(
-            f"{source}: unknown solver method {cfg.method!r} (expected one of {sorted(_METHODS)})"
-        )
-    if cfg.sweep_method not in _SWEEP_METHODS:
-        raise ConfigError(
-            f"{source}: unknown sweep method {cfg.sweep_method!r} (expected one of {list(_SWEEP_METHODS)})"
-        )
-    _check_sweep_steps(source, cfg.sweep_steps)
-    if cfg.seed not in ("gaussian", "bump", "file"):
-        raise ConfigError(f"{source}: unknown seed kind {cfg.seed!r}")
-    if cfg.seed == "file" and cfg.seed_file is None:
-        raise ConfigError(f"{source}: seed = file requires seed_file = PATH")
+        _, kind, attr = _KEYS[key]
+        try:
+            setattr(cfg, attr, kind(value))
+        except ValueError:
+            raise ConfigError(f"{source}:{line_no}: cannot parse {key} = {value!r}") from None
+    cfg.validate()
     for line_no, value in pending_terms:
         cfg.terms.append(_parse_term(source, line_no, value, base_dir, cfg.M))
     return cfg
-
-
-def _check_sweep_steps(source: str, steps: int | None) -> None:
-    # a sweep of no rows would certify nothing and exit 0
-    if steps is not None and steps < 1:
-        raise ConfigError(f"{source}: sweep_steps must be at least 1, got {steps}")
 
 
 def load_config(path) -> RunConfig:

@@ -193,15 +193,18 @@ def test_quadrature_error_decreases_under_refinement(pstar):
 
 
 def test_bessel_zeros_half_integer_order():
-    # N = 5 uses J_{3/2}: the bracketed root finder must match an
-    # arbitrary-precision evaluation
+    # N = 5, 6, ... use J_{N/2-1}: the McMahon + Newton zeros of any order
+    # must meet an arbitrary-precision evaluation to 2 ulp, in increasing order
     mp = pytest.importorskip("mpmath")
     from fcs.grid import _bessel_zeros
 
     mp.mp.dps = 30
-    z = _bessel_zeros(1.5, 8)
-    exact = [float(mp.besseljzero(mp.mpf(3) / 2, m)) for m in range(1, 9)]
-    assert np.max(np.abs(z - np.array(exact))) < 1e-12
+    ms = [1, 2, 3, 4, 5, 6, 7, 8, 50]
+    for nu in (0.5, 1.5, 2.0, 2.5, 3.0, 5.0, 10.0):
+        z = _bessel_zeros(nu, 50)
+        exact = np.array([float(mp.besseljzero(mp.mpf(nu), m)) for m in ms])
+        assert np.all(np.abs(z[[m - 1 for m in ms]] - exact) <= 2.0 * np.spacing(exact)), nu
+        assert np.all(np.diff(z) > 0), nu
 
 
 @pytest.mark.parametrize("nu", [0, 1])

@@ -172,7 +172,7 @@ def test_config_rejects_unknown_sweep_method(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     assert cli_main(["sweep", "--config", str(cfg)]) == 1
-    # the flag is checked by the sweep itself, before its first row
+    # the flag is checked with the config it overrides, before any work
     cfg.write_text(text.replace("minimise", "minimize"))
     assert cli_main(["sweep", "--config", str(cfg), "--sweep-method", "minimise"]) == 1
     err = capsys.readouterr().err
@@ -564,6 +564,83 @@ def test_cli_sweep_csv(tmp_path, capsys, monkeypatch):
     assert lines[0] == "param,energy,I,J,multiplier,residual,converged"
     assert len(lines) == 3
     capsys.readouterr()
+
+
+_SWEEP_CFG = (
+    "[params]\nN = 3\ns = 0.75\nalpha = 2.0\n[grid]\nR = 20.0\nM = 64\n"
+    "[nonlinearity]\nterm = power coef=1.0 q=2.7\n"
+    "[solver]\nmethod = sweep\nsweep_term = 0\nsweep_from = 0.5\nsweep_to = 1.5\nsweep_steps = 2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        pytest.param(["solve", "--method", "bogus"], "run.cfg: unknown solver method 'bogus'", id="method"),
+        pytest.param(["sweep", "--sweep-method", "minimise"], "run.cfg: unknown sweep method 'minimise'", id="sweep-method"),
+    ],
+)
+def test_cli_rejects_bad_method_flags_before_a_grid(argv, text, tmp_path, capsys, monkeypatch):
+    # flags are validated with the config they override, before any work
+    import fcs.cli
+
+    grids = []
+    monkeypatch.setattr(fcs.cli, "make_grid", lambda *args: grids.append(args))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(_SWEEP_CFG)
+    assert cli_main([*argv, "--config", "run.cfg"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {text}" in err and "Traceback" not in err
+    assert grids == []
+
+
+def test_cli_runs_every_configured_method():
+    import fcs.cli
+    import fcs.config
+
+    assert set(fcs.cli._RUNNERS) == fcs.config._METHODS
+
+
+def test_cli_sweep_out_names_the_csv_and_writes_no_envelope(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(_SWEEP_CFG + "[output]\njson = env.json\ncsv = cfg.csv\n")
+    assert cli_main(["sweep", "--config", "run.cfg", "--out", "x.csv"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "x.csv"]
+    assert (tmp_path / "x.csv").read_text().splitlines()[0] == "param,energy,I,J,multiplier,residual,converged"
+    assert capsys.readouterr().out == (tmp_path / "x.csv").read_bytes().decode()
+
+
+_EIGEN_FLAGS = ["--N", "3", "--s", "0.75", "--alpha", "2", "--R", "20", "--M", "64"]
+_EIGEN_CFG = "[params]\nN = 3\ns = 0.75\nalpha = 2.0\n[grid]\nR = 20.0\nM = 64\n"
+
+
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        pytest.param(["check", "pohozaev", "--field", "missing.fld", "--lambda", "2.5"], None, id="check-field"),
+        pytest.param(["eigen1", *_EIGEN_FLAGS, "--out", "missing/o.json"], None, id="envelope-out"),
+        pytest.param(
+            ["solve", "--config", "run.cfg"],
+            _EIGEN_CFG + "[solver]\nmethod = eigen1\nseed = file\nseed_file = missing.fld\n",
+            id="seed-file",
+        ),
+        pytest.param(
+            ["solve", "--config", "run.cfg"],
+            _EIGEN_CFG + "[nonlinearity]\nterm = weighted coef=1.0 q=2.7 weight=missing.txt\n"
+            "[solver]\nmethod = minimize\n",
+            id="weight-file",
+        ),
+    ],
+)
+def test_cli_file_errors_exit_as_validation_errors(argv, cfg, tmp_path, capsys, monkeypatch):
+    # a missing or unwritable file is invalid input: exit 1, no traceback
+    monkeypatch.chdir(tmp_path)
+    if cfg is not None:
+        (tmp_path / "run.cfg").write_text(cfg)
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing" in err
+    assert "Traceback" not in err
 
 
 def test_cli_sweep_of_mountain_passes(tmp_path, capsys):
