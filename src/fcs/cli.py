@@ -4,9 +4,9 @@ Commands: exponents | eigen1 | solve | check {pohozaev,nehari,identity} |
 scaling-check | sweep | sobolev.  eigen1, sweep and sobolev are solve with
 the method fixed.  Their --out names the JSON envelope, except for sweep,
 where it names the branch CSV and no envelope file is written.  Exit codes:
-0 success, 1 validation error (command-line usage errors and missing or
-unwritable files included), 2 solver non-convergence (results are still
-written, with converged = false).
+0 success, 1 validation error (command-line usage errors, missing or
+unwritable files and input a solver refuses before any work included), 2
+solver non-convergence (results are still written, with converged = false).
 """
 
 from __future__ import annotations
@@ -239,10 +239,6 @@ def _run_mountain_pass(cfg: RunConfig, t0: float) -> int:
 def _run_sweep(cfg: RunConfig, t0: float) -> int:
     grid = _grid(cfg, "sweep_from", "sweep_to", "sweep_steps")
     spec = cfg.spec()
-    if not spec.terms:
-        raise ConfigError(f"{cfg.source}: sweep requires a nonlinearity with at least one term")
-    if not (0 <= cfg.sweep_term < len(spec.terms)):
-        raise ConfigError(f"{cfg.source}: sweep_term {cfg.sweep_term} out of range")
     values = np.linspace(cfg.sweep_from, cfg.sweep_to, cfg.sweep_steps)
     opts = _solver_options(cfg)
     rows = sweep(grid.params, grid, spec, cfg.sweep_term, values, opts, method=cfg.sweep_method)

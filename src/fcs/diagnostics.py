@@ -156,9 +156,7 @@ def _sobolev_descent(grid: RadialGrid, u0: np.ndarray):
         if nrm == 0.0:
             return None
         v = v / nrm
-        pt = _Ray.__new__(_Ray)
-        pt._fill(Field(grid, v), None, eng.forward(v), no_potential)
-        return pt
+        return _Ray(Field(grid, v), None, eng.forward(v), no_potential)
 
     return _first_order(
         on_sphere(u0), lambda q: q.S, lambda q: 2.0 * q.Au, on_sphere, _SOBOLEV_MAX_ITER, _SOBOLEV_TOL,

@@ -162,23 +162,20 @@ class NonlinearitySpec:
     def is_autonomous(self) -> bool:
         return not any(isinstance(t, WeightedPowerTerm) for t in self.terms)
 
-    def f(self, t: np.ndarray, r=None) -> np.ndarray:
+    def _sum(self, part: str, t, r):
         out = np.zeros_like(np.asarray(t, dtype=float))
         for term in self.terms:
-            out = out + term.f(t, r)
+            out = out + getattr(term, part)(t, r)
         return out
+
+    def f(self, t: np.ndarray, r=None) -> np.ndarray:
+        return self._sum("f", t, r)
 
     def fprime(self, t: np.ndarray, r=None) -> np.ndarray:
-        out = np.zeros_like(np.asarray(t, dtype=float))
-        for term in self.terms:
-            out = out + term.fprime(t, r)
-        return out
+        return self._sum("fprime", t, r)
 
     def F(self, t: np.ndarray, r=None) -> np.ndarray:
-        out = np.zeros_like(np.asarray(t, dtype=float))
-        for term in self.terms:
-            out = out + term.F(t, r)
-        return out
+        return self._sum("F", t, r)
 
     def with_coef(self, index: int, coef: float) -> "NonlinearitySpec":
         terms = list(self.terms)
@@ -243,11 +240,13 @@ class _Ray:
 
     lam = None
 
-    def __init__(self, u: Field, spec: NonlinearitySpec | None = None):
-        self._fill(u, spec, u.grid.transform().forward(u.values), hartree_potential_sym(u))
-
-    def _fill(self, u: Field, spec, b: np.ndarray, pot: np.ndarray) -> None:
+    def __init__(self, u: Field, spec: NonlinearitySpec | None = None, b=None, pot=None):
+        # b and pot: u's forward coefficients and potential, if already known
         grid = u.grid
+        if b is None:
+            b = grid.transform().forward(u.values)
+        if pot is None:
+            pot = hartree_potential_sym(u)
         self.field = u
         self.u = u.values
         self.spec = spec
@@ -297,9 +296,7 @@ class _Ray:
         a^2, so this does no transform and no kernel matvec.
         """
         a = math.sqrt(a2)
-        pt = _Ray.__new__(_Ray)
-        pt._fill(Field(self.field.grid, a * self.u), self.spec, a * self._b, a2 * self.pot)
-        return pt
+        return _Ray(Field(self.field.grid, a * self.u), self.spec, a * self._b, a2 * self.pot)
 
     def on_manifold(self) -> "_Ray":
         """The ray of a u on {I = 1}: a^2 S / 2 + a^4 Q / 4 = 1, so

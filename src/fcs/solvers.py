@@ -47,6 +47,7 @@ from .grid import Field, RadialGrid, lp_norm
 # unused apply_A: perfbench/test_perfbench.py reads fcs.solvers.apply_A
 from .operators import apply_A, dense_fractional_matrix, _riesz_kernel, dual_norm  # noqa: F401
 from .params import (
+    ExponentTable,
     ProblemParams,
     Regime,
     RegimeTag,
@@ -184,17 +185,16 @@ def make_seed(grid: RadialGrid, opts: SolverOptions) -> Field:
     raise ValueError(f"unknown seed kind {opts.seed!r}")
 
 
-def _require_above(params: ProblemParams) -> None:
+def _entry(params: ProblemParams, grid: RadialGrid) -> ExponentTable:
+    """Every solver's first step: the grid is built for ``params``, 4s + alpha >= N."""
+    if grid.params != params:
+        raise ValueError("grid was built for different problem parameters")
     if params.regime is Regime.BELOW:
         raise ValueError(
             "solver-facing modules refuse parameters with 4s + alpha < N; "
             "identities are certified only above the threshold"
         )
-
-
-def _check_grid(params: ProblemParams, grid: RadialGrid) -> None:
-    if grid.params != params:
-        raise ValueError("grid was built for different problem parameters")
+    return compute_exponents(params)
 
 
 def _normalize_sign(u: Field) -> Field:
@@ -511,9 +511,7 @@ def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None =
     Rayleigh quotient <A(u), u> / <B(u), u>.
     """
     opts = opts or SolverOptions()
-    _check_grid(params, grid)
-    _require_above(params)
-    exps = compute_exponents(params)
+    exps = _entry(params, grid)
 
     seed = make_seed(grid, opts)
     if float(np.max(np.abs(seed.values))) == 0.0:
@@ -722,9 +720,7 @@ def _minimize(
     no negative-level basin reports the trivial minimizer as a single solve
     does.
     """
-    _check_grid(params, grid)
-    _require_above(params)
-    exps = compute_exponents(params)
+    exps = _entry(params, grid)
 
     if spec.is_empty:
         return _trivial_minimizer(grid, spec, "empty nonlinearity: Phi has the trivial global minimum")
@@ -782,37 +778,47 @@ def _trivial_minimizer(grid: RadialGrid, spec: NonlinearitySpec, note: str) -> S
 # mountain pass (superscaled / critical growth)
 # ---------------------------------------------------------------------------
 
+def _is_critical_family(spec: NonlinearitySpec, exps) -> bool:
+    return any(
+        t.coef != 0.0 and abs(t.effective_exponent - exps.two_star_s) < 1e-9
+        for t in spec.terms
+    )
+
+
+def _pass_entry(params: ProblemParams, grid: RadialGrid, spec: NonlinearitySpec) -> ExponentTable:
+    """``_entry`` plus a mountain pass's growth class: superscaled or the critical family."""
+    exps = _entry(params, grid)
+    regime = classify_nonlinearity(spec, exps)
+    if not (regime.is_superscaled or _is_critical_family(spec, exps)):
+        raise RegimeMismatchError(
+            "mountain_pass requires superscaled growth or the critical family; "
+            f"classifier says {regime.tag.value}"
+        )
+    return exps
+
+
 def find_negative_energy_point(
     params: ProblemParams,
     grid: RadialGrid,
     spec: NonlinearitySpec,
     width: float = 1.0,
 ) -> Field:
-    """Amplitude continuation along a Gaussian ray until the action is <= 0.
+    """a g for the first a = 1, 2, 4, ..., 2^59 with Phi(a g) <= 0, g = exp(-(r/width)^2).
 
-    Doubling locates a sign change of Phi along the ray, bisection tightens
-    it, and a point comfortably past the crossing is returned.  Along the
-    ray Phi(a g) = a^2 S / 2 + a^4 Q / 4 - int F(a g) with S and Q computed
-    once for the shape g (see ``_Ray``), so only the primitive is evaluated
-    per amplitude.
+    ``mountain_pass`` keeps only the shape of its endpoint, and normalizes a
+    power-of-two multiple of g exactly.  Phi(a g) = a^2 S / 2 + a^4 Q / 4 -
+    int F(a g) reads S and Q of g (see ``_Ray``).  ``mountain_pass``'s entry
+    checks run first; ``NoPassError`` if no such a exists.
     """
+    _pass_entry(params, grid, spec)
     g = np.exp(-((grid.r / width) ** 2))
     ray = _Ray(Field(grid, g), spec)
     a = 1.0
     for _ in range(60):
         if ray.phi(a) <= 0.0:
-            break
+            return Field(grid, a * g)
         a *= 2.0
-    else:
-        raise NoPassError("no negative-action amplitude found along the Gaussian ray")
-    lo, hi = a / 2.0, a
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if ray.phi(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return Field(grid, 1.05 * hi * g)
+    raise NoPassError("no negative-action amplitude found along the Gaussian ray")
 
 
 def _nehari_amplitude(ray: _Ray) -> float | None:
@@ -840,13 +846,6 @@ def _nehari_amplitude(ray: _Ray) -> float | None:
     return max(roots, key=ray.phi)
 
 
-def _is_critical_family(spec: NonlinearitySpec, exps) -> bool:
-    return any(
-        t.coef != 0.0 and abs(t.effective_exponent - exps.two_star_s) < 1e-9
-        for t in spec.terms
-    )
-
-
 def mountain_pass(
     params: ProblemParams,
     grid: RadialGrid,
@@ -865,18 +864,12 @@ def mountain_pass(
     polishes the result into a critical point.  A polished level <= 0, or an
     e whose ray has no crossing, raises ``NoPassError``.  For the critical
     family the report carries the concentration-threshold context and flags
-    levels at or above it.
+    levels at or above it.  Before any work it checks, each a ``ValueError``:
+    the grid's params, 4s + alpha >= N, the growth class
+    (``RegimeMismatchError``), and a nonzero e with Phi(e) <= 0.
     """
     opts = opts or SolverOptions()
-    _check_grid(params, grid)
-    _require_above(params)
-    exps = compute_exponents(params)
-    regime = classify_nonlinearity(spec, exps)
-    if not (regime.is_superscaled or _is_critical_family(spec, exps)):
-        raise RegimeMismatchError(
-            "mountain_pass requires superscaled growth or the critical family; "
-            f"classifier says {regime.tag.value}"
-        )
+    exps = _pass_entry(params, grid, spec)
     if Phi(e, spec) > 0.0:
         raise ValueError("endpoint e must satisfy Phi(e) <= 0")
     if float(np.max(np.abs(e.values))) == 0.0:
@@ -956,11 +949,16 @@ def sweep(
     level is found.  A ``mountain-pass`` row ignores the seed: it takes its
     endpoint from the width-1 Gaussian ray (``find_negative_energy_point``),
     so it equals the single solve at its coefficient.  Failures are
-    recorded (NaN energy sentinel) and the sweep continues.
+    recorded (NaN energy sentinel) and the sweep continues; but a bad method,
+    ``term_index``, range, grid or 4s + alpha < N raises ``ValueError``
+    before the first row (a row's growth class depends on its coefficient).
     """
     opts = opts or SolverOptions()
     if method not in _SWEEP_METHODS:
         raise ValueError(f"unknown sweep method {method!r} (expected one of {list(_SWEEP_METHODS)})")
+    if term_index not in range(len(base_spec.terms)):
+        raise ValueError(f"term index {term_index} out of range for {len(base_spec.terms)} nonlinearity terms")
+    _entry(params, grid)
     vals = [float(v) for v in values]
     diffs = np.diff(vals)
     if len(vals) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):

@@ -397,6 +397,40 @@ def test_cli_mountain_pass_without_a_negative_ray_is_a_solver_failure(tmp_path, 
     assert "Traceback" not in err
 
 
+def test_cli_mountain_pass_with_the_wrong_growth_class_is_a_validation_error(tmp_path, capsys):
+    # q = 2.5 is subscaled at s = 0.75: the growth check runs before the
+    # endpoint search, so this is invalid input (exit 1), not a solver failure
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[params]\nN = 3\ns = 0.75\nalpha = 2.0\n"
+        "[grid]\nR = 20.0\nM = 64\n"
+        "[nonlinearity]\nterm = power coef=1.0 q=2.5\n"
+        "[solver]\nmethod = mountain-pass\n"
+    )
+    assert cli_main(["solve", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mountain_pass requires")
+    assert "Traceback" not in err
+
+
+def test_cli_sweep_below_the_threshold_is_a_validation_error(tmp_path, capsys):
+    # 4s + alpha = 2.7 < N = 5: refused before the first row, no CSV
+    cfg = tmp_path / "run.cfg"
+    csv_path = tmp_path / "branch.csv"
+    cfg.write_text(
+        "[params]\nN = 5\ns = 0.3\nalpha = 1.5\n"
+        "[grid]\nR = 20.0\nM = 32\n"
+        "[nonlinearity]\nterm = power coef=1.0 q=2.7\n"
+        "[solver]\nmethod = sweep\nsweep_term = 0\nsweep_from = 0.5\nsweep_to = 1.5\nsweep_steps = 2\n"
+        f"[output]\ncsv = {csv_path}\n"
+    )
+    assert cli_main(["solve", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver-facing modules refuse parameters with 4s + alpha < N")
+    assert "Traceback" not in err
+    assert not csv_path.exists()
+
+
 def test_cli_determinism(tmp_path, capsys):
     # identical config (including output paths) and seed: byte-identical
     # JSON once the volatile runtime block is dropped

@@ -656,9 +656,22 @@ def mp_setup():
 
 
 def test_negative_energy_endpoint(mp_setup):
-    p, g, spec, e = mp_setup
-    assert Phi(e, spec) <= 0.0
-    assert np.max(np.abs(e.values)) > 0.0
+    # the endpoint is the first negative doubling 2^k g of the width-1
+    # Gaussian g, exactly: q = 4.1 and the critical family
+    for p, g, spec, e in (mp_setup, _critical_family_setup()):
+        gauss = np.exp(-g.r ** 2)
+        k = math.log2(e.values[0] / gauss[0])
+        assert k >= 1 and k == int(k)
+        assert np.array_equal(e.values, 2.0 ** k * gauss)
+        assert Phi(e, spec) <= 0.0 < Phi(g.field(e.values / 2.0), spec)
+
+
+def test_negative_energy_endpoint_checks_its_input_first(pstar, grid, mp_setup):
+    with pytest.raises(RegimeMismatchError, match="mountain_pass requires"):
+        find_negative_energy_point(pstar, grid, pure_power(1.0, 2.7))
+    p, _, spec, _ = mp_setup
+    with pytest.raises(ValueError, match="different problem parameters"):
+        find_negative_energy_point(p, grid, spec)
 
 
 def test_mountain_pass_positive_level(mp_setup):
@@ -889,9 +902,30 @@ def test_sweep_records_failures_and_continues(pstar, grid):
     assert all(math.isnan(r.energy) for r in rows)
 
 
-def test_sweep_rejects_an_unknown_method_before_its_rows(pstar, grid, recwarn):
-    with pytest.raises(ValueError, match="unknown sweep method 'minimise'"):
-        sweep(pstar, grid, pure_power(1.0, 2.7), 0, [1.0, 2.0], method="minimise")
+# each bad input of a sweep and the start of its ValueError
+_BAD_SWEEPS = {
+    "unknown-method": "unknown sweep method 'minimise'",
+    "other-grid": "grid was built for different problem parameters",
+    "below-regime": "solver-facing modules refuse parameters with 4s \\+ alpha < N",
+    "term-index-negative": "term index -1 out of range",
+    "term-index-past-end": "term index 1 out of range",
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_SWEEPS))
+def test_sweep_rejects_bad_input_before_its_rows(case, pstar, grid, recwarn):
+    params, g, term, method = pstar, grid, 0, "minimize"
+    if case == "unknown-method":
+        method = "minimise"
+    elif case == "other-grid":
+        params = ProblemParams(3, 0.8, 2.0)
+    elif case == "below-regime":
+        params = ProblemParams(5, 0.3, 1.5)
+        g = make_grid(params, 20.0, 32)
+    else:
+        term = -1 if case == "term-index-negative" else 1
+    with pytest.raises(ValueError, match=_BAD_SWEEPS[case]):
+        sweep(params, g, pure_power(1.0, 2.7), term, [1.0, 2.0], method=method)
     assert len(recwarn) == 0  # no row was attempted and recorded as failed
 
 
