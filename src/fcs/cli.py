@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -75,6 +76,9 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="write the solution field here")
 
 
+# built once per process: parse_args fills a fresh namespace on every call,
+# and no default is mutable
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="fcs", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -109,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scaling-check", help="verify the dilation laws on the grid")
     p.set_defaults(cmd=_cmd_scaling_check)
     _add_param_flags(p)
-    p.add_argument("--t", type=float, nargs="*", default=[0.5, 0.8, 1.25, 2.0])
+    p.add_argument("--t", type=float, nargs="*", default=(0.5, 0.8, 1.25, 2.0))
     p.add_argument("--out", type=str, default=None, help="write the check table as CSV")
     p.add_argument("--json", action="store_true")
 

@@ -1,8 +1,8 @@
 """Critical-point finders.
 
 Every solver runs the same two phases: one globalizing first-order phase,
-``_first_order``, then one damped dense Newton polish, ``_newton``, which is
-affordable at desk scale and drives dual residuals to rounding.
+``_first_order``, then one damped Newton polish, ``_newton``, which drives
+dual residuals to rounding.
 
 ``_first_order`` is an L-BFGS Armijo line search over a retraction: a
 two-loop recursion over the last ``_LBFGS_MEMORY`` coefficient pairs, with
@@ -17,16 +17,21 @@ reach Newton's basin: it hands over once the dual norm of its (tangent)
 gradient has dropped by the factor its caller passes, max(tol,
 ``_HANDOVER_REL``), and Newton does the converging.  ``eigen1``'s ascent
 runs on to ``_EIGEN_HANDOVER_REL`` = 1e-7 whatever tol is: from there
-Newton's first step lands at rounding, so each eigenpair costs one dense
-factorization, and the ascent keeps ``_NEWTON_RESERVE`` steps of a capped
+Newton's first step lands at rounding, so each eigenpair costs one Newton
+system, and the ascent keeps ``_NEWTON_RESERVE`` steps of a capped
 ``max_iter`` for that polish.
 
 ``_newton`` reads its system off the evaluated point: grad Phi(u) = 0 for a
 plain point, and for an eigen point {A(u) = lam B(u), I(u) = 1} with lam as
-one more unknown.  Each call assembles its Jacobian in place, into one
-buffer.  Every field a solver evaluates is evaluated once, as one
-``energy._Ray`` (S, Q, the Hartree potential, A(u) and the residual), and a
-point accepted by a line search is carried into the next step as it is.
+one more unknown.  Up to M = ``_DENSE_NEWTON_MAX_M`` (768) each call
+assembles its Jacobian in place, into one buffer, and factorizes it; above
+it each system is solved matrix-free by GMRES, preconditioned by the same
+k-space multiplier, to an iterate equal to the LU one to rounding.  The
+cutoff is the mountain pass's measured crossover (768 < M < 896; eigen1
+crosses between 512 and 768, see the constant).  Every field a solver
+evaluates is evaluated once, as one ``energy._Ray`` (S, Q, the Hartree
+potential, A(u) and the residual), and a point accepted by a line search
+is carried into the next step as it is.
 Reports are recomputed from one evaluation of the stored, sign-normalized
 field, so nothing leaks from solver internals.
 """
@@ -40,6 +45,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .diagnostics import _pohozaev_sides, estimate_sobolev_constant, ps_threshold
 from .energy import J_functional, NonlinearitySpec, Phi, _Ray
@@ -103,6 +109,18 @@ _LBFGS_MEMORY = 6  # (s, y) pairs kept by _first_order
 # a Newton call hands back once its last _NEWTON_STALL steps together cut the
 # residual by less than 10 %: it started outside its basin
 _NEWTON_STALL = 6
+# _newton factorizes its dense (M+1) x (M+1) Jacobian up to this M and runs
+# matrix-free GMRES above it.  Newton-phase ms, one thread, dense -> GMRES:
+#   N=3 eigen1:            9.8 -> 11.9 (M=512), 27 -> 22 (768), 36 -> 14 (896), 41 -> 18 (1024)
+#   N=3 mountain pass 4.1: 18 -> 19 (512), 49 -> 54 (768), 67 -> 39 (896), 103 -> 54 (1024)
+#   N=4 eigen1:            12 -> 14 (512), 45 -> 27 (768), 83 -> 45 (1024)
+# eigen1 crosses over between 512 and 768, the mountain pass between 768
+# and 896; above 768 GMRES wins for both
+_DENSE_NEWTON_MAX_M = 768
+# GMRES's relative tolerance: each Newton iterate equals the LU iterate to
+# rounding, and the M=1024 eigen1 multiplier comes out bitwise equal
+_KRYLOV_RTOL = 1e-10
+_KRYLOV_RESTART = 60  # GMRES restart length; a solve takes 20-23 iterations
 
 
 @dataclass(frozen=True)
@@ -266,6 +284,54 @@ def _jacobian_into(out: np.ndarray, Lf: np.ndarray, K: np.ndarray, u: np.ndarray
     out[idx, idx] += diag
 
 
+def _jacobian_matvec(pt: _Ray):
+    """v -> J v, the Newton Jacobian of ``pt`` without a matrix.
+
+    J v = L v + 2 u S(u v) + (pot - f'(u)) v with L = inverse k^(2s) forward
+    (the grid's own transform) and S the stored w-symmetric Riesz kernel; an
+    eigen point appends mu: the field rows gain -B(u) mu and the last row is
+    <w A(u), v>.  The same system ``_jacobian_into`` assembles densely.
+    """
+    grid = pt.field.grid
+    eng = grid.transform()
+    kernel = _riesz_kernel(grid, grid.params.alpha)
+    u, M, k2s = pt.u, grid.M, grid.k2s
+    diag = pt.pot - pt.spec.fprime(u, pt.r)
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        x = v[:M]
+        out = eng.inverse(k2s * eng.forward(x)) + 2.0 * u * kernel.sym_potential(u * x) + diag * x
+        if pt.lam is None:
+            return out
+        out -= v[M] * pt.Bu
+        return np.append(out, (pt.w * pt.Au * x).sum())
+
+    return matvec
+
+
+def _krylov_step(pt: _Ray, rhs: np.ndarray) -> np.ndarray:
+    """The Newton step J delta = rhs by GMRES to ``_KRYLOV_RTOL``, left
+    preconditioned by the k-space multiplier 1/(1 + k^(2s)) on the field
+    block (identity on the multiplier).  The preconditioned J is the
+    identity plus a compact part, so the iteration count does not grow
+    with M.  The iterate is returned whatever GMRES reports.
+    """
+    grid = pt.field.grid
+    eng = grid.transform()
+    M, k_den = grid.M, 1.0 + grid.k2s
+
+    def precondition(v: np.ndarray) -> np.ndarray:
+        out = v.copy()
+        out[:M] = eng.inverse(eng.forward(v[:M]) / k_den)
+        return out
+
+    n = rhs.size
+    J = LinearOperator((n, n), matvec=_jacobian_matvec(pt), dtype=float)
+    P = LinearOperator((n, n), matvec=precondition, dtype=float)
+    delta, _ = gmres(J, rhs, rtol=_KRYLOV_RTOL, atol=0.0, restart=_KRYLOV_RESTART, M=P)
+    return delta
+
+
 def _eigen_point(pt: _Ray, p: float, lam: float | None = None) -> _Ray:
     """The ray ``pt`` with the eigen residual A(u) - lam B(u) (see ``_Ray.eigen``).
 
@@ -290,22 +356,29 @@ def _newton(pt: _Ray, res0: float, tol: float, max_iter: int = 40):
 
         [[L + H(u) - diag(f'(u)), -B(u)], [w A(u), 0]],   f = lam |t|^(p-2) t.
 
-    The Jacobian is assembled in place, into one buffer per call.  The
-    target is min(tol, 1e-11) res0 plus the rounding floor of the start
-    point (see ``_rounding_floor``).  A step is halved until the residual
-    decreases or, once the residual is under the target, until the manifold
-    defect I(u) - 1 does (0 for a plain point), and a call stops once its
-    last ``_NEWTON_STALL`` steps cut a residual above the target by < 10 %.
+    Up to M = ``_DENSE_NEWTON_MAX_M`` the Jacobian is assembled in place,
+    into one buffer per call, and factorized by ``np.linalg.solve``; above
+    it no matrix is built and ``_krylov_step`` runs GMRES on
+    ``_jacobian_matvec`` (1.8-2.3x faster at M = 1024, slower at M = 512,
+    see the constant).  A singular LU or a non-finite GMRES step ends the
+    call.  The target is min(tol, 1e-11) res0 plus the rounding floor of
+    the start point (see ``_rounding_floor``).  A step is halved until the
+    residual decreases or, once the residual is under the target, until the
+    manifold defect I(u) - 1 does (0 for a plain point), and a call stops
+    once its last ``_NEWTON_STALL`` steps cut a residual above the target by
+    < 10 %.
     Returns the last accepted point and the iteration count; a point accepted
     by the line search is carried into the next step as it is.
     """
     grid = pt.field.grid
     M = grid.M
     bordered = pt.lam is not None
-    Lf = dense_fractional_matrix(grid)
-    K = _riesz_kernel(grid, grid.params.alpha).sym_matrix()
-    jac = np.empty((M + bordered, M + bordered))
-    jac[M:, M:] = 0.0
+    dense = M <= _DENSE_NEWTON_MAX_M
+    if dense:
+        Lf = dense_fractional_matrix(grid)
+        K = _riesz_kernel(grid, grid.params.alpha).sym_matrix()
+        jac = np.empty((M + bordered, M + bordered))
+        jac[M:, M:] = 0.0
     tol_abs = min(tol, 1e-11) * res0 + _rounding_floor(pt)
 
     def defect(q: _Ray) -> float:
@@ -319,16 +392,20 @@ def _newton(pt: _Ray, res0: float, tol: float, max_iter: int = 40):
         stalled = len(recent) > _NEWTON_STALL and pt.res > max(0.9 * recent[0], tol_abs)
         if stalled or (pt.res <= tol_abs and abs(d0) <= 1e-11):
             break
-        _jacobian_into(jac[:M, :M], Lf, K, pt.u, pt.pot - pt.spec.fprime(pt.u, grid.r))
-        rhs = pt.resid
-        if bordered:
-            jac[:M, M] = -pt.Bu
-            jac[M, :M] = grid.w * pt.Au
-            rhs = np.append(rhs, d0)
-        try:
-            delta = np.linalg.solve(jac, -rhs)
-        except np.linalg.LinAlgError:
-            break
+        rhs = np.append(pt.resid, d0) if bordered else pt.resid
+        if dense:
+            _jacobian_into(jac[:M, :M], Lf, K, pt.u, pt.pot - pt.spec.fprime(pt.u, grid.r))
+            if bordered:
+                jac[:M, M] = -pt.Bu
+                jac[M, :M] = grid.w * pt.Au
+            try:
+                delta = np.linalg.solve(jac, -rhs)
+            except np.linalg.LinAlgError:
+                break
+        else:
+            delta = _krylov_step(pt, -rhs)
+            if not np.all(np.isfinite(delta)):
+                break
         step = 1.0
         for _ in range(10):
             trial = pt.u + step * delta[:M]

@@ -2,9 +2,12 @@ import importlib
 import inspect
 import json
 import math
+import os
 import pkgutil
 import struct
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import fcs
 from fcs import ProblemParams, make_grid
-from fcs.cli import cli_main
+from fcs.cli import _build_parser, cli_main
 from fcs.config import ConfigError, parse_config
 from fcs.io import (
     FieldFormatError,
@@ -443,6 +446,27 @@ def test_cli_determinism(tmp_path, capsys):
         texts.append(strip_runtime(out.read_text()))
     capsys.readouterr()
     assert texts[0] == texts[1]
+
+
+def test_cli_parser_reuse_leaks_nothing(tmp_path, capsys):
+    # one parser serves every call in a process: a flag given in one call is
+    # not a default in the next, and no default is mutated
+    grid = ["--N", "3", "--s", "0.75", "--alpha", "2", "--R", "20", "--M", "64"]
+    out = tmp_path / "r.json"
+    texts = []
+    for tol in (["--tol", "1e-3"], []):
+        assert cli_main(["eigen1", *grid, *tol, "--out", str(out)]) == 0
+        texts.append(strip_runtime(out.read_text()))
+    assert cli_main(["scaling-check", *grid]) == 0
+    capsys.readouterr()
+    assert _build_parser() is _build_parser()
+    assert _build_parser().parse_args(["scaling-check"]).t == (0.5, 0.8, 1.25, 2.0)
+    src = str(Path(fcs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys; from fcs.cli import cli_main; sys.exit(cli_main({['eigen1', *grid, '--out', str(out)]!r}))"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
+    assert texts[0] != texts[1]
+    assert texts[1] == strip_runtime(out.read_text())
 
 
 def test_cli_eigen1_small_sigma_converges(tmp_path, capsys):

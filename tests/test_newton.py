@@ -1,6 +1,7 @@
-"""The dense Newton matrices: the N = 3 Laplacian from its symbol, the
-in-place Jacobian assembly, their memory footprint, and the operator calls
-of a Newton step.
+"""The Newton matrices: the N = 3 Laplacian from its symbol, the in-place
+Jacobian assembly and the matrix-free product that replaces it above the
+dense cutoff, their memory footprint, and the operator calls of a Newton
+step.
 
 The oracles are the direct constructions: the Laplacian as a DST of the
 identity, and the Hartree Jacobian diag(I_alpha * u^2) + 2 u K u from
@@ -88,23 +89,43 @@ def _newton_system(kind, u):
     return (lambda: _Ray(u, spec)), spec.fprime(u.values, u.grid.r)
 
 
-@pytest.mark.parametrize("kind", ["eigen", "gradient"])
-def test_newton_jacobian_matches_oracle(kind, monkeypatch, manifold_point):
-    u = manifold_point
+def _jacobian_oracle(kind, u, fprime):
+    """L + H(u) - diag(f'(u)), for an eigen point bordered by -B(u) and
+    w A(u) for the multiplier and I(u) = 1."""
     g = u.grid
-    start, fprime = _newton_system(kind, u)
-    seen = _captured_jacobians(monkeypatch, lambda: solvers._newton(start(), 0.0, 0.0, max_iter=1))
-    assert len(seen) == 1
     oracle = dense_fractional_matrix(g) + _hartree_jacobian_oracle(u) - np.diag(fprime)
     if kind == "eigen":
-        # bordered by -B(u) and w A(u) for the multiplier and I(u) = 1
         p = compute_exponents(g.params).two_star_s_alpha
         Au = apply_A(u).values
         Bu = np.abs(u.values) ** (p - 2.0) * u.values
         oracle = np.vstack([np.hstack([oracle, -Bu[:, None]]), np.concatenate([g.w * Au, [0.0]])[None, :]])
+    return oracle
+
+
+@pytest.mark.parametrize("kind", ["eigen", "gradient"])
+def test_newton_jacobian_matches_oracle(kind, monkeypatch, manifold_point):
+    u = manifold_point
+    start, fprime = _newton_system(kind, u)
+    seen = _captured_jacobians(monkeypatch, lambda: solvers._newton(start(), 0.0, 0.0, max_iter=1))
+    assert len(seen) == 1
+    oracle = _jacobian_oracle(kind, u, fprime)
+    if kind == "eigen":
         assert seen[0][-1, -1] == 0.0
     assert seen[0].shape == oracle.shape
     assert _rel(seen[0], oracle) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["eigen", "gradient"])
+def test_matrix_free_jacobian_matches_oracle(kind, manifold_point):
+    # the product GMRES runs on above the dense cutoff is the dense
+    # Jacobian's, on smooth and rough directions alike
+    u = manifold_point
+    start, fprime = _newton_system(kind, u)
+    oracle = _jacobian_oracle(kind, u, fprime)
+    matvec = solvers._jacobian_matvec(start())
+    rng = np.random.default_rng(7)
+    for v in (rng.standard_normal(oracle.shape[0]), np.append(u.values, 1.0)[: oracle.shape[0]]):
+        assert _rel(matvec(v), oracle @ v) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from fcs.operators import apply_A, apply_B, dual_norm
 from fcs.params import compute_exponents
 from fcs.scaling import scale
 from fcs.solvers import (
+    _DENSE_NEWTON_MAX_M,
     DegenerateSeedError,
     NoPassError,
     RegimeMismatchError,
@@ -196,6 +197,22 @@ def test_eigen1_factorizes_one_newton_jacobian(N, s, alpha, width, monkeypatch):
     rep = eigen1(p, make_grid(p, 20.0, 256), SolverOptions(seed_width=width))
     assert rep.converged
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "M, solves", [(_DENSE_NEWTON_MAX_M, 1), (_DENSE_NEWTON_MAX_M + 1, 0), (1024, 0)]
+)
+def test_eigen1_factorizes_only_up_to_the_dense_cutoff(M, solves, monkeypatch):
+    # above the cutoff Newton runs GMRES on the matrix-free Jacobian: no
+    # factorization and no dense Laplacian (test_eigen1_pinned_multiplier
+    # holds the M=1024 multiplier)
+    calls = _count_solves(monkeypatch)
+    p = ProblemParams(3, 0.75, 2.0)
+    g = make_grid(p, 20.0, M)
+    rep = eigen1(p, g)
+    assert rep.converged
+    assert len(calls) == solves
+    assert ("dense_lap" in g._caches) == bool(solves)
 
 
 def test_eigen1_n4_ascent_takes_few_steps(monkeypatch):
@@ -739,6 +756,20 @@ def test_mountain_pass_benchmark_levels(q):
     rep = mountain_pass(*_mp_input(q))
     assert rep.converged
     assert math.isclose(rep.energy, _MP_LEVELS[q], rel_tol=1e-10, abs_tol=0.0)
+
+
+def test_mountain_pass_level_above_the_dense_cutoff(monkeypatch):
+    # q = 4.1 at the smallest M that Newton solves by GMRES; the level is
+    # the one the dense Newton gives on this grid
+    assert _DENSE_NEWTON_MAX_M + 1 == 769
+    calls = _count_solves(monkeypatch)
+    p = ProblemParams(3, 0.8, 2.0)
+    g = make_grid(p, 20.0, 769)
+    spec = pure_power(1.0, 4.1)
+    rep = mountain_pass(p, g, spec, find_negative_energy_point(p, g, spec))
+    assert rep.converged
+    assert not calls
+    assert math.isclose(rep.energy, 5.714313328665869, rel_tol=1e-12, abs_tol=0.0)
 
 
 @pytest.mark.parametrize("q", [4.0, 4.25])
