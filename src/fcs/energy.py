@@ -226,7 +226,7 @@ class _Ray:
     serve every amplitude of the shape.  ``nehari`` and ``phi`` need ``spec``
     and accept a scalar or a 1-D array of amplitudes; ``at`` evaluates the ray
     at one amplitude and ``on_manifold`` at its point on {I = 1}, in closed
-    form.
+    form.  ``pohozaev`` reads the Pohozaev balance off S, Q and ``spec``.
 
     A(u) = (-Delta)^s u + (I_alpha * u^2) u reuses the forward coefficients
     and the potential; it costs one inverse transform on first read, so scans
@@ -298,10 +298,13 @@ class _Ray:
         a = math.sqrt(a2)
         return _Ray(Field(self.field.grid, a * self.u), self.spec, a * self._b, a2 * self.pot)
 
-    def on_manifold(self) -> "_Ray":
+    def on_manifold(self) -> "_Ray | None":
         """The ray of a u on {I = 1}: a^2 S / 2 + a^4 Q / 4 = 1, so
-        a^2 = 4 / (S + sqrt(S^2 + 4 Q))."""
-        return self.at(4.0 / (self.S + math.sqrt(self.S * self.S + 4.0 * self.Q)))
+        a^2 = 4 / (S + sqrt(S^2 + 4 Q)).  None where that a^2 is not finite:
+        S and Q vanish or underflow, so the field is zero in all but name."""
+        den = self.S + math.sqrt(self.S * self.S + 4.0 * self.Q)
+        a2 = 4.0 / den if den > 0.0 else math.inf
+        return None if math.isinf(a2) else self.at(a2)
 
     def _points(self, a):
         a = np.asarray(a, dtype=float)
@@ -316,6 +319,18 @@ class _Ray:
         a, au = self._points(a)
         Fu = np.sum(self.w * self.spec.F(au, self.r), axis=-1)
         return 0.5 * a ** 2 * self.S + 0.25 * a ** 4 * self.Q - Fu
+
+    def pohozaev(self) -> tuple[float, float, float]:
+        """lhs, rhs and relative residual of the Pohozaev balance of the field.
+
+        lhs = (N-2s)/2 |(-Delta)^(s/2) u|^2 + C_alpha (N+alpha)/4 D(u) is read
+        from S and Q, rhs = N int F(u) from ``spec``; the relative residual
+        is |lhs-rhs| over the larger magnitude.
+        """
+        p = self.field.grid.params
+        lhs = 0.5 * (p.N - 2.0 * p.s) * self.S + 0.25 * (p.N + p.alpha) * self.Q
+        rhs = p.N * F_integral(self.field, self.spec)
+        return lhs, rhs, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
 def I_functional(u: Field) -> float:

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from . import __version__
 from .grid import Field, make_grid
 from .params import ProblemParams
 
@@ -112,8 +113,6 @@ def _numerics() -> dict:
 
 
 def make_envelope(config_echo: dict, report: dict, wall_time_s: float) -> dict:
-    from . import __version__
-
     return {
         "tool": {"name": "fcs", "version": __version__, "commit": _commit_hash()},
         "config": config_echo,

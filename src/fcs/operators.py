@@ -1,9 +1,9 @@
 """Nonlocal building blocks: fractional Laplacian and Riesz/Coulomb operators.
 
-The real-space Riesz kernel is authoritative.  For each (grid, alpha) a dense
-M x M matrix is assembled once from the angular average of |x - y|^(alpha-N)
-over spheres; the trapezoid rule in the radial variable is augmented with two
-Euler-Maclaurin-type corrections:
+The real-space Riesz kernel is authoritative.  For each grid, and its alpha,
+a dense M x M matrix is assembled once from the angular average of
+|x - y|^(alpha-N) over spheres; the trapezoid rule in the radial variable is
+augmented with two Euler-Maclaurin-type corrections:
 
 * a diagonal term removing the O(h^alpha) error produced by the
   |r - rho|^(alpha-1) kink of the angular average at rho = r (the correction
@@ -44,7 +44,7 @@ from scipy.fft import dct
 from scipy.special import beta as sp_beta, gamma as sp_gamma, hyp1f1, zeta as sp_zeta
 
 from .grid import Field, RadialGrid, _check_same_grid
-from .params import riesz_constant, sphere_area
+from .params import compute_exponents, riesz_constant, sphere_area
 
 __all__ = [
     "DualField",
@@ -202,14 +202,8 @@ class _RieszKernel:
     """Assembled kernel matrix P with (I_alpha * v)(r_i) = (P v)_i, and S,
     its w-symmetric part (the same array as P for N >= 3)."""
 
-    def __init__(self, grid: RadialGrid, alpha: float):
-        N = grid.params.N
-        if not (1.0 < alpha < N):
-            raise ValueError(
-                f"Riesz order alpha must lie in (1, N); alpha = 1 has a "
-                f"logarithmic angular kernel and is unsupported (got {alpha!r})"
-            )
-        self.alpha = alpha
+    def __init__(self, grid: RadialGrid):
+        N, alpha = grid.params.N, grid.params.alpha
         r, h, M = grid.r, grid.h, grid.M
         c_a = riesz_constant(N, alpha)
         if N == 3:
@@ -254,10 +248,10 @@ class _RieszKernel:
         return self.S
 
 
-def _riesz_kernel(grid: RadialGrid, alpha: float) -> _RieszKernel:
-    op = grid._caches.get(("riesz", alpha))
+def _riesz_kernel(grid: RadialGrid) -> _RieszKernel:
+    op = grid._caches.get("riesz")
     if op is None:
-        op = grid._caches[("riesz", alpha)] = _RieszKernel(grid, alpha)
+        op = grid._caches["riesz"] = _RieszKernel(grid)
     return op
 
 
@@ -282,7 +276,7 @@ def _padded_grid(grid: RadialGrid, pad: int) -> RadialGrid:
     return pg
 
 
-def _riesz_spectral(v: Field, alpha: float) -> Field:
+def _riesz_spectral(v: Field) -> Field:
     """Spectral cross-check path: k^(-alpha) multiplier on a padded grid.
 
     The total mass is carried by a matched reference Gaussian whose potential
@@ -291,29 +285,29 @@ def _riesz_spectral(v: Field, alpha: float) -> Field:
     fractional Laplacian negligible.
     """
     grid = v.grid
-    pad = 4 if grid.params.N == 3 else 2
+    N, alpha = grid.params.N, grid.params.alpha
+    pad = 4 if N == 3 else 2
     pg = _padded_grid(grid, pad)
     vp = np.zeros(pg.M)
     vp[: grid.M] = v.values
     g = np.exp(-pg.r ** 2)
-    mass_g = math.pi ** (grid.params.N / 2.0)  # integral of exp(-|x|^2)
+    mass_g = math.pi ** (N / 2.0)  # integral of exp(-|x|^2)
     c = float(np.sum(pg.w * vp)) / mass_g
     eng = pg.transform()
     b = eng.forward(vp - c * g)
     pot = eng.inverse(b * pg.k ** (-alpha))
-    pot += c * gaussian_riesz_profile(grid.params.N, alpha, pg.r)
+    pot += c * gaussian_riesz_profile(N, alpha, pg.r)
     return Field(grid, pot[: grid.M])
 
 
-def riesz_potential(v: Field, alpha: float | None = None, method: str = "kernel") -> Field:
-    """Convolve with the Riesz kernel: I_alpha * v.
+def riesz_potential(v: Field, method: str = "kernel") -> Field:
+    """Convolve with the Riesz kernel of the grid's alpha: I_alpha * v.
 
     ``method`` selects the authoritative real-space kernel quadrature
     ("kernel") or the spectral cross-check route ("spectral").  A field whose
     tail has not decayed at the cutoff yields an untrustworthy far-field; a
     warning is emitted rather than an error.
     """
-    a = v.grid.params.alpha if alpha is None else alpha
     if not v.boundary_decay:
         warnings.warn(
             "riesz_potential: field does not satisfy the boundary-decay "
@@ -322,11 +316,9 @@ def riesz_potential(v: Field, alpha: float | None = None, method: str = "kernel"
             stacklevel=2,
         )
     if method == "kernel":
-        return Field(v.grid, _riesz_kernel(v.grid, a).potential(v.values))
+        return Field(v.grid, _riesz_kernel(v.grid).potential(v.values))
     if method == "spectral":
-        if not (1.0 < a < v.grid.params.N):
-            raise ValueError(f"alpha must lie in (1, N), got {a!r}")
-        return _riesz_spectral(v, a)
+        return _riesz_spectral(v)
     raise ValueError(f"unknown riesz method {method!r}")
 
 
@@ -337,7 +329,7 @@ def riesz_potential(v: Field, alpha: float | None = None, method: str = "kernel"
 def coulomb_energy(u: Field) -> float:
     """Double integral of u^2(x) u^2(y) / |x-y|^(N-alpha) (no C_alpha factor)."""
     grid = u.grid
-    op = _riesz_kernel(grid, grid.params.alpha)
+    op = _riesz_kernel(grid)
     sq = u.values ** 2
     return float(np.sum(grid.w * sq * op.sym_potential(sq))) / riesz_constant(
         grid.params.N, grid.params.alpha
@@ -346,7 +338,7 @@ def coulomb_energy(u: Field) -> float:
 
 def hartree_potential_sym(u: Field) -> np.ndarray:
     """Self-adjoint evaluation of I_alpha * u^2 (node values)."""
-    op = _riesz_kernel(u.grid, u.grid.params.alpha)
+    op = _riesz_kernel(u.grid)
     return op.sym_potential(u.values ** 2)
 
 
@@ -356,7 +348,7 @@ def quadrilinear_T(u: Field, v: Field, w: Field, z: Field) -> float:
     _check_same_grid(u, w)
     _check_same_grid(u, z)
     grid = u.grid
-    op = _riesz_kernel(grid, grid.params.alpha)
+    op = _riesz_kernel(grid)
     return float(np.sum(grid.w * (u.values * v.values) * op.sym_potential(w.values * z.values)))
 
 
@@ -374,8 +366,6 @@ def apply_A(u: Field) -> DualField:
 
 def apply_B(u: Field) -> DualField:
     """Strong form of the scaling-critical power: |u|^(q*-2) u."""
-    from .params import compute_exponents
-
     p = compute_exponents(u.grid.params).two_star_s_alpha
     return DualField(u.grid, np.abs(u.values) ** (p - 2.0) * u.values)
 

@@ -17,9 +17,11 @@ reach Newton's basin: it hands over once the dual norm of its (tangent)
 gradient has dropped by the factor its caller passes, max(tol,
 ``_HANDOVER_REL``), and Newton does the converging.  ``eigen1``'s ascent
 runs on to ``_EIGEN_HANDOVER_REL`` = 1e-7 whatever tol is: from there
-Newton's first step lands at rounding, so each eigenpair costs one Newton
-system, and the ascent keeps ``_NEWTON_RESERVE`` steps of a capped
-``max_iter`` for that polish.
+Newton's first step lands at rounding, so each eigenpair costs one ascent
+and one Newton system.  ``max_iter`` caps the two phases together: the
+first-order phase keeps ``_NEWTON_RESERVE`` steps of it for the polish.
+The same engine minimizes the Sobolev quotient for the best Sobolev
+constant, which ``diagnostics`` re-exports.
 
 ``_newton`` reads its system off the evaluated point: grad Phi(u) = 0 for a
 plain point, and for an eigen point {A(u) = lam B(u), I(u) = 1} with lam as
@@ -47,7 +49,6 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .diagnostics import _pohozaev_sides, estimate_sobolev_constant, ps_threshold
 from .energy import J_functional, NonlinearitySpec, Phi, _Ray
 from .grid import Field, RadialGrid, lp_norm
 # unused apply_A: perfbench/test_perfbench.py reads fcs.solvers.apply_A
@@ -102,7 +103,7 @@ _HANDOVER_REL = 1e-2
 # O(M^2) L-BFGS steps more than at 1e-3, and Newton's first step then lands
 # at rounding, so one (M+1) x (M+1) factorization per eigenpair, not two
 _EIGEN_HANDOVER_REL = 1e-7
-# eigen1's first ascent stops this many steps short of max_iter (it takes at
+# a first-order phase stops this many steps short of max_iter (it takes at
 # least one), so that a capped run still ends with a Newton polish
 _NEWTON_RESERVE = 3
 _LBFGS_MEMORY = 6  # (s, y) pairs kept by _first_order
@@ -115,12 +116,16 @@ _NEWTON_STALL = 6
 #   N=3 mountain pass 4.1: 18 -> 19 (512), 49 -> 54 (768), 67 -> 39 (896), 103 -> 54 (1024)
 #   N=4 eigen1:            12 -> 14 (512), 45 -> 27 (768), 83 -> 45 (1024)
 # eigen1 crosses over between 512 and 768, the mountain pass between 768
-# and 896; above 768 GMRES wins for both
+# and 896; above 768 GMRES wins for both.  M + 1 = 641 and 769 are prime,
+# where one DST-I takes ~4x as long, so those rows are transform-bound; at
+# M = 639 / 767 GMRES wins: eigen1 15 -> 9.5 / 23 -> 12, mountain pass 35 -> 26 / 52 -> 32
 _DENSE_NEWTON_MAX_M = 768
 # GMRES's relative tolerance: each Newton iterate equals the LU iterate to
 # rounding, and the M=1024 eigen1 multiplier comes out bitwise equal
 _KRYLOV_RTOL = 1e-10
 _KRYLOV_RESTART = 60  # GMRES restart length; a solve takes 20-23 iterations
+_SOBOLEV_MAX_ITER = 400  # first-order steps of the Sobolev estimate, a guard
+_SOBOLEV_TOL = 1e-7      # drop of the tangent gradient's dual norm that stops the descent
 
 
 @dataclass(frozen=True)
@@ -237,7 +242,7 @@ def _certify(
 
     The Pohozaev balance is stated only for autonomous f.
     """
-    pohozaev_rel = _pohozaev_sides(pt)[2] if pt.spec.is_autonomous else None
+    pohozaev_rel = pt.pohozaev()[2] if pt.spec.is_autonomous else None
     return SolveReport(
         solution=pt.field, energy=energy, multiplier=multiplier, residual_dual=res,
         residual_rel=res / res0 if res0 > 0 else 0.0, pohozaev_rel=pohozaev_rel,
@@ -294,7 +299,7 @@ def _jacobian_matvec(pt: _Ray):
     """
     grid = pt.field.grid
     eng = grid.transform()
-    kernel = _riesz_kernel(grid, grid.params.alpha)
+    kernel = _riesz_kernel(grid)
     u, M, k2s = pt.u, grid.M, grid.k2s
     diag = pt.pot - pt.spec.fprime(u, pt.r)
 
@@ -346,7 +351,7 @@ def _eigen_point(pt: _Ray, p: float, lam: float | None = None) -> _Ray:
     return pt.eigen(p, lam)
 
 
-def _newton(pt: _Ray, res0: float, tol: float, max_iter: int = 40):
+def _newton(pt: _Ray, res0: float, tol: float, max_iter: int):
     """Damped Newton on the stationarity system of the evaluated point ``pt``.
 
     A plain point solves grad Phi(u) = A(u) - f(u) = 0 (minima and saddles
@@ -376,7 +381,7 @@ def _newton(pt: _Ray, res0: float, tol: float, max_iter: int = 40):
     dense = M <= _DENSE_NEWTON_MAX_M
     if dense:
         Lf = dense_fractional_matrix(grid)
-        K = _riesz_kernel(grid, grid.params.alpha).sym_matrix()
+        K = _riesz_kernel(grid).sym_matrix()
         jac = np.empty((M + bordered, M + bordered))
         jac[M:, M:] = 0.0
     tol_abs = min(tol, 1e-11) * res0 + _rounding_floor(pt)
@@ -426,6 +431,13 @@ def _newton(pt: _Ray, res0: float, tol: float, max_iter: int = 40):
     return pt, it
 
 
+def _polish(pt: _Ray, res0: float, opts: SolverOptions, used: int):
+    """``_newton`` in the steps that ``used`` first-order steps left of
+    max_iter, at most 40; no call when none is left."""
+    budget = min(40, opts.max_iter - used)
+    return _newton(pt, res0, opts.tol, max_iter=budget) if budget > 0 else (pt, 0)
+
+
 # ---------------------------------------------------------------------------
 # the first-order phase
 # ---------------------------------------------------------------------------
@@ -452,7 +464,7 @@ def _first_order(pt: _Ray, value, grad, retract, max_iter: int, handover: float,
     """Retracted, preconditioned L-BFGS descent of ``value`` from ``pt``.
 
     The one first-order phase of every solver and of the Sobolev-constant
-    estimate (``diagnostics``); each caller supplies its problem as
+    estimate (``_sobolev_descent``); each caller supplies its problem as
     ``value(q)`` and ``grad(q)`` of an evaluated point q, and ``retract(v)``,
     which returns the evaluated point its set assigns to the node values v
     (None where there is none).  With g = ``grad(q)`` and P the k-space
@@ -528,6 +540,79 @@ def _first_order(pt: _Ray, value, grad, retract, max_iter: int, handover: float,
     return pt, values, len(values) - 1, stop
 
 
+def _first_order_cap(opts: SolverOptions, own: int | None = None) -> int:
+    """Steps of a first-order phase: its ``own`` cap (None: none) within
+    max_iter less ``_NEWTON_RESERVE``, and at least one."""
+    cap = max(opts.max_iter - _NEWTON_RESERVE, 1)
+    return cap if own is None else min(own, cap)
+
+
+# ---------------------------------------------------------------------------
+# best-constant estimation and the concentration threshold
+# ---------------------------------------------------------------------------
+
+def _sobolev_descent(grid: RadialGrid, u0: np.ndarray):
+    """``_first_order`` on the Sobolev quotient from ``u0``, as the estimate runs it."""
+    p = compute_exponents(grid.params).two_star_s
+    eng = grid.transform()
+    no_potential = np.zeros(grid.M)
+
+    def on_sphere(v: np.ndarray) -> _Ray | None:
+        # v / |v|_p, evaluated without the Hartree part
+        nrm = float(np.sum(grid.w * np.abs(v) ** p)) ** (1.0 / p)
+        if nrm == 0.0:
+            return None
+        v = v / nrm
+        return _Ray(Field(grid, v), None, eng.forward(v), no_potential)
+
+    return _first_order(
+        on_sphere(u0), lambda q: q.S, lambda q: 2.0 * q.Au, on_sphere, _SOBOLEV_MAX_ITER, _SOBOLEV_TOL,
+        normal=lambda q: np.abs(q.u) ** (p - 2.0) * q.u,
+    )
+
+
+def estimate_sobolev_constant(params: ProblemParams, grid: RadialGrid) -> float:
+    """Estimate the best constant S with |u|_{2*_s}^2 <= S^{-1} |(-Delta)^{s/2}u|^2.
+
+    ``_first_order`` minimizes S(u) = |(-Delta)^{s/2}u|^2 (gradient
+    2 (-Delta)^s u) on {|u|_p = 1}, p = 2*_s (normal |u|^(p-2) u, retraction
+    v -> v / |v|_p), over points with no Hartree part, from exp(-r^2), and
+    hands over once its tangent gradient's dual norm has dropped by
+    ``_SOBOLEV_TOL`` (at most ``_SOBOLEV_MAX_ITER`` steps).  Cached per grid.
+    """
+    if params.regime is not Regime.ABOVE:
+        raise ValueError("below-regime ranges not supported")
+    cached = grid._caches.get("sobolev_constant")
+    if cached is not None:
+        return cached
+    best = _sobolev_descent(grid, np.exp(-grid.r ** 2))[0]
+    grid._caches["sobolev_constant"] = best.S
+    # the values, not a Field: a Field points back at the grid, and that
+    # cycle would leave a dead grid to the cycle collector
+    grid._caches["sobolev_extremal"] = best.u
+    return best.S
+
+
+def sobolev_extremal(params: ProblemParams, grid: RadialGrid) -> Field:
+    """The minimizing profile behind :func:`estimate_sobolev_constant`."""
+    estimate_sobolev_constant(params, grid)
+    return Field(grid, grid._caches["sobolev_extremal"].copy())
+
+
+def sobolev_residual_dual(params: ProblemParams, grid: RadialGrid) -> float:
+    """||(-Delta)^s u - S |u|^(p-2) u||_* at the extremal u, p = 2*_s."""
+    S = estimate_sobolev_constant(params, grid)
+    u, p, eng = grid._caches["sobolev_extremal"], compute_exponents(params).two_star_s, grid.transform()
+    return dual_norm(Field(grid, eng.inverse(grid.k2s * eng.forward(u)) - S * np.abs(u) ** (p - 2.0) * u))
+
+
+def ps_threshold(params: ProblemParams, S: float) -> float:
+    """Concentration-compactness level (s/N) S^(N/(2s))."""
+    if not (S > 0.0):
+        raise ValueError("S must be positive")
+    return (params.s / params.N) * S ** (params.N / (2.0 * params.s))
+
+
 # ---------------------------------------------------------------------------
 # eigenproblem on the manifold
 # ---------------------------------------------------------------------------
@@ -580,43 +665,28 @@ def _finish_eigen(u: Field, exps, res0: float, converged, iterations: int, seed:
 def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None = None) -> SolveReport:
     """First-eigenvalue run: maximize J on the unit-energy manifold.
 
-    The seed goes onto {I = 1} along its amplitude ray, the first-order
+    The seed goes onto {I = 1} along its amplitude ray (a seed whose ray
+    has no such point raises ``DegenerateSeedError``), the first-order
     phase is the tangent ascent ``_ascend_J`` of J to ``_EIGEN_HANDOVER_REL``
-    (at most max_iter - ``_NEWTON_RESERVE`` steps), and a Newton polish on
-    the stationarity system then drives the dual residual of A(u) - lam B(u)
-    to the requested relative tolerance.  Reported multiplier is the
-    Rayleigh quotient <A(u), u> / <B(u), u>.
+    (at most max_iter - ``_NEWTON_RESERVE`` steps), and one Newton polish
+    on the stationarity system then drives the dual residual of
+    A(u) - lam B(u) to the requested relative tolerance.  Reported
+    multiplier is the Rayleigh quotient <A(u), u> / <B(u), u>.
     """
     opts = opts or SolverOptions()
     exps = _entry(params, grid)
-
-    seed = make_seed(grid, opts)
-    if float(np.max(np.abs(seed.values))) == 0.0:
-        raise DegenerateSeedError("degenerate seed: zero field")
-
     p = exps.two_star_s_alpha
-    pt = _eigen_point(_Ray(seed).on_manifold(), p)
+    start = _Ray(make_seed(grid, opts)).on_manifold()
+    if start is None:
+        raise DegenerateSeedError("degenerate seed: it is zero or underflows on this grid")
+    pt = _eigen_point(start, p)
     res0 = pt.res
-    first = replace(opts, max_iter=max(opts.max_iter - _NEWTON_RESERVE, 1))
-    pt, values, it_ascent, stop = _ascend_J(pt, first, handover=_EIGEN_HANDOVER_REL)
-
-    it_newton = 0
-    for attempt in range(2):
-        budget = min(40, opts.max_iter - it_ascent - it_newton)
-        pt = _eigen_point(pt, p)
-        polished, n = _newton(pt, res0, opts.tol, max_iter=budget) if budget > 0 else (pt, 0)
-        it_newton += n
-        left = opts.max_iter - it_ascent - it_newton
-        if attempt or stop != "handover" or left <= 0 or _eigen_certified(polished, res0, opts):
-            break
-        # Newton stalled: the ascent handed over near a saddle of J on
-        # {I = 1}, outside Newton's basin.  It goes on from the hand-over
-        # point, and hands over again relative to the gradient there
-        pt, more, n, stop = _ascend_J(pt, replace(opts, max_iter=left), handover=_EIGEN_HANDOVER_REL)
-        values += more[1:]
-        it_ascent += n
-    report = _finish_eigen(
-        polished.field, exps, res0, lambda q: _eigen_certified(q, res0, opts),
+    pt, values, it_ascent, stop = _ascend_J(
+        pt, replace(opts, max_iter=_first_order_cap(opts)), handover=_EIGEN_HANDOVER_REL
+    )
+    pt, it_newton = _polish(_eigen_point(pt, p), res0, opts, it_ascent)
+    return _finish_eigen(
+        pt.field, exps, res0, lambda q: _eigen_certified(q, res0, opts),
         it_ascent + it_newton, opts.seed_descriptor(),
         {
             "J_history_monotone": bool(np.all(np.diff(values) <= 0.0)),  # values are -J
@@ -625,9 +695,6 @@ def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None =
             "ascent_stop": stop,
         },
     )
-    if float(np.max(np.abs(report.solution.values))) < 1e-12:
-        raise DegenerateSeedError("eigen iteration collapsed to the zero field")
-    return report
 
 
 class _DeflationPenalty:
@@ -672,7 +739,9 @@ def eigen_deflated(
     meets the acceptance rule of an ``eigen1`` output (``_eigen_certified``)
     and is distinct from the candidates before it.  The first candidate is
     ``eigen1``'s; the penalized ascents after it hand over at
-    ``_HANDOVER_REL``, not at ``eigen1``'s later ``_EIGEN_HANDOVER_REL``.
+    ``_HANDOVER_REL``, not at ``eigen1``'s later ``_EIGEN_HANDOVER_REL``,
+    and take at most 300 steps.  A bank seed that is zero or underflows on
+    the grid is skipped.
     """
     opts = opts or SolverOptions()
     if k < 1:
@@ -685,17 +754,20 @@ def eigen_deflated(
 
     exps = compute_exponents(params)
     p = exps.two_star_s_alpha
-    defl_opts = replace(opts, max_iter=min(opts.max_iter, 300))
+    defl_opts = replace(opts, max_iter=_first_order_cap(opts, 300))
     for descriptor, seed_vals in _deflation_seed_bank(grid):
         if len(reports) >= k:
             break
         weight = 10.0 / max(J_functional(first.solution), 1e-12)
-        start = _eigen_point(_Ray(Field(grid, seed_vals)).on_manifold(), p)
+        start = _Ray(Field(grid, seed_vals)).on_manifold()
+        if start is None:
+            continue
+        start = _eigen_point(start, p)
         res0 = start.res
         for _ in range(3):  # halve the penalty on stagnation
             pen = _DeflationPenalty([rep.solution for rep in reports], weight)
             pt, _, it_a, stop = _ascend_J(start, defl_opts, penalty=pen)
-            pt, it_n = _newton(_eigen_point(pt, p), res0, opts.tol)
+            pt, it_n = _polish(_eigen_point(pt, p), res0, opts, it_a)
             u = pt.field
             # |cos| is blind to the sign normalization still ahead
             distinct = all(
@@ -816,11 +888,11 @@ def _minimize(
         if res0 == 0.0:
             continue
         pt, _, it_d, _ = _first_order(
-            pt, lambda q: q.action, lambda q: q.resid, lambda v: _Ray(Field(grid, v), spec), opts.max_iter,
-            _handover(opts),
+            pt, lambda q: q.action, lambda q: q.resid, lambda v: _Ray(Field(grid, v), spec),
+            _first_order_cap(opts), _handover(opts),
         )
         try:
-            pt, it_n = _newton(pt, res0, opts.tol)
+            pt, it_n = _polish(pt, res0, opts, it_d)
         except DegenerateSeedError:
             continue
         if float(np.max(np.abs(pt.u))) < 1e-10:
@@ -885,11 +957,14 @@ def find_negative_energy_point(
     ``mountain_pass`` keeps only the shape of its endpoint, and normalizes a
     power-of-two multiple of g exactly.  Phi(a g) = a^2 S / 2 + a^4 Q / 4 -
     int F(a g) reads S and Q of g (see ``_Ray``).  ``mountain_pass``'s entry
-    checks run first; ``NoPassError`` if no such a exists.
+    checks run first; ``NoPassError`` if no such a exists, or if g is zero or
+    underflows on the grid (its ray has no point on {I = 1}).
     """
     _pass_entry(params, grid, spec)
     g = np.exp(-((grid.r / width) ** 2))
     ray = _Ray(Field(grid, g), spec)
+    if ray.on_manifold() is None:
+        raise NoPassError(f"no endpoint: the width-{width} Gaussian is zero or underflows on this grid")
     a = 1.0
     for _ in range(60):
         if ray.phi(a) <= 0.0:
@@ -937,8 +1012,9 @@ def mountain_pass(
     over the Nehari set.  The shape of e is put on that set at its barrier
     amplitude (``_nehari_amplitude``: the maximum of Phi along its ray), the
     first-order phase lowers Phi over the Nehari set (each trial normalized
-    and moved to its own barrier amplitude; at most 80 steps), and Newton
-    polishes the result into a critical point.  A polished level <= 0, or an
+    and moved to its own barrier amplitude; at most 80 steps, and at most
+    max_iter - ``_NEWTON_RESERVE``), and Newton polishes the result into a
+    critical point in the steps left.  A polished level <= 0, or an
     e whose ray has no crossing, raises ``NoPassError``.  For the critical
     family the report carries the concentration-threshold context and flags
     levels at or above it.  Before any work it checks, each a ``ValueError``:
@@ -965,8 +1041,10 @@ def mountain_pass(
     if pt is None:
         raise NoPassError("no barrier crossing along the starting ray")
     res0 = pt.res
-    pt, _, it_r, _ = _first_order(pt, lambda q: q.action, lambda q: q.resid, to_nehari, 80, _handover(opts))
-    pt, it_n = _newton(pt, res0, opts.tol)
+    pt, _, it_r, _ = _first_order(
+        pt, lambda q: q.action, lambda q: q.resid, to_nehari, _first_order_cap(opts, 80), _handover(opts)
+    )
+    pt, it_n = _polish(pt, res0, opts, it_r)
     pt = _Ray(_normalize_sign(pt.field), spec)
 
     level = pt.action

@@ -167,7 +167,8 @@ def test_sobolev_extremal_is_stationary(N, s, alpha, M, monkeypatch):
     # profile, with the same settings, is the oracle it must reach and not
     # lie above.  Neither stops at the step guard
     from fcs import solvers
-    from fcs.diagnostics import _sobolev_descent, sobolev_extremal, sobolev_residual_dual
+    from fcs.diagnostics import sobolev_extremal, sobolev_residual_dual
+    from fcs.solvers import _sobolev_descent
     from fcs.operators import dual_norm
 
     first_order = solvers._first_order

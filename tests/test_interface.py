@@ -400,6 +400,36 @@ def test_cli_mountain_pass_without_a_negative_ray_is_a_solver_failure(tmp_path, 
     assert "Traceback" not in err
 
 
+def test_cli_seed_that_underflows_is_a_solver_failure(tmp_path, capsys):
+    # h = 5.9: the width-0.23 Gaussian seed peaks at e^-654, so its S and Q
+    # underflow to 0 and no amplitude puts it on {I = 1}
+    rc = cli_main(
+        ["eigen1", "--N", "3", "--s", "0.75", "--alpha", "2", "--R", "100", "--M", "16",
+         "--seed-width", "0.23", "--out", str(tmp_path / "r.json")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: degenerate seed")
+    assert "Traceback" not in err
+
+
+def test_cli_mountain_pass_endpoint_that_underflows_is_a_solver_failure(tmp_path, capsys):
+    # h = 35: the width-1 Gaussian of the endpoint search is zero on every
+    # node, so there is no endpoint: a solver failure (exit 2), not an
+    # input error (exit 1) about an endpoint the user never gave
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[params]\nN = 3\ns = 0.8\nalpha = 2.0\n"
+        "[grid]\nR = 600.0\nM = 16\n"
+        "[nonlinearity]\nterm = power coef=1.0 q=4.1\n"
+        "[solver]\nmethod = mountain-pass\n"
+    )
+    assert cli_main(["solve", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: no endpoint")
+    assert "Traceback" not in err
+
+
 def test_cli_mountain_pass_with_the_wrong_growth_class_is_a_validation_error(tmp_path, capsys):
     # q = 2.5 is subscaled at s = 0.75: the growth check runs before the
     # endpoint search, so this is invalid input (exit 1), not a solver failure

@@ -40,7 +40,7 @@ def _dense_lap_oracle(grid):
 
 def _hartree_jacobian_oracle(u):
     """Jacobian of u -> (I_alpha * u^2) u at u."""
-    K = _riesz_kernel(u.grid, u.grid.params.alpha).sym_matrix()
+    K = _riesz_kernel(u.grid).sym_matrix()
     return np.diag(hartree_potential_sym(u)) + 2.0 * (u.values[:, None] * K * u.values[None, :])
 
 

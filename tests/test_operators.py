@@ -124,11 +124,12 @@ def test_riesz_gaussian_profile_matches_mpmath():
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.5])
-def test_riesz_kernel_other_orders(grid512, alpha):
-    u = grid512.field(np.exp(-grid512.r ** 2))
-    pot = riesz_potential(u, alpha=alpha)
-    exact = gaussian_riesz_profile(3, alpha, grid512.r)
-    sel = grid512.r < 10.0
+def test_riesz_kernel_other_orders(alpha):
+    g = make_grid(ProblemParams(3, 0.75, alpha), 20.0, 512)
+    u = g.field(np.exp(-g.r ** 2))
+    pot = riesz_potential(u)
+    exact = gaussian_riesz_profile(3, alpha, g.r)
+    sel = g.r < 10.0
     rel = np.abs(pot.values[sel] - exact[sel]) / np.abs(exact[sel])
     assert np.max(rel) < 1e-5
 
@@ -148,12 +149,6 @@ def test_riesz_warns_without_decay(grid256):
     wide = grid256.field(np.exp(-((grid256.r / 15.0) ** 2)))
     with pytest.warns(RuntimeWarning, match="boundary-decay"):
         riesz_potential(wide)
-
-
-def test_riesz_rejects_alpha_at_one(grid256):
-    u = grid256.field(np.exp(-grid256.r ** 2))
-    with pytest.raises(ValueError, match="unsupported"):
-        riesz_potential(u, alpha=1.0)
 
 
 def test_riesz_generic_dimension(grid_n2):
@@ -264,7 +259,7 @@ def test_riesz_kernel_build_peak_memory():
         g = make_grid(ProblemParams(N, 0.75, alpha), 20.0, M)
         tracemalloc.start()
         try:
-            _riesz_kernel(g, alpha)
+            _riesz_kernel(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -274,14 +269,14 @@ def test_riesz_kernel_build_peak_memory():
 @pytest.mark.parametrize("N, alpha", [(2, 1.5), (4, 2.5)])
 def test_sym_matrix_is_w_symmetric(N, alpha):
     g = _kernel_grid(N, alpha)
-    WS = g.w[:, None] * _riesz_kernel(g, alpha).sym_matrix()
+    WS = g.w[:, None] * _riesz_kernel(g).sym_matrix()
     assert np.max(np.abs(WS - WS.T)) <= 1e-15 * np.max(np.abs(WS))
 
 
 @pytest.mark.parametrize("N, alpha", [(2, 1.5), (3, 2.0), (4, 2.5)])
 def test_sym_potential_is_one_product_with_sym_matrix(N, alpha):
     g = _kernel_grid(N, alpha)
-    op = _riesz_kernel(g, alpha)
+    op = _riesz_kernel(g)
     v = np.exp(-g.r ** 2)
     assert np.array_equal(op.sym_potential(v), op.sym_matrix() @ v)
     assert op.sym_matrix() is op.sym_matrix()  # stored, not rebuilt
@@ -289,7 +284,7 @@ def test_sym_potential_is_one_product_with_sym_matrix(N, alpha):
 
 @pytest.mark.parametrize("N, alpha", [(3, 2.0), (4, 2.5), (5, 3.0)])
 def test_sym_matrix_is_P_from_three_dimensions(N, alpha):
-    op = _riesz_kernel(_kernel_grid(N, alpha), alpha)
+    op = _riesz_kernel(_kernel_grid(N, alpha))
     assert op.sym_matrix() is op.P
 
 
@@ -307,7 +302,7 @@ def test_three_dimensional_kernel_matches_the_direct_formula(alpha, M):
     ang = 2.0 * math.pi * ((rr + pp) ** (alpha - 1.0) - np.abs(rr - pp) ** (alpha - 1.0)) / ((alpha - 1.0) * rr * pp)
     direct = riesz_constant(3, alpha) * h * pp ** 2 * ang
     direct[np.arange(M), np.arange(M)] += _kink_correction_constant(3, alpha) * h ** alpha
-    P = _riesz_kernel(g, alpha).P
+    P = _riesz_kernel(g).P
     assert np.max(np.abs(P - direct)) <= 1e-13 * np.max(np.abs(direct))
     v = smooth_random_field(g, np.random.default_rng(11)).values
     assert np.linalg.norm(P @ v - direct @ v) <= 1e-14 * np.linalg.norm(direct @ v)

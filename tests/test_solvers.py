@@ -396,9 +396,10 @@ def test_eigen1_from_a_converged_field_hands_over_at_once(pstar, grid256):
 
 
 def test_eigen1_after_a_stalled_newton_ascends_on():
-    # a narrow seed on a coarse grid: the first hand-over comes near a saddle
-    # of J on {I = 1}, where Newton stalls (lam = 2.3483, I - 1 = 1.5e-3);
-    # the ascent goes on from there and reaches the ground state
+    # a narrow seed on a coarse grid: an ascent handing over at 1e-3 stopped
+    # near a saddle of J on {I = 1}, where Newton stalled (lam = 2.3483,
+    # I - 1 = 1.5e-3).  The ascent to _EIGEN_HANDOVER_REL = 1e-7 passes it,
+    # and its one Newton polish reaches the ground state
     p = ProblemParams(5, 0.30078125, 3.875)
     g = make_grid(p, 20.0, 64)
     rep = eigen1(p, g, SolverOptions(seed_width=0.5625))
@@ -411,10 +412,7 @@ def test_eigen1_after_a_stalled_newton_ascends_on():
 def test_eigen1_converges_at_sigma_near_zero(width):
     # sigma = 4s + alpha - N = 1.35e-4: J is nearly flat along dilations, a
     # direction a plain gradient ascent crawls along; L-BFGS crosses it
-    # (width 1: 76 ascent and 9 Newton steps, width 2.097: 104 and 5).  At
-    # width 1 the first hand-over comes near a saddle, and the first Newton
-    # call hands back after six steps that cut its residual by 3 % (it ran
-    # all 40 without the stall exit)
+    # (width 1: 80 ascent and 2 Newton steps, width 2.097: 94 and 2)
     p = ProblemParams(5, 0.4282336703906352, 3.2872006000442404)
     rep = eigen1(p, make_grid(p, 20.0, 128), SolverOptions(seed_width=width))
     assert rep.converged
@@ -497,6 +495,23 @@ def test_eigen1_rejects_zero_seed(pstar, grid):
     opts = SolverOptions(seed="field", seed_field=grid.zero_field())
     with pytest.raises(DegenerateSeedError):
         eigen1(pstar, grid, opts)
+    # on this coarse grid (h = 5.9) the width-0.23 Gaussian peaks at e^-654
+    # and the width-0.31 one at 4e-157: neither is zero, but S and Q
+    # underflow to 0 or S is subnormal, so no amplitude puts it on {I = 1}
+    coarse = make_grid(pstar, 100.0, 16)
+    for width in (0.23, 0.31):
+        assert np.max(np.exp(-((coarse.r / width) ** 2))) > 0.0
+        with pytest.raises(DegenerateSeedError, match="degenerate seed"):
+            eigen1(pstar, coarse, SolverOptions(seed_width=width))
+
+
+def test_deflation_skips_a_bank_seed_that_is_zero_on_the_grid(pstar):
+    # h = 35: nodal{1} and gaussian{0.5} of the seed bank are zero on every
+    # node; the search goes on with the other two
+    g = make_grid(pstar, 600.0, 16)
+    reps = eigen_deflated(pstar, g, 3, SolverOptions(seed_width=20.0))
+    assert [r.seed_descriptor for r in reps] == ["gaussian{20.0}", "nodal{2.0}", "gaussian{2.0}"]
+    assert all(r.converged for r in reps)
 
 
 def test_eigen1_rejects_below_regime():
@@ -681,6 +696,16 @@ def test_negative_energy_endpoint(mp_setup):
         assert k >= 1 and k == int(k)
         assert np.array_equal(e.values, 2.0 ** k * gauss)
         assert Phi(e, spec) <= 0.0 < Phi(g.field(e.values / 2.0), spec)
+
+
+def test_negative_energy_endpoint_is_never_the_zero_field():
+    # h = 35: the width-1 Gaussian is zero on every node, so Phi(a g) = 0 at
+    # every a; that is no endpoint, not a negative-action point
+    p = ProblemParams(3, 0.8, 2.0)
+    g = make_grid(p, 600.0, 16)
+    assert not np.any(np.exp(-g.r ** 2))
+    with pytest.raises(NoPassError, match="no endpoint"):
+        find_negative_energy_point(p, g, pure_power(1.0, 4.1))
 
 
 def test_negative_energy_endpoint_checks_its_input_first(pstar, grid, mp_setup):
@@ -971,6 +996,34 @@ def test_deflated_partial_list_warns(pstar, grid):
     with pytest.warns(RuntimeWarning, match="distinct candidates"):
         reps = eigen_deflated(pstar, grid, 7)
     assert 1 <= len(reps) < 7
+
+
+@pytest.mark.parametrize("method", ["eigen1", "eigen-deflated", "minimize", "mountain-pass"])
+def test_max_iter_caps_every_solver(method, pstar, monkeypatch):
+    # a first-order phase stops _NEWTON_RESERVE steps short of max_iter and
+    # Newton takes what is left, so no report the solver builds (every
+    # deflation candidate included) counts more than max_iter steps
+    from fcs import solvers
+
+    cap = 5
+    opts = SolverOptions(max_iter=cap)
+    counted = []
+    certify = solvers._certify
+    monkeypatch.setattr(solvers, "_certify", lambda pt, **kw: counted.append(kw["iterations"]) or certify(pt, **kw))
+    g = make_grid(pstar, 20.0, 128)
+    if method == "eigen1":
+        eigen1(pstar, g, opts)
+    elif method == "eigen-deflated":
+        with pytest.warns(RuntimeWarning, match="deflation found"):
+            eigen_deflated(pstar, g, 3, opts)
+    elif method == "minimize":
+        spec = NonlinearitySpec.of(DampedPowerTerm(5.0, compute_exponents(pstar).two_star_s_alpha, 0.2))
+        minimize_subscaled(pstar, g, spec, opts)
+    else:
+        p, _, spec, _ = _mp_input(4.1)
+        g = make_grid(p, 20.0, 128)
+        mountain_pass(p, g, spec, find_negative_energy_point(p, g, spec), opts)
+    assert counted and max(counted) <= cap
 
 
 def test_solver_options_validation():
