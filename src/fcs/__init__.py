@@ -1,15 +1,18 @@
 """Numerical variational toolkit for radial fractional
 Schrodinger-Poisson-Slater equations on a truncated radial grid."""
 
-from .params import (
+from . import _entry
+_entry._cap_threads()  # before numpy loads: its thread pools read the caps once
+
+from .params import (  # noqa: E402
     ProblemParams,
     ExponentTable,
     NonlinearityRegime,
     compute_exponents,
     classify_nonlinearity,
 )
-from .grid import Field, RadialGrid, SpectralField, make_grid, forward_transform, lp_norm
-from .operators import (
+from .grid import Field, RadialGrid, SpectralField, make_grid, forward_transform, lp_norm  # noqa: E402
+from .operators import (  # noqa: E402
     apply_A,
     apply_B,
     coulomb_energy,
@@ -18,7 +21,7 @@ from .operators import (
     quadrilinear_T,
     riesz_potential,
 )
-from .energy import (
+from .energy import (  # noqa: E402
     DampedPowerTerm,
     NonlinearitySpec,
     PowerTerm,
@@ -30,8 +33,8 @@ from .energy import (
     Psi_tilde,
     grad_Phi,
 )
-from .scaling import project_to_M, scale
-from .solvers import (
+from .scaling import project_to_M, scale  # noqa: E402
+from .solvers import (  # noqa: E402
     SolveReport,
     SolverOptions,
     eigen1,
@@ -41,7 +44,7 @@ from .solvers import (
     mountain_pass,
     sweep,
 )
-from .diagnostics import (
+from .diagnostics import (  # noqa: E402
     DiagnosticsRecord,
     estimate_sobolev_constant,
     linking_probe,

@@ -1,7 +1,7 @@
-"""Console entry point.
+"""FCS_THREADS caps the BLAS/FFT thread pools (0 or unset: library defaults).
 
-Reads FCS_THREADS before numpy comes in so the BLAS/FFT thread pools pick it
-up; 0 (or unset) keeps the library defaults.
+``fcs/__init__`` calls ``_cap_threads`` before numpy loads; the module imports
+nothing from the package, so it also loads as a file of its own.
 """
 
 from __future__ import annotations
@@ -24,9 +24,3 @@ def _cap_threads() -> None:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, str(n))
 
-
-def main() -> None:
-    _cap_threads()
-    from .cli import main as cli_entry
-
-    cli_entry()

@@ -107,7 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", type=str, required=True)
     p.add_argument("--config", type=str, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--json", action="store_true")
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("scaling-check", help="verify the dilation laws on the grid")
@@ -130,7 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sobolev", help="best-constant estimate and PS threshold")
     p.set_defaults(cmd=_cmd_solve, run="sobolev")
     _add_param_flags(p)
-    p.add_argument("--json", action="store_true")
     p.add_argument("--out", type=str, default=None)
     return ap
 

@@ -252,16 +252,15 @@ class _Ray:
         self.spec = spec
         self.w = grid.w
         self.r = grid.r
-        self._k2s = grid.k2s
         self._b = b
         self.pot = pot
-        self.S = float((self._k2s * b * b).sum())
+        self.S = grid.transform().seminorm_sq(b)
         self.Q = float((self.w * self.u ** 2 * pot).sum())
         self.I = 0.5 * self.S + 0.25 * self.Q
 
     @cached_property
     def Au(self) -> np.ndarray:
-        return self.field.grid.transform().inverse(self._k2s * self._b) + self.pot * self.u
+        return self.field.grid.transform().lap(self._b) + self.pot * self.u
 
     @cached_property
     def resid(self) -> np.ndarray:

@@ -6,7 +6,9 @@ integrals.  Fields vanish at r = R by construction of the transform basis,
 which is consistent with the compactly-decaying states everything here
 targets.
 
-Two transform engines diagonalize the fractional Laplacian:
+Two transform engines diagonalize the fractional Laplacian; they share
+``_Engine``, the one home of the k-space calculus (k^(2s), (-Delta)^s, the
+dual metric 1/(1 + k^(2s)) and the dense matrix of (-Delta)^s):
 
 * N = 3: the radial Fourier transform reduces exactly to a type-I discrete
   sine transform of r u(r); the discrete map is unitary for the quadrature
@@ -24,7 +26,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.fft import dst
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import dct, dst
 from scipy.special import j0, j1, jv
 
 from .params import ProblemParams, sphere_area
@@ -70,7 +73,7 @@ class RadialGrid:
         self.r = self.h * np.arange(1, self.M + 1, dtype=float)
         self.w = sphere_area(self.params.N) * self.r ** (self.params.N - 1) * self.h
 
-    def transform(self) -> "_SineEngine | _BesselEngine":
+    def transform(self) -> "_Engine":
         eng = self._caches.get("transform")
         if eng is None:
             eng = self._caches["transform"] = (_SineEngine if self.params.N == 3 else _BesselEngine)(self)
@@ -84,11 +87,7 @@ class RadialGrid:
     @property
     def k2s(self) -> np.ndarray:
         """The fractional symbol k^(2s) at the wavenumbers (read-only, built once)."""
-        k2s = self._caches.get("k2s")
-        if k2s is None:
-            k2s = self._caches["k2s"] = self.k ** (2.0 * self.params.s)
-            k2s.flags.writeable = False
-        return k2s
+        return self.transform().k2s
 
     def same_as(self, other: "RadialGrid") -> bool:
         return (
@@ -165,12 +164,53 @@ class SpectralField:
     coefficients: np.ndarray
 
 
-class _SineEngine:
+def _toeplitz_minus_hankel(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """diag(1/r) [c(|i-j|) - c(i+j)] diag(r), i, j = 1..M, from c(0..2M); both
+    cores are strided views, so the subtraction is the only M x M allocation."""
+    M = r.size
+    toeplitz = sliding_window_view(np.concatenate((c[M - 1:0:-1], c[:M])), M)[::-1]
+    L = np.subtract(toeplitz, sliding_window_view(c[2:2 * M + 1], M))
+    L *= (1.0 / r)[:, None]
+    L *= r[None, :]
+    return L
+
+
+class _Engine:
+    """k-space calculus on coefficients b = forward(u); engines add ``forward``,
+    ``inverse`` and ``dense_lap``.  ``metric`` divides by ``_k_den`` = 1 + k^(2s)
+    (a reciprocal would round differently).  Discrete Plancherel (sum b^2 =
+    sum w u^2) is relied on too, by the transform of a gradient in
+    ``solvers._first_order`` and of a residual in ``operators.dual_norm``."""
+
+    def __init__(self, k: np.ndarray, s: float):
+        self.k = k
+        self.k2s = k ** (2.0 * s)
+        self.k2s.flags.writeable = False
+        self._k_den = 1.0 + self.k2s
+
+    def lap(self, b: np.ndarray) -> np.ndarray:
+        """(-Delta)^s at the nodes."""
+        return self.inverse(self.k2s * b)
+
+    def seminorm_sq(self, b: np.ndarray) -> float:
+        """sum_m k_m^(2s) b_m^2."""
+        return float((self.k2s * b * b).sum())
+
+    def dual(self, a: np.ndarray, b: np.ndarray) -> float:
+        """The dual inner product sum_m a_m b_m / (1 + k_m^(2s))."""
+        return float((a * b / self._k_den).sum())
+
+    def metric(self, b: np.ndarray) -> np.ndarray:
+        """b / (1 + k^(2s)): the dual vector b as a field's coefficients."""
+        return b / self._k_den
+
+
+class _SineEngine(_Engine):
     """Exact DST-I pair for N = 3: u <-> sqrt(4 pi h) DST1(r u)."""
 
     def __init__(self, grid: RadialGrid):
+        super().__init__(math.pi / grid.R * np.arange(1, grid.M + 1, dtype=float), grid.params.s)
         self.r = grid.r
-        self.k = math.pi / grid.R * np.arange(1, grid.M + 1, dtype=float)
         self._c = math.sqrt(4.0 * math.pi * grid.h)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
@@ -178,6 +218,12 @@ class _SineEngine:
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         return dst(coeffs, type=1, norm="ortho") / (self._c * self.r)
+
+    def dense_lap(self) -> np.ndarray:
+        """(-Delta)^s at the nodes: diag(1/r) [c(|i-j|) - c(i+j)] diag(r), c(n) =
+        sum_m k_m^(2s) cos(pi m n / (M+1)) / (M+1) from one DCT-I, c(n) = c(2(M+1) - n)."""
+        c = dct(np.concatenate(([0.0], self.k2s, [0.0])), type=1) / (2.0 * (self.r.size + 1))
+        return _toeplitz_minus_hankel(np.concatenate((c, c[-2:0:-1])), self.r)  # c(0..2M+1)
 
 
 def _bessel_zeros(nu: float, count: int) -> np.ndarray:
@@ -206,7 +252,7 @@ def _bessel_j(nu: float, x: np.ndarray) -> np.ndarray:
     return jv(nu, x)
 
 
-class _BesselEngine:
+class _BesselEngine(_Engine):
     """Dense Fourier-Bessel transform for general N, discretely unitary.
 
     The M x M samples of J_{N/2-1}(k_m r_j) come from ``_bessel_j``, so N = 2
@@ -217,7 +263,7 @@ class _BesselEngine:
         N = grid.params.N
         nu = N / 2.0 - 1.0
         z = _bessel_zeros(nu, grid.M)
-        self.k = z / grid.R
+        super().__init__(z / grid.R, grid.params.s)
         # continuum-normalized Dirichlet modes sampled on the nodes
         norm = np.sqrt(sphere_area(N) * grid.R ** 2 / 2.0) * np.abs(jv(nu + 1.0, z))
         x = self.k[None, :] * grid.r[:, None]
@@ -238,6 +284,11 @@ class _BesselEngine:
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         return (self._Q @ coeffs) / self._sqrt_w
+
+    def dense_lap(self) -> np.ndarray:
+        """(-Delta)^s in node coordinates: W^(-1/2) Q diag(k^(2s)) Q^T W^(1/2)."""
+        L = (self._Q * self.k2s[None, :]) @ self._Q.T
+        return (1.0 / self._sqrt_w)[:, None] * L * self._sqrt_w[None, :]
 
 
 def forward_transform(u: Field) -> SpectralField:

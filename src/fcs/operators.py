@@ -1,4 +1,6 @@
-"""Nonlocal building blocks: fractional Laplacian and Riesz/Coulomb operators.
+"""Nonlocal building blocks: the Riesz/Coulomb operators, and field-level
+wrappers of the fractional Laplacian, its seminorm, the dual norm and the
+dense matrix, all read from the grid's transform engine (``fcs.grid``).
 
 The real-space Riesz kernel is authoritative.  For each grid, and its alpha,
 a dense M x M matrix is assembled once from the angular average of
@@ -38,12 +40,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
-from scipy.fft import dct
 from scipy.special import beta as sp_beta, gamma as sp_gamma, hyp1f1, zeta as sp_zeta
 
-from .grid import Field, RadialGrid, _check_same_grid
+from .grid import Field, RadialGrid, _check_same_grid, _toeplitz_minus_hankel
 from .params import compute_exponents, riesz_constant, sphere_area
 
 __all__ = [
@@ -81,8 +81,8 @@ class DualField:
 
 def frac_seminorm_sq(u: Field) -> float:
     """Squared Gagliardo-type seminorm, sum_m k_m^(2s) |u_m|^2."""
-    b = u.grid.transform().forward(u.values)
-    return float(np.sum(u.grid.k2s * b * b))
+    eng = u.grid.transform()
+    return eng.seminorm_sq(eng.forward(u.values))
 
 
 def dual_norm(rho) -> float:
@@ -90,9 +90,9 @@ def dual_norm(rho) -> float:
 
     Accepts a Field or DualField; used for mesh-robust stopping criteria.
     """
-    grid = rho.grid
-    b = grid.transform().forward(rho.values)
-    return math.sqrt(float(np.sum(b * b / (1.0 + grid.k2s))))
+    eng = rho.grid.transform()
+    b = eng.forward(rho.values)
+    return math.sqrt(eng.dual(b, b))
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +187,6 @@ def _angular_kernel_generic(N: int, alpha: float, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _toeplitz_minus_hankel(c: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """diag(1/r) [c(|i-j|) - c(i+j)] diag(r), i, j = 1..M, from c(0..2M); both
-    cores are strided views, so the subtraction is the only M x M allocation."""
-    M = r.size
-    toeplitz = sliding_window_view(np.concatenate((c[M - 1:0:-1], c[:M])), M)[::-1]
-    L = np.subtract(toeplitz, sliding_window_view(c[2:2 * M + 1], M))
-    L *= (1.0 / r)[:, None]
-    L *= r[None, :]
-    return L
-
-
 class _RieszKernel:
     """Assembled kernel matrix P with (I_alpha * v)(r_i) = (P v)_i, and S,
     its w-symmetric part (the same array as P for N >= 3)."""
@@ -269,13 +258,6 @@ def gaussian_riesz_profile(N: int, alpha: float, r: np.ndarray, gamma_width: flo
     return gamma_width ** (-alpha / 2.0) * pref * hyp1f1(a, b, -z)
 
 
-def _padded_grid(grid: RadialGrid, pad: int) -> RadialGrid:
-    pg = grid._caches.get(("padgrid", pad))
-    if pg is None:
-        pg = grid._caches[("padgrid", pad)] = RadialGrid(grid.params, grid.R * pad, pad * (grid.M + 1) - 1)
-    return pg
-
-
 def _riesz_spectral(v: Field) -> Field:
     """Spectral cross-check path: k^(-alpha) multiplier on a padded grid.
 
@@ -287,7 +269,9 @@ def _riesz_spectral(v: Field) -> Field:
     grid = v.grid
     N, alpha = grid.params.N, grid.params.alpha
     pad = 4 if N == 3 else 2
-    pg = _padded_grid(grid, pad)
+    pg = grid._caches.get(("padgrid", pad))
+    if pg is None:
+        pg = grid._caches[("padgrid", pad)] = RadialGrid(grid.params, grid.R * pad, pad * (grid.M + 1) - 1)
     vp = np.zeros(pg.M)
     vp[: grid.M] = v.values
     g = np.exp(-pg.r ** 2)
@@ -360,8 +344,7 @@ def apply_A(u: Field) -> DualField:
     """Strong form of the quadratic-plus-Coulomb operator:
     (-Delta)^s u + (I_alpha * u^2) u."""
     eng = u.grid.transform()
-    lap = eng.inverse(u.grid.k2s * eng.forward(u.values))
-    return DualField(u.grid, lap + hartree_potential_sym(u) * u.values)
+    return DualField(u.grid, eng.lap(eng.forward(u.values)) + hartree_potential_sym(u) * u.values)
 
 
 def apply_B(u: Field) -> DualField:
@@ -375,24 +358,8 @@ def apply_B(u: Field) -> DualField:
 # ---------------------------------------------------------------------------
 
 def dense_fractional_matrix(grid: RadialGrid) -> np.ndarray:
-    """The fractional Laplacian as a dense matrix in node coordinates.
-
-    For N = 3 the sine pair makes it diag(1/r) [c(|i-j|) - c(i+j)] diag(r),
-    a Toeplitz-minus-Hankel core with
-    c(n) = (1/(M+1)) sum_m k_m^(2s) cos(pi m n / (M+1)), read from one DCT-I
-    of [0, k^(2s), 0] and extended by c(n) = c(2(M+1) - n).
-    """
-    key = "dense_lap"
-    L = grid._caches.get(key)
+    """(-Delta)^s as a dense node-coordinate matrix: the engine's ``dense_lap``, once per grid."""
+    L = grid._caches.get("dense_lap")
     if L is None:
-        if grid.params.N == 3:
-            c = dct(np.concatenate(([0.0], grid.k2s, [0.0])), type=1) / (2.0 * (grid.M + 1))
-            L = _toeplitz_minus_hankel(np.concatenate((c, c[-2:0:-1])), grid.r)  # c(0..2M+1)
-        else:
-            eng = grid.transform()
-            Q = eng._Q
-            sw = np.sqrt(grid.w)
-            L = (Q * grid.k2s[None, :]) @ Q.T
-            L = (1.0 / sw)[:, None] * L * sw[None, :]
-        grid._caches[key] = L
+        L = grid._caches["dense_lap"] = grid.transform().dense_lap()
     return L

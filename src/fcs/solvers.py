@@ -6,8 +6,9 @@ dual residuals to rounding.
 
 ``_first_order`` is an L-BFGS Armijo line search over a retraction: a
 two-loop recursion over the last ``_LBFGS_MEMORY`` coefficient pairs, with
-the k-space multiplier 1/(1 + k^(2s)) as its initial inverse metric and the
-preconditioned gradient as its fallback; each solver supplies a value, its
+the dual metric 1/(1 + k^(2s)) of the grid's transform engine as its initial
+inverse metric and the preconditioned gradient as its fallback; every k-space
+quantity comes from that engine's methods.  Each solver supplies a value, its
 gradient and the retraction onto its set.  The eigen ascent descends -J on
 {I = 1}, tangent to it, and each trial returns to it along its own
 amplitude ray.  The minimizer descends Phi in the whole space (the identity
@@ -28,9 +29,8 @@ plain point, and for an eigen point {A(u) = lam B(u), I(u) = 1} with lam as
 one more unknown.  Up to M = ``_DENSE_NEWTON_MAX_M`` (768) each call
 assembles its Jacobian in place, into one buffer, and factorizes it; above
 it each system is solved matrix-free by GMRES, preconditioned by the same
-k-space multiplier, to an iterate equal to the LU one to rounding.  The
-cutoff is the mountain pass's measured crossover (768 < M < 896; eigen1
-crosses between 512 and 768, see the constant).  Every field a solver
+metric, to an iterate equal to the LU one to rounding (the cutoff is the
+measured crossover, see the constant).  Every field a solver
 evaluates is evaluated once, as one ``energy._Ray`` (S, Q, the Hartree
 potential, A(u) and the residual), and a point accepted by a line search
 is carried into the next step as it is.
@@ -116,9 +116,8 @@ _NEWTON_STALL = 6
 #   N=3 mountain pass 4.1: 18 -> 19 (512), 49 -> 54 (768), 67 -> 39 (896), 103 -> 54 (1024)
 #   N=4 eigen1:            12 -> 14 (512), 45 -> 27 (768), 83 -> 45 (1024)
 # eigen1 crosses over between 512 and 768, the mountain pass between 768
-# and 896; above 768 GMRES wins for both.  M + 1 = 641 and 769 are prime,
-# where one DST-I takes ~4x as long, so those rows are transform-bound; at
-# M = 639 / 767 GMRES wins: eigen1 15 -> 9.5 / 23 -> 12, mountain pass 35 -> 26 / 52 -> 32
+# and 896; above 768 GMRES wins for both.  The 768 rows are transform-bound:
+# M + 1 = 769 is prime (see the DST-I note in the README)
 _DENSE_NEWTON_MAX_M = 768
 # GMRES's relative tolerance: each Newton iterate equals the LU iterate to
 # rounding, and the M=1024 eigen1 multiplier comes out bitwise equal
@@ -292,20 +291,19 @@ def _jacobian_into(out: np.ndarray, Lf: np.ndarray, K: np.ndarray, u: np.ndarray
 def _jacobian_matvec(pt: _Ray):
     """v -> J v, the Newton Jacobian of ``pt`` without a matrix.
 
-    J v = L v + 2 u S(u v) + (pot - f'(u)) v with L = inverse k^(2s) forward
-    (the grid's own transform) and S the stored w-symmetric Riesz kernel; an
+    J v = L v + 2 u S(u v) + (pot - f'(u)) v with L = (-Delta)^s from the
+    grid's transform engine and S the stored w-symmetric Riesz kernel; an
     eigen point appends mu: the field rows gain -B(u) mu and the last row is
     <w A(u), v>.  The same system ``_jacobian_into`` assembles densely.
     """
     grid = pt.field.grid
-    eng = grid.transform()
-    kernel = _riesz_kernel(grid)
-    u, M, k2s = pt.u, grid.M, grid.k2s
+    eng, kernel = grid.transform(), _riesz_kernel(grid)
+    u, M = pt.u, grid.M
     diag = pt.pot - pt.spec.fprime(u, pt.r)
 
     def matvec(v: np.ndarray) -> np.ndarray:
         x = v[:M]
-        out = eng.inverse(k2s * eng.forward(x)) + 2.0 * u * kernel.sym_potential(u * x) + diag * x
+        out = eng.lap(eng.forward(x)) + 2.0 * u * kernel.sym_potential(u * x) + diag * x
         if pt.lam is None:
             return out
         out -= v[M] * pt.Bu
@@ -321,13 +319,11 @@ def _krylov_step(pt: _Ray, rhs: np.ndarray) -> np.ndarray:
     identity plus a compact part, so the iteration count does not grow
     with M.  The iterate is returned whatever GMRES reports.
     """
-    grid = pt.field.grid
-    eng = grid.transform()
-    M, k_den = grid.M, 1.0 + grid.k2s
+    eng, M = pt.field.grid.transform(), pt.u.size
 
     def precondition(v: np.ndarray) -> np.ndarray:
         out = v.copy()
-        out[:M] = eng.inverse(eng.forward(v[:M]) / k_den)
+        out[:M] = eng.inverse(eng.metric(eng.forward(v[:M])))
         return out
 
     n = rhs.size
@@ -444,9 +440,9 @@ def _polish(pt: _Ray, res0: float, opts: SolverOptions, used: int):
 
 # the engine reduces with x.sum(), not np.sum(x): the same add.reduce at half
 # the call overhead, and at M = 256 an ascent step is mostly call overhead
-def _two_loop(b: np.ndarray, pairs, k_den: np.ndarray) -> np.ndarray:
+def _two_loop(b: np.ndarray, pairs, eng) -> np.ndarray:
     """L-BFGS two-loop recursion H b over ``pairs`` (s, y, <s, y>), oldest
-    first, from the inverse metric P = 1/k_den scaled by <s, y> / <y, P y>."""
+    first, from the engine's inverse metric P scaled by <s, y> / <y, P y>."""
     q = b.copy()
     alphas = []
     for s, y, sy in reversed(pairs):
@@ -454,7 +450,7 @@ def _two_loop(b: np.ndarray, pairs, k_den: np.ndarray) -> np.ndarray:
         q -= a * y
         alphas.append(a)
     _, y, sy = pairs[-1]
-    r = (sy / float((y * y / k_den).sum())) * q / k_den
+    r = eng.metric((sy / eng.dual(y, y)) * q)
     for (s, y, sy), a in zip(pairs, reversed(alphas)):
         r += (a - float((y * r).sum()) / sy) * s
     return r
@@ -485,9 +481,7 @@ def _first_order(pt: _Ray, value, grad, retract, max_iter: int, handover: float,
     norm dropped by ``handover``, or under 1e-12 ||g||_*),
     ``line_search`` (no trial accepted) or ``max_iter``.
     """
-    grid = pt.field.grid
-    eng = grid.transform()
-    k_den = 1.0 + grid.k2s
+    eng = pt.field.grid.transform()
     values = [value(pt)]
     eta = 1.0
     prev = None  # the previous point's coefficients and tangent gradient
@@ -498,10 +492,10 @@ def _first_order(pt: _Ray, value, grad, retract, max_iter: int, handover: float,
         b_g = b_t = eng.forward(grad(pt))
         if normal is not None:
             b_n = eng.forward(normal(pt))
-            n_dual = float((b_n * b_n / k_den).sum())
-            b_t = b_g - float((b_n * b_g / k_den).sum()) / n_dual * b_n
-        gt_sq = float((b_t * b_t / k_den).sum())  # ||g_t||_*^2
-        gt, g_dual = math.sqrt(gt_sq), math.sqrt(float((b_g * b_g / k_den).sum()))
+            n_dual = eng.dual(b_n, b_n)
+            b_t = b_g - eng.dual(b_n, b_g) / n_dual * b_n
+        gt_sq = eng.dual(b_t, b_t)  # ||g_t||_*^2
+        gt, g_dual = math.sqrt(gt_sq), math.sqrt(eng.dual(b_g, b_g))
         gt0 = gt if gt0 is None else gt0
         # the floor: from a converged field gt0 is itself rounding noise
         if gt <= handover * gt0 + 1e-12 * g_dual:
@@ -514,14 +508,14 @@ def _first_order(pt: _Ray, value, grad, retract, max_iter: int, handover: float,
                 pairs.append((s, y, sy))
         slope = 0.0
         if pairs:
-            r = _two_loop(b_t, pairs, k_den)
+            r = _two_loop(b_t, pairs, eng)
             if normal is not None:
-                r -= float((b_n * r).sum()) / n_dual * (b_n / k_den)
+                r -= float((b_n * r).sum()) / n_dual * eng.metric(b_n)
             slope = float((b_t * r).sum())
         if slope > 0.0:
             eta = 1.0
         else:  # the preconditioned gradient, of slope ||g_t||_*^2
-            r, slope = b_t / k_den, gt_sq
+            r, slope = eng.metric(b_t), gt_sq
             eta = min(eta * 2.0, 1.0 / max(g_dual, 1e-30))
         d = eng.inverse(r)
         for _ in range(30):
@@ -603,7 +597,7 @@ def sobolev_residual_dual(params: ProblemParams, grid: RadialGrid) -> float:
     """||(-Delta)^s u - S |u|^(p-2) u||_* at the extremal u, p = 2*_s."""
     S = estimate_sobolev_constant(params, grid)
     u, p, eng = grid._caches["sobolev_extremal"], compute_exponents(params).two_star_s, grid.transform()
-    return dual_norm(Field(grid, eng.inverse(grid.k2s * eng.forward(u)) - S * np.abs(u) ** (p - 2.0) * u))
+    return dual_norm(Field(grid, eng.lap(eng.forward(u)) - S * np.abs(u) ** (p - 2.0) * u))
 
 
 def ps_threshold(params: ProblemParams, S: float) -> float:

@@ -266,6 +266,21 @@ def test_envelope_runtime_records_the_numerics_build(monkeypatch):
     assert runtime["fcs_threads"] == "1"
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_fcs_threads_caps_the_pools_before_numpy_loads():
+    # `import fcs` sets the BLAS/OpenMP variables before numpy comes in, so
+    # a matmul afterwards runs in the process's one thread
+    src = str(Path(fcs.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(FCS_THREADS="1", PYTHONPATH=src)
+    code = (
+        "import os, fcs, numpy as np; a = np.ones((600, 600)); a @ a; "
+        "print(len(os.listdir('/proc/self/task')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.strip() == "1"
+
+
 def test_envelopes_look_up_the_commit_once(monkeypatch):
     from fcs import io
 
@@ -354,6 +369,9 @@ def test_cli_check_pohozaev_on_saved_field(tmp_path, capsys):
     assert rc == 0
     rec = json.loads(capsys.readouterr().out)
     assert "eigen_identity_rel" in rec
+    # the record is always JSON: no --json flag
+    assert cli_main(["check", "identity", "--field", str(fld), "--lambda", str(lam), "--json"]) == 1
+    capsys.readouterr()
 
 
 def test_cli_solve_minimize_with_config(tmp_path, capsys):
@@ -800,7 +818,7 @@ def test_sweep_without_rows_is_invalid_input(steps, tmp_path, capsys):
 
 def test_cli_sobolev(tmp_path, capsys):
     rc = cli_main(
-        ["sobolev", "--N", "3", "--s", "0.5", "--alpha", "2", "--R", "10", "--M", "96", "--json"]
+        ["sobolev", "--N", "3", "--s", "0.5", "--alpha", "2", "--R", "10", "--M", "96"]
     )
     assert rc == 0
     env = json.loads(capsys.readouterr().out)
@@ -815,6 +833,9 @@ def test_cli_sobolev(tmp_path, capsys):
     assert cli_main(["solve", "--config", str(cfg)]) == 0
     capsys.readouterr()
     assert json.loads((tmp_path / "sob.json").read_text())["report"] == env["report"]
+    # the envelope is always JSON: no --json flag
+    assert cli_main(["sobolev", "--N", "3", "--s", "0.5", "--alpha", "2", "--json"]) == 1
+    capsys.readouterr()
 
 
 def test_cli_seed_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""The import graph inside the package: read with ``ast`` from every
-``src/fcs/*.py``, imports inside functions included, it has no cycle."""
+"""The package's layering, read with ``ast`` from every ``src/fcs/*.py``:
+the import graph has no cycle, no module imports inside a function, and
+only ``grid`` reads the transform engine's symbol and matrices."""
 
 from __future__ import annotations
 
@@ -82,9 +83,41 @@ def test_cycle_finder_sees_a_cycle():
     assert _cycle({"a": {"b"}, "b": set(), "c": {"a", "b"}}) is None
 
 
-def test_only_the_console_entry_imports_inside_a_function():
-    # _entry sets the thread variables before the CLI, and numpy, come in;
-    # perfbench/worker.py also loads _entry.py as a file of its own, where a
-    # module-level relative import would fail
+def test_no_module_imports_inside_a_function():
+    # fcs/__init__ caps the threads before numpy loads, so no import needs
+    # to wait for it; perfbench/worker.py loads _entry.py as a file of its own
     local = {(stem, t) for stem in MODULES for t, inside in _imports(stem) if inside}
-    assert local == {("_entry", "cli")}
+    assert local == set()
+
+
+# the engine's symbol, its metric array and the Fourier-Bessel matrices
+ENGINE_ATTRS = {"k2s", "_k_den", "_Q", "_sqrt_w"}
+
+
+def _engine_reads(source: str) -> list[tuple[int, str]]:
+    """(line, attribute) of every read of an ``ENGINE_ATTRS`` attribute."""
+    return [
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ENGINE_ATTRS
+    ]
+
+
+def test_only_grid_reads_the_k_space_calculus():
+    # the symbol, the dual metric and the dense matrix of (-Delta)^s live in
+    # the transform engines; every other module calls their methods
+    reads = {stem: _engine_reads((SRC / f"{stem}.py").read_text()) for stem in MODULES - {"grid"}}
+    assert {stem: r for stem, r in reads.items() if r} == {}
+    assert _engine_reads((SRC / "grid.py").read_text())
+    # and operators' Laplacian wrappers do not branch on the dimension
+    tree = ast.parse((SRC / "operators.py").read_text())
+    wrappers = {"frac_seminorm_sq", "dual_norm", "apply_A", "dense_fractional_matrix"}
+    fns = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name in wrappers]
+    assert len(fns) == len(wrappers)
+    assert not [n for fn in fns for n in ast.walk(fn) if isinstance(n, ast.Attribute) and n.attr == "N"]
+
+
+def test_engine_read_walk_sees_a_planted_read():
+    planted = "def f(grid, eng):\n    return grid.k2s + eng._k_den, eng.lap(eng._Q)\n"
+    assert sorted(_engine_reads(planted)) == [(2, "_Q"), (2, "_k_den"), (2, "k2s")]
+    assert _engine_reads("def f(eng, b):\n    return eng.metric(b)\n") == []

@@ -338,7 +338,7 @@ def test_first_order_drops_a_two_loop_direction_that_does_not_descend(grid256, m
     start = _Ray(grid256.field(np.exp(-grid256.r ** 2))).on_manifold()
     opts = SolverOptions(max_iter=8)
     uphill = []
-    monkeypatch.setattr(solvers, "_two_loop", lambda b, pairs, k_den: uphill.append(1) or -b)
+    monkeypatch.setattr(solvers, "_two_loop", lambda b, pairs, eng: uphill.append(1) or -b)
     got = solvers._ascend_J(start, opts)
     monkeypatch.setattr(solvers, "_LBFGS_MEMORY", 0)
     want = solvers._ascend_J(start, opts)
