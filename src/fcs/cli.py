@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import sys
 import time
@@ -150,18 +149,8 @@ def _merged_config(args) -> RunConfig:
 
 
 def _solver_options(cfg: RunConfig) -> SolverOptions:
-    seed = cfg.seed
-    seed_field = None
-    if seed == "file":
-        seed = "field"
-        seed_field = load_field(Path(cfg.base_dir) / cfg.seed_file)
-    return SolverOptions(
-        tol=cfg.tol,
-        max_iter=cfg.max_iter,
-        seed=seed,
-        seed_width=cfg.seed_width,
-        seed_field=seed_field,
-    )
+    seed = load_field(Path(cfg.base_dir) / cfg.seed_file) if cfg.seed == "file" else cfg.seed
+    return SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter, seed=seed, seed_width=cfg.seed_width)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -191,7 +180,7 @@ def _cmd_exponents(args) -> int:
         "regime": table.regime_flag.value,
     }
     if args.json:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = envelope_to_json(payload)
     else:
         text = "".join(f"{k:<16} = {v if k == 'regime' else format(v, '.12g')}\n" for k, v in payload.items())
     _write(text, args.out)
@@ -289,7 +278,7 @@ def _cmd_check(args) -> int:
     spec = cfg.spec()
     if spec.is_empty and cfg.lam is not None:
         # bare eigenpair check: lam |t|^(q*-2) t is the implied nonlinearity
-        spec = eigen_spec(cfg.lam, compute_exponents(u.grid.params))
+        spec = eigen_spec(cfg.lam, u.grid.exps)
     if args.what == "pohozaev":
         rec = pohozaev_residual(u, spec, lam=cfg.lam)
         payload = rec.to_dict()
@@ -306,7 +295,7 @@ def _cmd_check(args) -> int:
             "lambda": cfg.lam,
             "grid": u.grid.summary(),
         }
-    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    _write(envelope_to_json(payload), args.out)
     return 0
 
 
@@ -315,14 +304,14 @@ _SCALING_COLUMNS = ("t", "I_ratio_err", "J_ratio_err", "phi_lambda_ratio_err", "
 
 def _cmd_scaling_check(args) -> int:
     grid = _grid(_merged_config(args))
-    exps = compute_exponents(grid.params)
+    exps = grid.exps
     u = Field(grid, np.exp(-grid.r ** 2))
     base_I, base_J = I_functional(u), J_functional(u)
     fiber = _Fiber(u)
     rows = []
     for t in args.t:
-        if t <= 0:
-            raise ConfigError("scaling-check requires positive t values")
+        if not 0.0 < t < math.inf:  # nan fails both
+            raise ConfigError("scaling-check requires positive finite t values")
         ut = fiber.at(t)
         try:
             t_sigma = t ** exps.sigma
@@ -346,7 +335,7 @@ def _cmd_scaling_check(args) -> int:
             "scale_identity_err": float(np.max(np.abs(scale(u, 1.0).values - u.values))),
             "grid": grid.summary(),
         }
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(envelope_to_json(payload))
     else:
         sys.stdout.write(header + "\n" + "".join(",".join(f"{x:.6e}" for x in row) + "\n" for row in rows))
     if args.out:

@@ -36,6 +36,7 @@ and any flags are merged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -150,6 +151,8 @@ class RunConfig:
             raise ConfigError(f"{self.source}: unknown seed kind {self.seed!r}")
         if self.seed == "file" and self.seed_file is None:
             raise ConfigError(f"{self.source}: seed = file requires seed_file = PATH")
+        if self.lam is not None and not math.isfinite(self.lam):
+            raise ConfigError(f"{self.source}: lambda must be finite, got {self.lam!r}")
 
     def echo(self) -> dict:
         """Canonical parsed form (what was validated, not the raw text)."""
@@ -192,9 +195,12 @@ def _parse_term(source: str, line_no: int, raw: str, base_dir: Path, expected_m:
         if name not in kv:
             raise ConfigError(f"{source}:{line_no}: term missing {name}=")
         try:
-            return float(kv.pop(name))
+            value = float(kv.pop(name))
         except ValueError:
-            raise ConfigError(f"{source}:{line_no}: bad value for {name}") from None
+            value = math.nan  # unparsable: rejected with the non-finite values
+        if not math.isfinite(value):
+            raise ConfigError(f"{source}:{line_no}: bad value for {name}")
+        return value
 
     if kind == "power":
         term = PowerTerm(fget("coef"), fget("q"))

@@ -14,17 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .energy import (
-    J_functional,
-    NonlinearitySpec,
-    Phi,
-    Phi_lambda,
-    Psi_tilde,
-    _Ray,
-    eigen_spec,
-)
+from .energy import NonlinearitySpec, Phi, Phi_lambda, Psi_tilde, _Ray, eigen_spec
 from .grid import Field
-from .params import compute_exponents
 from .scaling import _Fiber
 from .solvers import estimate_sobolev_constant, ps_threshold, sobolev_extremal, sobolev_residual_dual
 
@@ -79,7 +70,7 @@ def pohozaev_residual(u: Field, spec: NonlinearitySpec, lam: float | None = None
     lhs, rhs, rel = ray.pohozaev()
     eigen_rel = None
     if lam is not None:
-        eigen_rel = abs(ray.I - lam * J_functional(u)) / max(ray.I, _GUARD)
+        eigen_rel = abs(ray.I - lam * ray.J) / max(ray.I, _GUARD)
     return DiagnosticsRecord(
         pohozaev_lhs=lhs,
         pohozaev_rhs=rhs,
@@ -103,7 +94,7 @@ def identity_closure_gap(u: Field, lam: float) -> dict:
     combination and the directly computed I - lam J must stay within the sum
     of the component residuals (it is zero in exact arithmetic).
     """
-    exps = compute_exponents(u.grid.params)
+    exps = u.grid.exps
     spec = eigen_spec(lam, exps)
     rec = pohozaev_residual(u, spec)
     poh_num = rec.pohozaev_lhs - rec.pohozaev_rhs

@@ -25,7 +25,7 @@ from numpy.polynomial.legendre import leggauss
 from .grid import Field, lp_norm
 # unused apply_A: perfbench/test_perfbench.py reads fcs.energy.apply_A
 from .operators import apply_A, dual_norm, hartree_potential_sym  # noqa: F401
-from .params import ExponentTable, compute_exponents
+from .params import ExponentTable
 
 __all__ = [
     "PowerTerm",
@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 MANIFOLD_TOL = 1e-8
+
+
+class DegenerateSeedError(RuntimeError):
+    """Iteration collapsed to the zero field."""
 
 
 @dataclass(frozen=True)
@@ -232,7 +236,9 @@ class _Ray:
     and the potential; it costs one inverse transform on first read, so scans
     that read only S and Q never pay for it.  The residual (grad Phi(u) =
     A(u) - f(u), or A(u) - lam B(u) after ``eigen``), its dual norm (one
-    more forward transform) and Phi(u) are read lazily too.
+    more forward transform) and Phi(u) are read lazily too, and so are the
+    scaling-critical parts with q* = ``grid.exps.two_star_s_alpha``:
+    B(u) = |u|^(q*-2) u = J'(u), <B(u), u> = sum_j w_j |u_j|^q* and J(u).
 
     ``lam`` is None except on an eigen point, where it is the multiplier of
     the stationarity system that ``solvers._newton`` borders with I(u) = 1.
@@ -275,16 +281,36 @@ class _Ray:
         """Phi(u) = I(u) - int F(|x|, u)."""
         return self.I - F_integral(self.field, self.spec)
 
-    def eigen(self, p: float, lam: float) -> "_Ray":
-        """Make this the point of I - lam J with J the L^p part, p = q*.
+    @property
+    def q_star(self) -> float:
+        return self.field.grid.exps.two_star_s_alpha
 
-        The residual becomes A(u) - lam B(u), B(u) = |u|^(p-2) u, with B(u)
-        kept for the Newton border; ``spec`` becomes lam |t|^(p-2) t, the same
-        nonlinearity, for the Nehari value, the Pohozaev sides and the
-        Newton Jacobian.
+    @cached_property
+    def Bu(self) -> np.ndarray:
+        return np.abs(self.u) ** (self.q_star - 2.0) * self.u
+
+    @cached_property
+    def Bu_u(self) -> float:
+        return float((self.w * np.abs(self.u) ** self.q_star).sum())
+
+    @cached_property
+    def J(self) -> float:
+        return J_functional(self.field)
+
+    def eigen(self, lam: float | None = None) -> "_Ray":
+        """Make this the point of I - lam J, at the Rayleigh quotient
+        (S + Q) / <B(u), u> if ``lam`` is None.
+
+        The residual becomes A(u) - lam B(u), with B(u) the Newton border;
+        ``spec`` becomes lam |t|^(q*-2) t, the same nonlinearity, for the
+        Nehari value, the Pohozaev sides and the Newton Jacobian.  A zero
+        <B(u), u> raises ``DegenerateSeedError``.
         """
-        self.lam, self.p, self.spec = lam, p, pure_power(lam, p)
-        self.Bu = np.abs(self.u) ** (p - 2.0) * self.u
+        if lam is None:
+            if self.Bu_u == 0.0:
+                raise DegenerateSeedError("degenerate seed: B(u) u vanished")
+            lam = (self.S + self.Q) / self.Bu_u
+        self.lam, self.spec = lam, pure_power(lam, self.q_star)
         self.resid = self.Au - lam * self.Bu
         return self
 
@@ -337,11 +363,9 @@ def I_functional(u: Field) -> float:
     return _Ray(u).I
 
 
-def J_functional(u: Field, exps: ExponentTable | None = None) -> float:
+def J_functional(u: Field) -> float:
     """(1/q*) integral of |u|^(q*) with the scaling-critical exponent."""
-    if exps is None:
-        exps = compute_exponents(u.grid.params)
-    p = exps.two_star_s_alpha
+    p = u.grid.exps.two_star_s_alpha
     return lp_norm(u, p) ** p / p
 
 

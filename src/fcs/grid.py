@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct, dst
 from scipy.special import j0, j1, jv
 
-from .params import ProblemParams, sphere_area
+from .params import ExponentTable, ProblemParams, compute_exponents, sphere_area
 
 __all__ = [
     "RadialGrid",
@@ -59,6 +59,7 @@ class RadialGrid:
     h: float = dc_field(init=False)
     r: np.ndarray = dc_field(init=False, repr=False)
     w: np.ndarray = dc_field(init=False, repr=False)
+    exps: ExponentTable = dc_field(init=False, repr=False)  # q*, theta, sigma, ... of ``params``
     # transform engines and kernels cached here hold arrays, never the grid:
     # a reference back would leave a dead grid and its M x M matrices to the
     # cycle collector
@@ -72,6 +73,7 @@ class RadialGrid:
         self.h = self.R / (self.M + 1)
         self.r = self.h * np.arange(1, self.M + 1, dtype=float)
         self.w = sphere_area(self.params.N) * self.r ** (self.params.N - 1) * self.h
+        self.exps = compute_exponents(self.params)
 
     def transform(self) -> "_Engine":
         eng = self._caches.get("transform")

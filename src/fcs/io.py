@@ -132,7 +132,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _jsonable(obj.item())
     if isinstance(obj, float) and not math.isfinite(obj):
         return None  # JSON has no NaN/inf; sentinel is null
     if isinstance(obj, np.ndarray):

@@ -44,7 +44,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import beta as sp_beta, gamma as sp_gamma, hyp1f1, zeta as sp_zeta
 
 from .grid import Field, RadialGrid, _check_same_grid, _toeplitz_minus_hankel
-from .params import compute_exponents, riesz_constant, sphere_area
+from .params import riesz_constant, sphere_area
 
 __all__ = [
     "DualField",
@@ -349,7 +349,7 @@ def apply_A(u: Field) -> DualField:
 
 def apply_B(u: Field) -> DualField:
     """Strong form of the scaling-critical power: |u|^(q*-2) u."""
-    p = compute_exponents(u.grid.params).two_star_s_alpha
+    p = u.grid.exps.two_star_s_alpha
     return DualField(u.grid, np.abs(u.values) ** (p - 2.0) * u.values)
 
 

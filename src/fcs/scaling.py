@@ -18,7 +18,6 @@ from scipy.optimize import brentq
 
 from .energy import I_functional
 from .grid import Field
-from .params import compute_exponents
 
 __all__ = ["scale", "project_to_M"]
 
@@ -37,7 +36,7 @@ class _Fiber:
     def __init__(self, u: Field, assume_zero_tail: bool = False):
         self.u, self.grid = u, u.grid
         self.may_contract = assume_zero_tail or u.boundary_decay
-        self.theta = compute_exponents(u.grid.params).theta
+        self.theta = u.grid.exps.theta
         y, v = u.grid.r ** 2, u.values
         y0, y1, y2 = y[0], y[1], y[2]
         origin = ((y1 * y2) / ((y0 - y1) * (y0 - y2)) * v[0]
@@ -101,7 +100,7 @@ def project_to_M(u: Field) -> Field:
     iu = I_functional(u)
     if iu <= 0.0:
         raise ValueError("cannot project the zero field onto the manifold")
-    sigma = compute_exponents(u.grid.params).sigma
+    sigma = u.grid.exps.sigma
     fiber = _Fiber(u)
     log_t = -math.log(iu) / sigma
     if abs(log_t) * max(1.0, fiber.theta) > 700.0:

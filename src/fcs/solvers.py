@@ -49,18 +49,11 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .energy import J_functional, NonlinearitySpec, Phi, _Ray
+from .energy import MANIFOLD_TOL, DegenerateSeedError, J_functional, NonlinearitySpec, Phi, _Ray
 from .grid import Field, RadialGrid, lp_norm
 # unused apply_A: perfbench/test_perfbench.py reads fcs.solvers.apply_A
 from .operators import apply_A, dense_fractional_matrix, _riesz_kernel, dual_norm  # noqa: F401
-from .params import (
-    ExponentTable,
-    ProblemParams,
-    Regime,
-    RegimeTag,
-    classify_nonlinearity,
-    compute_exponents,
-)
+from .params import ExponentTable, ProblemParams, Regime, RegimeTag, classify_nonlinearity
 
 __all__ = [
     "SolverOptions",
@@ -80,10 +73,6 @@ __all__ = [
 
 class RegimeMismatchError(ValueError):
     """Nonlinearity growth class does not match the requested solver."""
-
-
-class DegenerateSeedError(RuntimeError):
-    """Iteration collapsed to the zero field."""
 
 
 class NoPassError(RuntimeError):
@@ -133,9 +122,8 @@ class SolverOptions:
 
     tol: float = 1e-6            # dual-norm target, relative to the initial residual
     max_iter: int = 5000
-    seed: str = "gaussian"       # gaussian | bump | field
+    seed: str | Field = "gaussian"  # gaussian | bump | the seed field itself
     seed_width: float = 1.0
-    seed_field: Field | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -146,6 +134,8 @@ class SolverOptions:
             raise ValueError(f"seed width must be finite and positive, got {self.seed_width!r}")
 
     def seed_descriptor(self) -> str:
+        if isinstance(self.seed, Field):
+            return "field"
         if self.seed == "gaussian":
             return f"gaussian{{{self.seed_width}}}"
         return self.seed
@@ -192,18 +182,16 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 def make_seed(grid: RadialGrid, opts: SolverOptions) -> Field:
+    if isinstance(opts.seed, Field):
+        if not opts.seed.grid.same_as(grid):
+            raise ValueError("seed field lives on a different grid")
+        return opts.seed.copy()
     if opts.seed == "gaussian":
         return Field(grid, np.exp(-((grid.r / opts.seed_width) ** 2)))
     if opts.seed == "bump":
         x = grid.r / (0.5 * grid.R)
         vals = np.where(x < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - x ** 2, 1e-300)), 0.0)
         return Field(grid, vals)
-    if opts.seed == "field":
-        if opts.seed_field is None:
-            raise ValueError("seed='field' requires seed_field")
-        if not opts.seed_field.grid.same_as(grid):
-            raise ValueError("seed field lives on a different grid")
-        return opts.seed_field.copy()
     raise ValueError(f"unknown seed kind {opts.seed!r}")
 
 
@@ -216,7 +204,7 @@ def _entry(params: ProblemParams, grid: RadialGrid) -> ExponentTable:
             "solver-facing modules refuse parameters with 4s + alpha < N; "
             "identities are certified only above the threshold"
         )
-    return compute_exponents(params)
+    return grid.exps
 
 
 def _normalize_sign(u: Field) -> Field:
@@ -224,30 +212,21 @@ def _normalize_sign(u: Field) -> Field:
     return Field(u.grid, -u.values) if u.values[0] < 0.0 else u
 
 
-def _certify(
-    pt: _Ray,
-    *,
-    energy: float,
-    res: float,
-    res0: float,
-    iterations: int,
-    converged: bool,
-    seed: str,
-    multiplier: float | None = None,
-    extras: dict | None = None,
-) -> SolveReport:
-    """The one builder of a ``SolveReport``: identities recomputed from the
-    one evaluation ``pt`` of the stored field, against its ``spec``.
+def _certify(pt: _Ray, *, res0: float, iterations: int, converged: bool, seed: str, extras: dict) -> SolveReport:
+    """The one builder of a ``SolveReport``: every number read off the one
+    evaluation ``pt`` of the stored field, against its ``spec``.
 
-    The Pohozaev balance is stated only for autonomous f.
+    The energy is Phi(u), or I - lam J at an eigen point, whose ``lam`` is
+    the multiplier.  The Pohozaev balance is stated only for autonomous f.
     """
     pohozaev_rel = pt.pohozaev()[2] if pt.spec.is_autonomous else None
+    energy = pt.action if pt.lam is None else pt.I - pt.lam * pt.J
     return SolveReport(
-        solution=pt.field, energy=energy, multiplier=multiplier, residual_dual=res,
-        residual_rel=res / res0 if res0 > 0 else 0.0, pohozaev_rel=pohozaev_rel,
+        solution=pt.field, energy=energy, multiplier=pt.lam, residual_dual=pt.res,
+        residual_rel=pt.res / res0 if res0 > 0 else 0.0, pohozaev_rel=pohozaev_rel,
         nehari=float(pt.nehari(1.0)),
         iterations=iterations, converged=converged, seed_descriptor=seed,
-        grid_summary=pt.field.grid.summary(), extras=extras or {},
+        grid_summary=pt.field.grid.summary(), extras=extras,
     )
 
 
@@ -271,7 +250,7 @@ def _meets_tol(pt: _Ray, res0: float, opts: SolverOptions) -> bool:
 
 def _eigen_certified(pt: _Ray, res0: float, opts: SolverOptions) -> bool:
     """The acceptance rule of an eigen result: ``_meets_tol`` and I(u) = 1."""
-    return _meets_tol(pt, res0, opts) and abs(pt.I - 1.0) <= 1e-8
+    return _meets_tol(pt, res0, opts) and abs(pt.I - 1.0) <= MANIFOLD_TOL
 
 
 def _jacobian_into(out: np.ndarray, Lf: np.ndarray, K: np.ndarray, u: np.ndarray, diag: np.ndarray) -> None:
@@ -333,20 +312,6 @@ def _krylov_step(pt: _Ray, rhs: np.ndarray) -> np.ndarray:
     return delta
 
 
-def _eigen_point(pt: _Ray, p: float, lam: float | None = None) -> _Ray:
-    """The ray ``pt`` with the eigen residual A(u) - lam B(u) (see ``_Ray.eigen``).
-
-    With ``lam=None`` the point sits at its Rayleigh quotient
-    (S + Q) / sum_j w_j |u_j|^p, read from the ray's own S and Q.
-    """
-    if lam is None:
-        den = float((pt.w * np.abs(pt.u) ** p).sum())
-        if den == 0.0:
-            raise DegenerateSeedError("degenerate seed: B(u) u vanished")
-        lam = (pt.S + pt.Q) / den
-    return pt.eigen(p, lam)
-
-
 def _newton(pt: _Ray, res0: float, tol: float, max_iter: int):
     """Damped Newton on the stationarity system of the evaluated point ``pt``.
 
@@ -355,7 +320,7 @@ def _newton(pt: _Ray, res0: float, tol: float, max_iter: int):
     an unknown and I(u) = 1 as an equation, {A(u) = lam B(u), I(u) = 1},
     with the bordered Jacobian
 
-        [[L + H(u) - diag(f'(u)), -B(u)], [w A(u), 0]],   f = lam |t|^(p-2) t.
+        [[L + H(u) - diag(f'(u)), -B(u)], [w A(u), 0]],   f = lam |t|^(q*-2) t.
 
     Up to M = ``_DENSE_NEWTON_MAX_M`` the Jacobian is assembled in place,
     into one buffer per call, and factorized by ``np.linalg.solve``; above
@@ -414,7 +379,7 @@ def _newton(pt: _Ray, res0: float, tol: float, max_iter: int):
                 step *= 0.5
                 continue
             u_try = Field(grid, trial)
-            pt_try = _eigen_point(_Ray(u_try), pt.p, pt.lam + step * delta[M]) if bordered else _Ray(u_try, pt.spec)
+            pt_try = _Ray(u_try).eigen(pt.lam + step * delta[M]) if bordered else _Ray(u_try, pt.spec)
             if pt_try.res < pt.res or (pt_try.res < tol_abs and abs(defect(pt_try)) < abs(d0)):
                 pt = pt_try
                 recent.append(pt.res)
@@ -547,7 +512,7 @@ def _first_order_cap(opts: SolverOptions, own: int | None = None) -> int:
 
 def _sobolev_descent(grid: RadialGrid, u0: np.ndarray):
     """``_first_order`` on the Sobolev quotient from ``u0``, as the estimate runs it."""
-    p = compute_exponents(grid.params).two_star_s
+    p = grid.exps.two_star_s
     eng = grid.transform()
     no_potential = np.zeros(grid.M)
 
@@ -596,7 +561,7 @@ def sobolev_extremal(params: ProblemParams, grid: RadialGrid) -> Field:
 def sobolev_residual_dual(params: ProblemParams, grid: RadialGrid) -> float:
     """||(-Delta)^s u - S |u|^(p-2) u||_* at the extremal u, p = 2*_s."""
     S = estimate_sobolev_constant(params, grid)
-    u, p, eng = grid._caches["sobolev_extremal"], compute_exponents(params).two_star_s, grid.transform()
+    u, p, eng = grid._caches["sobolev_extremal"], grid.exps.two_star_s, grid.transform()
     return dual_norm(Field(grid, eng.lap(eng.forward(u)) - S * np.abs(u) ** (p - 2.0) * u))
 
 
@@ -616,43 +581,38 @@ def _handover(opts: SolverOptions) -> float:
     return max(opts.tol, _HANDOVER_REL)
 
 
-def _ascend_J(pt: _Ray, opts: SolverOptions, penalty=None, handover: float | None = None):
-    """``_first_order`` on {I = 1}: the ascent of J (less a ``penalty``).
+def _ascend_J(pt: _Ray, cap: int, handover: float, penalty=None):
+    """``_first_order`` on {I = 1}, at most ``cap`` steps: the ascent of J
+    (less a ``penalty``).
 
-    It descends -J with gradient -B(u), tangent to {I = 1} (the normal is
-    A(u) = I'(u)), and each trial returns to {I = 1} along its own amplitude
-    ray (``_Ray.on_manifold``).  ``handover`` (``_handover(opts)`` if None)
-    is passed on to ``_first_order``.
+    It descends -J = -<B(u), u>/q* with gradient -B(u), tangent to {I = 1}
+    (the normal is A(u) = I'(u)), and each trial returns to {I = 1} along its
+    own amplitude ray (``_Ray.on_manifold``).
     """
     grid = pt.field.grid
-    p = compute_exponents(grid.params).two_star_s_alpha
 
     def value(q: _Ray) -> float:
-        val = -float((q.w * np.abs(q.u) ** p).sum()) / p  # -J(u)
+        val = -q.Bu_u / q.q_star
         return val if penalty is None else val + penalty.value(q.field)
 
     def grad(q: _Ray) -> np.ndarray:
-        g = -(np.abs(q.u) ** (p - 2.0) * q.u)  # -B(u) = -J'(u)
-        return g if penalty is None else g + penalty.gradient(q.field)
+        return -q.Bu if penalty is None else -q.Bu + penalty.gradient(q.field)
 
     return _first_order(
-        pt, value, grad, lambda v: _Ray(Field(grid, v)).on_manifold(), opts.max_iter,
-        _handover(opts) if handover is None else handover, normal=lambda q: q.Au,
+        pt, value, grad, lambda v: _Ray(Field(grid, v)).on_manifold(), cap, handover, normal=lambda q: q.Au
     )
 
 
-def _finish_eigen(u: Field, exps, res0: float, converged, iterations: int, seed: str, extras: dict):
+def _finish_eigen(u: Field, res0: float, converged, iterations: int, seed: str, extras: dict):
     """Certify an eigen iterate at its Rayleigh quotient, sign-normalized.
 
     ``converged(pt)`` is the caller's acceptance rule on the eigen point of
     the normalized field, the one evaluation the report is read from.
     """
-    pt = _eigen_point(_Ray(_normalize_sign(u)), exps.two_star_s_alpha)
-    lam, J = pt.lam, J_functional(pt.field, exps)
+    pt = _Ray(_normalize_sign(u)).eigen()
     return _certify(
-        pt, energy=pt.I - lam * J, multiplier=lam, res=pt.res,
-        res0=res0, iterations=iterations, converged=converged(pt), seed=seed,
-        extras={"I": pt.I, "J": J, "manifold_defect": pt.I - 1.0, **extras},
+        pt, res0=res0, iterations=iterations, converged=converged(pt), seed=seed,
+        extras={"I": pt.I, "J": pt.J, "manifold_defect": pt.I - 1.0, **extras},
     )
 
 
@@ -668,19 +628,16 @@ def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None =
     multiplier is the Rayleigh quotient <A(u), u> / <B(u), u>.
     """
     opts = opts or SolverOptions()
-    exps = _entry(params, grid)
-    p = exps.two_star_s_alpha
+    _entry(params, grid)
     start = _Ray(make_seed(grid, opts)).on_manifold()
     if start is None:
         raise DegenerateSeedError("degenerate seed: it is zero or underflows on this grid")
-    pt = _eigen_point(start, p)
+    pt = start.eigen()
     res0 = pt.res
-    pt, values, it_ascent, stop = _ascend_J(
-        pt, replace(opts, max_iter=_first_order_cap(opts)), handover=_EIGEN_HANDOVER_REL
-    )
-    pt, it_newton = _polish(_eigen_point(pt, p), res0, opts, it_ascent)
+    pt, values, it_ascent, stop = _ascend_J(pt, _first_order_cap(opts), _EIGEN_HANDOVER_REL)
+    pt, it_newton = _polish(pt.eigen(), res0, opts, it_ascent)
     return _finish_eigen(
-        pt.field, exps, res0, lambda q: _eigen_certified(q, res0, opts),
+        pt.field, res0, lambda q: _eigen_certified(q, res0, opts),
         it_ascent + it_newton, opts.seed_descriptor(),
         {
             "J_history_monotone": bool(np.all(np.diff(values) <= 0.0)),  # values are -J
@@ -746,9 +703,7 @@ def eigen_deflated(
     if k == 1:
         return reports
 
-    exps = compute_exponents(params)
-    p = exps.two_star_s_alpha
-    defl_opts = replace(opts, max_iter=_first_order_cap(opts, 300))
+    cap = _first_order_cap(opts, 300)
     for descriptor, seed_vals in _deflation_seed_bank(grid):
         if len(reports) >= k:
             break
@@ -756,12 +711,11 @@ def eigen_deflated(
         start = _Ray(Field(grid, seed_vals)).on_manifold()
         if start is None:
             continue
-        start = _eigen_point(start, p)
-        res0 = start.res
+        res0 = start.eigen().res
         for _ in range(3):  # halve the penalty on stagnation
             pen = _DeflationPenalty([rep.solution for rep in reports], weight)
-            pt, _, it_a, stop = _ascend_J(start, defl_opts, penalty=pen)
-            pt, it_n = _polish(_eigen_point(pt, p), res0, opts, it_a)
+            pt, _, it_a, stop = _ascend_J(start, cap, _handover(opts), penalty=pen)
+            pt, it_n = _polish(pt.eigen(), res0, opts, it_a)
             u = pt.field
             # |cos| is blind to the sign normalization still ahead
             distinct = all(
@@ -771,7 +725,7 @@ def eigen_deflated(
                 for rep in reports
             )
             rep = _finish_eigen(
-                u, exps, res0, lambda q: _eigen_certified(q, res0, opts) and distinct,
+                u, res0, lambda q: _eigen_certified(q, res0, opts) and distinct,
                 it_a + it_n, descriptor,
                 {"ordering": "candidate, uncertified ordering", "ascent_stop": stop},
             )
@@ -870,7 +824,7 @@ def _minimize(
 
     _validate_subscaled(spec, exps)
 
-    seed = make_seed(grid, opts) if opts.seed == "field" else None
+    seed = make_seed(grid, opts) if isinstance(opts.seed, Field) else None
     if warm and seed is not None:
         starts = [("warm-start", seed, None)]
     else:
@@ -904,16 +858,12 @@ def _minimize(
 
     _, ok, u, iters, descriptor, res0 = best
     pt = _Ray(_normalize_sign(u), spec)
-    return _certify(
-        pt, energy=pt.action, res=pt.res, res0=res0,
-        iterations=iters, converged=ok, seed=descriptor, extras={"I": pt.I},
-    )
+    return _certify(pt, res0=res0, iterations=iters, converged=ok, seed=descriptor, extras={"I": pt.I})
 
 
 def _trivial_minimizer(grid: RadialGrid, spec: NonlinearitySpec, note: str) -> SolveReport:
     return _certify(
-        _Ray(grid.zero_field(), spec), energy=0.0, res=0.0, res0=0.0, iterations=0,
-        converged=True, seed="zero", extras={"note": note},
+        _Ray(grid.zero_field(), spec), res0=0.0, iterations=0, converged=True, seed="zero", extras={"note": note}
     )
 
 
@@ -1056,8 +1006,8 @@ def mountain_pass(
             }
         )
     return _certify(
-        pt, energy=level, res=pt.res, res0=res0, iterations=it_r + it_n,
-        converged=_meets_tol(pt, res0, opts), seed="nehari[endpoint]", extras=extras,
+        pt, res0=res0, iterations=it_r + it_n, converged=_meets_tol(pt, res0, opts), seed="nehari[endpoint]",
+        extras=extras,
     )
 
 
@@ -1118,7 +1068,7 @@ def sweep(
         spec_v = base_spec.with_coef(term_index, v)
         run_opts = opts
         if warm is not None and float(np.max(np.abs(warm.values))) > 0.0:
-            run_opts = replace(opts, seed="field", seed_field=warm)
+            run_opts = replace(opts, seed=warm)
         try:
             if method == "minimize":
                 rep = _minimize(params, grid, spec_v, run_opts, warm=True)

@@ -64,14 +64,14 @@ def test_amplitude_monotonicity(grid_small):
 
 
 def test_J_basics(grid_small, exps):
-    assert J_functional(grid_small.zero_field(), exps) == 0.0
+    assert J_functional(grid_small.zero_field()) == 0.0
     rng = np.random.default_rng(5)
     u = smooth_random_field(grid_small, rng)
     c = -1.8
     p = exps.two_star_s_alpha
     assert math.isclose(
-        J_functional(grid_small.field(c * u.values), exps),
-        abs(c) ** p * J_functional(u, exps),
+        J_functional(grid_small.field(c * u.values)),
+        abs(c) ** p * J_functional(u),
         rel_tol=1e-12,
     )
 
@@ -79,8 +79,8 @@ def test_J_basics(grid_small, exps):
 @pytest.mark.parametrize("t", [0.5, 2.0])
 def test_J_dilation_law_analytic(grid_small, exps, t):
     u = grid_small.field(np.exp(-grid_small.r ** 2))
-    lhs = J_functional(_analytic_dilation(grid_small, t), exps)
-    rhs = t ** exps.sigma * J_functional(u, exps)
+    lhs = J_functional(_analytic_dilation(grid_small, t))
+    rhs = t ** exps.sigma * J_functional(u)
     assert abs(lhs - rhs) <= 1e-4 * rhs
 
 

@@ -9,11 +9,13 @@ residuals, Nehari values and manifold defects of converged fields) may also
 differ by up to ``ABS_FLOOR``, and so may the entries of ``VANISHING_KEYS``
 whose stored value is below it.
 
+The stored bytes are those of a one-thread run: thread-split BLAS
+reductions move the last bits, so the script runs only with FCS_THREADS=1.
 A change that moves a number on purpose regenerates the files and says why
 in CHANGES.md::
 
-    python tests/test_golden.py --dry-run      # print what would move
-    python tests/test_golden.py --regenerate   # print it and rewrite the files
+    FCS_THREADS=1 python tests/test_golden.py --dry-run      # print what would move
+    FCS_THREADS=1 python tests/test_golden.py --regenerate   # print it and rewrite the files
 """
 
 from __future__ import annotations
@@ -288,6 +290,6 @@ def regenerate(write: bool = True) -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] not in (["--regenerate"], ["--dry-run"]):
-        sys.exit(f"usage: python {sys.argv[0]} --regenerate | --dry-run")
+    if sys.argv[1:] not in (["--regenerate"], ["--dry-run"]) or os.environ.get("FCS_THREADS") != "1":
+        sys.exit(f"usage: FCS_THREADS=1 python {sys.argv[0]} --regenerate | --dry-run")
     regenerate(write=sys.argv[1] == "--regenerate")

@@ -870,6 +870,122 @@ def test_config_rejects_bad_seed():
         parse_config("[solver]\nseed = file\n", source="t")
 
 
+
+@pytest.mark.parametrize(
+    "what, lam",
+    [pytest.param("pohozaev", "nan", id="pohozaev-nan"), pytest.param("identity", "inf", id="identity-inf")],
+)
+def test_cli_check_rejects_a_nonfinite_lambda(what, lam, tmp_path, capsys, grid_small):
+    # JSON has no NaN or Infinity: a non-finite lambda is invalid input
+    fld = tmp_path / "u.fld"
+    save_field(grid_small.field(np.exp(-grid_small.r ** 2)), fld)
+    assert cli_main(["check", what, "--field", str(fld), "--lambda", lam]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "lambda must be finite" in err
+
+
+def test_json_payloads_write_nonfinite_numbers_as_null():
+    payload = {"b": [1.5, float("nan")], "a": {"x": np.float64(np.inf), "y": -2}}
+    assert json.loads(envelope_to_json(payload)) == {"a": {"x": None, "y": -2}, "b": [1.5, None]}
+    finite = {"b": [1.5, 1e-300], "a": {"x": 0.1, "y": None}}
+    assert envelope_to_json(finite) == json.dumps(finite, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_cli_scaling_check_rejects_a_nonfinite_t(t, capsys):
+    rc = cli_main(["scaling-check", "--N", "3", "--s", "0.75", "--alpha", "2", "--R", "20", "--M", "64", "--t", t])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "requires positive finite t values" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "term, name",
+    [
+        pytest.param("power coef=nan q=2.7", "coef", id="coef-nan"),
+        pytest.param("power coef=1.0 q=nan", "q", id="q-nan"),
+        pytest.param("damped coef=1.0 q=2.7 gamma=nan", "gamma", id="gamma-nan"),
+        pytest.param("damped coef=1.0 q=2.7 gamma=inf", "gamma", id="gamma-inf"),
+    ],
+)
+def test_cli_rejects_a_nonfinite_term_value(term, name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(_EIGEN_CFG + f"[nonlinearity]\nterm = {term}\n[solver]\nmethod = minimize\n")
+    assert cli_main(["solve", "--config", "run.cfg"]) == 1
+    assert capsys.readouterr().err == f"error: run.cfg:9: bad value for {name}\n"
+
+
+def test_cli_minimize_with_a_weighted_term(tmp_path, capsys, monkeypatch):
+    # the weight 1 + exp(-r^2) on the grid's nodes; no Pohozaev balance for
+    # an x-dependent f
+    monkeypatch.chdir(tmp_path)
+    r = np.arange(1, 129) * 20.0 / 129
+    np.savetxt(tmp_path / "w.txt", 1.0 + np.exp(-r ** 2))
+    (tmp_path / "run.cfg").write_text(
+        "[params]\nN = 3\ns = 0.75\nalpha = 2.0\n[grid]\nR = 20.0\nM = 128\n"
+        "[nonlinearity]\nterm = weighted coef=4.5 q=2.6 weight=w.txt\n"
+        "[solver]\nmethod = minimize\n[output]\njson = out.json\n"
+    )
+    assert cli_main(["solve", "--config", "run.cfg"]) == 0
+    capsys.readouterr()
+    env = json.loads((tmp_path / "out.json").read_text())
+    rep = env["report"]
+    assert rep["converged"] and rep["residual_rel"] <= 1e-6
+    assert math.isclose(rep["energy"], -1130.31, rel_tol=1e-5)
+    assert rep["pohozaev_rel"] is None
+    assert env["config"]["nonlinearity"] == [{"kind": "WeightedPowerTerm", "coef": 4.5, "q": 2.6, "weight_len": 128}]
+
+
+def test_cli_solve_without_a_method_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(_EIGEN_CFG)
+    assert cli_main(["solve", "--config", "run.cfg"]) == 1
+    assert "no solver method configured" in capsys.readouterr().err
+
+
+def test_cli_check_identity_requires_lambda(tmp_path, capsys, grid_small):
+    fld = tmp_path / "u.fld"
+    save_field(grid_small.field(np.exp(-grid_small.r ** 2)), fld)
+    assert cli_main(["check", "identity", "--field", str(fld)]) == 1
+    assert "identity check requires --lambda" in capsys.readouterr().err
+
+
+def test_cli_sweep_json_writes_the_envelope_and_prints_only_the_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(_SWEEP_CFG + "[output]\njson = env.json\ncsv = out.csv\n")
+    assert cli_main(["solve", "--config", "run.cfg"]) == 0
+    assert capsys.readouterr().out == (tmp_path / "out.csv").read_bytes().decode()
+    assert json.loads((tmp_path / "env.json").read_text())["report"] == {"rows": 2, "converged": 2}
+
+
+def test_cli_eigen_deflated_saves_the_first_candidate(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(
+        _EIGEN_CFG + "[solver]\nmethod = eigen-deflated\nk = 2\n[output]\njson = out.json\nfield = u.fld\n"
+    )
+    assert cli_main(["solve", "--config", "run.cfg"]) == 0
+    capsys.readouterr()
+    first = json.loads((tmp_path / "out.json").read_text())["report"]["candidates"][0]
+    u = load_field(tmp_path / "u.fld")
+    assert float(np.max(np.abs(u.values))) == first["solution_linf"]
+    assert fcs.lp_norm(u, 2.0) == first["solution_l2"]
+
+
+@pytest.mark.parametrize("raw, warns", [("abc", True), ("0", False)])
+def test_cap_threads_sets_no_cap_for_a_bad_or_zero_value(raw, warns, monkeypatch, capsys):
+    from fcs import _entry
+
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in names:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("FCS_THREADS", raw)
+    _entry._cap_threads()
+    assert not any(var in os.environ for var in names)
+    assert ("ignoring non-integer FCS_THREADS" in capsys.readouterr().err) == warns
+
+
 # ---------------------------------------------------------------------------
 # public surface
 # ---------------------------------------------------------------------------
@@ -909,3 +1025,9 @@ def test_removed_names_are_unreachable_from_fcs():
     assert set(inspect.signature(fcs.project_to_M).parameters) == {"u"}
     assert "ps_threshold_value" not in inspect.signature(fcs.pohozaev_residual).parameters
     assert "ps_threshold" not in fcs.DiagnosticsRecord.__dataclass_fields__
+
+
+def test_removed_keywords_are_gone():
+    # the seed field is the seed itself; J reads q* off its field's grid
+    assert "seed_field" not in fcs.SolverOptions.__dataclass_fields__
+    assert set(inspect.signature(fcs.J_functional).parameters) == {"u"}

@@ -84,7 +84,7 @@ def _newton_system(kind, u):
     if kind == "eigen":
         p = compute_exponents(u.grid.params).two_star_s_alpha
         lam = rayleigh_quotient(u)
-        return (lambda: solvers._eigen_point(_Ray(u), p, lam)), lam * (p - 1.0) * np.abs(u.values) ** (p - 2.0)
+        return (lambda: _Ray(u).eigen(lam)), lam * (p - 1.0) * np.abs(u.values) ** (p - 2.0)
     spec = pure_power(1.0, 3.6)
     return (lambda: _Ray(u, spec)), spec.fprime(u.values, u.grid.r)
 
@@ -137,7 +137,7 @@ def test_eigen_point_matches_the_direct_evaluation(manifold_point):
     u = manifold_point
     p = compute_exponents(u.grid.params).two_star_s_alpha
     lam = rayleigh_quotient(u)
-    pt = solvers._eigen_point(_Ray(u), p, lam)
+    pt = _Ray(u).eigen(lam)
     resid = apply_A(u).values - lam * (np.abs(u.values) ** (p - 2.0) * u.values)
     assert np.array_equal(pt.resid, resid)
     assert pt.res == dual_norm(u.grid.field(resid))
@@ -212,11 +212,10 @@ def test_laplacian_build_peak_memory():
 def test_newton_eigen_peak_memory():
     g = _grid512()
     u = project_to_M(g.field(np.exp(-g.r ** 2)))
-    p = compute_exponents(g.params).two_star_s_alpha
     lam = rayleigh_quotient(u)  # builds the Riesz kernel
     dense_fractional_matrix(g)
 
     def newton():
-        return solvers._newton(solvers._eigen_point(_Ray(u), p, lam), 0.0, 0.0, max_iter=3)
+        return solvers._newton(_Ray(u).eigen(lam), 0.0, 0.0, max_iter=3)
 
     assert _peak_units(newton, g.M) <= 1.5

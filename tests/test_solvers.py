@@ -143,7 +143,7 @@ def test_ascent_transforms_each_gradient_once(grid256, monkeypatch):
 
     monkeypatch.setattr(eng, "forward", counted)
     monkeypatch.setattr(solvers, "_Ray", Trial)
-    _, _, it, stop = solvers._ascend_J(start, SolverOptions(max_iter=3))
+    _, _, it, stop = solvers._ascend_J(start, 3, solvers._HANDOVER_REL)
     assert (it, stop) == (3, "max_iter")
     assert calls["trials"] >= it
     assert calls["forward"] - calls["trials"] == 2 * it
@@ -225,7 +225,7 @@ def test_eigen1_n4_ascent_takes_few_steps(monkeypatch):
     p = ProblemParams(4, 0.75, 2.5)
     g = make_grid(p, 20.0, 256)
     start = _Ray(g.field(np.exp(-g.r ** 2))).on_manifold()  # eigen1's start
-    _, _, it, stop = solvers._ascend_J(start, SolverOptions(), handover=1e-3)
+    _, _, it, stop = solvers._ascend_J(start, SolverOptions().max_iter, 1e-3)
     assert stop == "handover"
     assert it <= 25
     calls = _count_solves(monkeypatch)
@@ -321,7 +321,7 @@ def test_first_order_directions_are_tangent_to_the_manifold(grid256, monkeypatch
     monkeypatch.setattr(solvers, "_first_order", spy)
     monkeypatch.setattr(solvers, "_two_loop", lambda *a: loops.append(1) or two_loop(*a))
     start = _Ray(grid256.field(np.exp(-grid256.r ** 2))).on_manifold()
-    _, _, it, _ = solvers._ascend_J(start, SolverOptions(max_iter=8))
+    _, _, it, _ = solvers._ascend_J(start, 8, solvers._HANDOVER_REL)
     assert len(dirs) == it >= 6
     assert len(loops) >= it - 2
     w = grid256.w
@@ -336,12 +336,11 @@ def test_first_order_drops_a_two_loop_direction_that_does_not_descend(grid256, m
     from fcs import solvers
 
     start = _Ray(grid256.field(np.exp(-grid256.r ** 2))).on_manifold()
-    opts = SolverOptions(max_iter=8)
     uphill = []
     monkeypatch.setattr(solvers, "_two_loop", lambda b, pairs, eng: uphill.append(1) or -b)
-    got = solvers._ascend_J(start, opts)
+    got = solvers._ascend_J(start, 8, solvers._HANDOVER_REL)
     monkeypatch.setattr(solvers, "_LBFGS_MEMORY", 0)
-    want = solvers._ascend_J(start, opts)
+    want = solvers._ascend_J(start, 8, solvers._HANDOVER_REL)
     assert uphill
     assert got[1:] == want[1:]
     np.testing.assert_array_equal(got[0].u, want[0].u)
@@ -388,7 +387,7 @@ def test_eigen1_from_a_converged_field_hands_over_at_once(pstar, grid256):
     # rounding noise, so a drop relative to them never comes: the rounding
     # floor hands over at once, and Newton stops at its first check
     rep = eigen1(pstar, grid256)
-    again = eigen1(pstar, grid256, SolverOptions(seed="field", seed_field=rep.solution))
+    again = eigen1(pstar, grid256, SolverOptions(seed=rep.solution))
     assert again.converged
     assert (again.extras["iterations_ascent"], again.extras["ascent_stop"]) == (0, "handover")
     assert again.extras["iterations_newton"] <= 1
@@ -428,7 +427,7 @@ def test_eigen_point_reads_the_rayleigh_quotient(params):
     g = make_grid(p, 20.0, 96)
     pt = _Ray(g.field(np.exp(-g.r ** 2))).on_manifold()
     lam = rayleigh_quotient(pt.field)
-    pt = solvers._eigen_point(pt, compute_exponents(p).two_star_s_alpha)
+    pt = pt.eigen()
     assert abs(pt.lam - lam) <= 1e-15 * lam
 
 
@@ -492,7 +491,7 @@ def test_eigen1_multi_seed_agreement(pstar, grid, eigen_report):
 
 
 def test_eigen1_rejects_zero_seed(pstar, grid):
-    opts = SolverOptions(seed="field", seed_field=grid.zero_field())
+    opts = SolverOptions(seed=grid.zero_field())
     with pytest.raises(DegenerateSeedError):
         eigen1(pstar, grid, opts)
     # on this coarse grid (h = 5.9) the width-0.23 Gaussian peaks at e^-654
@@ -572,7 +571,7 @@ def test_deflated_candidates_meet_the_eigen1_rule(deflated3):
     for rep in deflated3:
         assert rep.converged
         u = rep.solution
-        pt = solvers._eigen_point(_Ray(u), compute_exponents(u.grid.params).two_star_s_alpha)
+        pt = _Ray(u).eigen()
         assert solvers._eigen_certified(pt, rep.residual_dual / rep.residual_rel, opts)
 
 
@@ -627,7 +626,7 @@ def test_minimize_damped_worked_example(pstar, grid, eigen_report):
     assert lam > eigen_report.multiplier
     spec = NonlinearitySpec.of(DampedPowerTerm(lam, exps.two_star_s_alpha, 0.3))
     rep = minimize_subscaled(
-        pstar, grid, spec, SolverOptions(seed="field", seed_field=eigen_report.solution)
+        pstar, grid, spec, SolverOptions(seed=eigen_report.solution)
     )
     assert rep.converged
     assert rep.energy < 0.0
@@ -890,7 +889,7 @@ def test_mountain_pass_rejects_subscaled(pstar, grid):
 def test_sweep_single_step_equals_single_solve(pstar, grid, eigen_report):
     exps = compute_exponents(pstar)
     spec = NonlinearitySpec.of(DampedPowerTerm(4.5, exps.two_star_s_alpha, 0.3))
-    opts = SolverOptions(seed="field", seed_field=eigen_report.solution)
+    opts = SolverOptions(seed=eigen_report.solution)
     rows = sweep(pstar, grid, spec, 0, [4.5], opts, method="minimize")
     single = minimize_subscaled(pstar, grid, spec, opts)
     assert len(rows) == 1
@@ -901,7 +900,7 @@ def test_sweep_single_step_equals_single_solve(pstar, grid, eigen_report):
 def test_sweep_warm_start_reduces_iterations(pstar, grid, eigen_report):
     exps = compute_exponents(pstar)
     spec = NonlinearitySpec.of(DampedPowerTerm(4.0, exps.two_star_s_alpha, 0.3))
-    opts = SolverOptions(seed="field", seed_field=eigen_report.solution)
+    opts = SolverOptions(seed=eigen_report.solution)
     lams = [4.0, 4.25, 4.5, 4.75, 5.0]
     rows = sweep(pstar, grid, spec, 0, lams, opts, method="minimize")
     assert all(r.converged for r in rows)
@@ -912,7 +911,7 @@ def test_sweep_warm_start_reduces_iterations(pstar, grid, eigen_report):
             pstar,
             grid,
             spec.with_coef(0, lam),
-            SolverOptions(seed="field", seed_field=eigen_report.solution),
+            SolverOptions(seed=eigen_report.solution),
         )
         cold_iters += rep.iterations
     assert warm_iters < cold_iters
@@ -924,7 +923,7 @@ def test_sweep_rows_agree_with_single_solves(pstar):
     # single solve reports (the trivial minimizer), not a positive-level
     # critical point or a collapse
     g = make_grid(pstar, 20.0, 128)
-    opts = SolverOptions(seed="field", seed_field=eigen1(pstar, g).solution)
+    opts = SolverOptions(seed=eigen1(pstar, g).solution)
     exps = compute_exponents(pstar)
     spec = NonlinearitySpec.of(DampedPowerTerm(4.5, exps.two_star_s_alpha, 0.3))
     lams = [4.5, 3.5, 2.5]
@@ -1063,7 +1062,7 @@ def test_reports_are_recomputed_from_the_stored_field(entry, pstar, grid, eigen_
         reports = eigen_deflated(pstar, grid, 2)
     elif entry == "minimize":
         spec = NonlinearitySpec.of(DampedPowerTerm(4.5, exps.two_star_s_alpha, 0.3))
-        opts = SolverOptions(seed="field", seed_field=eigen_report.solution)
+        opts = SolverOptions(seed=eigen_report.solution)
         reports = [minimize_subscaled(pstar, grid, spec, opts)]
     elif entry == "minimize-trivial":
         spec = pure_power(1.0, 2.7)
@@ -1110,7 +1109,7 @@ def test_report_evaluates_the_returned_field_once(entry, pstar, grid, eigen_repo
     else:
         exps = compute_exponents(pstar)
         spec = NonlinearitySpec.of(DampedPowerTerm(4.5, exps.two_star_s_alpha, 0.3))
-        rep = minimize_subscaled(pstar, grid, spec, SolverOptions(seed="field", seed_field=eigen_report.solution))
+        rep = minimize_subscaled(pstar, grid, spec, SolverOptions(seed=eigen_report.solution))
     assert rep.converged
     assert len(returned) == 1
     assert calls["matvec"] - returned[0] == 1
