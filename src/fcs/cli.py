@@ -304,7 +304,6 @@ _SCALING_COLUMNS = ("t", "I_ratio_err", "J_ratio_err", "phi_lambda_ratio_err", "
 
 def _cmd_scaling_check(args) -> int:
     grid = _grid(_merged_config(args))
-    exps = grid.exps
     u = Field(grid, np.exp(-grid.r ** 2))
     base_I, base_J = I_functional(u), J_functional(u)
     fiber = _Fiber(u)
@@ -314,7 +313,7 @@ def _cmd_scaling_check(args) -> int:
             raise ConfigError("scaling-check requires positive finite t values")
         ut = fiber.at(t)
         try:
-            t_sigma = t ** exps.sigma
+            t_sigma = t ** grid.exps.sigma
         except OverflowError:
             raise ValueError("dilation t^sigma overflows") from None
         if t_sigma == 0.0:

@@ -862,8 +862,11 @@ def _minimize(
 
 
 def _trivial_minimizer(grid: RadialGrid, spec: NonlinearitySpec, note: str) -> SolveReport:
+    # the zero field against the live terms only: a zero-coefficient
+    # |t|^(q-2) t with q < 2 reads 0 * inf = nan at t = 0
+    live = NonlinearitySpec(tuple(t for t in spec.terms if t.coef != 0.0))
     return _certify(
-        _Ray(grid.zero_field(), spec), res0=0.0, iterations=0, converged=True, seed="zero", extras={"note": note}
+        _Ray(grid.zero_field(), live), res0=0.0, iterations=0, converged=True, seed="zero", extras={"note": note}
     )
 
 

@@ -673,6 +673,14 @@ def test_minimize_pure_power_on_small_ball_is_trivial(pstar, grid):
     assert np.all(rep.solution.values == 0.0)
 
 
+def test_trivial_minimizer_of_a_zero_term_below_two_is_finite(pstar, grid):
+    # |t|^(q-2) t with q < 2 is nan at t = 0; a zero coefficient leaves f = 0,
+    # and the zero field's certificates are all exact zeros
+    rep = minimize_subscaled(pstar, grid, pure_power(0.0, 1.5))
+    assert rep.converged
+    assert (rep.energy, rep.residual_dual, rep.nehari, rep.pohozaev_rel) == (0.0, 0.0, 0.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # mountain pass
 # ---------------------------------------------------------------------------
