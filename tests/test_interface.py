@@ -870,7 +870,6 @@ def test_config_rejects_bad_seed():
         parse_config("[solver]\nseed = file\n", source="t")
 
 
-
 @pytest.mark.parametrize(
     "what, lam",
     [pytest.param("pohozaev", "nan", id="pohozaev-nan"), pytest.param("identity", "inf", id="identity-inf")],
