@@ -29,7 +29,7 @@ from .diagnostics import (
     ps_threshold,
     sobolev_residual_dual,
 )
-from .energy import I_functional, J_functional, Phi_lambda, eigen_spec
+from .energy import I_functional, J_functional, eigen_spec
 from .grid import Field, make_grid
 from .io import (
     FieldFormatError,
@@ -318,14 +318,17 @@ def _cmd_scaling_check(args) -> int:
             raise ValueError("dilation t^sigma overflows") from None
         if t_sigma == 0.0:
             raise ValueError("dilation t^sigma underflows")
-        ratio_I = I_functional(ut) / (t_sigma * base_I) - 1.0
-        ratio_J = J_functional(ut) / (t_sigma * base_J) - 1.0
+        I_t, J_t = I_functional(ut), J_functional(ut)
+        ratio_I = I_t / (t_sigma * base_I) - 1.0
+        ratio_J = J_t / (t_sigma * base_J) - 1.0
         # composition against the analytic double dilation
         u2 = scale(fiber.at(math.sqrt(t)), math.sqrt(t))
         comp = float(np.max(np.abs(u2.values - ut.values))) / max(
             float(np.max(np.abs(ut.values))), 1e-300
         )
-        phi_ratio = Phi_lambda(ut, 1.0) / (t_sigma * Phi_lambda(u, 1.0)) - 1.0
+        # Phi_1 = I - 1.0 J as energy.Phi_lambda has it, from the I and J
+        # above: one evaluation of each field
+        phi_ratio = (I_t - 1.0 * J_t) / (t_sigma * (base_I - 1.0 * base_J)) - 1.0
         rows.append((t, ratio_I, ratio_J, phi_ratio, comp))
     header = ",".join(_SCALING_COLUMNS)
     if args.json:

@@ -175,31 +175,31 @@ def _echo_term(t) -> dict:
     return d
 
 
-def _parse_term(source: str, line_no: int, raw: str, base_dir: Path, expected_m: int | None):
+def _parse_term(raw: str, base_dir: Path, expected_m: int | None):
+    """One [nonlinearity] term; every error is a ``ValueError`` or an
+    ``OSError``, which ``parse_config`` anchors at the term's line."""
     parts = raw.split()
     if not parts:
-        raise ConfigError(f"{source}:{line_no}: empty term")
+        raise ValueError("empty term")
     kind = parts[0]
     if kind not in _TERM_KINDS:
-        raise ConfigError(
-            f"{source}:{line_no}: unknown term kind {kind!r} (expected one of {sorted(_TERM_KINDS)})"
-        )
+        raise ValueError(f"unknown term kind {kind!r} (expected one of {sorted(_TERM_KINDS)})")
     kv = {}
     for tok in parts[1:]:
         if "=" not in tok:
-            raise ConfigError(f"{source}:{line_no}: malformed term token {tok!r}")
+            raise ValueError(f"malformed term token {tok!r}")
         k, v = tok.split("=", 1)
         kv[k] = v
 
     def fget(name):
         if name not in kv:
-            raise ConfigError(f"{source}:{line_no}: term missing {name}=")
+            raise ValueError(f"term missing {name}=")
         try:
             value = float(kv.pop(name))
         except ValueError:
             value = math.nan  # unparsable: rejected with the non-finite values
         if not math.isfinite(value):
-            raise ConfigError(f"{source}:{line_no}: bad value for {name}")
+            raise ValueError(f"bad value for {name}")
         return value
 
     if kind == "power":
@@ -210,15 +210,15 @@ def _parse_term(source: str, line_no: int, raw: str, base_dir: Path, expected_m:
         coef, q = fget("coef"), fget("q")
         wpath = kv.pop("weight", None)
         if wpath is None:
-            raise ConfigError(f"{source}:{line_no}: weighted term requires weight=FILE")
+            raise ValueError("weighted term requires weight=FILE")
         profile = np.loadtxt(base_dir / wpath, ndmin=1)
+        if not np.all(np.isfinite(profile)):
+            raise ValueError(f"weight profile {wpath} has non-finite samples")
         if expected_m is not None and profile.size != expected_m:
-            raise ConfigError(
-                f"{source}:{line_no}: weight profile has {profile.size} samples, grid has M={expected_m}"
-            )
+            raise ValueError(f"weight profile has {profile.size} samples, grid has M={expected_m}")
         term = WeightedPowerTerm.from_profile(coef, q, profile)
     if kv:
-        raise ConfigError(f"{source}:{line_no}: unknown term key(s): {', '.join(sorted(kv))}")
+        raise ValueError(f"unknown term key(s): {', '.join(sorted(kv))}")
     return term
 
 
@@ -254,7 +254,10 @@ def parse_config(text: str, source: str = "<config>", base_dir: Path | None = No
             raise ConfigError(f"{source}:{line_no}: cannot parse {key} = {value!r}") from None
     cfg.validate()
     for line_no, value in pending_terms:
-        cfg.terms.append(_parse_term(source, line_no, value, base_dir, cfg.M))
+        try:
+            cfg.terms.append(_parse_term(value, base_dir, cfg.M))
+        except (ValueError, OSError) as exc:  # the term's own checks, the weight file's and numpy's
+            raise ConfigError(f"{source}:{line_no}: {exc}") from None
     return cfg
 
 

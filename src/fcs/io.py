@@ -136,7 +136,7 @@ def _jsonable(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return None  # JSON has no NaN/inf; sentinel is null
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())  # a NaN inside it becomes null too
     return obj
 
 

@@ -49,7 +49,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .energy import MANIFOLD_TOL, DegenerateSeedError, J_functional, NonlinearitySpec, Phi, _Ray
+from .energy import MANIFOLD_TOL, DegenerateSeedError, NonlinearitySpec, Phi, _Ray
 from .grid import Field, RadialGrid, lp_norm
 # unused apply_A: perfbench/test_perfbench.py reads fcs.solvers.apply_A
 from .operators import apply_A, dense_fractional_matrix, _riesz_kernel, dual_norm  # noqa: F401
@@ -212,21 +212,34 @@ def _normalize_sign(u: Field) -> Field:
     return Field(u.grid, -u.values) if u.values[0] < 0.0 else u
 
 
-def _certify(pt: _Ray, *, res0: float, iterations: int, converged: bool, seed: str, extras: dict) -> SolveReport:
-    """The one builder of a ``SolveReport``: every number read off the one
-    evaluation ``pt`` of the stored field, against its ``spec``.
+def _certify(
+    u: Field, spec: NonlinearitySpec | None, opts: SolverOptions, *, res0: float, iterations: int, seed: str,
+    extras: dict,
+) -> SolveReport:
+    """The one builder of a ``SolveReport``, from a solver's final field ``u``.
 
-    The energy is Phi(u), or I - lam J at an eigen point, whose ``lam`` is
-    the multiplier.  The Pohozaev balance is stated only for autonomous f.
+    ``u`` is sign-normalized and evaluated once, as a point of ``spec`` or,
+    with ``spec`` None, as the eigen point at its Rayleigh quotient; every
+    number of the report is read off that evaluation.  The energy is Phi(u),
+    or I - lam J at an eigen point, whose ``lam`` is the multiplier.  The
+    verdict is ``_meets_tol``, and at an eigen point also |I(u) - 1| <=
+    ``MANIFOLD_TOL``.  Every report carries I and J, an eigen report the
+    manifold defect I - 1; the Pohozaev balance is stated only for
+    autonomous f.
     """
-    pohozaev_rel = pt.pohozaev()[2] if pt.spec.is_autonomous else None
-    energy = pt.action if pt.lam is None else pt.I - pt.lam * pt.J
+    pt = _Ray(_normalize_sign(u), spec)
+    certified = {"I": pt.I, "J": pt.J}
+    if spec is None:
+        pt.eigen()
+        certified["manifold_defect"] = pt.I - 1.0
+    energy = pt.action if spec is not None else pt.I - pt.lam * pt.J
+    converged = _meets_tol(pt, res0, opts) and (spec is not None or abs(pt.I - 1.0) <= MANIFOLD_TOL)
     return SolveReport(
         solution=pt.field, energy=energy, multiplier=pt.lam, residual_dual=pt.res,
-        residual_rel=pt.res / res0 if res0 > 0 else 0.0, pohozaev_rel=pohozaev_rel,
-        nehari=float(pt.nehari(1.0)),
+        residual_rel=pt.res / res0 if res0 > 0 else 0.0,
+        pohozaev_rel=pt.pohozaev()[2] if pt.spec.is_autonomous else None, nehari=float(pt.nehari(1.0)),
         iterations=iterations, converged=converged, seed_descriptor=seed,
-        grid_summary=pt.field.grid.summary(), extras=extras,
+        grid_summary=pt.field.grid.summary(), extras={**certified, **extras},
     )
 
 
@@ -246,11 +259,6 @@ def _rounding_floor(pt: _Ray) -> float:
 def _meets_tol(pt: _Ray, res0: float, opts: SolverOptions) -> bool:
     """Relative-to-initial-residual test with the rounding floor."""
     return pt.res <= opts.tol * res0 + _rounding_floor(pt)
-
-
-def _eigen_certified(pt: _Ray, res0: float, opts: SolverOptions) -> bool:
-    """The acceptance rule of an eigen result: ``_meets_tol`` and I(u) = 1."""
-    return _meets_tol(pt, res0, opts) and abs(pt.I - 1.0) <= MANIFOLD_TOL
 
 
 def _jacobian_into(out: np.ndarray, Lf: np.ndarray, K: np.ndarray, u: np.ndarray, diag: np.ndarray) -> None:
@@ -603,19 +611,6 @@ def _ascend_J(pt: _Ray, cap: int, handover: float, penalty=None):
     )
 
 
-def _finish_eigen(u: Field, res0: float, converged, iterations: int, seed: str, extras: dict):
-    """Certify an eigen iterate at its Rayleigh quotient, sign-normalized.
-
-    ``converged(pt)`` is the caller's acceptance rule on the eigen point of
-    the normalized field, the one evaluation the report is read from.
-    """
-    pt = _Ray(_normalize_sign(u)).eigen()
-    return _certify(
-        pt, res0=res0, iterations=iterations, converged=converged(pt), seed=seed,
-        extras={"I": pt.I, "J": pt.J, "manifold_defect": pt.I - 1.0, **extras},
-    )
-
-
 def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None = None) -> SolveReport:
     """First-eigenvalue run: maximize J on the unit-energy manifold.
 
@@ -636,10 +631,9 @@ def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None =
     res0 = pt.res
     pt, values, it_ascent, stop = _ascend_J(pt, _first_order_cap(opts), _EIGEN_HANDOVER_REL)
     pt, it_newton = _polish(pt.eigen(), res0, opts, it_ascent)
-    return _finish_eigen(
-        pt.field, res0, lambda q: _eigen_certified(q, res0, opts),
-        it_ascent + it_newton, opts.seed_descriptor(),
-        {
+    return _certify(
+        pt.field, None, opts, res0=res0, iterations=it_ascent + it_newton, seed=opts.seed_descriptor(),
+        extras={
             "J_history_monotone": bool(np.all(np.diff(values) <= 0.0)),  # values are -J
             "iterations_ascent": it_ascent,
             "iterations_newton": it_newton,
@@ -687,9 +681,9 @@ def eigen_deflated(
     """Heuristic search for k eigenpair candidates by penalized reruns.
 
     Ordering of the returned multipliers is NOT certified; each candidate
-    meets the acceptance rule of an ``eigen1`` output (``_eigen_certified``)
-    and is distinct from the candidates before it.  The first candidate is
-    ``eigen1``'s; the penalized ascents after it hand over at
+    is certified as an ``eigen1`` output is (``_certify`` at its eigen
+    point) and is distinct from the candidates before it.  The first
+    candidate is ``eigen1``'s; the penalized ascents after it hand over at
     ``_HANDOVER_REL``, not at ``eigen1``'s later ``_EIGEN_HANDOVER_REL``,
     and take at most 300 steps.  A bank seed that is zero or underflows on
     the grid is skipped.
@@ -707,7 +701,7 @@ def eigen_deflated(
     for descriptor, seed_vals in _deflation_seed_bank(grid):
         if len(reports) >= k:
             break
-        weight = 10.0 / max(J_functional(first.solution), 1e-12)
+        weight = 10.0 / max(first.extras["J"], 1e-12)
         start = _Ray(Field(grid, seed_vals)).on_manifold()
         if start is None:
             continue
@@ -716,21 +710,19 @@ def eigen_deflated(
             pen = _DeflationPenalty([rep.solution for rep in reports], weight)
             pt, _, it_a, stop = _ascend_J(start, cap, _handover(opts), penalty=pen)
             pt, it_n = _polish(pt.eigen(), res0, opts, it_a)
-            u = pt.field
-            # |cos| is blind to the sign normalization still ahead
+            cand = _certify(
+                pt.field, None, opts, res0=res0, iterations=it_a + it_n, seed=descriptor,
+                extras={"ordering": "candidate, uncertified ordering", "ascent_stop": stop},
+            )
+            u = cand.solution
             distinct = all(
                 abs(float(np.sum(grid.w * u.values * rep.solution.values)))
                 / max(lp_norm(u, 2.0) * lp_norm(rep.solution, 2.0), 1e-300)
                 < 0.99
                 for rep in reports
             )
-            rep = _finish_eigen(
-                u, res0, lambda q: _eigen_certified(q, res0, opts) and distinct,
-                it_a + it_n, descriptor,
-                {"ordering": "candidate, uncertified ordering", "ascent_stop": stop},
-            )
-            if rep.converged:
-                reports.append(rep)
+            if cand.converged and distinct:
+                reports.append(cand)
                 break
             weight *= 0.5
     if len(reports) < k:
@@ -818,17 +810,14 @@ def _minimize(
     does.
     """
     exps = _entry(params, grid)
-
-    if spec.is_empty:
-        return _trivial_minimizer(grid, spec, "empty nonlinearity: Phi has the trivial global minimum")
-
-    _validate_subscaled(spec, exps)
-
-    seed = make_seed(grid, opts) if isinstance(opts.seed, Field) else None
-    if warm and seed is not None:
-        starts = [("warm-start", seed, None)]
-    else:
-        starts = _minimization_starts(grid, spec, seed)
+    starts = []
+    if not spec.is_empty:
+        _validate_subscaled(spec, exps)
+        seed = make_seed(grid, opts) if isinstance(opts.seed, Field) else None
+        if warm and seed is not None:
+            starts = [("warm-start", seed, None)]
+        else:
+            starts = _minimization_starts(grid, spec, seed)
     best = None
     for descriptor, u0, _ in starts:
         pt = _Ray(u0, spec)
@@ -850,24 +839,19 @@ def _minimize(
             best = entry
 
     if best is None or best[0] >= -1e-14:
-        # no nontrivial negative-level basin on this ball: the coercive
-        # action attains its infimum at the origin within grid resolution
-        return _trivial_minimizer(
-            grid, spec, "no negative-action start found on this ball; returning the trivial global minimizer"
+        # no nontrivial negative-level basin on this ball (none is sought
+        # for f = 0): the coercive action attains its infimum at the origin
+        # within grid resolution.  The zero field is certified against the
+        # live terms only: a zero-coefficient |t|^(q-2) t with q < 2 reads
+        # 0 * inf = nan at t = 0
+        note = (
+            "empty nonlinearity: Phi has the trivial global minimum" if spec.is_empty
+            else "no negative-action start found on this ball; returning the trivial global minimizer"
         )
-
-    _, ok, u, iters, descriptor, res0 = best
-    pt = _Ray(_normalize_sign(u), spec)
-    return _certify(pt, res0=res0, iterations=iters, converged=ok, seed=descriptor, extras={"I": pt.I})
-
-
-def _trivial_minimizer(grid: RadialGrid, spec: NonlinearitySpec, note: str) -> SolveReport:
-    # the zero field against the live terms only: a zero-coefficient
-    # |t|^(q-2) t with q < 2 reads 0 * inf = nan at t = 0
-    live = NonlinearitySpec(tuple(t for t in spec.terms if t.coef != 0.0))
-    return _certify(
-        _Ray(grid.zero_field(), live), res0=0.0, iterations=0, converged=True, seed="zero", extras={"note": note}
-    )
+        live = NonlinearitySpec(tuple(t for t in spec.terms if t.coef != 0.0))
+        return _certify(grid.zero_field(), live, opts, res0=0.0, iterations=0, seed="zero", extras={"note": note})
+    _, _, u, iters, descriptor, res0 = best
+    return _certify(u, spec, opts, res0=res0, iterations=iters, seed=descriptor, extras={})
 
 
 # ---------------------------------------------------------------------------
@@ -992,33 +976,32 @@ def mountain_pass(
         pt, lambda q: q.action, lambda q: q.resid, to_nehari, _first_order_cap(opts, 80), _handover(opts)
     )
     pt, it_n = _polish(pt, res0, opts, it_r)
-    pt = _Ray(_normalize_sign(pt.field), spec)
-
-    level = pt.action
-    if level <= 0.0:
+    rep = _certify(
+        pt.field, spec, opts, res0=res0, iterations=it_r + it_n, seed="nehari[endpoint]",
+        extras={"iterations_nehari": it_r, "iterations_newton": it_n},
+    )
+    if rep.energy <= 0.0:
         raise NoPassError("no pass detected: the Nehari reduction ended at a nonpositive level")
-    extras = {"I": pt.I, "iterations_nehari": it_r, "iterations_newton": it_n}
     if _is_critical_family(spec, exps):
         S = estimate_sobolev_constant(params, grid)
         cstar = ps_threshold(params, S)
-        extras.update(
+        rep.extras.update(
             {
                 "sobolev_constant": S,
                 "ps_threshold": cstar,
-                "level_exceeds_ps_threshold": bool(level >= cstar),
+                "level_exceeds_ps_threshold": bool(rep.energy >= cstar),
             }
         )
-    return _certify(
-        pt, res0=res0, iterations=it_r + it_n, converged=_meets_tol(pt, res0, opts), seed="nehari[endpoint]",
-        extras=extras,
-    )
+    return rep
 
 
 # ---------------------------------------------------------------------------
 # parameter sweeps
 # ---------------------------------------------------------------------------
 
-_SWEEP_METHODS = ("minimize", "eigen1", "mountain-pass")
+# eigen1 is no sweep method: it never reads the nonlinearity, so every row
+# would solve the same problem
+_SWEEP_METHODS = ("minimize", "mountain-pass")
 
 
 @dataclass(frozen=True)
@@ -1045,10 +1028,10 @@ def sweep(
     """Warm-started solves along a monotone parameter range.
 
     Each row replaces the coefficient of ``base_spec.terms[term_index]`` by
-    the next value; the previous solution seeds the next ``minimize`` or
-    ``eigen1`` solve.  A ``minimize`` row descends from that seed alone and,
-    like a single solve, reports the trivial minimizer when no negative
-    level is found.  A ``mountain-pass`` row ignores the seed: it takes its
+    the next value; the previous solution seeds the next ``minimize``
+    solve.  A ``minimize`` row descends from that seed alone and, like a
+    single solve, reports the trivial minimizer when no negative level is
+    found.  A ``mountain-pass`` row ignores the seed: it takes its
     endpoint from the width-1 Gaussian ray (``find_negative_energy_point``),
     so it equals the single solve at its coefficient.  Failures are
     recorded (NaN energy sentinel) and the sweep continues; but a bad method,
@@ -1075,8 +1058,6 @@ def sweep(
         try:
             if method == "minimize":
                 rep = _minimize(params, grid, spec_v, run_opts, warm=True)
-            elif method == "eigen1":
-                rep = eigen1(params, grid, run_opts)
             else:
                 e = find_negative_energy_point(params, grid, spec_v)
                 rep = mountain_pass(params, grid, spec_v, e, run_opts)
@@ -1091,8 +1072,8 @@ def sweep(
             BranchRow(
                 param=v,
                 energy=rep.energy if rep.converged else math.nan,
-                I=rep.extras.get("I", 0.0),
-                J=J_functional(rep.solution),
+                I=rep.extras["I"],
+                J=rep.extras["J"],
                 multiplier=rep.multiplier,
                 residual=rep.residual_dual,
                 converged=rep.converged,

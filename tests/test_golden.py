@@ -128,20 +128,6 @@ CASES = {
         [["solve", "--config", "run.cfg"]],
         "out.csv",
     ),
-    # every row after the first is an eigen1 warm-started from the row before;
-    # the CSV has no iteration column, so the rows' Newton counts are pinned by
-    # test_solvers.py::test_eigen1_sweep_rows_after_the_first_take_one_newton_check
-    "sweep-eigen1.csv": (
-        _config(
-            _N3,
-            "R = 20.0\nM = 128",
-            (f"power coef=1.0 q={_Q_STAR}",),
-            "method = sweep\nsweep_method = eigen1\nsweep_term = 0\nsweep_from = 1.0\nsweep_to = 2.0\nsweep_steps = 3",
-            "csv = out.csv",
-        ),
-        [["solve", "--config", "run.cfg"]],
-        "out.csv",
-    ),
     **{
         f"check-{what}.json": (
             None,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fcs
-from fcs import ProblemParams, make_grid
+from fcs import ProblemParams, make_grid, operators
 from fcs.cli import _build_parser, cli_main
 from fcs.config import ConfigError, parse_config
 from fcs.io import (
@@ -608,6 +608,17 @@ def test_cli_scaling_check(capsys):
     assert data["scale_identity_err"] == 0.0
 
 
+def test_cli_scaling_check_evaluates_each_field_once(capsys, monkeypatch):
+    # one kernel matvec for the base field and one for each of the four
+    # default dilations: Phi_1 is read off the I and J already computed
+    calls = []
+    sym_potential = operators._RieszKernel.sym_potential
+    monkeypatch.setattr(operators._RieszKernel, "sym_potential", lambda k, v: calls.append(1) or sym_potential(k, v))
+    assert cli_main(["scaling-check", "--N", "3", "--s", "0.75", "--alpha", "2", "--R", "20", "--M", "96"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 5
+
+
 def test_cli_scaling_check_runs_without_the_fiber_projection(capsys, monkeypatch):
     # the dilation laws and scale(u, 1) = u are read on the seed field itself;
     # no module may reach the root solve onto {I = 1}
@@ -885,8 +896,12 @@ def test_cli_check_rejects_a_nonfinite_lambda(what, lam, tmp_path, capsys, grid_
 
 
 def test_json_payloads_write_nonfinite_numbers_as_null():
-    payload = {"b": [1.5, float("nan")], "a": {"x": np.float64(np.inf), "y": -2}}
-    assert json.loads(envelope_to_json(payload)) == {"a": {"x": None, "y": -2}, "b": [1.5, None]}
+    # an array is written as the list it holds, so a NaN inside it is null
+    # too, not the token NaN, which is no JSON
+    payload = {"b": [1.5, float("nan")], "a": {"x": np.float64(np.inf), "y": -2}, "c": np.array([[np.nan], [2.0]])}
+    assert json.loads(envelope_to_json(payload), parse_constant=pytest.fail) == {
+        "a": {"x": None, "y": -2}, "b": [1.5, None], "c": [[None], [2.0]]
+    }
     finite = {"b": [1.5, 1e-300], "a": {"x": 0.1, "y": None}}
     assert envelope_to_json(finite) == json.dumps(finite, sort_keys=True, indent=2) + "\n"
 
@@ -914,6 +929,48 @@ def test_cli_rejects_a_nonfinite_term_value(term, name, tmp_path, capsys, monkey
     (tmp_path / "run.cfg").write_text(_EIGEN_CFG + f"[nonlinearity]\nterm = {term}\n[solver]\nmethod = minimize\n")
     assert cli_main(["solve", "--config", "run.cfg"]) == 1
     assert capsys.readouterr().err == f"error: run.cfg:9: bad value for {name}\n"
+
+
+def _term_cfg(term: str) -> str:
+    return _EIGEN_CFG + f"[nonlinearity]\nterm = {term}\n[solver]\nmethod = minimize\n"
+
+
+_WEIGHTED = "weighted coef=1.0 q=2.7 weight=w.txt"
+# case -> (run.cfg text or None, w.txt text or None, the start of stderr)
+_CONFIG_EXITS = {
+    "gamma-negative": (_term_cfg("damped coef=1.0 q=2.7 gamma=-1"), None,
+                       "error: run.cfg:9: damping exponent gamma must be positive\n"),
+    "weight-file-missing": (_term_cfg(_WEIGHTED), None, "error: run.cfg:9: "),
+    "weight-file-garbled": (_term_cfg(_WEIGHTED), "1.0 abc\n", "error: run.cfg:9: "),
+    "weight-file-nan": (_term_cfg(_WEIGHTED), "nan\n" * 64, "error: run.cfg:9: weight profile w.txt has non-finite samples\n"),
+    "empty-term": (_term_cfg(""), None, "error: run.cfg:9: empty term\n"),
+    "malformed-token": (_term_cfg("power coef=1.0 q"), None, "error: run.cfg:9: malformed term token 'q'\n"),
+    "unparsable-number": (_term_cfg("power coef=one q=2.7"), None, "error: run.cfg:9: bad value for coef\n"),
+    "weight-key-missing": (_term_cfg("weighted coef=1.0 q=2.7"), None,
+                           "error: run.cfg:9: weighted term requires weight=FILE\n"),
+    "weight-length": (_term_cfg(_WEIGHTED), "1.0\n" * 10,
+                      "error: run.cfg:9: weight profile has 10 samples, grid has M=64\n"),
+    "entry-outside-section": ("N = 3\n" + _EIGEN_CFG, None, "error: run.cfg:1: entry outside of any section\n"),
+    "line-without-equals": (_EIGEN_CFG + "[solver]\nmethod minimize\n", None, "error: run.cfg:9: expected key = value\n"),
+    "config-path-unreadable": (None, None, "error: run.cfg: "),
+}
+
+
+@pytest.mark.parametrize("case", list(_CONFIG_EXITS))
+def test_cli_config_errors_carry_their_anchor(case, tmp_path, capsys, monkeypatch):
+    # every config error, the nonlinearity's own and the weight file's
+    # included, is one line anchored at run.cfg (and the line where it has
+    # one), exit 1, no traceback; nothing reaches a solver
+    text, weights, start = _CONFIG_EXITS[case]
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "run.cfg").write_text(text)
+    if weights is not None:
+        (tmp_path / "w.txt").write_text(weights)
+    assert cli_main(["solve", "--config", "run.cfg"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(start) and err.count("\n") == 1
 
 
 def test_cli_minimize_with_a_weighted_term(tmp_path, capsys, monkeypatch):

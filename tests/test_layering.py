@@ -1,6 +1,7 @@
 """The package's layering, read with ``ast`` from every ``src/fcs/*.py``:
-the import graph has no cycle, no module imports inside a function, and
-only ``grid`` reads the transform engine's symbol and matrices."""
+the import graph has no cycle, no module imports inside a function, only
+``grid`` reads the transform engine's symbol and matrices, and only
+``solvers._certify`` builds a report."""
 
 from __future__ import annotations
 
@@ -121,3 +122,39 @@ def test_engine_read_walk_sees_a_planted_read():
     planted = "def f(grid, eng):\n    return grid.k2s + eng._k_den, eng.lap(eng._Q)\n"
     assert sorted(_engine_reads(planted)) == [(2, "_Q"), (2, "_k_den"), (2, "k2s")]
     assert _engine_reads("def f(eng, b):\n    return eng.metric(b)\n") == []
+
+
+# the report's constructor and the sign normalization of its field
+REPORT_CALLS = {"SolveReport", "_normalize_sign"}
+
+
+def _report_calls(source: str) -> list[tuple[str, str]]:
+    """(top-level definition, callee) of every call of a ``REPORT_CALLS`` name."""
+    return [
+        (getattr(top, "name", "<module>"), name)
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", None))) in REPORT_CALLS
+    ]
+
+
+def test_only_certify_builds_a_report():
+    # every SolveReport is built from the one evaluation of the solver's
+    # sign-normalized final field that _certify makes
+    calls = {stem: sorted(_report_calls((SRC / f"{stem}.py").read_text())) for stem in MODULES}
+    assert {stem: c for stem, c in calls.items() if c} == {
+        "solvers": [("_certify", "SolveReport"), ("_certify", "_normalize_sign")]
+    }
+
+
+def test_report_call_walk_sees_a_planted_call():
+    planted = (
+        "def f(u):\n    return SolveReport(_normalize_sign(u))\n"
+        "class C:\n    def g(self, m):\n        return m.SolveReport()\n"
+        "x = _normalize_sign(1)\n"
+    )
+    assert sorted(_report_calls(planted)) == [
+        ("<module>", "_normalize_sign"), ("C", "SolveReport"), ("f", "SolveReport"), ("f", "_normalize_sign")
+    ]
+    assert _report_calls("def f(rep):\n    return rep.SolveReport, normalize_sign(rep)\n") == []

@@ -1,13 +1,14 @@
 """The Newton matrices: the N = 3 Laplacian from its symbol, the in-place
 Jacobian assembly and the matrix-free product that replaces it above the
-dense cutoff, their memory footprint, and the operator calls of a Newton
-step.
+dense cutoff, their memory footprint, the operator calls of a Newton step,
+and the exits of a step that fails.
 
 The oracles are the direct constructions: the Laplacian as a DST of the
 identity, and the Hartree Jacobian diag(I_alpha * u^2) + 2 u K u from
 separate temporaries.
 """
 
+import json
 import tracemalloc
 import types
 
@@ -17,6 +18,7 @@ from scipy.fft import dst
 
 import fcs.solvers as solvers
 from fcs import ProblemParams, energy, make_grid, operators
+from fcs.cli import cli_main
 from fcs.energy import I_functional, _Ray, pure_power
 from fcs.operators import (
     _riesz_kernel,
@@ -219,3 +221,36 @@ def test_newton_eigen_peak_memory():
         return solvers._newton(_Ray(u).eigen(lam), 0.0, 0.0, max_iter=3)
 
     assert _peak_units(newton, g.M) <= 1.5
+
+
+def _singular(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize(
+    "fault, M",
+    [
+        pytest.param("singular-lu", 128, id="singular-lu"),
+        pytest.param("inf-lu-step", 128, id="inf-lu-step"),  # every trial is non-finite
+        pytest.param("nan-gmres-step", 1024, id="nan-gmres-step"),
+    ],
+)
+def test_a_failed_newton_step_ends_the_polish(fault, M, tmp_path, capsys, monkeypatch):
+    # the q = 4.1 mountain pass hands Newton a point short of tol; a step that
+    # cannot be taken ends the call at its first iteration, and the run
+    # reports that point unconverged: exit 2, no traceback
+    if fault == "singular-lu":
+        monkeypatch.setattr(np.linalg, "solve", _singular)
+    elif fault == "inf-lu-step":
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(b.shape, np.inf))
+    else:
+        monkeypatch.setattr(solvers, "gmres", lambda A, b, **kw: (np.full(b.shape, np.nan), 0))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(
+        f"[params]\nN = 3\ns = 0.8\nalpha = 2.0\n[grid]\nR = 20.0\nM = {M}\n"
+        "[nonlinearity]\nterm = power coef=1.0 q=4.1\n[solver]\nmethod = mountain-pass\n[output]\njson = out.json\n"
+    )
+    assert cli_main(["solve", "--config", "run.cfg"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "out.json").read_text())["report"]
+    assert (report["converged"], report["iterations_newton"]) == (False, 1)

@@ -570,9 +570,9 @@ def test_deflated_candidates_meet_the_eigen1_rule(deflated3):
     opts = SolverOptions()
     for rep in deflated3:
         assert rep.converged
-        u = rep.solution
-        pt = _Ray(u).eigen()
-        assert solvers._eigen_certified(pt, rep.residual_dual / rep.residual_rel, opts)
+        res0 = rep.residual_dual / rep.residual_rel
+        again = solvers._certify(rep.solution, None, opts, res0=res0, iterations=0, seed="", extras={})
+        assert again.converged
 
 
 def test_deflated_candidates_report_why_their_ascent_stopped(deflated3):
@@ -942,19 +942,6 @@ def test_sweep_rows_agree_with_single_solves(pstar):
         assert math.isclose(row.energy, single.energy, rel_tol=1e-6, abs_tol=1e-12)
 
 
-def test_eigen1_sweep_rows_after_the_first_take_one_newton_check(pstar):
-    # the configuration of the sweep-eigen1 golden file: each row after the
-    # first starts from the converged field of the row before, hands over at
-    # once and stops at Newton's first check
-    g = make_grid(pstar, 20.0, 128)
-    spec = pure_power(1.0, compute_exponents(pstar).two_star_s_alpha)
-    rows = sweep(pstar, g, spec, 0, [1.0, 1.5, 2.0], method="eigen1")
-    assert all(r.converged for r in rows)
-    assert [r.iterations for r in rows[1:]] == [1, 1]
-    for r in rows[1:]:
-        assert abs(r.multiplier - rows[0].multiplier) <= 1e-14 * rows[0].multiplier
-
-
 def test_sweep_records_failures_and_continues(pstar, grid):
     # an out-of-window coefficient sweep: rows fail but the sweep finishes
     spec = pure_power(1.0, 3.2)  # superscaled: minimize refuses
@@ -968,6 +955,8 @@ def test_sweep_records_failures_and_continues(pstar, grid):
 # each bad input of a sweep and the start of its ValueError
 _BAD_SWEEPS = {
     "unknown-method": "unknown sweep method 'minimise'",
+    # eigen1 never reads the nonlinearity: all its rows would be one problem
+    "eigen1-method": "unknown sweep method 'eigen1'",
     "other-grid": "grid was built for different problem parameters",
     "below-regime": "solver-facing modules refuse parameters with 4s \\+ alpha < N",
     "term-index-negative": "term index -1 out of range",
@@ -978,8 +967,8 @@ _BAD_SWEEPS = {
 @pytest.mark.parametrize("case", list(_BAD_SWEEPS))
 def test_sweep_rejects_bad_input_before_its_rows(case, pstar, grid, recwarn):
     params, g, term, method = pstar, grid, 0, "minimize"
-    if case == "unknown-method":
-        method = "minimise"
+    if case.endswith("-method"):
+        method = "minimise" if case == "unknown-method" else "eigen1"
     elif case == "other-grid":
         params = ProblemParams(3, 0.8, 2.0)
     elif case == "below-regime":
@@ -1016,7 +1005,7 @@ def test_max_iter_caps_every_solver(method, pstar, monkeypatch):
     opts = SolverOptions(max_iter=cap)
     counted = []
     certify = solvers._certify
-    monkeypatch.setattr(solvers, "_certify", lambda pt, **kw: counted.append(kw["iterations"]) or certify(pt, **kw))
+    monkeypatch.setattr(solvers, "_certify", lambda *a, **kw: counted.append(kw["iterations"]) or certify(*a, **kw))
     g = make_grid(pstar, 20.0, 128)
     if method == "eigen1":
         eigen1(pstar, g, opts)
@@ -1089,9 +1078,10 @@ def test_reports_are_recomputed_from_the_stored_field(entry, pstar, grid, eigen_
         assert rep.pohozaev_rel == pohozaev_residual(u, spec).pohozaev_rel
         assert rep.energy == energy
         assert rep.residual_dual == residual
+        assert (rep.extras["I"], rep.extras["J"]) == (I_functional(u), J_functional(u))
 
 
-@pytest.mark.parametrize("entry", ["eigen1", "mountain-pass", "minimize"])
+@pytest.mark.parametrize("entry", ["eigen1", "mountain-pass", "minimize", "minimize-trivial"])
 def test_report_evaluates_the_returned_field_once(entry, pstar, grid, eigen_report, mp_setup, monkeypatch):
     # from the field the solver returns to its report: one kernel matvec, the
     # one evaluation of the sign-normalized field that every number of the
@@ -1114,6 +1104,8 @@ def test_report_evaluates_the_returned_field_once(entry, pstar, grid, eigen_repo
         rep = eigen1(pstar, grid)
     elif entry == "mountain-pass":
         rep = mountain_pass(*mp_setup)
+    elif entry == "minimize-trivial":
+        rep = minimize_subscaled(pstar, grid, pure_power(1.0, 2.7))
     else:
         exps = compute_exponents(pstar)
         spec = NonlinearitySpec.of(DampedPowerTerm(4.5, exps.two_star_s_alpha, 0.3))
