@@ -326,9 +326,9 @@ def _cmd_scaling_check(args) -> int:
         comp = float(np.max(np.abs(u2.values - ut.values))) / max(
             float(np.max(np.abs(ut.values))), 1e-300
         )
-        # Phi_1 = I - 1.0 J as energy.Phi_lambda has it, from the I and J
+        # Phi_1 = I - J (energy.Phi_lambda at lam = 1) from the I and J
         # above: one evaluation of each field
-        phi_ratio = (I_t - 1.0 * J_t) / (t_sigma * (base_I - 1.0 * base_J)) - 1.0
+        phi_ratio = (I_t - J_t) / (t_sigma * (base_I - base_J)) - 1.0
         rows.append((t, ratio_I, ratio_J, phi_ratio, comp))
     header = ",".join(_SCALING_COLUMNS)
     if args.json:
