@@ -275,6 +275,11 @@ def _cmd_solve(args) -> int:
 def _cmd_check(args) -> int:
     u = load_field(args.field)
     cfg = _merged_config(args)
+    p = u.grid.params  # the field's header fixes the problem and the grid: a config may only repeat them
+    for key, own in (("N", p.N), ("s", p.s), ("alpha", p.alpha), ("R", u.grid.R), ("M", u.grid.M)):
+        given = getattr(cfg, key)
+        if given not in (None, own):
+            raise ConfigError(f"{cfg.source}: {key} = {given!r} differs from the field's {key} = {own!r}")
     spec = cfg.spec()
     if spec.is_empty and cfg.lam is not None:
         # bare eigenpair check: lam |t|^(q*-2) t is the implied nonlinearity

@@ -211,7 +211,10 @@ def _parse_term(raw: str, base_dir: Path, expected_m: int | None):
         wpath = kv.pop("weight", None)
         if wpath is None:
             raise ValueError("weighted term requires weight=FILE")
-        profile = np.loadtxt(base_dir / wpath, ndmin=1)
+        try:
+            profile = np.loadtxt(base_dir / wpath, ndmin=1)
+        except ValueError as exc:  # numpy's parse error does not name the file
+            raise ValueError(f"weight profile {wpath}: {exc}") from None
         if not np.all(np.isfinite(profile)):
             raise ValueError(f"weight profile {wpath} has non-finite samples")
         if expected_m is not None and profile.size != expected_m:

@@ -21,8 +21,7 @@ from .grid import Field
 
 __all__ = ["scale", "project_to_M"]
 
-_PROJECT_TOL = 1e-11    # |I(u_t) - 1| read as an exact root
-_PROJECT_NEWTON = 8     # Newton/secant steps before the bracketed fallback
+_PROJECT_TOL = 1e-11  # |I(u_t) - 1| read as an exact root
 
 
 class _Fiber:
@@ -88,14 +87,12 @@ def _gap(t: float, fiber: _Fiber, sign: float, seen: dict) -> float:
 def project_to_M(u: Field) -> Field:
     """Fiber projection onto the unit-energy manifold {I = 1}.
 
-    Solves g(t) = I(u_t) - 1 = 0 on one interpolant of u with g memoised,
-    from t = I(u)^(-1/sigma) taken in log space: Newton with the analytic
-    slope sigma I/t, then secant slopes (a rough field's resampled energy is
-    not exactly t^sigma-homogeneous), then Brent's method on a bracket grown
-    around the best iterate.  Returns u_t at the first |g| < ``_PROJECT_TOL``
-    (after at most ``_PROJECT_NEWTON`` Newton/secant steps), else the
-    best u_t if |g| <= 1e-8; otherwise, or if the start t does not fit a
-    float, raises RuntimeError.
+    Solves g(t) = I(u_t) - 1 = 0 on one interpolant of u with g memoised:
+    Brent's method on a bracket grown by factors of 1.3 around the analytic
+    start t = I(u)^(-1/sigma), taken in log space, up to the first
+    |g| < ``_PROJECT_TOL``.  Returns the u_t of least |g| if that is
+    <= 1e-8; otherwise, or if the start t does not fit a float, raises
+    RuntimeError.
     """
     iu = I_functional(u)
     if iu <= 0.0:
@@ -105,21 +102,9 @@ def project_to_M(u: Field) -> Field:
     log_t = -math.log(iu) / sigma
     if abs(log_t) * max(1.0, fiber.theta) > 700.0:
         raise RuntimeError(f"fiber parameter t = exp({log_t:.4g}) is not representable")
-    sign, seen = math.copysign(1.0, sigma), {}
-    state = (fiber, sign, seen)
-    t, prev = math.exp(log_t), None
-    for _ in range(_PROJECT_NEWTON):
-        g = _gap(t, *state)
-        if g == 0.0:
-            return seen[t][1]
-        secant = (g - prev[1]) / (t - prev[0]) if prev else 0.0
-        slope = secant if 0.0 < secant < math.inf else abs(sigma) * (sign * g + 1.0) / t
-        t_new = t - g / slope if slope > 0.0 else math.nan
-        if not 0.0 < t_new < math.inf or t_new == t:
-            break
-        prev, t = (t, g), t_new
-
-    lo = hi = min(seen, key=lambda tv: abs(seen[tv][0]))
+    seen = {}
+    state = (fiber, math.copysign(1.0, sigma), seen)
+    lo = hi = math.exp(log_t)
     for _ in range(60):  # only the end on the wrong side of the root moves
         if _gap(lo, *state) > 0.0:
             lo /= 1.3
@@ -127,7 +112,7 @@ def project_to_M(u: Field) -> Field:
             hi *= 1.3
         else:
             break
-    if _gap(lo, *state) <= 0.0 <= _gap(hi, *state):
+    if _gap(lo, *state) < 0.0 < _gap(hi, *state):
         brentq(_gap, lo, hi, args=state, xtol=1e-15 * lo, rtol=1e-15, disp=False)
     g, ut = min(seen.values(), key=lambda gu: abs(gu[0]))
     if abs(g) <= 1e-8:

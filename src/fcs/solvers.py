@@ -261,18 +261,25 @@ def _meets_tol(pt: _Ray, res0: float, opts: SolverOptions) -> bool:
     return pt.res <= opts.tol * res0 + _rounding_floor(pt)
 
 
-def _jacobian_into(out: np.ndarray, Lf: np.ndarray, K: np.ndarray, u: np.ndarray, diag: np.ndarray) -> None:
-    """out <- Lf + 2 u_i K_ij u_j + diag(diag), written in place.
-
-    With ``diag`` = pot + (the nonlinearity's part) this is the Jacobian of
-    the fractional Laplacian plus the Hartree term (I_alpha * u^2) u; no
-    M x M temporary is allocated.
+def _jacobian(pt: _Ray, out: np.ndarray) -> np.ndarray:
+    """The Newton Jacobian of ``pt``, written into ``out`` and returned:
+    L + 2 u_i S_ij u_j + diag(pot - f'(u)), L the grid's dense (-Delta)^s and
+    S its stored w-symmetric Riesz kernel, bordered at an eigen point by
+    -B(u), w A(u) and 0.  No M x M temporary is allocated.
     """
-    np.multiply(K, u[None, :], out=out)
-    out *= (2.0 * u)[:, None]
-    out += Lf
-    idx = np.arange(u.size)
-    out[idx, idx] += diag
+    grid = pt.field.grid
+    u, M = pt.u, grid.M
+    block = out[:M, :M]
+    np.multiply(_riesz_kernel(grid).sym_matrix(), u[None, :], out=block)
+    block *= (2.0 * u)[:, None]
+    block += dense_fractional_matrix(grid)
+    idx = np.arange(M)
+    block[idx, idx] += pt.pot - pt.spec.fprime(u, pt.r)
+    if pt.lam is not None:
+        out[:M, M] = -pt.Bu
+        out[M, :M] = pt.w * pt.Au
+        out[M, M] = 0.0
+    return out
 
 
 def _jacobian_matvec(pt: _Ray):
@@ -281,7 +288,7 @@ def _jacobian_matvec(pt: _Ray):
     J v = L v + 2 u S(u v) + (pot - f'(u)) v with L = (-Delta)^s from the
     grid's transform engine and S the stored w-symmetric Riesz kernel; an
     eigen point appends mu: the field rows gain -B(u) mu and the last row is
-    <w A(u), v>.  The same system ``_jacobian_into`` assembles densely.
+    <w A(u), v>.  The same system ``_jacobian`` assembles densely.
     """
     grid = pt.field.grid
     eng, kernel = grid.transform(), _riesz_kernel(grid)
@@ -330,8 +337,8 @@ def _newton(pt: _Ray, res0: float, tol: float, max_iter: int):
 
         [[L + H(u) - diag(f'(u)), -B(u)], [w A(u), 0]],   f = lam |t|^(q*-2) t.
 
-    Up to M = ``_DENSE_NEWTON_MAX_M`` the Jacobian is assembled in place,
-    into one buffer per call, and factorized by ``np.linalg.solve``; above
+    Up to M = ``_DENSE_NEWTON_MAX_M`` ``_jacobian`` assembles it off the
+    point, into one buffer per call, and ``np.linalg.solve`` factorizes it; above
     it no matrix is built and ``_krylov_step`` runs GMRES on
     ``_jacobian_matvec`` (1.8-2.3x faster at M = 1024, slower at M = 512,
     see the constant).  A singular LU or a non-finite GMRES step ends the
@@ -348,11 +355,7 @@ def _newton(pt: _Ray, res0: float, tol: float, max_iter: int):
     M = grid.M
     bordered = pt.lam is not None
     dense = M <= _DENSE_NEWTON_MAX_M
-    if dense:
-        Lf = dense_fractional_matrix(grid)
-        K = _riesz_kernel(grid).sym_matrix()
-        jac = np.empty((M + bordered, M + bordered))
-        jac[M:, M:] = 0.0
+    jac = np.empty((M + bordered, M + bordered)) if dense else None
     tol_abs = min(tol, 1e-11) * res0 + _rounding_floor(pt)
 
     def defect(q: _Ray) -> float:
@@ -368,12 +371,8 @@ def _newton(pt: _Ray, res0: float, tol: float, max_iter: int):
             break
         rhs = np.append(pt.resid, d0) if bordered else pt.resid
         if dense:
-            _jacobian_into(jac[:M, :M], Lf, K, pt.u, pt.pot - pt.spec.fprime(pt.u, grid.r))
-            if bordered:
-                jac[:M, M] = -pt.Bu
-                jac[M, :M] = grid.w * pt.Au
             try:
-                delta = np.linalg.solve(jac, -rhs)
+                delta = np.linalg.solve(_jacobian(pt, jac), -rhs)
             except np.linalg.LinAlgError:
                 break
         else:
@@ -619,22 +618,28 @@ def eigen1(params: ProblemParams, grid: RadialGrid, opts: SolverOptions | None =
     phase is the tangent ascent ``_ascend_J`` of J to ``_EIGEN_HANDOVER_REL``
     (at most max_iter - ``_NEWTON_RESERVE`` steps), and one Newton polish
     on the stationarity system then drives the dual residual of
-    A(u) - lam B(u) to the requested relative tolerance.  Reported
-    multiplier is the Rayleigh quotient <A(u), u> / <B(u), u>.
+    A(u) - lam B(u) to the requested relative tolerance (``_eigenpair``).
+    Reported multiplier is the Rayleigh quotient <A(u), u> / <B(u), u>.
     """
     opts = opts or SolverOptions()
     _entry(params, grid)
     start = _Ray(make_seed(grid, opts)).on_manifold()
     if start is None:
         raise DegenerateSeedError("degenerate seed: it is zero or underflows on this grid")
-    pt = start.eigen()
-    res0 = pt.res
-    pt, values, it_ascent, stop = _ascend_J(pt, _first_order_cap(opts), _EIGEN_HANDOVER_REL)
+    return _eigenpair(start, opts, _first_order_cap(opts), _EIGEN_HANDOVER_REL, opts.seed_descriptor())
+
+
+def _eigenpair(start: _Ray, opts: SolverOptions, cap: int, handover: float, seed: str, penalty=None):
+    """The one path from ``start`` on {I = 1} to a certified eigenpair:
+    ``_ascend_J`` (``cap`` steps, hand-over ``handover``, less ``penalty``),
+    ``_polish`` and ``_certify``, from res0 of ``start``'s eigen point."""
+    res0 = start.eigen().res
+    pt, values, it_ascent, stop = _ascend_J(start, cap, handover, penalty)
     pt, it_newton = _polish(pt.eigen(), res0, opts, it_ascent)
     return _certify(
-        pt.field, None, opts, res0=res0, iterations=it_ascent + it_newton, seed=opts.seed_descriptor(),
+        pt.field, None, opts, res0=res0, iterations=it_ascent + it_newton, seed=seed,
         extras={
-            "J_history_monotone": bool(np.all(np.diff(values) <= 0.0)),  # values are -J
+            "J_history_monotone": bool(np.all(np.diff(values) <= 0.0)),
             "iterations_ascent": it_ascent,
             "iterations_newton": it_newton,
             "ascent_stop": stop,
@@ -681,12 +686,12 @@ def eigen_deflated(
     """Heuristic search for k eigenpair candidates by penalized reruns.
 
     Ordering of the returned multipliers is NOT certified; each candidate
-    is certified as an ``eigen1`` output is (``_certify`` at its eigen
-    point) and is distinct from the candidates before it.  The first
-    candidate is ``eigen1``'s; the penalized ascents after it hand over at
-    ``_HANDOVER_REL``, not at ``eigen1``'s later ``_EIGEN_HANDOVER_REL``,
-    and take at most 300 steps.  A bank seed that is zero or underflows on
-    the grid is skipped.
+    runs ``eigen1``'s path, ``_eigenpair``, and is distinct from the
+    candidates before it.  The first candidate is ``eigen1``'s; the
+    penalized ascents after it hand over at ``_HANDOVER_REL``, not at
+    ``eigen1``'s later ``_EIGEN_HANDOVER_REL``, and take at most 300 steps;
+    a candidate's ``J_history_monotone`` reads its values -J + penalty.  A
+    bank seed that is zero or underflows on the grid is skipped.
     """
     opts = opts or SolverOptions()
     if k < 1:
@@ -705,15 +710,10 @@ def eigen_deflated(
         start = _Ray(Field(grid, seed_vals)).on_manifold()
         if start is None:
             continue
-        res0 = start.eigen().res
         for _ in range(3):  # halve the penalty on stagnation
             pen = _DeflationPenalty([rep.solution for rep in reports], weight)
-            pt, _, it_a, stop = _ascend_J(start, cap, _handover(opts), penalty=pen)
-            pt, it_n = _polish(pt.eigen(), res0, opts, it_a)
-            cand = _certify(
-                pt.field, None, opts, res0=res0, iterations=it_a + it_n, seed=descriptor,
-                extras={"ordering": "candidate, uncertified ordering", "ascent_stop": stop},
-            )
+            cand = _eigenpair(start, opts, cap, _handover(opts), descriptor, pen)
+            cand.extras["ordering"] = "candidate, uncertified ordering"
             u = cand.solution
             distinct = all(
                 abs(float(np.sum(grid.w * u.values * rep.solution.values)))
@@ -1033,8 +1033,10 @@ def sweep(
     single solve, reports the trivial minimizer when no negative level is
     found.  A ``mountain-pass`` row ignores the seed: it takes its
     endpoint from the width-1 Gaussian ray (``find_negative_energy_point``),
-    so it equals the single solve at its coefficient.  Failures are
-    recorded (NaN energy sentinel) and the sweep continues; but a bad method,
+    so it equals the single solve at its coefficient.  A row that raises
+    ``ValueError`` (``LinAlgError`` too), ``NoPassError`` or
+    ``DegenerateSeedError`` is recorded (NaN energy sentinel) and the sweep
+    continues; any other error propagates.  A bad method,
     ``term_index``, range, grid or 4s + alpha < N raises ``ValueError``
     before the first row (a row's growth class depends on its coefficient).
     """
@@ -1061,7 +1063,7 @@ def sweep(
             else:
                 e = find_negative_energy_point(params, grid, spec_v)
                 rep = mountain_pass(params, grid, spec_v, e, run_opts)
-        except Exception as exc:  # record the failure, keep sweeping
+        except (ValueError, NoPassError, DegenerateSeedError) as exc:  # record the failure, keep sweeping
             warnings.warn(f"sweep row {v}: {exc}", RuntimeWarning, stacklevel=2)
             rows.append(
                 BranchRow(v, math.nan, math.nan, math.nan, None, math.nan, False, 0)

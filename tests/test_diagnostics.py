@@ -278,6 +278,21 @@ def test_linking_probe_all_positive_below_spectrum(grid, exps, probe_candidates)
         assert all(phi > 0.0 for _, phi in row.profile)
 
 
+@pytest.mark.parametrize("broken", ["low", "high"])
+def test_linking_probe_reports_a_broken_sign_pattern(broken, exps, probe_candidates):
+    # the split stays at a lam between the two candidates, but the action
+    # is another one: with f = 0, Phi(u_t) = I(u_t) > 0 breaks the low side;
+    # with a multiplier far above both, Phi(u_t) < 0 breaks the high side
+    from fcs.energy import Psi_tilde
+
+    low, high = probe_candidates
+    lam = 0.5 * (Psi_tilde(low) + Psi_tilde(high))
+    spec = eigen_spec(0.0 if broken == "low" else 10.0 * Psi_tilde(high), exps)
+    table = linking_probe(spec, lam, [low, high], [0.7, 0.85, 1.0])
+    assert not table["pattern_holds"]
+    assert [(row.side, row.signs_ok) for row in table["rows"]] == [("low", broken != "low"), ("high", broken != "high")]
+
+
 def test_diagnostics_are_pure(grid):
     # byte-identical inputs give byte-identical records
     u = grid.field(np.exp(-grid.r ** 2))

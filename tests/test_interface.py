@@ -17,6 +17,7 @@ import fcs
 from fcs import ProblemParams, make_grid, operators
 from fcs.cli import _build_parser, cli_main
 from fcs.config import ConfigError, parse_config
+from fcs.energy import DegenerateSeedError, _Ray, critical_family, pure_power
 from fcs.io import (
     FieldFormatError,
     emit_branch_csv,
@@ -941,7 +942,7 @@ _CONFIG_EXITS = {
     "gamma-negative": (_term_cfg("damped coef=1.0 q=2.7 gamma=-1"), None,
                        "error: run.cfg:9: damping exponent gamma must be positive\n"),
     "weight-file-missing": (_term_cfg(_WEIGHTED), None, "error: run.cfg:9: "),
-    "weight-file-garbled": (_term_cfg(_WEIGHTED), "1.0 abc\n", "error: run.cfg:9: "),
+    "weight-file-garbled": (_term_cfg(_WEIGHTED), "1.0 abc\n", "error: run.cfg:9: weight profile w.txt: "),
     "weight-file-nan": (_term_cfg(_WEIGHTED), "nan\n" * 64, "error: run.cfg:9: weight profile w.txt has non-finite samples\n"),
     "empty-term": (_term_cfg(""), None, "error: run.cfg:9: empty term\n"),
     "malformed-token": (_term_cfg("power coef=1.0 q"), None, "error: run.cfg:9: malformed term token 'q'\n"),
@@ -1008,6 +1009,33 @@ def test_cli_check_identity_requires_lambda(tmp_path, capsys, grid_small):
     assert "identity check requires --lambda" in capsys.readouterr().err
 
 
+def _check_with_config(tmp_path, text):
+    # check nehari of an N = 3, R = 20, M = 64 field under the config ``text``
+    g = make_grid(ProblemParams(3, 0.75, 2.0), 20.0, 64)
+    save_field(g.field(np.exp(-g.r ** 2)), tmp_path / "u.fld")
+    (tmp_path / "run.cfg").write_text(text)
+    return cli_main(["check", "nehari", "--field", "u.fld", "--config", "run.cfg"])
+
+
+@pytest.mark.parametrize("key, value", [("N", "4"), ("s", "0.5"), ("alpha", "3.0"), ("R", "5.0"), ("M", "999")])
+def test_cli_check_refuses_a_config_for_another_field(key, value, tmp_path, capsys, monkeypatch):
+    # the field's header fixes the problem and the grid: a config that sets
+    # one of them to another value is refused, naming the file and the key
+    monkeypatch.chdir(tmp_path)
+    lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in _EIGEN_CFG.splitlines()]
+    assert _check_with_config(tmp_path, "\n".join(lines) + "\n[solver]\nlambda = 2.5\n") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: run.cfg: {key} = ") and "differs from the field's" in err
+
+
+@pytest.mark.parametrize("given", ["", _EIGEN_CFG], ids=["omitted", "agreeing"])
+def test_cli_check_accepts_a_config_that_omits_or_repeats_the_field_grid(given, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _check_with_config(tmp_path, given + "[solver]\nlambda = 2.5\n") == 0
+    assert json.loads(capsys.readouterr().out)["grid"]["M"] == 64
+
+
 def test_cli_sweep_json_writes_the_envelope_and_prints_only_the_csv(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text(_SWEEP_CFG + "[output]\njson = env.json\ncsv = out.csv\n")
@@ -1040,6 +1068,62 @@ def test_cap_threads_sets_no_cap_for_a_bad_or_zero_value(raw, warns, monkeypatch
     _entry._cap_threads()
     assert not any(var in os.environ for var in names)
     assert ("ignoring non-integer FCS_THREADS" in capsys.readouterr().err) == warns
+
+
+# ---------------------------------------------------------------------------
+# the library's refusals of bad input
+# ---------------------------------------------------------------------------
+
+def _load_truncated_header(tmp_path):
+    (tmp_path / "short.fld").write_bytes(b"FCSF")
+    load_field(tmp_path / "short.fld")
+
+
+_PSTAR = ProblemParams(3, 0.75, 2.0)
+# case -> (the call, given the N = 3 grid of R = 20, M = 64 and a scratch
+# directory), the error it raises and the start of its message
+_REFUSALS = {
+    "seed-on-another-grid": (
+        lambda g, _: fcs.eigen1(_PSTAR, g, fcs.SolverOptions(seed=make_grid(_PSTAR, 10.0, 64).zero_field())),
+        ValueError, "seed field lives on a different grid",
+    ),
+    "unknown-seed-kind": (
+        lambda g, _: fcs.eigen1(_PSTAR, g, fcs.SolverOptions(seed="ring")), ValueError, "unknown seed kind 'ring'",
+    ),
+    "deflation-k0": (lambda g, _: fcs.eigen_deflated(_PSTAR, g, 0), ValueError, "k must be >= 1"),
+    "zero-endpoint": (
+        lambda g, _: fcs.mountain_pass(_PSTAR, g, pure_power(1.0, 3.6), g.zero_field()),
+        ValueError, "endpoint e must be nonzero",
+    ),
+    "weight-length": (
+        lambda g, _: fcs.WeightedPowerTerm.from_profile(1.0, 2.7, np.ones(10)).f(g.r, g.r),
+        ValueError, "weight profile length does not match the grid",
+    ),
+    "q6-outside-window": (
+        lambda g, _: critical_family(1.0, 1.0, g.exps.two_star_s + 0.1, g.exps),
+        ValueError, "intermediate exponent must lie in",
+    ),
+    "riesz-method": (
+        lambda g, _: operators.riesz_potential(g.field(np.exp(-g.r ** 2)), method="fft"),
+        ValueError, "unknown riesz method 'fft'",
+    ),
+    "truncated-header": (lambda _, tmp: _load_truncated_header(tmp), FieldFormatError, ".*short.fld: truncated header"),
+    "eigen-of-zero": (
+        lambda g, _: _Ray(g.zero_field()).eigen(), DegenerateSeedError, "degenerate seed: B\\(u\\) u vanished",
+    ),
+    "linking-negative-t": (
+        lambda g, _: fcs.linking_probe(pure_power(1.0, 2.7), 1.0, [], [-0.5, 1.0]),
+        ValueError, "t_range must be nonnegative",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_library_refuses_bad_input(case, tmp_path):
+    call, error, message = _REFUSALS[case]
+    g = make_grid(_PSTAR, 20.0, 64)
+    with pytest.raises(error, match=message):
+        call(g, tmp_path)
 
 
 # ---------------------------------------------------------------------------

@@ -952,6 +952,26 @@ def test_sweep_records_failures_and_continues(pstar, grid):
     assert all(math.isnan(r.energy) for r in rows)
 
 
+@pytest.mark.parametrize("error", [NoPassError, TypeError])
+def test_sweep_records_only_the_failures_of_a_solve(error, pstar, grid, monkeypatch):
+    # a solver failure (exit 2 from the CLI) is a NaN row and a warning; a
+    # programming error is no row at all: it propagates out of the sweep
+    from fcs import solvers
+
+    def failing(*args, **kwargs):
+        raise error("row failed")
+
+    monkeypatch.setattr(solvers, "_minimize", failing)
+    spec = pure_power(4.5, 2.7)
+    if error is TypeError:
+        with pytest.raises(TypeError, match="row failed"):
+            sweep(pstar, grid, spec, 0, [4.5])
+        return
+    with pytest.warns(RuntimeWarning, match="row failed"):
+        rows = sweep(pstar, grid, spec, 0, [4.5])
+    assert len(rows) == 1 and not rows[0].converged and math.isnan(rows[0].energy)
+
+
 # each bad input of a sweep and the start of its ValueError
 _BAD_SWEEPS = {
     "unknown-method": "unknown sweep method 'minimise'",
