@@ -3,8 +3,9 @@ wrappers of the fractional Laplacian, its seminorm, the dual norm and the
 dense matrix, all read from the grid's transform engine (``fcs.grid``).
 
 The real-space Riesz kernel is authoritative.  For each grid, and its alpha,
-a dense M x M matrix is assembled once from the angular average of
-|x - y|^(alpha-N) over spheres; the trapezoid rule in the radial variable is
+the kernel is built once from the angular average of |x - y|^(alpha-N) over
+spheres: a dense M x M matrix, except at N = 3 above ``_DENSE_MAX_M``, where
+it is applied by FFT.  The trapezoid rule in the radial variable is
 augmented with two Euler-Maclaurin-type corrections:
 
 * a diagonal term removing the O(h^alpha) error produced by the
@@ -16,15 +17,18 @@ augmented with two Euler-Maclaurin-type corrections:
 
 For N = 3 the angular average is closed-form, and on the uniform grid P is
 a Hankel-minus-Toeplitz core of the values (n h)^(alpha-1) between diag(1/r)
-and diag(r).  For N != 3 the angular average is exact on the diagonal (a
-Beta function) and off it a graded-panel quadrature, graded from each pair's
-distance to the complex singularities of its integrand.  The integrand is
-bitwise symmetric in (r, rho), so only the upper triangle of node pairs is
-integrated and then mirrored.  Energies and gradients need the matrix
-that is symmetric in the quadrature inner product; one such matrix is
-stored per kernel.  For N >= 3 it is P itself (W P is symmetric to
-rounding); the N = 2 endpoint term breaks the symmetry, so there it is
-0.5 (P + W^-1 P^T W), built once.
+and diag(r).  Up to ``_DENSE_MAX_M`` that core is assembled; above it P v
+is the convolution of the odd extension of r v with those values, one real
+FFT pair of length ~3M (the circulant embedding of a Toeplitz product), and
+memory is linear in M.  For N != 3 the angular average is exact on the
+diagonal (a Beta function) and off it a graded-panel quadrature, graded
+from each pair's distance to the complex singularities of its integrand.
+The integrand is bitwise symmetric in (r, rho), so only the upper triangle
+of node pairs is integrated and then mirrored.  Energies and gradients need
+the operator that is symmetric in the quadrature inner product; one such
+operator is kept per kernel.  For N >= 3 it is P itself (W P is symmetric to
+rounding; the FFT product serves both); the N = 2 endpoint term breaks the
+symmetry, so there it is 0.5 (P + W^-1 P^T W), built once.
 
 A spectral route (multiplier k^(-alpha) on a zero-padded grid, with the total
 mass split off analytically through the closed-form Gaussian potential) is
@@ -41,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import beta as sp_beta, gamma as sp_gamma, hyp1f1, zeta as sp_zeta
 
 from .grid import Field, RadialGrid, _check_same_grid, _toeplitz_minus_hankel
@@ -187,18 +192,40 @@ def _angular_kernel_generic(N: int, alpha: float, r: np.ndarray) -> np.ndarray:
     return out
 
 
+# The largest M at which an N = 3 grid builds an M x M operator matrix: the
+# Riesz kernel, the dense Laplacian and the Newton Jacobian.  Above it the
+# kernel product is one real FFT, and ``solvers._newton`` (at every N)
+# solves by matrix-free GMRES instead of factorizing.  Newton-phase ms, one
+# thread, dense kernel + LU -> FFT kernel + GMRES:
+#   N=3 eigen1:            4.5 -> 4.9 (M=384), 8.2 -> 5.5 (512), 20 -> 11 (768), 25 -> 6.4 (896), 32 -> 7.1 (1024)
+#   N=3 mountain pass 4.1: 9.2 -> 13 (384), 17 -> 14 (512), 46 -> 30 (768), 61 -> 17 (896), 88 -> 20 (1024)
+#   N=4 eigen1 (dense kernel, LU -> GMRES): 12 -> 14 (512), 45 -> 27 (768), 83 -> 45 (1024)
+# With the FFT product both N = 3 runs cross over between 384 and 512, below
+# the cutoff; the cutoff has not been moved to follow (ROADMAP item 6).  The
+# 768 rows are transform-bound: M + 1 = 769 is prime (see the DST-I note in
+# the README)
+_DENSE_MAX_M = 768
+
+
+def _three_dim_lags(grid: RadialGrid) -> np.ndarray:
+    """c(0..2M), the N = 3 kernel P = diag(1/r) [c(|i-j|) - c(i+j)] diag(r)
+    plus the kink diagonal: c(n) = -g(n), g(n) = 2 pi C_alpha h (n h)^(alpha-1) / (alpha-1)."""
+    alpha, h, M = grid.params.alpha, grid.h, grid.M
+    g = 2.0 * math.pi * riesz_constant(3, alpha) * h / (alpha - 1.0) * (h * np.arange(2 * M + 1)) ** (alpha - 1.0)
+    return -g
+
+
 class _RieszKernel:
     """Assembled kernel matrix P with (I_alpha * v)(r_i) = (P v)_i, and S,
-    its w-symmetric part (the same array as P for N >= 3)."""
+    its w-symmetric part (the same array as P for N >= 3); at N = 3 only up
+    to M = ``_DENSE_MAX_M`` (``_RieszFFT`` above)."""
 
     def __init__(self, grid: RadialGrid):
         N, alpha = grid.params.N, grid.params.alpha
         r, h, M = grid.r, grid.h, grid.M
         c_a = riesz_constant(N, alpha)
         if N == 3:
-            # diag(1/r) [g(i+j) - g(|i-j|)] diag(r), g(n) = c (n h)^(alpha-1): T - H of -g
-            g = 2.0 * math.pi * c_a * h / (alpha - 1.0) * (h * np.arange(2 * M + 1)) ** (alpha - 1.0)
-            P = _toeplitz_minus_hankel(-g, r)
+            P = _toeplitz_minus_hankel(_three_dim_lags(grid), r)
         else:
             P = c_a * h * r[None, :] ** (N - 1) * _angular_kernel_generic(N, alpha, r)
         P[np.arange(M), np.arange(M)] += _kink_correction_constant(N, alpha) * h ** alpha
@@ -237,10 +264,44 @@ class _RieszKernel:
         return self.S
 
 
-def _riesz_kernel(grid: RadialGrid) -> _RieszKernel:
+class _RieszFFT:
+    """The N = 3 kernel above ``_DENSE_MAX_M``: ``_RieszKernel``'s P v with
+    no matrix, memory linear in M.  With y = r v, the odd extension
+    X_j = sign(j) y_|j| (j = -M..M) turns [c(|i-j|) - c(i+j)] y into the plain
+    convolution sum_j c(|i-j|) X_j.  Its lags i - j span -(M-1)..2M, 3M
+    values that a circular convolution of n >= 3M points keeps apart, so
+    P v is one real FFT pair against the stored spectrum of those lags."""
+
+    def __init__(self, grid: RadialGrid):
+        M, alpha = grid.M, grid.params.alpha
+        c = _three_dim_lags(grid)
+        self._r = grid.r
+        self._kink = _kink_correction_constant(3, alpha) * grid.h ** alpha
+        self._n = next_fast_len(3 * M + 1, real=True)
+        lags = np.zeros(self._n)
+        lags[:2 * M + 1] = c
+        lags[self._n - M + 1:] = c[M - 1:0:-1]  # lags -(M-1)..-1
+        self._c_hat = rfft(lags)
+
+    def potential(self, v: np.ndarray) -> np.ndarray:
+        M = v.size
+        y = self._r * v
+        X = np.zeros(self._n)
+        X[M + 1:2 * M + 1] = y
+        X[:M] = -y[::-1]
+        out = irfft(rfft(X) * self._c_hat, self._n)[M + 1:2 * M + 1]
+        out /= self._r
+        out += self._kink * v
+        return out
+
+    sym_potential = potential  # P is w-symmetric at N = 3
+
+
+def _riesz_kernel(grid: RadialGrid) -> _RieszKernel | _RieszFFT:
     op = grid._caches.get("riesz")
     if op is None:
-        op = grid._caches["riesz"] = _RieszKernel(grid)
+        fft = grid.params.N == 3 and grid.M > _DENSE_MAX_M
+        op = grid._caches["riesz"] = (_RieszFFT if fft else _RieszKernel)(grid)
     return op
 
 

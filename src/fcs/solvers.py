@@ -26,11 +26,11 @@ constant, which ``diagnostics`` re-exports.
 
 ``_newton`` reads its system off the evaluated point: grad Phi(u) = 0 for a
 plain point, and for an eigen point {A(u) = lam B(u), I(u) = 1} with lam as
-one more unknown.  Up to M = ``_DENSE_NEWTON_MAX_M`` (768) each call
+one more unknown.  Up to M = ``operators._DENSE_MAX_M`` (768) each call
 assembles its Jacobian in place, into one buffer, and factorizes it; above
 it each system is solved matrix-free by GMRES, preconditioned by the same
-metric, to an iterate equal to the LU one to rounding (the cutoff is the
-measured crossover, see the constant).  Every field a solver
+metric, to an iterate equal to the LU one to rounding (the cutoff's
+measured crossovers are listed at the constant).  Every field a solver
 evaluates is evaluated once, as one ``energy._Ray`` (S, Q, the Hartree
 potential, A(u) and the residual), and a point accepted by a line search
 is carried into the next step as it is.
@@ -52,7 +52,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .energy import MANIFOLD_TOL, DegenerateSeedError, NonlinearitySpec, Phi, _Ray
 from .grid import Field, RadialGrid, lp_norm
 # unused apply_A: perfbench/test_perfbench.py reads fcs.solvers.apply_A
-from .operators import apply_A, dense_fractional_matrix, _riesz_kernel, dual_norm  # noqa: F401
+from .operators import _DENSE_MAX_M, apply_A, dense_fractional_matrix, _riesz_kernel, dual_norm  # noqa: F401
 from .params import ExponentTable, ProblemParams, Regime, RegimeTag, classify_nonlinearity
 
 __all__ = [
@@ -99,15 +99,6 @@ _LBFGS_MEMORY = 6  # (s, y) pairs kept by _first_order
 # a Newton call hands back once its last _NEWTON_STALL steps together cut the
 # residual by less than 10 %: it started outside its basin
 _NEWTON_STALL = 6
-# _newton factorizes its dense (M+1) x (M+1) Jacobian up to this M and runs
-# matrix-free GMRES above it.  Newton-phase ms, one thread, dense -> GMRES:
-#   N=3 eigen1:            9.8 -> 11.9 (M=512), 27 -> 22 (768), 36 -> 14 (896), 41 -> 18 (1024)
-#   N=3 mountain pass 4.1: 18 -> 19 (512), 49 -> 54 (768), 67 -> 39 (896), 103 -> 54 (1024)
-#   N=4 eigen1:            12 -> 14 (512), 45 -> 27 (768), 83 -> 45 (1024)
-# eigen1 crosses over between 512 and 768, the mountain pass between 768
-# and 896; above 768 GMRES wins for both.  The 768 rows are transform-bound:
-# M + 1 = 769 is prime (see the DST-I note in the README)
-_DENSE_NEWTON_MAX_M = 768
 # GMRES's relative tolerance: each Newton iterate equals the LU iterate to
 # rounding, and the M=1024 eigen1 multiplier comes out bitwise equal
 _KRYLOV_RTOL = 1e-10
@@ -286,7 +277,8 @@ def _jacobian_matvec(pt: _Ray):
     """v -> J v, the Newton Jacobian of ``pt`` without a matrix.
 
     J v = L v + 2 u S(u v) + (pot - f'(u)) v with L = (-Delta)^s from the
-    grid's transform engine and S the stored w-symmetric Riesz kernel; an
+    grid's transform engine and S v the kernel's w-symmetric product (an
+    FFT at N = 3, a stored matrix at other N); an
     eigen point appends mu: the field rows gain -B(u) mu and the last row is
     <w A(u), v>.  The same system ``_jacobian`` assembles densely.
     """
@@ -337,13 +329,14 @@ def _newton(pt: _Ray, res0: float, tol: float, max_iter: int):
 
         [[L + H(u) - diag(f'(u)), -B(u)], [w A(u), 0]],   f = lam |t|^(q*-2) t.
 
-    Up to M = ``_DENSE_NEWTON_MAX_M`` ``_jacobian`` assembles it off the
+    Up to M = ``_DENSE_MAX_M`` ``_jacobian`` assembles it off the
     point, into one buffer per call, and ``np.linalg.solve`` factorizes it; above
     it no matrix is built and ``_krylov_step`` runs GMRES on
-    ``_jacobian_matvec`` (1.8-2.3x faster at M = 1024, slower at M = 512,
-    see the constant).  A singular LU or a non-finite GMRES step ends the
-    call.  The target is min(tol, 1e-11) res0 plus the rounding floor of
-    the start point (see ``_rounding_floor``).  A step is halved until the
+    ``_jacobian_matvec`` (at N = 3, with the FFT kernel product, 4.5x faster
+    at M = 1024 and faster down to M = 512, see the constant).  A singular
+    LU or a non-finite GMRES step ends the call.  The target is min(tol,
+    1e-11) res0 plus the rounding floor of the start point (see
+    ``_rounding_floor``).  A step is halved until the
     residual decreases or, once the residual is under the target, until the
     manifold defect I(u) - 1 does (0 for a plain point), and a call stops
     once its last ``_NEWTON_STALL`` steps cut a residual above the target by
@@ -354,7 +347,7 @@ def _newton(pt: _Ray, res0: float, tol: float, max_iter: int):
     grid = pt.field.grid
     M = grid.M
     bordered = pt.lam is not None
-    dense = M <= _DENSE_NEWTON_MAX_M
+    dense = M <= _DENSE_MAX_M
     jac = np.empty((M + bordered, M + bordered)) if dense else None
     tol_abs = min(tol, 1e-11) * res0 + _rounding_floor(pt)
 

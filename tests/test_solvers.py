@@ -19,11 +19,10 @@ from fcs.energy import (
     grad_Phi,
     pure_power,
 )
-from fcs.operators import apply_A, apply_B, dual_norm
+from fcs.operators import _DENSE_MAX_M, apply_A, apply_B, dual_norm
 from fcs.params import compute_exponents
 from fcs.scaling import scale
 from fcs.solvers import (
-    _DENSE_NEWTON_MAX_M,
     DegenerateSeedError,
     NoPassError,
     RegimeMismatchError,
@@ -200,19 +199,39 @@ def test_eigen1_factorizes_one_newton_jacobian(N, s, alpha, width, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "M, solves", [(_DENSE_NEWTON_MAX_M, 1), (_DENSE_NEWTON_MAX_M + 1, 0), (1024, 0)]
+    "M, solves", [(_DENSE_MAX_M, 1), (_DENSE_MAX_M + 1, 0), (1024, 0)]
 )
 def test_eigen1_factorizes_only_up_to_the_dense_cutoff(M, solves, monkeypatch):
-    # above the cutoff Newton runs GMRES on the matrix-free Jacobian: no
-    # factorization and no dense Laplacian (test_eigen1_pinned_multiplier
-    # holds the M=1024 multiplier)
+    # above the cutoff Newton runs GMRES on the matrix-free Jacobian and the
+    # kernel product is an FFT: no factorization, and no M x M array, cached
+    # (the Riesz kernel, the dense Laplacian) or transient (the Jacobian)
+    # (test_eigen1_pinned_multiplier holds the M=1024 multiplier)
+    import tracemalloc
+
     calls = _count_solves(monkeypatch)
     p = ProblemParams(3, 0.75, 2.0)
     g = make_grid(p, 20.0, M)
-    rep = eigen1(p, g)
+    tracemalloc.start()
+    try:
+        rep = eigen1(p, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert rep.converged
     assert len(calls) == solves
     assert ("dense_lap" in g._caches) == bool(solves)
+    cached = [a for c in g._caches.values() for a in [c, *getattr(c, "__dict__", {}).values()]]
+    assert any(isinstance(a, np.ndarray) and a.size == M * M for a in cached) == bool(solves)
+    assert (peak >= 8 * M * M) == bool(solves)  # peak / 8 M^2: 3.1 at M = 768, 0.14 at 769
+
+
+def test_eigen1_far_above_the_dense_cutoff():
+    # an N = 3 grid whose dense kernel alone would take 2 GB; the multiplier
+    # is within discretization error of the M = 4096 one
+    p = ProblemParams(3, 0.75, 2.0)
+    rep = eigen1(p, make_grid(p, 160.0, 16384))
+    assert rep.converged
+    assert abs(rep.multiplier - 2.556274796783449) <= 1e-9 * 2.556274796783449
 
 
 def test_eigen1_n4_ascent_takes_few_steps(monkeypatch):
@@ -793,7 +812,7 @@ def test_mountain_pass_benchmark_levels(q):
 def test_mountain_pass_level_above_the_dense_cutoff(monkeypatch):
     # q = 4.1 at the smallest M that Newton solves by GMRES; the level is
     # the one the dense Newton gives on this grid
-    assert _DENSE_NEWTON_MAX_M + 1 == 769
+    assert _DENSE_MAX_M + 1 == 769
     calls = _count_solves(monkeypatch)
     p = ProblemParams(3, 0.8, 2.0)
     g = make_grid(p, 20.0, 769)
