@@ -181,8 +181,15 @@ class _Engine:
     """k-space calculus on coefficients b = forward(u); engines add ``forward``,
     ``inverse`` and ``dense_lap``.  ``metric`` divides by ``_k_den`` = 1 + k^(2s)
     (a reciprocal would round differently).  Discrete Plancherel (sum b^2 =
-    sum w u^2) is relied on too, by the transform of a gradient in
-    ``solvers._first_order`` and of a residual in ``operators.dual_norm``."""
+    sum w u^2) is relied on too, by the transform of a residual in
+    ``operators.dual_norm``, and by ``solvers._krylov_step``: its GMRES
+    minimizes the Euclidean norm of coefficients, which is the quadrature
+    w-norm of the field only through Plancherel.  The solvers' iterations
+    also rely on forward(inverse(b)) = b to rounding: a first-order trial
+    carries the coefficients u_b - eta r of its node values u - eta
+    inverse(r) untransformed, and GMRES iterates on coefficients.  An engine
+    that is not an orthogonal pair (a collocation transform, say) would have
+    to revisit both."""
 
     def __init__(self, k: np.ndarray, s: float):
         self.k = k
@@ -190,9 +197,13 @@ class _Engine:
         self.k2s.flags.writeable = False
         self._k_den = 1.0 + self.k2s
 
+    def symbol(self, b: np.ndarray) -> np.ndarray:
+        """k^(2s) b: the coefficients of (-Delta)^s u."""
+        return self.k2s * b
+
     def lap(self, b: np.ndarray) -> np.ndarray:
         """(-Delta)^s at the nodes."""
-        return self.inverse(self.k2s * b)
+        return self.inverse(self.symbol(b))
 
     def seminorm_sq(self, b: np.ndarray) -> float:
         """sum_m k_m^(2s) b_m^2."""

@@ -9,7 +9,12 @@ two-loop recursion over the last ``_LBFGS_MEMORY`` coefficient pairs, with
 the dual metric 1/(1 + k^(2s)) of the grid's transform engine as its initial
 inverse metric and the preconditioned gradient as its fallback; every k-space
 quantity comes from that engine's methods.  Each solver supplies a value, its
-gradient and the retraction onto its set.  The eigen ascent descends -J on
+gradient's transform coefficients and the retraction onto its set, which is
+handed each trial's coefficients along with its node values, so a step
+transforms its gradient (and its normal) forward and its direction back,
+and no trial: 2 forward and 1 inverse transform per eigen ascent step, 1 and
+1 per Sobolev step (the minimizer and the mountain pass transform their
+trials, and keep their bits).  The eigen ascent descends -J on
 {I = 1}, tangent to it, and each trial returns to it along its own
 amplitude ray.  The minimizer descends Phi in the whole space (the identity
 retraction).  The mountain pass descends Phi on the Nehari set: each trial
@@ -28,9 +33,11 @@ constant, which ``diagnostics`` re-exports.
 plain point, and for an eigen point {A(u) = lam B(u), I(u) = 1} with lam as
 one more unknown.  Up to M = ``operators._DENSE_MAX_M`` (768) each call
 assembles its Jacobian in place, into one buffer, and factorizes it; above
-it each system is solved matrix-free by GMRES, preconditioned by the same
-metric, to an iterate equal to the LU one to rounding (the cutoff's
-measured crossovers are listed at the constant).  Every field a solver
+it each system is solved matrix-free by GMRES on transform coefficients,
+preconditioned by the same metric, with one transform each way per
+iteration and at most ``_KRYLOV_MAXITER`` restart cycles, to an iterate
+equal to the LU one to rounding (the cutoff's measured crossovers are listed
+at the constant).  Every field a solver
 evaluates is evaluated once, as one ``energy._Ray`` (S, Q, the Hartree
 potential, A(u) and the residual), and a point accepted by a line search
 is carried into the next step as it is.
@@ -99,10 +106,15 @@ _LBFGS_MEMORY = 6  # (s, y) pairs kept by _first_order
 # a Newton call hands back once its last _NEWTON_STALL steps together cut the
 # residual by less than 10 %: it started outside its basin
 _NEWTON_STALL = 6
-# GMRES's relative tolerance: each Newton iterate equals the LU iterate to
-# rounding, and the M=1024 eigen1 multiplier comes out bitwise equal
+# GMRES's relative tolerance, on the preconditioned residual's coefficients:
+# each Newton iterate equals the LU iterate to rounding, and the M=1024 eigen1
+# multiplier comes out bitwise equal
 _KRYLOV_RTOL = 1e-10
-_KRYLOV_RESTART = 60  # GMRES restart length; a solve takes 20-23 iterations
+_KRYLOV_RESTART = 60  # GMRES restart length; a step at R=20, M=1024 takes 19-23 iterations
+# restart cycles per Newton step, so at most 240 iterations: a capped step
+# goes to the line search like a converged one, and _newton's stall exit and
+# max_iter bound the call (the hardest step measured took 124 iterations)
+_KRYLOV_MAXITER = 4
 _SOBOLEV_MAX_ITER = 400  # first-order steps of the Sobolev estimate, a guard
 _SOBOLEV_TOL = 1e-7      # drop of the tangent gradient's dual norm that stops the descent
 
@@ -274,49 +286,62 @@ def _jacobian(pt: _Ray, out: np.ndarray) -> np.ndarray:
 
 
 def _jacobian_matvec(pt: _Ray):
-    """v -> J v, the Newton Jacobian of ``pt`` without a matrix.
+    """c -> K c, the metric-preconditioned Newton Jacobian of ``pt`` on
+    coefficients, without a matrix.
 
-    J v = L v + 2 u S(u v) + (pot - f'(u)) v with L = (-Delta)^s from the
-    grid's transform engine and S v the kernel's w-symmetric product (an
-    FFT at N = 3, a stored matrix at other N); an
-    eigen point appends mu: the field rows gain -B(u) mu and the last row is
-    <w A(u), v>.  The same system ``_jacobian`` assembles densely.
+    With x = inverse(c) the field's node values, K c = metric(k^(2s) c +
+    forward(2 u S(u x) + (pot - f'(u)) x)): the metric 1/(1 + k^(2s)) times
+    the coefficients of J x = L x + 2 u S(u x) + (pot - f'(u)) x, L =
+    (-Delta)^s and S x the kernel's w-symmetric product (an FFT at N = 3, a
+    stored matrix at other N).  One inverse and one forward transform per
+    product.  An eigen point appends mu: the field rows gain -mu metric(
+    forward(B(u))), transformed once here, and the last row is <w A(u), x>,
+    unpreconditioned.  The same system ``_jacobian`` assembles densely, in
+    node coordinates.
     """
     grid = pt.field.grid
     eng, kernel = grid.transform(), _riesz_kernel(grid)
     u, M = pt.u, grid.M
     diag = pt.pot - pt.spec.fprime(u, pt.r)
+    border = None if pt.lam is None else eng.metric(eng.forward(pt.Bu))
 
     def matvec(v: np.ndarray) -> np.ndarray:
-        x = v[:M]
-        out = eng.lap(eng.forward(x)) + 2.0 * u * kernel.sym_potential(u * x) + diag * x
-        if pt.lam is None:
+        c = v[:M]
+        x = eng.inverse(c)
+        out = eng.metric(eng.symbol(c) + eng.forward(2.0 * u * kernel.sym_potential(u * x) + diag * x))
+        if border is None:
             return out
-        out -= v[M] * pt.Bu
+        out -= v[M] * border
         return np.append(out, (pt.w * pt.Au * x).sum())
 
     return matvec
 
 
 def _krylov_step(pt: _Ray, rhs: np.ndarray) -> np.ndarray:
-    """The Newton step J delta = rhs by GMRES to ``_KRYLOV_RTOL``, left
-    preconditioned by the k-space multiplier 1/(1 + k^(2s)) on the field
-    block (identity on the multiplier).  The preconditioned J is the
-    identity plus a compact part, so the iteration count does not grow
-    with M.  The iterate is returned whatever GMRES reports.
+    """The Newton step J delta = rhs by GMRES on coefficients, left
+    preconditioned by the k-space metric 1/(1 + k^(2s)) on the field block
+    (identity on the multiplier): GMRES solves K c = metric(forward(rhs))
+    with K from ``_jacobian_matvec`` to ``_KRYLOV_RTOL``, and delta =
+    inverse(c).  The right-hand side, the border and the iterate are
+    transformed once per call, and each GMRES iteration makes one transform
+    each way.  The Euclidean norm GMRES minimizes is then, by Plancherel,
+    the quadrature w-norm of the preconditioned residual.  The preconditioned
+    J is the identity plus a compact part, but the count still depends on
+    the field's scale: measured per step, 19-23 iterations at R = 20,
+    M = 1024 (eigen1 at N = 2, 3, 4, the N = 3 mountain pass), and 74-124
+    for the N = 3 subscaled minimizer (beta = 2.7) at R = 160, M = 4096,
+    whose well is wide and shallow.  At most ``_KRYLOV_MAXITER`` restart
+    cycles run, and the iterate is returned whatever GMRES reports:
+    ``_newton``'s line search judges it.
     """
     eng, M = pt.field.grid.transform(), pt.u.size
-
-    def precondition(v: np.ndarray) -> np.ndarray:
-        out = v.copy()
-        out[:M] = eng.inverse(eng.metric(eng.forward(v[:M])))
-        return out
-
     n = rhs.size
-    J = LinearOperator((n, n), matvec=_jacobian_matvec(pt), dtype=float)
-    P = LinearOperator((n, n), matvec=precondition, dtype=float)
-    delta, _ = gmres(J, rhs, rtol=_KRYLOV_RTOL, atol=0.0, restart=_KRYLOV_RESTART, M=P)
-    return delta
+    K = LinearOperator((n, n), matvec=_jacobian_matvec(pt), dtype=float)
+    c, _ = gmres(
+        K, np.concatenate((eng.metric(eng.forward(rhs[:M])), rhs[M:])), rtol=_KRYLOV_RTOL, atol=0.0,
+        restart=_KRYLOV_RESTART, maxiter=_KRYLOV_MAXITER,
+    )
+    return np.concatenate((eng.inverse(c[:M]), c[M:]))
 
 
 def _newton(pt: _Ray, res0: float, tol: float, max_iter: int):
@@ -426,11 +451,13 @@ def _first_order(pt: _Ray, value, grad, retract, max_iter: int, handover: float,
 
     The one first-order phase of every solver and of the Sobolev-constant
     estimate (``_sobolev_descent``); each caller supplies its problem as
-    ``value(q)`` and ``grad(q)`` of an evaluated point q, and ``retract(v)``,
-    which returns the evaluated point its set assigns to the node values v
-    (None where there is none).  With g = ``grad(q)`` and P the k-space
-    multiplier 1/(1 + k^(2s)), a ``normal`` n = ``normal(q)`` makes the
-    gradient tangent to its level set, P g_t = P g - (<n, P g> / <n, P n>) P n.
+    ``value(q)`` and ``grad(q)`` of an evaluated point q, and ``retract(v,
+    b)``, which returns the evaluated point its set assigns to the node
+    values v with transform coefficients b (None where there is none).
+    ``grad`` and ``normal`` return transform coefficients, and every vector
+    below is one.  With g = ``grad(q)`` and P the k-space multiplier
+    1/(1 + k^(2s)), a ``normal`` n = ``normal(q)`` makes the gradient tangent
+    to its level set, P g_t = P g - (<n, P g> / <n, P n>) P n.
     The direction d is the L-BFGS two-loop recursion (``_two_loop``, Nocedal
     & Wright ch. 7) on g_t over the last ``_LBFGS_MEMORY`` pairs s, y
     (differences of the points' and of the tangent gradients' coefficients,
@@ -438,8 +465,13 @@ def _first_order(pt: _Ray, value, grad, retract, max_iter: int, handover: float,
     tangent space the same way; its first trial step is 1.  With an empty
     memory, or where the slope <g, d> is not positive, d = P g_t from the
     step min(2 eta, 1/||g||_*), eta the last accepted step (1 before the
-    first).  Each search backtracks over ``retract(u - eta d)`` (at most 30
-    Armijo trials) and the accepted trial is the next point as it is.
+    first).  Each search backtracks over ``retract(u - eta inverse(d),
+    u_b - eta d)``, u_b the point's coefficients (at most 30 Armijo trials),
+    and the accepted trial is the next point as it is.  So a step makes one
+    inverse transform, of d, besides what ``grad`` and ``normal`` make; a
+    retraction that evaluates its trial from b transforms nothing, since
+    forward(inverse(d)) = d to rounding (the minimizer's and the Nehari
+    retractions transform v instead and keep their bits).
 
     Returns the last point, the value history (nonincreasing), the step count
     and why the phase stopped: ``handover`` (the tangent gradient's dual
@@ -454,9 +486,9 @@ def _first_order(pt: _Ray, value, grad, retract, max_iter: int, handover: float,
     gt0 = None
     stop = "max_iter"
     for _ in range(max_iter):
-        b_g = b_t = eng.forward(grad(pt))
+        b_g = b_t = grad(pt)
         if normal is not None:
-            b_n = eng.forward(normal(pt))
+            b_n = normal(pt)
             n_dual = eng.dual(b_n, b_n)
             b_t = b_g - eng.dual(b_n, b_g) / n_dual * b_n
         gt_sq = eng.dual(b_t, b_t)  # ||g_t||_*^2
@@ -484,7 +516,7 @@ def _first_order(pt: _Ray, value, grad, retract, max_iter: int, handover: float,
             eta = min(eta * 2.0, 1.0 / max(g_dual, 1e-30))
         d = eng.inverse(r)
         for _ in range(30):
-            trial = retract(pt.u - eta * d)
+            trial = retract(pt.u - eta * d, pt._b - eta * r)
             if trial is not None:
                 v_try = value(trial)
                 if v_try <= values[-1] - _ARMIJO_C * eta * slope:
@@ -516,17 +548,16 @@ def _sobolev_descent(grid: RadialGrid, u0: np.ndarray):
     eng = grid.transform()
     no_potential = np.zeros(grid.M)
 
-    def on_sphere(v: np.ndarray) -> _Ray | None:
+    def on_sphere(v: np.ndarray, b: np.ndarray) -> _Ray | None:
         # v / |v|_p, evaluated without the Hartree part
         nrm = float(np.sum(grid.w * np.abs(v) ** p)) ** (1.0 / p)
         if nrm == 0.0:
             return None
-        v = v / nrm
-        return _Ray(Field(grid, v), None, eng.forward(v), no_potential)
+        return _Ray(Field(grid, v / nrm), None, b / nrm, no_potential)
 
     return _first_order(
-        on_sphere(u0), lambda q: q.S, lambda q: 2.0 * q.Au, on_sphere, _SOBOLEV_MAX_ITER, _SOBOLEV_TOL,
-        normal=lambda q: np.abs(q.u) ** (p - 2.0) * q.u,
+        on_sphere(u0, eng.forward(u0)), lambda q: q.S, lambda q: 2.0 * eng.symbol(q._b), on_sphere,
+        _SOBOLEV_MAX_ITER, _SOBOLEV_TOL, normal=lambda q: eng.forward(np.abs(q.u) ** (p - 2.0) * q.u),
     )
 
 
@@ -586,20 +617,24 @@ def _ascend_J(pt: _Ray, cap: int, handover: float, penalty=None):
     (less a ``penalty``).
 
     It descends -J = -<B(u), u>/q* with gradient -B(u), tangent to {I = 1}
-    (the normal is A(u) = I'(u)), and each trial returns to {I = 1} along its
-    own amplitude ray (``_Ray.on_manifold``).
+    (the normal is A(u) = I'(u), whose coefficients k^(2s) u_b + forward(pot
+    u) take one transform), and each trial, evaluated from its carried
+    coefficients, returns to {I = 1} along its own amplitude ray
+    (``_Ray.on_manifold``).
     """
     grid = pt.field.grid
+    eng = grid.transform()
 
     def value(q: _Ray) -> float:
         val = -q.Bu_u / q.q_star
         return val if penalty is None else val + penalty.value(q.field)
 
     def grad(q: _Ray) -> np.ndarray:
-        return -q.Bu if penalty is None else -q.Bu + penalty.gradient(q.field)
+        return eng.forward(-q.Bu if penalty is None else -q.Bu + penalty.gradient(q.field))
 
     return _first_order(
-        pt, value, grad, lambda v: _Ray(Field(grid, v)).on_manifold(), cap, handover, normal=lambda q: q.Au
+        pt, value, grad, lambda v, b: _Ray(Field(grid, v), None, b).on_manifold(), cap, handover,
+        normal=lambda q: eng.symbol(q._b) + eng.forward(q.pot * q.u),
     )
 
 
@@ -812,13 +847,16 @@ def _minimize(
         else:
             starts = _minimization_starts(grid, spec, seed)
     best = None
+    eng = grid.transform()
     for descriptor, u0, _ in starts:
         pt = _Ray(u0, spec)
         res0 = pt.res
         if res0 == 0.0:
             continue
+        # the trial's own forward transform, not the carried coefficients:
+        # the pick among starts compares levels that can tie to rounding
         pt, _, it_d, _ = _first_order(
-            pt, lambda q: q.action, lambda q: q.resid, lambda v: _Ray(Field(grid, v), spec),
+            pt, lambda q: q.action, lambda q: eng.forward(q.resid), lambda v, b: _Ray(Field(grid, v), spec),
             _first_order_cap(opts), _handover(opts),
         )
         try:
@@ -952,8 +990,10 @@ def mountain_pass(
     if float(np.max(np.abs(e.values))) == 0.0:
         raise ValueError("endpoint e must be nonzero")
 
-    def to_nehari(v: np.ndarray) -> _Ray | None:
-        # v normalized and moved to the Nehari amplitude of its ray
+    def to_nehari(v: np.ndarray, b=None) -> _Ray | None:
+        # v normalized and moved to the Nehari amplitude of its ray; b is not
+        # carried: the level's Pohozaev balance cancels to ~4e-4, and a
+        # rounding-level move of S shows in it beyond the golden tolerance
         nrm = math.sqrt(float((grid.w * v ** 2).sum()))
         if nrm == 0.0:
             return None
@@ -965,8 +1005,10 @@ def mountain_pass(
     if pt is None:
         raise NoPassError("no barrier crossing along the starting ray")
     res0 = pt.res
+    eng = grid.transform()
     pt, _, it_r, _ = _first_order(
-        pt, lambda q: q.action, lambda q: q.resid, to_nehari, _first_order_cap(opts, 80), _handover(opts)
+        pt, lambda q: q.action, lambda q: eng.forward(q.resid), to_nehari, _first_order_cap(opts, 80),
+        _handover(opts),
     )
     pt, it_n = _polish(pt, res0, opts, it_r)
     rep = _certify(

@@ -120,14 +120,20 @@ def test_newton_jacobian_matches_oracle(kind, monkeypatch, manifold_point):
 @pytest.mark.parametrize("kind", ["eigen", "gradient"])
 def test_matrix_free_jacobian_matches_oracle(kind, manifold_point):
     # the product GMRES runs on above the dense cutoff is the dense
-    # Jacobian's, on smooth and rough directions alike
+    # Jacobian's conjugated by the transform, metric-preconditioned on the
+    # field rows: c -> metric(forward(J inverse(c))), the multiplier entry
+    # untransformed; on smooth and rough coefficient vectors alike
     u = manifold_point
+    g = u.grid
+    eng, M = g.transform(), g.M
     start, fprime = _newton_system(kind, u)
     oracle = _jacobian_oracle(kind, u, fprime)
     matvec = solvers._jacobian_matvec(start())
     rng = np.random.default_rng(7)
-    for v in (rng.standard_normal(oracle.shape[0]), np.append(u.values, 1.0)[: oracle.shape[0]]):
-        assert _rel(matvec(v), oracle @ v) <= 1e-13
+    for c in (rng.standard_normal(oracle.shape[0]), np.append(eng.forward(u.values), 1.0)[: oracle.shape[0]]):
+        y = oracle @ np.concatenate((eng.inverse(c[:M]), c[M:]))
+        want = np.concatenate((eng.forward(y[:M]) / (1.0 + g.k2s), y[M:]))
+        assert _rel(matvec(c), want) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +190,72 @@ def test_newton_step_evaluates_each_point_once(kind, monkeypatch, manifold_point
     assert calls["points"] >= 3
     assert calls["matvec"] == calls["points"]
     assert calls["transform"] == 3 * calls["points"] + 1
+
+
+def _counted_gmres(monkeypatch):
+    """(iterations, info) of every ``gmres`` call inside ``fcs.solvers``."""
+    gmres, calls = solvers.gmres, []
+
+    def counted(*args, **kwargs):
+        its = []
+        out = gmres(*args, callback=its.append, callback_type="pr_norm", **kwargs)
+        calls.append((len(its), out[1]))
+        return out
+
+    monkeypatch.setattr(solvers, "gmres", counted)
+    return calls
+
+
+def test_krylov_step_transforms_once_each_way_per_iteration(monkeypatch):
+    # the eigen1 Newton step at M = 1024 from its hand-over point: each GMRES
+    # product is one inverse and one forward transform; the set-up is the
+    # forward transforms of the right-hand side and of the border B(u) and
+    # the inverse of the iterate.  One restart cycle adds one product, the
+    # true residual at its end.  The step takes no more iterations than
+    # 20-23, the count of the node-space iteration before it
+    p = ProblemParams(3, 0.75, 2.0)
+    g = make_grid(p, 20.0, 1024)
+    start = _Ray(g.field(np.exp(-g.r ** 2))).on_manifold()
+    pt = solvers._ascend_J(start, 100, solvers._EIGEN_HANDOVER_REL)[0].eigen()
+    rhs = -np.append(pt.resid, pt.I - 1.0)  # reads A(u), the border row, too
+    calls = {"forward": 0, "inverse": 0, "products": 0}
+
+    def counting(fn, key):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapped
+
+    eng, matvec = g.transform(), solvers._jacobian_matvec
+    monkeypatch.setattr(eng, "forward", counting(eng.forward, "forward"))
+    monkeypatch.setattr(eng, "inverse", counting(eng.inverse, "inverse"))
+    monkeypatch.setattr(solvers, "_jacobian_matvec", lambda q: counting(matvec(q), "products"))
+    gmres = _counted_gmres(monkeypatch)
+    delta = solvers._krylov_step(pt, rhs)
+    [(its, info)] = gmres
+    assert info == 0 and its <= 23
+    assert calls["products"] == its + 1
+    assert (calls["forward"], calls["inverse"]) == (its + 1 + 2, its + 1 + 1)
+    assert np.all(np.isfinite(delta)) and delta.shape == rhs.shape
+
+
+def test_krylov_work_per_newton_step_is_capped(monkeypatch):
+    # GMRES runs at most _KRYLOV_MAXITER restart cycles of _KRYLOV_RESTART
+    # iterations.  With the cap lowered to 5 iterations every M = 1024 Newton
+    # step is cut short, goes to the line search unconverged, and the solve
+    # still returns
+    monkeypatch.setattr(solvers, "_KRYLOV_RESTART", 5)
+    monkeypatch.setattr(solvers, "_KRYLOV_MAXITER", 1)
+    gmres = _counted_gmres(monkeypatch)
+    p = ProblemParams(3, 0.75, 2.0)
+    try:
+        rep = solvers.eigen1(p, make_grid(p, 20.0, 1024))
+    except energy.DegenerateSeedError:  # a typed failure is a bounded end too
+        rep = None
+    assert gmres and all(its <= 5 for its, _ in gmres)
+    assert any(info != 0 for _, info in gmres)
+    assert rep is None or rep.extras["iterations_newton"] <= 40  # the polish's own cap
 
 
 # ---------------------------------------------------------------------------

@@ -120,32 +120,36 @@ def test_eigen1_ascent_projects_a_bounded_number_of_times(pstar, grid256, monkey
 
 
 def test_ascent_transforms_each_gradient_once(grid256, monkeypatch):
-    # each step transforms its gradient -B(u) once and the normal A(u) once:
-    # the tangent direction, its slope and the tangent gradient's dual norm
-    # share the two transforms.  Every other forward transform is the one of
-    # a line-search trial's own evaluation
+    # each step transforms its gradient -B(u) forward once, the potential
+    # part of the normal A(u) forward once, and its direction back once: the
+    # tangent direction, its slope and the tangent gradient's dual norm share
+    # them.  A line-search trial carries its coefficients and transforms
+    # nothing
     from fcs import solvers
 
     start = _Ray(grid256.field(np.exp(-grid256.r ** 2))).on_manifold()
-    calls = {"forward": 0, "trials": 0}
+    calls = {"forward": 0, "inverse": 0, "trials": 0}
     eng = grid256.transform()
-    forward = eng.forward
 
-    def counted(v):
-        calls["forward"] += 1
-        return forward(v)
+    def counted(fn, key):
+        def wrapped(v):
+            calls[key] += 1
+            return fn(v)
+
+        return wrapped
 
     class Trial(_Ray):
         def __init__(self, *args):
             calls["trials"] += 1
             super().__init__(*args)
 
-    monkeypatch.setattr(eng, "forward", counted)
+    monkeypatch.setattr(eng, "forward", counted(eng.forward, "forward"))
+    monkeypatch.setattr(eng, "inverse", counted(eng.inverse, "inverse"))
     monkeypatch.setattr(solvers, "_Ray", Trial)
     _, _, it, stop = solvers._ascend_J(start, 3, solvers._HANDOVER_REL)
     assert (it, stop) == (3, "max_iter")
     assert calls["trials"] >= it
-    assert calls["forward"] - calls["trials"] == 2 * it
+    assert (calls["forward"], calls["inverse"]) == (2 * it, it)
 
 
 def test_every_solver_runs_the_one_first_order_phase(pstar, monkeypatch):
@@ -303,15 +307,17 @@ def test_first_order_first_step_is_the_preconditioned_gradient(pstar):
     pt = _Ray(g.field(0.3 * np.exp(-g.r ** 2)), spec)
     trials = []
 
-    def retract(v):
-        trials.append(v)
+    def retract(v, c):
+        trials.append((v, c))
         return _Ray(g.field(v), spec)
 
-    solvers._first_order(pt, lambda q: q.action, lambda q: q.resid, retract, 1, 1e-2)
     eng, k_den = g.transform(), 1.0 + g.k2s
+    solvers._first_order(pt, lambda q: q.action, lambda q: eng.forward(q.resid), retract, 1, 1e-2)
     b = eng.forward(pt.resid)
     eta = min(2.0, 1.0 / math.sqrt(float(np.sum(b * b / k_den))))
-    np.testing.assert_array_equal(trials[0], pt.u - eta * eng.inverse(b / k_den))
+    # the trial's node values, and the coefficients it carries untransformed
+    np.testing.assert_array_equal(trials[0][0], pt.u - eta * eng.inverse(b / k_den))
+    np.testing.assert_array_equal(trials[0][1], pt._b - eta * (b / k_den))
 
 
 def test_first_order_directions_are_tangent_to_the_manifold(grid256, monkeypatch):
@@ -329,11 +335,11 @@ def test_first_order_directions_are_tangent_to_the_manifold(grid256, monkeypatch
             here[:] = [q]
             return grad(q)
 
-        def first_trial(v):
+        def first_trial(v, b):
             if here:  # the first trial of a step is u - eta d, eta > 0
                 q = here.pop()
                 dirs.append((q, q.u - v))
-            return retract(v)
+            return retract(v, b)
 
         return engine(pt, value, grad_at, first_trial, *args, **kwargs)
 
@@ -347,6 +353,34 @@ def test_first_order_directions_are_tangent_to_the_manifold(grid256, monkeypatch
     for q, d in dirs:
         scale = math.sqrt(float(np.sum(w * q.Au ** 2)) * float(np.sum(w * d ** 2)))
         assert abs(float(np.sum(w * q.Au * d))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("N, s, alpha", [(3, 0.75, 2.0), (4, 0.75, 2.5)], ids=["N3-DST", "N4-Bessel"])
+def test_first_order_trial_coefficients_are_the_transform_of_its_values(N, s, alpha, monkeypatch):
+    # a trial carries u_b - eta r untransformed next to its node values
+    # u - eta inverse(r): the iteration relies on forward(inverse(r)) = r,
+    # which an engine that is not an orthogonal pair would break
+    from fcs import solvers
+
+    p = ProblemParams(N, s, alpha)
+    g = make_grid(p, 20.0, 128)
+    eng = g.transform()
+    engine = solvers._first_order
+    carried = []
+
+    def spy(pt, value, grad, retract, *args, **kwargs):
+        def recorded(v, b):
+            carried.append((v, b))
+            return retract(v, b)
+
+        return engine(pt, value, grad, recorded, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_first_order", spy)
+    start = _Ray(g.field(np.exp(-g.r ** 2))).on_manifold()
+    _, _, it, _ = solvers._ascend_J(start, 8, solvers._HANDOVER_REL)
+    assert it >= 6 and len(carried) >= it
+    for v, b in carried:
+        assert float(np.max(np.abs(b - eng.forward(v)))) <= 1e-13 * float(np.max(np.abs(b)))
 
 
 def test_first_order_drops_a_two_loop_direction_that_does_not_descend(grid256, monkeypatch):
