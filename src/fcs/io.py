@@ -84,18 +84,22 @@ def load_field(path) -> Field:
 
 @functools.cache
 def _commit_hash() -> str | None:
-    # the code in memory cannot change commit within a process: look it up once
+    # the code in memory cannot change commit within a process: look it up
+    # once.  HEAD names this code only if its tree holds this file: a copy
+    # of the package left untracked inside some other repository fails the
+    # HEAD:./ lookup, and reports no commit rather than that repository's
+    here = Path(__file__).resolve()
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
+            ["git", "rev-parse", "HEAD", f"HEAD:./{here.name}"],
+            cwd=here.parent,
             capture_output=True,
             text=True,
             timeout=2.0,
         )
     except Exception:
         return None
-    return out.stdout.strip() if out.returncode == 0 else None
+    return out.stdout.split()[0] if out.returncode == 0 else None
 
 
 @functools.cache

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .energy import I_functional
 from .grid import Field
@@ -33,6 +31,8 @@ class _Fiber:
     """
 
     def __init__(self, u: Field, assume_zero_tail: bool = False):
+        from scipy.interpolate import PchipInterpolator  # loaded by the first dilation only
+
         self.u, self.grid = u, u.grid
         self.may_contract = assume_zero_tail or u.boundary_decay
         self.theta = u.grid.exps.theta
@@ -94,6 +94,8 @@ def project_to_M(u: Field) -> Field:
     <= 1e-8; otherwise, or if the start t does not fit a float, raises
     RuntimeError.
     """
+    from scipy.optimize import brentq  # loaded by the first projection only
+
     iu = I_functional(u)
     if iu <= 0.0:
         raise ValueError("cannot project the zero field onto the manifold")

@@ -53,8 +53,6 @@ from collections import deque
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .energy import MANIFOLD_TOL, DegenerateSeedError, NonlinearitySpec, Phi, _Ray
 from .grid import Field, RadialGrid, lp_norm
@@ -334,6 +332,8 @@ def _krylov_step(pt: _Ray, rhs: np.ndarray) -> np.ndarray:
     cycles run, and the iterate is returned whatever GMRES reports:
     ``_newton``'s line search judges it.
     """
+    from scipy.sparse.linalg import LinearOperator, gmres  # loaded on the first Krylov step only
+
     eng, M = pt.field.grid.transform(), pt.u.size
     n = rhs.size
     K = LinearOperator((n, n), matvec=_jacobian_matvec(pt), dtype=float)
@@ -945,6 +945,8 @@ def _nehari_amplitude(ray: _Ray) -> float | None:
     the largest Phi is the ray's maximum.  Both read the ray's S and Q (see
     ``_Ray``).
     """
+    from scipy.optimize import brentq  # loaded by the first mountain pass only
+
     amps = np.logspace(-3.0, 3.0, 61)
     hs = ray.nehari(amps)
     crossings = np.flatnonzero((hs[:-1] > 0.0) & (hs[1:] <= 0.0))

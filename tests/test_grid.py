@@ -276,6 +276,44 @@ def test_higher_dimension_transform_and_riesz(N, s, alpha):
     assert rel < 1e-4
 
 
+# measured max |error| / max |exact| on r < 3 at M = 128 and 512 (R = 20) of
+# the cases whose Loewdin-orthonormalized J_nu modes (integer nu, even N)
+# put a smooth field's weight on high k; ROADMAP item 9
+_POINTWISE_MISSES = {
+    (2, 0.75): (8.0e-1, 5.9), (2, 0.25): (8.2e-2, 1.9e-1), (4, 0.75): (1.6e-1, 1.3), (6, 0.75): (8.9e-2, 7.0e-1),
+}
+
+
+@pytest.mark.parametrize("N, s, alpha", [
+    pytest.param(
+        N, s, alpha,
+        marks=pytest.mark.xfail(
+            (N, s) in _POINTWISE_MISSES, strict=True,
+            reason="(-Delta)^s exp(-r^2) off the closed form by {:.1e} (M = 128) and {:.1e} (M = 512) "
+            "of its maximum".format(*_POINTWISE_MISSES.get((N, s), (0.0, 0.0))),
+        ),
+    )
+    for N, s, alpha in [(2, 0.75, 1.5), (2, 0.25, 1.5), (3, 0.75, 2.0), (4, 0.75, 2.0), (5, 0.75, 2.5), (6, 0.75, 2.0)]
+])
+def test_fractional_laplacian_of_gaussian_pointwise(N, s, alpha):
+    # (-Delta)^s exp(-|x|^2) = 4^s Gamma(s + N/2) / Gamma(N/2) 1F1(s + N/2; N/2; -r^2)
+    # node by node on r < 3, where the profile lives; alpha does not enter,
+    # it only has to be admissible.  Measured 8.9e-8 / 8.6e-8 (N = 3) and
+    # 3.3e-10 at both M (N = 5); the error may not grow with M
+    from scipy.special import gamma, hyp1f1
+
+    errors = []
+    for M in (128, 512):
+        g = make_grid(ProblemParams(N, s, alpha), 20.0, M)
+        eng = g.transform()
+        mine = eng.lap(eng.forward(np.exp(-g.r ** 2)))
+        exact = 4.0 ** s * gamma(s + N / 2) / gamma(N / 2) * hyp1f1(s + N / 2, N / 2, -g.r ** 2)
+        sel = g.r < 3.0
+        errors.append(np.max(np.abs(mine[sel] - exact[sel])) / np.max(np.abs(exact[sel])))
+    assert max(errors) <= 1e-6
+    assert errors[1] <= 2.0 * errors[0]
+
+
 def _critical_mountain_pass(p, g):
     # the critical family caches the Sobolev extremal on the grid
     exps = compute_exponents(p)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pkgutil
+import shutil
 import struct
 import subprocess
 import sys
@@ -282,6 +283,54 @@ def test_fcs_threads_caps_the_pools_before_numpy_loads():
     assert out.stdout.strip() == "1"
 
 
+DEFERRED = ("scipy.optimize", "scipy.sparse.linalg", "scipy.interpolate")
+
+# a fresh interpreter loads what fcs loads at module level first, then runs
+# one command through cli_main and prints the deferred packages it added
+_STARTUP = """
+import contextlib, io, json, sys
+import numpy, scipy.fft, scipy.special
+before = {m for m in DEFERRED if m in sys.modules}
+from fcs.cli import cli_main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli_main(sys.argv[1:])
+print(json.dumps([rc, sorted(before), sorted(m for m in DEFERRED if m in sys.modules and m not in before)]))
+"""
+
+
+def _deferred_loads(argv, cwd):
+    src = str(Path(fcs.__file__).resolve().parents[1])
+    env = {**os.environ, "FCS_THREADS": "1", "PYTHONPATH": src}
+    code = f"DEFERRED = {DEFERRED!r}\n{_STARTUP}"
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=cwd, env=env, check=True, capture_output=True, text=True
+    )
+    rc, before, added = json.loads(out.stdout.splitlines()[-1])
+    assert rc == 0
+    return set(before), set(added)
+
+
+def test_a_cli_run_loads_only_the_scipy_it_executes(tmp_path):
+    # scipy.optimize (brentq), scipy.sparse.linalg (gmres) and
+    # scipy.interpolate (PchipInterpolator) are imported where they are used:
+    # an N = 4 eigen1 below the dense cutoff loads none of them ...
+    grid = ["--s", "0.75", "--alpha", "2", "--R", "20"]
+    _, added = _deferred_loads(["eigen1", "--N", "4", *grid, "--M", "64"], tmp_path)
+    assert added == set()
+    # ... and each deferred path loads its own package on first use
+    (tmp_path / "mp.cfg").write_text(
+        "[params]\nN = 3\ns = 0.8\nalpha = 2.0\n[grid]\nR = 20.0\nM = 64\n"
+        "[nonlinearity]\nterm = power coef=1.0 q=4.1\n[solver]\nmethod = mountain-pass\n"
+    )
+    for argv, pkg in [
+        (["solve", "--config", "mp.cfg"], "scipy.optimize"),
+        (["scaling-check", "--N", "3", *grid, "--M", "64"], "scipy.interpolate"),
+        (["eigen1", "--N", "3", *grid, "--M", str(operators._DENSE_MAX_M + 1)], "scipy.sparse.linalg"),
+    ]:
+        before, added = _deferred_loads(argv, tmp_path)
+        assert pkg in before | added, argv
+
+
 def test_envelopes_look_up_the_commit_once(monkeypatch):
     from fcs import io
 
@@ -298,6 +347,35 @@ def test_envelopes_look_up_the_commit_once(monkeypatch):
     second = make_envelope({"a": 2}, {"r": 3.5}, 0.25)
     assert calls["run"] == 1
     assert first["tool"]["commit"] == second["tool"]["commit"]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_commit_is_none_for_a_copy_another_repository_does_not_track(tmp_path, monkeypatch):
+    # the package copied into lib/ of an unrelated repository: that
+    # repository's HEAD is not this code's commit until lib/ is committed
+    from fcs import io
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path, check=True, capture_output=True, text=True,
+        ).stdout.strip()
+
+    git("init", "-q", ".")
+    git("commit", "-q", "--allow-empty", "-m", "unrelated")
+    lib = tmp_path / "lib" / "fcs"
+    lib.mkdir(parents=True)
+    shutil.copy(io.__file__, lib / "io.py")
+    monkeypatch.setattr(io, "__file__", str(lib / "io.py"))
+    try:
+        io._commit_hash.cache_clear()
+        assert io._commit_hash() is None
+        git("add", "lib")
+        git("commit", "-q", "-m", "vendor fcs")
+        io._commit_hash.cache_clear()
+        assert io._commit_hash() == git("rev-parse", "HEAD")
+    finally:
+        io._commit_hash.cache_clear()
 
 
 # ---------------------------------------------------------------------------

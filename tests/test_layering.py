@@ -1,7 +1,8 @@
 """The package's layering, read with ``ast`` from every ``src/fcs/*.py``:
-the import graph has no cycle, no module imports inside a function, only
-``grid`` reads the transform engine's symbol and matrices, and only
-``solvers._certify`` builds a report."""
+the import graph has no cycle, no *fcs* module is imported inside a
+function, the only imports inside a function are the deferred scipy
+packages, only ``grid`` reads the transform engine's symbol and matrices,
+and only ``solvers._certify`` builds a report."""
 
 from __future__ import annotations
 
@@ -89,6 +90,52 @@ def test_no_module_imports_inside_a_function():
     # to wait for it; perfbench/worker.py loads _entry.py as a file of its own
     local = {(stem, t) for stem in MODULES for t, inside in _imports(stem) if inside}
     assert local == set()
+
+
+# scipy packages that only some paths execute, imported where they are
+# used so that a run which never reaches them does not pay their start-up
+DEFERRED_IMPORTS = {
+    ("solvers", "_krylov_step", "from scipy.sparse.linalg import LinearOperator, gmres"),
+    ("solvers", "_nehari_amplitude", "from scipy.optimize import brentq"),
+    ("scaling", "project_to_M", "from scipy.optimize import brentq"),
+    ("scaling", "_Fiber.__init__", "from scipy.interpolate import PchipInterpolator"),
+}
+
+
+def _local_imports(source: str) -> set[tuple[str, str]]:
+    """(qualified name of the function, statement) of every import
+    statement inside a function of ``source``."""
+    found = set()
+
+    def visit(node: ast.AST, scope: list[str], in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and in_function:
+                found.add((".".join(scope), ast.unparse(child)))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name], True)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name], in_function)
+            else:
+                visit(child, scope, in_function)
+
+    visit(ast.parse(source), [], False)
+    return found
+
+
+def test_only_the_deferred_scipy_packages_are_imported_inside_a_function():
+    local = {
+        (stem, fn, stmt) for stem in MODULES for fn, stmt in _local_imports((SRC / f"{stem}.py").read_text())
+    }
+    assert local == DEFERRED_IMPORTS
+
+
+def test_local_import_walk_sees_a_planted_import():
+    planted = (
+        "import math\n"
+        "def f():\n    if 1:\n        import os\n    def g():\n        from a import b\n"
+        "class C:\n    import sys\n    def m(self):\n        from . import x\n"
+    )
+    assert _local_imports(planted) == {("f", "import os"), ("f.g", "from a import b"), ("C.m", "from . import x")}
 
 
 # the engine's symbol, its metric array and the Fourier-Bessel matrices

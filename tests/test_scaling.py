@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.interpolate
 
 import fcs.scaling as scaling
 from fcs import ProblemParams, make_grid
@@ -217,8 +218,8 @@ def test_projection_of_rough_field_is_superlinear(pstar, monkeypatch, M):
 
 
 def test_projection_builds_one_interpolant(grid_small, monkeypatch):
-    counter = _Counter(scaling.PchipInterpolator)
-    monkeypatch.setattr(scaling, "PchipInterpolator", counter)
+    counter = _Counter(scipy.interpolate.PchipInterpolator)
+    monkeypatch.setattr(scipy.interpolate, "PchipInterpolator", counter)
     rng = np.random.default_rng(9)
     fields = [
         grid_small.field(np.exp(-grid_small.r ** 2)),
