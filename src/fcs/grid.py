@@ -7,8 +7,9 @@ which is consistent with the compactly-decaying states everything here
 targets.
 
 Two transform engines diagonalize the fractional Laplacian; they share
-``_Engine``, the one home of the k-space calculus (k^(2s), (-Delta)^s, the
-dual metric 1/(1 + k^(2s)) and the dense matrix of (-Delta)^s):
+``_Engine``, the one home of the k-space calculus (k^(2s), (-Delta)^s and
+its inverse, the dual metric 1/(1 + k^(2s)) and the dense matrix of
+(-Delta)^s):
 
 * N = 3: the radial Fourier transform reduces exactly to a type-I discrete
   sine transform of r u(r); the discrete map is unitary for the quadrature
@@ -200,6 +201,11 @@ class _Engine:
     def symbol(self, b: np.ndarray) -> np.ndarray:
         """k^(2s) b: the coefficients of (-Delta)^s u."""
         return self.k2s * b
+
+    def unsymbol(self, b: np.ndarray) -> np.ndarray:
+        """b / k^(2s): the coefficients of (-Delta)^(-s) u, the principal
+        symbol's inverse with no length scale (every k_m > 0)."""
+        return b / self.k2s
 
     def lap(self, b: np.ndarray) -> np.ndarray:
         """(-Delta)^s at the nodes."""

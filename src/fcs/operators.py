@@ -195,15 +195,17 @@ def _angular_kernel_generic(N: int, alpha: float, r: np.ndarray) -> np.ndarray:
 # The largest M at which an N = 3 grid builds an M x M operator matrix: the
 # Riesz kernel, the dense Laplacian and the Newton Jacobian.  Above it the
 # kernel product is one real FFT, and ``solvers._newton`` (at every N)
-# solves by matrix-free GMRES instead of factorizing.  Newton-phase ms, one
-# thread, dense kernel + LU -> FFT kernel + GMRES:
-#   N=3 eigen1:            4.5 -> 4.9 (M=384), 8.2 -> 5.5 (512), 20 -> 11 (768), 25 -> 6.4 (896), 32 -> 7.1 (1024)
-#   N=3 mountain pass 4.1: 9.2 -> 13 (384), 17 -> 14 (512), 46 -> 30 (768), 61 -> 17 (896), 88 -> 20 (1024)
-#   N=4 eigen1 (dense kernel, LU -> GMRES): 12 -> 14 (512), 45 -> 27 (768), 83 -> 45 (1024)
-# With the FFT product both N = 3 runs cross over between 384 and 512, below
-# the cutoff; the cutoff has not been moved to follow (ROADMAP item 6).  The
-# 768 rows are transform-bound: M + 1 = 769 is prime (see the DST-I note in
-# the README)
+# solves by matrix-free GMRES instead of factorizing.  Newton-phase ms
+# (median of 7, one thread), dense kernel + LU -> FFT kernel + GMRES
+# preconditioned by (-Delta)^(-s), 12-14 iterations per step throughout:
+#   N=3 eigen1:            4.6 -> 1.4 (M=384), 8.5 -> 1.6 (512), 20 -> 3.7 (768), 28 -> 2.1 (896), 37 -> 2.4 (1024)
+#   N=3 mountain pass 4.1: 8.3 -> 3.8 (384), 18 -> 4.4 (512), 48 -> 10 (768), 68 -> 6.4 (896), 105 -> 7.1 (1024)
+#   N=4 eigen1 (dense kernel, LU -> GMRES): 12 -> 4.3 (512), 34 -> 9.7 (768), 73 -> 16 (1024)
+# GMRES wins at every M from 384 up; at N = 3 the two cross near M = 256
+# (2.4 -> 2.3 for eigen1).  The cutoff stays at 768 because the LU is
+# where a Morse index can be read (ROADMAP items 3 and 6).  The 768 rows
+# are transform-bound: M + 1 = 769 is prime (see the DST-I note in the
+# README)
 _DENSE_MAX_M = 768
 
 

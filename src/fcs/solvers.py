@@ -33,9 +33,9 @@ constant, which ``diagnostics`` re-exports.
 plain point, and for an eigen point {A(u) = lam B(u), I(u) = 1} with lam as
 one more unknown.  Up to M = ``operators._DENSE_MAX_M`` (768) each call
 assembles its Jacobian in place, into one buffer, and factorizes it; above
-it each system is solved matrix-free by GMRES on transform coefficients,
-preconditioned by the same metric, with one transform each way per
-iteration and at most ``_KRYLOV_MAXITER`` restart cycles, to an iterate
+it each system is solved matrix-free by ``_gmres`` on transform
+coefficients, preconditioned by (-Delta)^(-s), with one transform each way
+per iteration and at most ``_KRYLOV_MAXITER`` restart cycles, to an iterate
 equal to the LU one to rounding (the cutoff's measured crossovers are listed
 at the constant).  Every field a solver
 evaluates is evaluated once, as one ``energy._Ray`` (S, Q, the Hartree
@@ -105,14 +105,16 @@ _LBFGS_MEMORY = 6  # (s, y) pairs kept by _first_order
 # residual by less than 10 %: it started outside its basin
 _NEWTON_STALL = 6
 # GMRES's relative tolerance, on the preconditioned residual's coefficients:
-# each Newton iterate equals the LU iterate to rounding, and the M=1024 eigen1
-# multiplier comes out bitwise equal
+# each Newton iterate equals the LU iterate to rounding
 _KRYLOV_RTOL = 1e-10
-_KRYLOV_RESTART = 60  # GMRES restart length; a step at R=20, M=1024 takes 19-23 iterations
+_KRYLOV_RESTART = 60  # GMRES restart length; a step at R=20, M=1024 takes 12-16 iterations
 # restart cycles per Newton step, so at most 240 iterations: a capped step
 # goes to the line search like a converged one, and _newton's stall exit and
-# max_iter bound the call (the hardest step measured took 124 iterations)
+# max_iter bound the call (the hardest step measured took 17 iterations)
 _KRYLOV_MAXITER = 4
+# GMRES breaks down when Gram-Schmidt leaves <= _EPS of a new column's norm:
+# the column lies in the basis, and the cycle's solution is exact
+_EPS = float(np.finfo(float).eps)
 _SOBOLEV_MAX_ITER = 400  # first-order steps of the Sobolev estimate, a guard
 _SOBOLEV_TOL = 1e-7      # drop of the tangent gradient's dual norm that stops the descent
 
@@ -284,29 +286,29 @@ def _jacobian(pt: _Ray, out: np.ndarray) -> np.ndarray:
 
 
 def _jacobian_matvec(pt: _Ray):
-    """c -> K c, the metric-preconditioned Newton Jacobian of ``pt`` on
-    coefficients, without a matrix.
+    """c -> K c, the Newton Jacobian of ``pt`` on coefficients, preconditioned
+    by (-Delta)^(-s), without a matrix.
 
-    With x = inverse(c) the field's node values, K c = metric(k^(2s) c +
-    forward(2 u S(u x) + (pot - f'(u)) x)): the metric 1/(1 + k^(2s)) times
-    the coefficients of J x = L x + 2 u S(u x) + (pot - f'(u)) x, L =
-    (-Delta)^s and S x the kernel's w-symmetric product (an FFT at N = 3, a
-    stored matrix at other N).  One inverse and one forward transform per
-    product.  An eigen point appends mu: the field rows gain -mu metric(
-    forward(B(u))), transformed once here, and the last row is <w A(u), x>,
-    unpreconditioned.  The same system ``_jacobian`` assembles densely, in
-    node coordinates.
+    With x = inverse(c) the field's node values, K c = c + k^(-2s) forward(
+    2 u S(u x) + (pot - f'(u)) x): k^(-2s) times the coefficients of J x =
+    L x + 2 u S(u x) + (pot - f'(u)) x, L = (-Delta)^s, whose k^(2s) c
+    cancels exactly, and S x the kernel's w-symmetric product (an FFT at
+    N = 3, a stored matrix at other N).  One inverse and one forward
+    transform per product.  An eigen point appends mu: the field rows gain
+    -mu k^(-2s) forward(B(u)), transformed once here, and the last row is
+    <w A(u), x>, unpreconditioned.  The same system ``_jacobian`` assembles
+    densely, in node coordinates.
     """
     grid = pt.field.grid
     eng, kernel = grid.transform(), _riesz_kernel(grid)
     u, M = pt.u, grid.M
     diag = pt.pot - pt.spec.fprime(u, pt.r)
-    border = None if pt.lam is None else eng.metric(eng.forward(pt.Bu))
+    border = None if pt.lam is None else eng.unsymbol(eng.forward(pt.Bu))
 
     def matvec(v: np.ndarray) -> np.ndarray:
         c = v[:M]
         x = eng.inverse(c)
-        out = eng.metric(eng.symbol(c) + eng.forward(2.0 * u * kernel.sym_potential(u * x) + diag * x))
+        out = c + eng.unsymbol(eng.forward(2.0 * u * kernel.sym_potential(u * x) + diag * x))
         if border is None:
             return out
         out -= v[M] * border
@@ -315,36 +317,104 @@ def _jacobian_matvec(pt: _Ray):
     return matvec
 
 
-def _krylov_step(pt: _Ray, rhs: np.ndarray) -> np.ndarray:
-    """The Newton step J delta = rhs by GMRES on coefficients, left
-    preconditioned by the k-space metric 1/(1 + k^(2s)) on the field block
-    (identity on the multiplier): GMRES solves K c = metric(forward(rhs))
-    with K from ``_jacobian_matvec`` to ``_KRYLOV_RTOL``, and delta =
-    inverse(c).  The right-hand side, the border and the iterate are
-    transformed once per call, and each GMRES iteration makes one transform
-    each way.  The Euclidean norm GMRES minimizes is then, by Plancherel,
-    the quadrature w-norm of the preconditioned residual.  The preconditioned
-    J is the identity plus a compact part, but the count still depends on
-    the field's scale: measured per step, 19-23 iterations at R = 20,
-    M = 1024 (eigen1 at N = 2, 3, 4, the N = 3 mountain pass), and 74-124
-    for the N = 3 subscaled minimizer (beta = 2.7) at R = 160, M = 4096,
-    whose well is wide and shallow.  At most ``_KRYLOV_MAXITER`` restart
-    cycles run, and the iterate is returned whatever GMRES reports:
-    ``_newton``'s line search judges it.
+def _gmres(matvec, b: np.ndarray, rtol: float, restart: int, maxiter: int):
+    """Restarted GMRES for matvec(x) = b from x = 0: (x, iterations, info).
+
+    Each cycle keeps its Krylov basis in the rows of one preallocated
+    (restart + 1) x n array, orthogonalizes each new column by classical
+    Gram-Schmidt run twice (BLAS products against the basis), and reduces
+    the Hessenberg column by Givens rotations on Python floats.  The cycle
+    ends once the rotated residual is <= rtol ||b||, at a breakdown (the
+    new column lies in the basis to rounding), or after ``restart``
+    columns; a back substitution updates x, and one more product gives the
+    true residual the next cycle restarts from.  info is 0 once that
+    residual is <= rtol ||b||, ``maxiter`` when that many cycles end
+    short of it, and -1 at a non-finite product, which returns a NaN
+    iterate.  A zero b costs no product.
     """
-    from scipy.sparse.linalg import LinearOperator, gmres  # loaded on the first Krylov step only
+    n = b.size
+    x = np.zeros(n)
+    bnorm = math.sqrt(float(b @ b))
+    if bnorm == 0.0:
+        return x, 0, 0
+    atol = rtol * bnorm
+    m = min(restart, n)
+    V = np.empty((m + 1, n))
+    r, rnorm, its = b, bnorm, 0
+    for _ in range(maxiter):
+        np.multiply(r, 1.0 / rnorm, out=V[0])
+        g = [rnorm]  # the rotated right-hand side rnorm e_1
+        cols, rots = [], []  # the triangular factor's columns, the rotations
+        for j in range(m):
+            w = V[j + 1]
+            w[:] = matvec(V[j])
+            its += 1
+            basis = V[: j + 1]
+            w0 = math.sqrt(float(w @ w))
+            h = basis @ w
+            w -= h @ basis
+            h2 = basis @ w
+            w -= h2 @ basis
+            h += h2
+            hn = math.sqrt(float(w @ w))
+            if not math.isfinite(hn):
+                return np.full(n, math.nan), its, -1
+            col = h.tolist()
+            for i, (c, s) in enumerate(rots):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            d = math.hypot(col[j], hn)
+            c, s = (col[j] / d, hn / d) if d > 0.0 else (1.0, 0.0)
+            rots.append((c, s))
+            col[j] = d
+            cols.append(col)
+            g.append(-s * g[j])
+            g[j] *= c
+            breakdown = hn <= _EPS * w0
+            if not breakdown:
+                w *= 1.0 / hn
+            if abs(g[j + 1]) <= atol or breakdown:
+                break
+        k = len(cols)
+        y = [0.0] * k
+        for i in range(k - 1, -1, -1):
+            t = g[i] - sum(cols[q][i] * y[q] for q in range(i + 1, k))
+            y[i] = t / cols[i][i] if cols[i][i] != 0.0 else 0.0
+        x += np.array(y) @ V[:k]
+        r = b - matvec(x)
+        rnorm = math.sqrt(float(r @ r))
+        if rnorm <= atol:
+            return x, its, 0
+    return x, its, maxiter
 
+
+def _krylov_step(pt: _Ray, rhs: np.ndarray):
+    """The Newton step J delta = rhs by GMRES on coefficients, left
+    preconditioned by (-Delta)^(-s), k^(-2s), on the field block (identity
+    on the multiplier): ``_gmres`` solves K c = k^(-2s) forward(rhs) with K
+    from ``_jacobian_matvec`` to ``_KRYLOV_RTOL``, and delta = inverse(c).
+    Returns delta, the GMRES iterations and GMRES's info.  The right-hand
+    side, the border and the iterate are transformed once per call, and
+    each GMRES iteration makes one transform each way.  The Euclidean norm
+    GMRES minimizes is then, by Plancherel, the quadrature w-norm of the
+    preconditioned residual.  The preconditioned J is the identity plus a
+    compact part, and k^(-2s) carries no length scale, so the count stays
+    flat in R and M: measured per step, 12-16 iterations at R = 20,
+    M = 1024 (eigen1 at N = 2 to 5, the N = 3 mountain pass), 17 for
+    eigen1 at R = 160, M = 16384, and 2-13 for the N = 3 subscaled
+    minimizer (beta = 2.7) at R = 160 and 320, whose well is wide and
+    shallow.  At most ``_KRYLOV_MAXITER`` restart cycles run, and the
+    iterate is returned whatever GMRES reports: ``_newton``'s line search
+    judges it.
+    """
     eng, M = pt.field.grid.transform(), pt.u.size
-    n = rhs.size
-    K = LinearOperator((n, n), matvec=_jacobian_matvec(pt), dtype=float)
-    c, _ = gmres(
-        K, np.concatenate((eng.metric(eng.forward(rhs[:M])), rhs[M:])), rtol=_KRYLOV_RTOL, atol=0.0,
-        restart=_KRYLOV_RESTART, maxiter=_KRYLOV_MAXITER,
+    c, its, info = _gmres(
+        _jacobian_matvec(pt), np.concatenate((eng.unsymbol(eng.forward(rhs[:M])), rhs[M:])),
+        _KRYLOV_RTOL, _KRYLOV_RESTART, _KRYLOV_MAXITER,
     )
-    return np.concatenate((eng.inverse(c[:M]), c[M:]))
+    return np.concatenate((eng.inverse(c[:M]), c[M:])), its, info
 
 
-def _newton(pt: _Ray, res0: float, tol: float, max_iter: int):
+def _newton(pt: _Ray, res0: float, tol: float, max_iter: int, krylov: list | None = None):
     """Damped Newton on the stationarity system of the evaluated point ``pt``.
 
     A plain point solves grad Phi(u) = A(u) - f(u) = 0 (minima and saddles
@@ -357,8 +427,8 @@ def _newton(pt: _Ray, res0: float, tol: float, max_iter: int):
     Up to M = ``_DENSE_MAX_M`` ``_jacobian`` assembles it off the
     point, into one buffer per call, and ``np.linalg.solve`` factorizes it; above
     it no matrix is built and ``_krylov_step`` runs GMRES on
-    ``_jacobian_matvec`` (at N = 3, with the FFT kernel product, 4.5x faster
-    at M = 1024 and faster down to M = 512, see the constant).  A singular
+    ``_jacobian_matvec`` (at N = 3, with the FFT kernel product, 15x faster
+    at M = 1024 and faster down to M = 384, see the constant).  A singular
     LU or a non-finite GMRES step ends the call.  The target is min(tol,
     1e-11) res0 plus the rounding floor of the start point (see
     ``_rounding_floor``).  A step is halved until the
@@ -367,7 +437,8 @@ def _newton(pt: _Ray, res0: float, tol: float, max_iter: int):
     once its last ``_NEWTON_STALL`` steps cut a residual above the target by
     < 10 %.
     Returns the last accepted point and the iteration count; a point accepted
-    by the line search is carried into the next step as it is.
+    by the line search is carried into the next step as it is.  Each
+    Krylov step appends its GMRES (iterations, info) to ``krylov``, if given.
     """
     grid = pt.field.grid
     M = grid.M
@@ -394,7 +465,9 @@ def _newton(pt: _Ray, res0: float, tol: float, max_iter: int):
             except np.linalg.LinAlgError:
                 break
         else:
-            delta = _krylov_step(pt, -rhs)
+            delta, its, info = _krylov_step(pt, -rhs)
+            if krylov is not None:
+                krylov.append((its, info))
             if not np.all(np.isfinite(delta)):
                 break
         step = 1.0
@@ -419,9 +492,18 @@ def _newton(pt: _Ray, res0: float, tol: float, max_iter: int):
 
 def _polish(pt: _Ray, res0: float, opts: SolverOptions, used: int):
     """``_newton`` in the steps that ``used`` first-order steps left of
-    max_iter, at most 40; no call when none is left."""
+    max_iter, at most 40; no call when none is left.  Returns the point,
+    the step count and the report keys of the Krylov steps, none at or
+    below the dense cutoff: the GMRES iterations of each step and how many
+    of them ended at ``_KRYLOV_MAXITER`` cycles unconverged."""
     budget = min(40, opts.max_iter - used)
-    return _newton(pt, res0, opts.tol, max_iter=budget) if budget > 0 else (pt, 0)
+    steps = []
+    pt, it = _newton(pt, res0, opts.tol, budget, steps) if budget > 0 else (pt, 0)
+    if not steps:
+        return pt, it, {}
+    return pt, it, {
+        "krylov_iterations": [its for its, _ in steps], "krylov_capped": sum(info > 0 for _, info in steps),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +745,7 @@ def _eigenpair(start: _Ray, opts: SolverOptions, cap: int, handover: float, seed
     ``_polish`` and ``_certify``, from res0 of ``start``'s eigen point."""
     res0 = start.eigen().res
     pt, values, it_ascent, stop = _ascend_J(start, cap, handover, penalty)
-    pt, it_newton = _polish(pt.eigen(), res0, opts, it_ascent)
+    pt, it_newton, krylov = _polish(pt.eigen(), res0, opts, it_ascent)
     return _certify(
         pt.field, None, opts, res0=res0, iterations=it_ascent + it_newton, seed=seed,
         extras={
@@ -671,6 +753,7 @@ def _eigenpair(start: _Ray, opts: SolverOptions, cap: int, handover: float, seed
             "iterations_ascent": it_ascent,
             "iterations_newton": it_newton,
             "ascent_stop": stop,
+            **krylov,
         },
     )
 
@@ -860,12 +943,12 @@ def _minimize(
             _first_order_cap(opts), _handover(opts),
         )
         try:
-            pt, it_n = _polish(pt, res0, opts, it_d)
+            pt, it_n, krylov = _polish(pt, res0, opts, it_d)
         except DegenerateSeedError:
             continue
         if float(np.max(np.abs(pt.u))) < 1e-10:
             continue
-        entry = (pt.action, _meets_tol(pt, res0, opts), pt.field, it_d + it_n, descriptor, res0)
+        entry = (pt.action, _meets_tol(pt, res0, opts), pt.field, it_d + it_n, descriptor, res0, krylov)
         if best is None or (entry[1], -entry[0]) > (best[1], -best[0]):
             best = entry
 
@@ -881,8 +964,8 @@ def _minimize(
         )
         live = NonlinearitySpec(tuple(t for t in spec.terms if t.coef != 0.0))
         return _certify(grid.zero_field(), live, opts, res0=0.0, iterations=0, seed="zero", extras={"note": note})
-    _, _, u, iters, descriptor, res0 = best
-    return _certify(u, spec, opts, res0=res0, iterations=iters, seed=descriptor, extras={})
+    _, _, u, iters, descriptor, res0, krylov = best
+    return _certify(u, spec, opts, res0=res0, iterations=iters, seed=descriptor, extras=krylov)
 
 
 # ---------------------------------------------------------------------------
@@ -1012,10 +1095,10 @@ def mountain_pass(
         pt, lambda q: q.action, lambda q: eng.forward(q.resid), to_nehari, _first_order_cap(opts, 80),
         _handover(opts),
     )
-    pt, it_n = _polish(pt, res0, opts, it_r)
+    pt, it_n, krylov = _polish(pt, res0, opts, it_r)
     rep = _certify(
         pt.field, spec, opts, res0=res0, iterations=it_r + it_n, seed="nehari[endpoint]",
-        extras={"iterations_nehari": it_r, "iterations_newton": it_n},
+        extras={"iterations_nehari": it_r, "iterations_newton": it_n, **krylov},
     )
     if rep.energy <= 0.0:
         raise NoPassError("no pass detected: the Nehari reduction ended at a nonpositive level")

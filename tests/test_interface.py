@@ -283,7 +283,7 @@ def test_fcs_threads_caps_the_pools_before_numpy_loads():
     assert out.stdout.strip() == "1"
 
 
-DEFERRED = ("scipy.optimize", "scipy.sparse.linalg", "scipy.interpolate")
+DEFERRED = ("scipy.optimize", "scipy.interpolate")
 
 # a fresh interpreter loads what fcs loads at module level first, then runs
 # one command through cli_main and prints the deferred packages it added
@@ -311,12 +311,14 @@ def _deferred_loads(argv, cwd):
 
 
 def test_a_cli_run_loads_only_the_scipy_it_executes(tmp_path):
-    # scipy.optimize (brentq), scipy.sparse.linalg (gmres) and
-    # scipy.interpolate (PchipInterpolator) are imported where they are used:
-    # an N = 4 eigen1 below the dense cutoff loads none of them ...
+    # scipy.optimize (brentq) and scipy.interpolate (PchipInterpolator) are
+    # imported where they are used: eigen1 loads neither, below the dense
+    # cutoff or above it (where Newton runs fcs's own GMRES) ...
     grid = ["--s", "0.75", "--alpha", "2", "--R", "20"]
-    _, added = _deferred_loads(["eigen1", "--N", "4", *grid, "--M", "64"], tmp_path)
-    assert added == set()
+    above = str(operators._DENSE_MAX_M + 1)
+    for argv in (["eigen1", "--N", "4", *grid, "--M", "64"], ["eigen1", "--N", "3", *grid, "--M", above]):
+        _, added = _deferred_loads(argv, tmp_path)
+        assert added == set(), argv
     # ... and each deferred path loads its own package on first use
     (tmp_path / "mp.cfg").write_text(
         "[params]\nN = 3\ns = 0.8\nalpha = 2.0\n[grid]\nR = 20.0\nM = 64\n"
@@ -325,7 +327,6 @@ def test_a_cli_run_loads_only_the_scipy_it_executes(tmp_path):
     for argv, pkg in [
         (["solve", "--config", "mp.cfg"], "scipy.optimize"),
         (["scaling-check", "--N", "3", *grid, "--M", "64"], "scipy.interpolate"),
-        (["eigen1", "--N", "3", *grid, "--M", str(operators._DENSE_MAX_M + 1)], "scipy.sparse.linalg"),
     ]:
         before, added = _deferred_loads(argv, tmp_path)
         assert pkg in before | added, argv

@@ -95,7 +95,6 @@ def test_no_module_imports_inside_a_function():
 # scipy packages that only some paths execute, imported where they are
 # used so that a run which never reaches them does not pay their start-up
 DEFERRED_IMPORTS = {
-    ("solvers", "_krylov_step", "from scipy.sparse.linalg import LinearOperator, gmres"),
     ("solvers", "_nehari_amplitude", "from scipy.optimize import brentq"),
     ("scaling", "project_to_M", "from scipy.optimize import brentq"),
     ("scaling", "_Fiber.__init__", "from scipy.interpolate import PchipInterpolator"),

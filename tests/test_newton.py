@@ -14,7 +14,6 @@ import types
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from scipy.fft import dst
 
 import fcs.solvers as solvers
@@ -121,9 +120,12 @@ def test_newton_jacobian_matches_oracle(kind, monkeypatch, manifold_point):
 @pytest.mark.parametrize("kind", ["eigen", "gradient"])
 def test_matrix_free_jacobian_matches_oracle(kind, manifold_point):
     # the product GMRES runs on above the dense cutoff is the dense
-    # Jacobian's conjugated by the transform, metric-preconditioned on the
-    # field rows: c -> metric(forward(J inverse(c))), the multiplier entry
-    # untransformed; on smooth and rough coefficient vectors alike
+    # Jacobian's conjugated by the transform, preconditioned by
+    # (-Delta)^(-s) on the field rows: c -> forward(J inverse(c)) / k^(2s),
+    # the multiplier entry untransformed; on smooth and rough coefficient
+    # vectors alike.  The comparison multiplies the field rows back by
+    # k^(2s): the oracle's dense product rounds at eps ||J x|| in every
+    # mode, which dividing by k^(2s) would magnify on the lowest ones
     u = manifold_point
     g = u.grid
     eng, M = g.transform(), g.M
@@ -133,8 +135,8 @@ def test_matrix_free_jacobian_matches_oracle(kind, manifold_point):
     rng = np.random.default_rng(7)
     for c in (rng.standard_normal(oracle.shape[0]), np.append(eng.forward(u.values), 1.0)[: oracle.shape[0]]):
         y = oracle @ np.concatenate((eng.inverse(c[:M]), c[M:]))
-        want = np.concatenate((eng.forward(y[:M]) / (1.0 + g.k2s), y[M:]))
-        assert _rel(matvec(c), want) <= 1e-13
+        got = matvec(c)
+        assert _rel(np.concatenate((g.k2s * got[:M], got[M:])), np.concatenate((eng.forward(y[:M]), y[M:]))) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +196,15 @@ def test_newton_step_evaluates_each_point_once(kind, monkeypatch, manifold_point
 
 
 def _counted_gmres(monkeypatch):
-    """(iterations, info) of every ``gmres`` call, which ``fcs.solvers``
-    reads off ``scipy.sparse.linalg`` when it takes a Krylov step."""
-    gmres, calls = scipy.sparse.linalg.gmres, []
+    """(iterations, info) of every ``solvers._gmres`` call."""
+    gmres, calls = solvers._gmres, []
 
-    def counted(*args, **kwargs):
-        its = []
-        out = gmres(*args, callback=its.append, callback_type="pr_norm", **kwargs)
-        calls.append((len(its), out[1]))
+    def counted(*args):
+        out = gmres(*args)
+        calls.append(out[1:])
         return out
 
-    monkeypatch.setattr(scipy.sparse.linalg, "gmres", counted)
+    monkeypatch.setattr(solvers, "_gmres", counted)
     return calls
 
 
@@ -213,8 +213,8 @@ def test_krylov_step_transforms_once_each_way_per_iteration(monkeypatch):
     # product is one inverse and one forward transform; the set-up is the
     # forward transforms of the right-hand side and of the border B(u) and
     # the inverse of the iterate.  One restart cycle adds one product, the
-    # true residual at its end.  The step takes no more iterations than
-    # 20-23, the count of the node-space iteration before it
+    # true residual at its end.  Preconditioned by (-Delta)^(-s) the step
+    # takes 13 iterations (22 by the metric 1/(1 + k^(2s)))
     p = ProblemParams(3, 0.75, 2.0)
     g = make_grid(p, 20.0, 1024)
     start = _Ray(g.field(np.exp(-g.r ** 2))).on_manifold()
@@ -234,9 +234,9 @@ def test_krylov_step_transforms_once_each_way_per_iteration(monkeypatch):
     monkeypatch.setattr(eng, "inverse", counting(eng.inverse, "inverse"))
     monkeypatch.setattr(solvers, "_jacobian_matvec", lambda q: counting(matvec(q), "products"))
     gmres = _counted_gmres(monkeypatch)
-    delta = solvers._krylov_step(pt, rhs)
-    [(its, info)] = gmres
-    assert info == 0 and its <= 23
+    delta, its, info = solvers._krylov_step(pt, rhs)
+    assert gmres == [(its, info)]
+    assert info == 0 and its <= 16
     assert calls["products"] == its + 1
     assert (calls["forward"], calls["inverse"]) == (its + 1 + 2, its + 1 + 1)
     assert np.all(np.isfinite(delta)) and delta.shape == rhs.shape
@@ -258,6 +258,111 @@ def test_krylov_work_per_newton_step_is_capped(monkeypatch):
     assert gmres and all(its <= 5 for its, _ in gmres)
     assert any(info != 0 for _, info in gmres)
     assert rep is None or rep.extras["iterations_newton"] <= 40  # the polish's own cap
+    if rep is not None:  # the report counts the capped steps
+        assert max(rep.extras["krylov_iterations"]) <= 5 and rep.extras["krylov_capped"] >= 1
+
+
+@pytest.mark.parametrize("M", [operators._DENSE_MAX_M, operators._DENSE_MAX_M + 1])
+def test_a_report_counts_its_krylov_work(M):
+    # a Newton that ran GMRES reports the iterations of each step and how
+    # many steps ended at the cap; a factorizing Newton adds no key
+    p = ProblemParams(3, 0.75, 2.0)
+    rep = solvers.eigen1(p, make_grid(p, 20.0, M))
+    assert rep.converged
+    if M <= operators._DENSE_MAX_M:
+        assert "krylov_iterations" not in rep.extras and "krylov_capped" not in rep.extras
+    else:
+        its = rep.extras["krylov_iterations"]
+        assert 1 <= len(its) <= rep.extras["iterations_newton"]  # the last iteration may only check
+        assert all(type(i) is int and 1 <= i <= 16 for i in its)
+        assert rep.extras["krylov_capped"] == 0
+
+
+def test_a_wide_shallow_well_takes_no_capped_krylov_step():
+    # the beta = 2.7 subscaled minimizer at R = 160: its well is ~3e-3 deep
+    # and spread over the ball.  By the metric 1/(1 + k^(2s)) its Newton
+    # steps took 74-124 GMRES iterations; by (-Delta)^(-s), with no length
+    # scale, at most 12
+    p = ProblemParams(3, 0.75, 2.0)
+    rep = solvers.minimize_subscaled(p, make_grid(p, 160.0, 4096), pure_power(1.0, 2.7))
+    assert rep.converged and rep.energy < 0.0
+    assert rep.extras["krylov_capped"] == 0
+    assert max(rep.extras["krylov_iterations"]) <= 20
+
+
+def test_krylov_iterations_stay_flat_far_above_the_dense_cutoff():
+    # eigen1 at R = 160, M = 16384 (test_eigen1_far_above_the_dense_cutoff
+    # holds its multiplier): 17 iterations per step, 68 by the old metric
+    p = ProblemParams(3, 0.75, 2.0)
+    rep = solvers.eigen1(p, make_grid(p, 160.0, 16384))
+    assert rep.converged
+    assert rep.extras["krylov_capped"] == 0
+    assert max(rep.extras["krylov_iterations"]) <= 25
+
+
+# ---------------------------------------------------------------------------
+# GMRES itself, against dense linear algebra
+# ---------------------------------------------------------------------------
+
+def _system(n, spread, seed):
+    """I + spread randn / sqrt(n): nonsymmetric, its spectrum in a disc of
+    radius ~spread about 1."""
+    rng = np.random.default_rng(seed)
+    return np.eye(n) + spread * rng.standard_normal((n, n)) / np.sqrt(n), rng.standard_normal(n)
+
+
+def _counting(A):
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return A @ v
+
+    return matvec, calls
+
+
+def test_gmres_matches_a_dense_solve():
+    A, b = _system(200, 0.1, 3)
+    matvec, calls = _counting(A)
+    x, its, info = solvers._gmres(matvec, b, 1e-13, 60, 4)
+    assert info == 0 and its <= 60
+    assert len(calls) == its + 1  # one true residual per cycle
+    assert _rel(x, np.linalg.solve(A, b)) <= 1e-10
+
+
+def test_gmres_stops_at_its_cap():
+    # one cycle of 5 on a system whose spectrum surrounds the origin
+    A, b = _system(200, 2.0, 4)
+    matvec, calls = _counting(A)
+    x, its, info = solvers._gmres(matvec, b, 1e-10, 5, 1)
+    assert (its, info) == (5, 1)
+    assert len(calls) == 6
+    assert np.all(np.isfinite(x))
+
+
+def test_gmres_zero_rhs_costs_no_product():
+    def matvec(v):
+        raise AssertionError("no product for b = 0")
+
+    x, its, info = solvers._gmres(matvec, np.zeros(7), 1e-10, 60, 4)
+    assert (its, info) == (0, 0) and not x.any()
+
+
+def test_gmres_identity_converges_in_one_iteration():
+    # the Krylov basis breaks down at once: no division by the zero norm
+    b = np.random.default_rng(5).standard_normal(50)
+    with np.errstate(all="raise"):
+        x, its, info = solvers._gmres(lambda v: v.copy(), b, 1e-10, 60, 4)
+    assert (its, info) == (1, 0)
+    assert _rel(x, b) <= 1e-15
+
+
+def test_gmres_non_finite_product_gives_a_non_finite_iterate():
+    # _newton ends the call at a non-finite step
+    b = np.ones(20)
+    x, its, info = solvers._gmres(lambda v: np.full(v.shape, np.nan), b, 1e-10, 60, 4)
+    assert its == 1 and info != 0
+    assert not np.all(np.isfinite(x))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +423,7 @@ def test_a_failed_newton_step_ends_the_polish(fault, M, tmp_path, capsys, monkey
     elif fault == "inf-lu-step":
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(b.shape, np.inf))
     else:
-        monkeypatch.setattr(scipy.sparse.linalg, "gmres", lambda A, b, **kw: (np.full(b.shape, np.nan), 0))
+        monkeypatch.setattr(solvers, "_gmres", lambda matvec, b, *args: (np.full(b.shape, np.nan), 1, -1))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text(
         f"[params]\nN = 3\ns = 0.8\nalpha = 2.0\n[grid]\nR = 20.0\nM = {M}\n"
