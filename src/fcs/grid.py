@@ -13,12 +13,15 @@ its inverse, the dual metric 1/(1 + k^(2s)) and the dense matrix of
 
 * N = 3: the radial Fourier transform reduces exactly to a type-I discrete
   sine transform of r u(r); the discrete map is unitary for the quadrature
-  inner product, so the Plancherel identity holds to rounding.
+  inner product, so the Plancherel identity holds to rounding.  The DST-I
+  (and the DCT-I of the dense matrix) is one ``numpy.fft`` real FFT of an
+  odd (even) extension, so the N = 3 path loads no compiled scipy.
 * other N: a dense Fourier-Bessel matrix.  Samples of the Dirichlet modes
   r^(1-N/2) J_{N/2-1}(k_m r) are orthonormalized against the discrete inner
   product (Loewdin), which again makes Plancherel exact by construction; the
   mode wavenumbers keep their continuum values j_{N/2-1,m}/R, from McMahon's
   expansion and Newton steps (within an ulp of ``jn_zeros`` for N = 2, 4).
+  The Bessel functions come from ``scipy.special``, imported on first use.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import dct, dst
-from scipy.special import j0, j1, jv
 
 from .params import ExponentTable, ProblemParams, compute_exponents, sphere_area
 
@@ -225,23 +226,51 @@ class _Engine:
 
 
 class _SineEngine(_Engine):
-    """Exact DST-I pair for N = 3: u <-> sqrt(4 pi h) DST1(r u)."""
+    """Exact DST-I pair for N = 3: u <-> sqrt(4 pi h) DST1(r u).
+
+    The orthonormal DST-I of length M is the imaginary part of one real FFT
+    (``numpy.fft``) of the odd extension (0, x, 0, -reversed x), of length
+    2(M+1), scaled by -1/sqrt(2(M+1)); the extension is written into a buffer
+    the engine owns, so one engine serves one thread at a time.
+    """
 
     def __init__(self, grid: RadialGrid):
         super().__init__(math.pi / grid.R * np.arange(1, grid.M + 1, dtype=float), grid.params.s)
+        M = grid.M
         self.r = grid.r
         self._c = math.sqrt(4.0 * math.pi * grid.h)
+        self._cr = self._c * self.r
+        self._odd = np.zeros(2 * (M + 1))
+        self._spec = np.empty(M + 2, dtype=complex)
+        # pocketfft's orthonormal factor, rounded from long double as scipy.fft
+        # rounds it: sqrt(0.5/(M+1)) is one ulp off it at M = 29, 48, 640, ...
+        self._scale = -float(1.0 / np.sqrt(np.longdouble(2 * (M + 1))))
+
+    def _dst(self) -> np.ndarray:
+        """The orthonormal DST-I of ``_odd[1:M+1]``, once ``_odd`` holds its odd extension."""
+        M = self.r.size
+        np.negative(self._odd[M:0:-1], out=self._odd[M + 2:])
+        np.fft.rfft(self._odd, out=self._spec)
+        return self._spec.imag[1:M + 1] * self._scale
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        return self._c * dst(self.r * values, type=1, norm="ortho")
+        np.multiply(self.r, values, out=self._odd[1:self.r.size + 1])
+        b = self._dst()
+        b *= self._c
+        return b
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        return dst(coeffs, type=1, norm="ortho") / (self._c * self.r)
+        self._odd[1:self.r.size + 1] = coeffs
+        u = self._dst()
+        u /= self._cr
+        return u
 
     def dense_lap(self) -> np.ndarray:
         """(-Delta)^s at the nodes: diag(1/r) [c(|i-j|) - c(i+j)] diag(r), c(n) =
-        sum_m k_m^(2s) cos(pi m n / (M+1)) / (M+1) from one DCT-I, c(n) = c(2(M+1) - n)."""
-        c = dct(np.concatenate(([0.0], self.k2s, [0.0])), type=1) / (2.0 * (self.r.size + 1))
+        sum_m k_m^(2s) cos(pi m n / (M+1)) / (M+1) from one DCT-I (the real FFT
+        of the even extension), c(n) = c(2(M+1) - n)."""
+        x = np.concatenate(([0.0], self.k2s, [0.0]))
+        c = np.fft.rfft(np.concatenate((x, x[-2:0:-1]))).real / (2.0 * (self.r.size + 1))
         return _toeplitz_minus_hankel(np.concatenate((c, c[-2:0:-1])), self.r)  # c(0..2M+1)
 
 
@@ -264,6 +293,8 @@ def _bessel_zeros(nu: float, count: int) -> np.ndarray:
 def _bessel_j(nu: float, x: np.ndarray) -> np.ndarray:
     """J_nu(x); for nu = 0 and +-1 from ``j0``/``j1``, about ten times faster
     than ``jv`` and equal to it within 2e-15."""
+    from scipy.special import j0, j1, jv
+
     if nu == 0.0:
         return j0(x)
     if abs(nu) == 1.0:
@@ -279,6 +310,8 @@ class _BesselEngine(_Engine):
     """
 
     def __init__(self, grid: RadialGrid):
+        from scipy.special import jv
+
         N = grid.params.N
         nu = N / 2.0 - 1.0
         z = _bessel_zeros(nu, grid.M)

@@ -30,6 +30,11 @@ operator is kept per kernel.  For N >= 3 it is P itself (W P is symmetric to
 rounding; the FFT product serves both); the N = 2 endpoint term breaks the
 symmetry, so there it is 0.5 (P + W^-1 P^T W), built once.
 
+The N = 3 path needs numpy and ``math`` only: the kink constant takes
+Gamma from ``math`` and zeta from ``_zeta``.  ``scipy.special`` (the Beta
+function of the N != 3 diagonal, 1F1 of the closed-form Gaussian
+potential) is imported where it is used.
+
 A spectral route (multiplier k^(-alpha) on a zero-padded grid, with the total
 mass split off analytically through the closed-form Gaussian potential) is
 provided as an independent cross-check of the Fourier convention; it is
@@ -45,8 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import beta as sp_beta, gamma as sp_gamma, hyp1f1, zeta as sp_zeta
 
 from .grid import Field, RadialGrid, _check_same_grid, _toeplitz_minus_hankel
 from .params import riesz_constant, sphere_area
@@ -104,6 +107,40 @@ def dual_norm(rho) -> float:
 # Riesz kernel matrix
 # ---------------------------------------------------------------------------
 
+_UNIT_ROUNDOFF = 2.0 ** -53
+# Euler-Maclaurin coefficients (2k)! / B_2k of ``_zeta``'s tail, k = 1..12
+_EM_COEFFS = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9, 7.47242496e10,
+    -2.950130727918164224e12, 1.1646782814350067249e14, -4.5979787224074726105e15,
+    1.8152105401943546773e17, -7.1661652561756670113e18,
+)
+
+
+def _zeta(x: float) -> float:
+    """The Riemann zeta function at x > 1, by Euler-Maclaurin summation in
+    the form of the Cephes Hurwitz zeta(x, 1): the terms n = 1..10, then the
+    integral, half-term and Bernoulli corrections of the tail beyond n = 10."""
+    s = 1.0
+    for n in range(2, 11):
+        b = n ** -x
+        s += b
+        if abs(b / s) < _UNIT_ROUNDOFF:
+            return s
+    s += b * 10.0 / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    for j, coef in enumerate(_EM_COEFFS):
+        a *= x + 2 * j
+        b /= 10.0
+        t = a * b / coef
+        s += t
+        if abs(t / s) < _UNIT_ROUNDOFF:
+            break
+        a *= x + 2 * j + 1
+        b /= 10.0
+    return s
+
+
 def _kink_correction_constant(N: int, alpha: float) -> float:
     """Coefficient of the h^alpha diagonal correction (potential units).
 
@@ -116,16 +153,16 @@ def _kink_correction_constant(N: int, alpha: float) -> float:
     t = (
         2.0
         * (2.0 * math.pi) ** (-alpha)
-        * sp_gamma(alpha)
-        * float(sp_zeta(alpha))
+        * math.gamma(alpha)
+        * _zeta(alpha)
         * math.pi
-        / sp_gamma((1.0 + alpha) / 2.0)
+        / math.gamma((1.0 + alpha) / 2.0)
     )
     return (
         -riesz_constant(N, alpha)
         * om2
-        * sp_gamma((N - 1.0) / 2.0)
-        / sp_gamma((N - alpha) / 2.0)
+        * math.gamma((N - 1.0) / 2.0)
+        / math.gamma((N - alpha) / 2.0)
         * t
     )
 
@@ -147,6 +184,8 @@ def _angular_kernel_generic(N: int, alpha: float, r: np.ndarray) -> np.ndarray:
     (b-a)^2 and (4a)b = (4b)a since the factor 4 is exact -- so only the
     upper triangle is integrated and then mirrored.
     """
+    from scipy.special import beta as sp_beta
+
     M = r.size
     iu, ju = np.triu_indices(M, 1)
     d2 = (r[iu] - r[ju]) ** 2
@@ -266,33 +305,52 @@ class _RieszKernel:
         return self.S
 
 
+def _fft_length(n: int) -> int:
+    """The smallest 5-smooth integer >= n: a fast real-FFT length."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 class _RieszFFT:
     """The N = 3 kernel above ``_DENSE_MAX_M``: ``_RieszKernel``'s P v with
     no matrix, memory linear in M.  With y = r v, the odd extension
     X_j = sign(j) y_|j| (j = -M..M) turns [c(|i-j|) - c(i+j)] y into the plain
     convolution sum_j c(|i-j|) X_j.  Its lags i - j span -(M-1)..2M, 3M
     values that a circular convolution of n >= 3M points keeps apart, so
-    P v is one real FFT pair against the stored spectrum of those lags."""
+    P v is one real FFT pair (``numpy.fft``, n the smallest 5-smooth length
+    >= 3M + 1) against the stored spectrum of those lags.  The extension,
+    its spectrum and the circular product live in buffers the operator owns,
+    so one operator serves one thread at a time."""
 
     def __init__(self, grid: RadialGrid):
         M, alpha = grid.M, grid.params.alpha
         c = _three_dim_lags(grid)
         self._r = grid.r
         self._kink = _kink_correction_constant(3, alpha) * grid.h ** alpha
-        self._n = next_fast_len(3 * M + 1, real=True)
-        lags = np.zeros(self._n)
+        n = self._n = _fft_length(3 * M + 1)
+        lags = np.zeros(n)
         lags[:2 * M + 1] = c
-        lags[self._n - M + 1:] = c[M - 1:0:-1]  # lags -(M-1)..-1
-        self._c_hat = rfft(lags)
+        lags[n - M + 1:] = c[M - 1:0:-1]  # lags -(M-1)..-1
+        self._c_hat = np.fft.rfft(lags)
+        self._X = np.zeros(n)
+        self._spec = np.empty(n // 2 + 1, dtype=complex)
+        self._conv = np.empty(n)
 
     def potential(self, v: np.ndarray) -> np.ndarray:
         M = v.size
-        y = self._r * v
-        X = np.zeros(self._n)
-        X[M + 1:2 * M + 1] = y
-        X[:M] = -y[::-1]
-        out = irfft(rfft(X) * self._c_hat, self._n)[M + 1:2 * M + 1]
-        out /= self._r
+        X = self._X
+        np.multiply(self._r, v, out=X[M + 1:2 * M + 1])
+        np.negative(X[2 * M:M:-1], out=X[:M])
+        np.fft.rfft(X, out=self._spec)
+        self._spec *= self._c_hat
+        np.fft.irfft(self._spec, self._n, out=self._conv)
+        out = self._conv[M + 1:2 * M + 1] / self._r
         out += self._kink * v
         return out
 
@@ -314,6 +372,8 @@ def gaussian_riesz_profile(N: int, alpha: float, r: np.ndarray, gamma_width: flo
     Gamma((N-alpha)/2) / (2^alpha Gamma(N/2)) 1F1((N-alpha)/2; N/2; -r^2);
     general widths follow by dilation covariance of the kernel.
     """
+    from scipy.special import gamma as sp_gamma, hyp1f1
+
     a = (N - alpha) / 2.0
     b = N / 2.0
     pref = sp_gamma(a) / (2.0 ** alpha * sp_gamma(b))

@@ -115,6 +115,37 @@ def test_physical_fourier_normalization(pstar):
     assert np.max(np.abs(phys[sel] - exact[sel])) <= 1e-8 * exact[0]
 
 
+@pytest.mark.parametrize("M", [29, 64, 128, 256, 512, 640, 767, 768, 769, 1023, 1024, 4096])
+def test_sine_engine_is_the_scipy_dst_bit_for_bit(pstar, M):
+    # the DST-I is numpy's real FFT of the odd extension; scipy's DST-I pair
+    # is the oracle, bit for bit.  At M = 29 and 640, sqrt(0.5/(M+1)) is one
+    # ulp off the orthonormal factor scipy rounds from long double
+    from scipy.fft import dst
+
+    g = make_grid(pstar, 20.0, M)
+    eng = g.transform()
+    c = math.sqrt(4.0 * math.pi * g.h)
+    rng = np.random.default_rng(M)
+    for _ in range(5):
+        u = rng.standard_normal(M)
+        assert np.array_equal(eng.forward(u), c * dst(g.r * u, type=1, norm="ortho"))
+        assert np.array_equal(eng.inverse(u), dst(u, type=1, norm="ortho") / (c * g.r))
+    u0 = u.copy()
+    eng.forward(u)
+    assert np.array_equal(u, u0)  # the input is read, not overwritten
+
+
+@pytest.mark.parametrize("M", [29, 64, 767, 768, 1024])
+def test_dense_lap_is_the_scipy_dct_build_bit_for_bit(pstar, M):
+    from scipy.fft import dct
+
+    from fcs.grid import _toeplitz_minus_hankel
+
+    eng = make_grid(pstar, 20.0, M).transform()
+    c = dct(np.concatenate(([0.0], eng.k2s, [0.0])), type=1) / (2.0 * (M + 1))
+    assert np.array_equal(eng.dense_lap(), _toeplitz_minus_hankel(np.concatenate((c, c[-2:0:-1])), eng.r))
+
+
 def test_generic_dimension_transform(grid_n2):
     rng = np.random.default_rng(21)
     u = smooth_random_field(grid_n2, rng)

@@ -283,42 +283,51 @@ def test_fcs_threads_caps_the_pools_before_numpy_loads():
     assert out.stdout.strip() == "1"
 
 
-DEFERRED = ("scipy.optimize", "scipy.interpolate")
+DEFERRED = ("scipy.optimize", "scipy.interpolate", "scipy.fft", "scipy.special")
 
-# a fresh interpreter loads what fcs loads at module level first, then runs
-# one command through cli_main and prints the deferred packages it added
+# a fresh interpreter imports the CLI, then runs one command through
+# cli_main, and prints the deferred packages loaded after each step
 _STARTUP = """
 import contextlib, io, json, sys
-import numpy, scipy.fft, scipy.special
-before = {m for m in DEFERRED if m in sys.modules}
 from fcs.cli import cli_main
+imported = sorted(m for m in DEFERRED if m in sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli_main(sys.argv[1:])
-print(json.dumps([rc, sorted(before), sorted(m for m in DEFERRED if m in sys.modules and m not in before)]))
+print(json.dumps([rc, imported, sorted(m for m in DEFERRED if m in sys.modules)]))
 """
 
 
 def _deferred_loads(argv, cwd):
+    """The deferred packages a fresh ``fcs`` run of ``argv`` has loaded once
+    the command has run; asserts that importing the CLI loads none."""
     src = str(Path(fcs.__file__).resolve().parents[1])
     env = {**os.environ, "FCS_THREADS": "1", "PYTHONPATH": src}
     code = f"DEFERRED = {DEFERRED!r}\n{_STARTUP}"
     out = subprocess.run(
         [sys.executable, "-c", code, *argv], cwd=cwd, env=env, check=True, capture_output=True, text=True
     )
-    rc, before, added = json.loads(out.stdout.splitlines()[-1])
+    rc, imported, loaded = json.loads(out.stdout.splitlines()[-1])
     assert rc == 0
-    return set(before), set(added)
+    assert imported == [], argv
+    return set(loaded)
 
 
 def test_a_cli_run_loads_only_the_scipy_it_executes(tmp_path):
-    # scipy.optimize (brentq) and scipy.interpolate (PchipInterpolator) are
-    # imported where they are used: eigen1 loads neither, below the dense
-    # cutoff or above it (where Newton runs fcs's own GMRES) ...
+    # scipy.optimize (brentq), scipy.interpolate (PchipInterpolator) and
+    # scipy.special (Bessel functions, the Beta function) are imported where
+    # they are used, and fcs's FFTs are numpy's: an N = 3 eigen1, below the
+    # dense cutoff or above it (where Newton runs fcs's own GMRES), and an
+    # N = 3 sobolev load none of them ...
     grid = ["--s", "0.75", "--alpha", "2", "--R", "20"]
     above = str(operators._DENSE_MAX_M + 1)
-    for argv in (["eigen1", "--N", "4", *grid, "--M", "64"], ["eigen1", "--N", "3", *grid, "--M", above]):
-        _, added = _deferred_loads(argv, tmp_path)
-        assert added == set(), argv
+    for argv in (
+        ["eigen1", "--N", "3", *grid, "--M", "64"],
+        ["eigen1", "--N", "3", *grid, "--M", above],
+        ["sobolev", "--N", "3", *grid, "--M", "64"],
+    ):
+        assert _deferred_loads(argv, tmp_path) == set(), argv
+    # ... N = 4 loads scipy.special for the Fourier-Bessel transform ...
+    assert _deferred_loads(["eigen1", "--N", "4", *grid, "--M", "64"], tmp_path) == {"scipy.special"}
     # ... and each deferred path loads its own package on first use
     (tmp_path / "mp.cfg").write_text(
         "[params]\nN = 3\ns = 0.8\nalpha = 2.0\n[grid]\nR = 20.0\nM = 64\n"
@@ -328,8 +337,7 @@ def test_a_cli_run_loads_only_the_scipy_it_executes(tmp_path):
         (["solve", "--config", "mp.cfg"], "scipy.optimize"),
         (["scaling-check", "--N", "3", *grid, "--M", "64"], "scipy.interpolate"),
     ]:
-        before, added = _deferred_loads(argv, tmp_path)
-        assert pkg in before | added, argv
+        assert pkg in _deferred_loads(argv, tmp_path), argv
 
 
 def test_envelopes_look_up_the_commit_once(monkeypatch):

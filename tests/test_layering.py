@@ -93,11 +93,16 @@ def test_no_module_imports_inside_a_function():
 
 
 # scipy packages that only some paths execute, imported where they are
-# used so that a run which never reaches them does not pay their start-up
+# used so that a run which never reaches them does not pay their start-up;
+# scipy.special serves N != 3 and the closed-form Gaussian potential only
 DEFERRED_IMPORTS = {
     ("solvers", "_nehari_amplitude", "from scipy.optimize import brentq"),
     ("scaling", "project_to_M", "from scipy.optimize import brentq"),
     ("scaling", "_Fiber.__init__", "from scipy.interpolate import PchipInterpolator"),
+    ("grid", "_bessel_j", "from scipy.special import j0, j1, jv"),
+    ("grid", "_BesselEngine.__init__", "from scipy.special import jv"),
+    ("operators", "_angular_kernel_generic", "from scipy.special import beta as sp_beta"),
+    ("operators", "gaussian_riesz_profile", "from scipy.special import gamma as sp_gamma, hyp1f1"),
 }
 
 

@@ -364,6 +364,69 @@ def test_fft_product_matches_the_toeplitz_minus_hankel_product(alpha, M):
         assert np.max(np.abs(op.sym_potential(v) - ref)) <= tol
 
 
+def test_fft_length_is_scipys_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    from fcs.operators import _fft_length
+
+    assert [_fft_length(3 * M + 1) for M in range(1, 20001)] == [
+        next_fast_len(3 * M + 1, real=True) for M in range(1, 20001)
+    ]
+
+
+@pytest.mark.parametrize("M", [_DENSE_MAX_M + 1, 1024, 4096])
+def test_fft_product_is_the_scipy_fft_product_bit_for_bit(M):
+    # numpy's real FFT pair, with the operator's reused buffers, against
+    # scipy's at the same length
+    from scipy.fft import irfft, next_fast_len, rfft
+
+    from fcs.operators import _three_dim_lags
+
+    g = make_grid(ProblemParams(3, 0.75, 2.0), 20.0, M)
+    op = _riesz_kernel(g)
+    n = next_fast_len(3 * M + 1, real=True)
+    assert op._n == n
+    c = _three_dim_lags(g)
+    lags = np.zeros(n)
+    lags[:2 * M + 1] = c
+    lags[n - M + 1:] = c[M - 1:0:-1]
+    c_hat = rfft(lags)
+    rng = np.random.default_rng(M)
+    for _ in range(3):
+        v = rng.standard_normal(M)
+        X = np.zeros(n)
+        X[M + 1:2 * M + 1] = g.r * v
+        X[:M] = -(g.r * v)[::-1]
+        ref = irfft(rfft(X) * c_hat, n)[M + 1:2 * M + 1] / g.r
+        ref += op._kink * v
+        assert np.array_equal(op.potential(v), ref)
+
+
+def test_zeta_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    from fcs.operators import _zeta
+
+    mp.mp.dps = 30
+    xs = np.concatenate((np.random.default_rng(2).uniform(1.0, 6.0, 300), [1.0 + 1e-6, 1.5, 2.0, 2.5, 3.0, 6.0]))
+    for x in xs:
+        exact = mp.zeta(mp.mpf(float(x)))
+        assert abs(float((_zeta(float(x)) - exact) / exact)) <= 2e-15, x
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_kink_constant_matches_the_scipy_formula(N):
+    # Gamma from math and zeta from fcs's Euler-Maclaurin sum, against
+    # scipy.special's gamma and Riemann zeta in the same formula
+    from scipy.special import gamma, zeta
+
+    from fcs.operators import _kink_correction_constant
+
+    for alpha in np.linspace(1.0, N, 23)[1:-1]:
+        t = 2.0 * (2.0 * math.pi) ** (-alpha) * gamma(alpha) * zeta(alpha) * math.pi / gamma((1.0 + alpha) / 2.0)
+        ref = -riesz_constant(N, alpha) * sphere_area(N - 1) * gamma((N - 1.0) / 2.0) / gamma((N - alpha) / 2.0) * t
+        assert abs(_kink_correction_constant(N, alpha) - ref) <= 4e-15 * abs(ref), alpha
+
+
 # ---------------------------------------------------------------------------
 # Coulomb energy and quadrilinear form
 # ---------------------------------------------------------------------------
