@@ -45,8 +45,8 @@ class _Fiber:
             self.interp = PchipInterpolator(np.r_[0.0, y], np.r_[origin, v], extrapolate=False)
 
     def at(self, t: float) -> Field:
-        if t < 0.0:
-            raise ValueError("dilation parameter must be nonnegative")
+        if not 0.0 <= t < math.inf:
+            raise ValueError("dilation parameter must be finite and nonnegative")
         if t == 0.0:
             return self.grid.zero_field()
         if t == 1.0:
@@ -67,9 +67,10 @@ class _Fiber:
 def scale(u: Field, t: float, assume_zero_tail: bool = False) -> Field:
     """Dilate: (u, t) -> t^theta u(t r), resampled on the grid of u.
 
-    scale(u, 0) = 0 and scale(u, 1) = u exactly; t < 0 is rejected; t > 1
-    needs the boundary-decay flag, unless ``assume_zero_tail`` accepts zero
-    extension of an undecayed tail (tail-insensitive quotient checks).
+    scale(u, 0) = 0 and scale(u, 1) = u exactly; t < 0 and a non-finite t
+    are rejected; t > 1 needs the boundary-decay flag, unless
+    ``assume_zero_tail`` accepts zero extension of an undecayed tail
+    (tail-insensitive quotient checks).
     """
     return _Fiber(u, assume_zero_tail).at(t)
 

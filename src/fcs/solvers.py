@@ -35,9 +35,9 @@ one more unknown.  Up to M = ``operators._DENSE_MAX_M`` (768) each call
 assembles its Jacobian in place, into one buffer, and factorizes it; above
 it each system is solved matrix-free by ``_gmres`` on transform
 coefficients, preconditioned by (-Delta)^(-s), with one transform each way
-per iteration and at most ``_KRYLOV_MAXITER`` restart cycles, to an iterate
-equal to the LU one to rounding (the cutoff's measured crossovers are listed
-at the constant).  Every field a solver
+per iteration and one Arnoldi cycle of at most ``_KRYLOV_MAXITER`` (240)
+iterations, to an iterate equal to the LU one to rounding (the cutoff's
+measured crossovers are listed at the constant).  Every field a solver
 evaluates is evaluated once, as one ``energy._Ray`` (S, Q, the Hartree
 potential, A(u) and the residual), and a point accepted by a line search
 is carried into the next step as it is.
@@ -107,11 +107,10 @@ _NEWTON_STALL = 6
 # GMRES's relative tolerance, on the preconditioned residual's coefficients:
 # each Newton iterate equals the LU iterate to rounding
 _KRYLOV_RTOL = 1e-10
-_KRYLOV_RESTART = 60  # GMRES restart length; a step at R=20, M=1024 takes 12-16 iterations
-# restart cycles per Newton step, so at most 240 iterations: a capped step
-# goes to the line search like a converged one, and _newton's stall exit and
-# max_iter bound the call (the hardest step measured took 17 iterations)
-_KRYLOV_MAXITER = 4
+# GMRES iterations per Newton step, in one cycle: a capped step goes to the
+# line search like a converged one, and _newton's stall exit and max_iter
+# bound the call (the hardest step measured took 17 iterations)
+_KRYLOV_MAXITER = 240
 # GMRES breaks down when Gram-Schmidt leaves <= _EPS of a new column's norm:
 # the column lies in the basis, and the cycle's solution is exact
 _EPS = float(np.finfo(float).eps)
@@ -317,74 +316,65 @@ def _jacobian_matvec(pt: _Ray):
     return matvec
 
 
-def _gmres(matvec, b: np.ndarray, rtol: float, restart: int, maxiter: int):
-    """Restarted GMRES for matvec(x) = b from x = 0: (x, iterations, info).
+def _gmres(matvec, b: np.ndarray, rtol: float, maxiter: int):
+    """GMRES for matvec(x) = b from x = 0, in one Arnoldi cycle of at most
+    ``maxiter`` columns: (x, iterations, info).
 
-    Each cycle keeps its Krylov basis in the rows of one preallocated
-    (restart + 1) x n array, orthogonalizes each new column by classical
-    Gram-Schmidt run twice (BLAS products against the basis), and reduces
-    the Hessenberg column by Givens rotations on Python floats.  The cycle
-    ends once the rotated residual is <= rtol ||b||, at a breakdown (the
-    new column lies in the basis to rounding), or after ``restart``
-    columns; a back substitution updates x, and one more product gives the
-    true residual the next cycle restarts from.  info is 0 once that
-    residual is <= rtol ||b||, ``maxiter`` when that many cycles end
-    short of it, and -1 at a non-finite product, which returns a NaN
-    iterate.  A zero b costs no product.
+    The Krylov basis lives in the rows of one (maxiter + 1) x n array; each
+    new column is orthogonalized by classical Gram-Schmidt run twice (BLAS
+    products against the basis), and the Hessenberg column is reduced by
+    Givens rotations on Python floats.  The cycle ends once the rotated
+    residual is <= rtol ||b|| or at a breakdown (the new column lies in the
+    basis to rounding), info 0, or after ``maxiter`` columns, info 1; a back
+    substitution then gives x, with no further product.  A non-finite
+    product gives info -1 and a NaN iterate.  A zero b costs no product.
     """
     n = b.size
-    x = np.zeros(n)
     bnorm = math.sqrt(float(b @ b))
     if bnorm == 0.0:
-        return x, 0, 0
+        return np.zeros(n), 0, 0
     atol = rtol * bnorm
-    m = min(restart, n)
+    m = min(maxiter, n)
     V = np.empty((m + 1, n))
-    r, rnorm, its = b, bnorm, 0
-    for _ in range(maxiter):
-        np.multiply(r, 1.0 / rnorm, out=V[0])
-        g = [rnorm]  # the rotated right-hand side rnorm e_1
-        cols, rots = [], []  # the triangular factor's columns, the rotations
-        for j in range(m):
-            w = V[j + 1]
-            w[:] = matvec(V[j])
-            its += 1
-            basis = V[: j + 1]
-            w0 = math.sqrt(float(w @ w))
-            h = basis @ w
-            w -= h @ basis
-            h2 = basis @ w
-            w -= h2 @ basis
-            h += h2
-            hn = math.sqrt(float(w @ w))
-            if not math.isfinite(hn):
-                return np.full(n, math.nan), its, -1
-            col = h.tolist()
-            for i, (c, s) in enumerate(rots):
-                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
-            d = math.hypot(col[j], hn)
-            c, s = (col[j] / d, hn / d) if d > 0.0 else (1.0, 0.0)
-            rots.append((c, s))
-            col[j] = d
-            cols.append(col)
-            g.append(-s * g[j])
-            g[j] *= c
-            breakdown = hn <= _EPS * w0
-            if not breakdown:
-                w *= 1.0 / hn
-            if abs(g[j + 1]) <= atol or breakdown:
-                break
-        k = len(cols)
-        y = [0.0] * k
-        for i in range(k - 1, -1, -1):
-            t = g[i] - sum(cols[q][i] * y[q] for q in range(i + 1, k))
-            y[i] = t / cols[i][i] if cols[i][i] != 0.0 else 0.0
-        x += np.array(y) @ V[:k]
-        r = b - matvec(x)
-        rnorm = math.sqrt(float(r @ r))
-        if rnorm <= atol:
-            return x, its, 0
-    return x, its, maxiter
+    np.multiply(b, 1.0 / bnorm, out=V[0])
+    g = [bnorm]  # the rotated right-hand side ||b|| e_1
+    cols, rots = [], []  # the triangular factor's columns, the rotations
+    info = 1
+    for j in range(m):
+        w = V[j + 1]
+        w[:] = matvec(V[j])
+        basis = V[: j + 1]
+        w0 = math.sqrt(float(w @ w))
+        h = basis @ w
+        w -= h @ basis
+        h2 = basis @ w
+        w -= h2 @ basis
+        h += h2
+        hn = math.sqrt(float(w @ w))
+        if not math.isfinite(hn):
+            return np.full(n, math.nan), j + 1, -1
+        col = h.tolist()
+        for i, (c, s) in enumerate(rots):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        d = math.hypot(col[j], hn)
+        c, s = (col[j] / d, hn / d) if d > 0.0 else (1.0, 0.0)
+        rots.append((c, s))
+        col[j] = d
+        cols.append(col)
+        g.append(-s * g[j])
+        g[j] *= c
+        breakdown = hn <= _EPS * w0
+        if not breakdown:
+            w *= 1.0 / hn
+        if abs(g[j + 1]) <= atol or breakdown:
+            info = 0
+            break
+    k = len(cols)
+    y = [0.0] * k
+    for i in range(k - 1, -1, -1):
+        t = g[i] - sum(cols[q][i] * y[q] for q in range(i + 1, k))
+        y[i] = t / cols[i][i] if cols[i][i] != 0.0 else 0.0
+    return np.array(y) @ V[:k], k, info
 
 
 def _krylov_step(pt: _Ray, rhs: np.ndarray):
@@ -402,15 +392,13 @@ def _krylov_step(pt: _Ray, rhs: np.ndarray):
     M = 1024 (eigen1 at N = 2 to 5, the N = 3 mountain pass), 17 for
     eigen1 at R = 160, M = 16384, and 2-13 for the N = 3 subscaled
     minimizer (beta = 2.7) at R = 160 and 320, whose well is wide and
-    shallow.  At most ``_KRYLOV_MAXITER`` restart cycles run, and the
-    iterate is returned whatever GMRES reports: ``_newton``'s line search
-    judges it.
+    shallow.  One cycle of at most ``_KRYLOV_MAXITER`` iterations runs, and
+    the iterate is returned whatever GMRES reports: ``_newton``'s line
+    search judges it.
     """
     eng, M = pt.field.grid.transform(), pt.u.size
-    c, its, info = _gmres(
-        _jacobian_matvec(pt), np.concatenate((eng.unsymbol(eng.forward(rhs[:M])), rhs[M:])),
-        _KRYLOV_RTOL, _KRYLOV_RESTART, _KRYLOV_MAXITER,
-    )
+    b = np.concatenate((eng.unsymbol(eng.forward(rhs[:M])), rhs[M:]))
+    c, its, info = _gmres(_jacobian_matvec(pt), b, _KRYLOV_RTOL, _KRYLOV_MAXITER)
     return np.concatenate((eng.inverse(c[:M]), c[M:])), its, info
 
 
@@ -495,7 +483,7 @@ def _polish(pt: _Ray, res0: float, opts: SolverOptions, used: int):
     max_iter, at most 40; no call when none is left.  Returns the point,
     the step count and the report keys of the Krylov steps, none at or
     below the dense cutoff: the GMRES iterations of each step and how many
-    of them ended at ``_KRYLOV_MAXITER`` cycles unconverged."""
+    of them ended at ``_KRYLOV_MAXITER`` iterations unconverged."""
     budget = min(40, opts.max_iter - used)
     steps = []
     pt, it = _newton(pt, res0, opts.tol, budget, steps) if budget > 0 else (pt, 0)
@@ -1066,10 +1054,13 @@ def mountain_pass(
     family the report carries the concentration-threshold context and flags
     levels at or above it.  Before any work it checks, each a ``ValueError``:
     the grid's params, 4s + alpha >= N, the growth class
-    (``RegimeMismatchError``), and a nonzero e with Phi(e) <= 0.
+    (``RegimeMismatchError``), e on the same grid, and a nonzero e with
+    Phi(e) <= 0.
     """
     opts = opts or SolverOptions()
     exps = _pass_entry(params, grid, spec)
+    if not e.grid.same_as(grid):
+        raise ValueError("endpoint e lives on a different grid")
     if Phi(e, spec) > 0.0:
         raise ValueError("endpoint e must satisfy Phi(e) <= 0")
     if float(np.max(np.abs(e.values))) == 0.0:

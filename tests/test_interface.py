@@ -1178,6 +1178,10 @@ _REFUSALS = {
         lambda g, _: fcs.eigen1(_PSTAR, g, fcs.SolverOptions(seed="ring")), ValueError, "unknown seed kind 'ring'",
     ),
     "deflation-k0": (lambda g, _: fcs.eigen_deflated(_PSTAR, g, 0), ValueError, "k must be >= 1"),
+    "endpoint-on-another-grid": (
+        lambda g, _: fcs.mountain_pass(_PSTAR, g, pure_power(1.0, 3.6), make_grid(_PSTAR, 40.0, 64).zero_field()),
+        ValueError, "endpoint e lives on a different grid",
+    ),
     "zero-endpoint": (
         lambda g, _: fcs.mountain_pass(_PSTAR, g, pure_power(1.0, 3.6), g.zero_field()),
         ValueError, "endpoint e must be nonzero",

@@ -212,8 +212,7 @@ def test_krylov_step_transforms_once_each_way_per_iteration(monkeypatch):
     # the eigen1 Newton step at M = 1024 from its hand-over point: each GMRES
     # product is one inverse and one forward transform; the set-up is the
     # forward transforms of the right-hand side and of the border B(u) and
-    # the inverse of the iterate.  One restart cycle adds one product, the
-    # true residual at its end.  Preconditioned by (-Delta)^(-s) the step
+    # the inverse of the iterate.  Preconditioned by (-Delta)^(-s) the step
     # takes 13 iterations (22 by the metric 1/(1 + k^(2s)))
     p = ProblemParams(3, 0.75, 2.0)
     g = make_grid(p, 20.0, 1024)
@@ -237,18 +236,16 @@ def test_krylov_step_transforms_once_each_way_per_iteration(monkeypatch):
     delta, its, info = solvers._krylov_step(pt, rhs)
     assert gmres == [(its, info)]
     assert info == 0 and its <= 16
-    assert calls["products"] == its + 1
-    assert (calls["forward"], calls["inverse"]) == (its + 1 + 2, its + 1 + 1)
+    assert calls["products"] == its
+    assert (calls["forward"], calls["inverse"]) == (its + 2, its + 1)
     assert np.all(np.isfinite(delta)) and delta.shape == rhs.shape
 
 
 def test_krylov_work_per_newton_step_is_capped(monkeypatch):
-    # GMRES runs at most _KRYLOV_MAXITER restart cycles of _KRYLOV_RESTART
-    # iterations.  With the cap lowered to 5 iterations every M = 1024 Newton
-    # step is cut short, goes to the line search unconverged, and the solve
-    # still returns
-    monkeypatch.setattr(solvers, "_KRYLOV_RESTART", 5)
-    monkeypatch.setattr(solvers, "_KRYLOV_MAXITER", 1)
+    # GMRES runs one cycle of at most _KRYLOV_MAXITER iterations.  With the
+    # cap lowered to 5 every M = 1024 Newton step is cut short, goes to the
+    # line search unconverged, and the solve still returns
+    monkeypatch.setattr(solvers, "_KRYLOV_MAXITER", 5)
     gmres = _counted_gmres(monkeypatch)
     p = ProblemParams(3, 0.75, 2.0)
     try:
@@ -324,19 +321,31 @@ def _counting(A):
 def test_gmres_matches_a_dense_solve():
     A, b = _system(200, 0.1, 3)
     matvec, calls = _counting(A)
-    x, its, info = solvers._gmres(matvec, b, 1e-13, 60, 4)
+    x, its, info = solvers._gmres(matvec, b, 1e-13, 240)
     assert info == 0 and its <= 60
-    assert len(calls) == its + 1  # one true residual per cycle
+    assert len(calls) == its  # no product past the last column
     assert _rel(x, np.linalg.solve(A, b)) <= 1e-10
 
 
+def test_gmres_one_cycle_solves_past_sixty_columns():
+    # a spectrum of radius ~0.8 about 1: one cycle converges past the 60
+    # columns a restarted GMRES(60) would keep (it needs 84 iterations over
+    # two cycles; one cycle needs 77), without a residual product
+    A, b = _system(300, 0.8, 4)
+    matvec, calls = _counting(A)
+    x, its, info = solvers._gmres(matvec, b, 1e-10, 240)
+    assert info == 0 and 60 < its <= 240
+    assert len(calls) == its
+    assert _rel(x, np.linalg.solve(A, b)) <= 1e-8
+
+
 def test_gmres_stops_at_its_cap():
-    # one cycle of 5 on a system whose spectrum surrounds the origin
+    # a cap of 5 on a system whose spectrum surrounds the origin
     A, b = _system(200, 2.0, 4)
     matvec, calls = _counting(A)
-    x, its, info = solvers._gmres(matvec, b, 1e-10, 5, 1)
+    x, its, info = solvers._gmres(matvec, b, 1e-10, 5)
     assert (its, info) == (5, 1)
-    assert len(calls) == 6
+    assert len(calls) == 5
     assert np.all(np.isfinite(x))
 
 
@@ -344,7 +353,7 @@ def test_gmres_zero_rhs_costs_no_product():
     def matvec(v):
         raise AssertionError("no product for b = 0")
 
-    x, its, info = solvers._gmres(matvec, np.zeros(7), 1e-10, 60, 4)
+    x, its, info = solvers._gmres(matvec, np.zeros(7), 1e-10, 240)
     assert (its, info) == (0, 0) and not x.any()
 
 
@@ -352,7 +361,7 @@ def test_gmres_identity_converges_in_one_iteration():
     # the Krylov basis breaks down at once: no division by the zero norm
     b = np.random.default_rng(5).standard_normal(50)
     with np.errstate(all="raise"):
-        x, its, info = solvers._gmres(lambda v: v.copy(), b, 1e-10, 60, 4)
+        x, its, info = solvers._gmres(lambda v: v.copy(), b, 1e-10, 240)
     assert (its, info) == (1, 0)
     assert _rel(x, b) <= 1e-15
 
@@ -360,7 +369,7 @@ def test_gmres_identity_converges_in_one_iteration():
 def test_gmres_non_finite_product_gives_a_non_finite_iterate():
     # _newton ends the call at a non-finite step
     b = np.ones(20)
-    x, its, info = solvers._gmres(lambda v: np.full(v.shape, np.nan), b, 1e-10, 60, 4)
+    x, its, info = solvers._gmres(lambda v: np.full(v.shape, np.nan), b, 1e-10, 240)
     assert its == 1 and info != 0
     assert not np.all(np.isfinite(x))
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,8 +90,11 @@ def test_fiber_at_is_bitwise_scale(grid_small):
                     continue
                 got = fiber.at(t)
                 assert got.values.tobytes() == expect.values.tobytes()
-    with pytest.raises(ValueError, match="nonnegative"):
-        _Fiber(grid_small.field(fields[0])).at(-0.5)
+    for t in (-0.5, math.inf, math.nan):  # refused before any arithmetic: no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="nonnegative"):
+                _Fiber(grid_small.field(fields[0])).at(t)
 
 
 def test_scale_beyond_cutoff_requires_decay(grid_small):
