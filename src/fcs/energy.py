@@ -219,10 +219,10 @@ class _Ray:
     """One evaluated field: the homogeneous parts of the action, their values
     along a -> a u, and the strong form A(u).
 
-    This is the one place S = sum_m k_m^(2s) |u_m|^2 (one forward transform),
-    the Hartree potential I_alpha * u^2 and Q = sum_j w_j u_j^2 (I_alpha * u^2)_j
-    = C_alpha D(u) (one kernel matvec) are computed.  Both parts are
-    homogeneous in the amplitude, so
+    This is the one place S = <u, (-Delta)^s u>_w (``seminorm_sq`` of one
+    forward transform), the Hartree potential I_alpha * u^2 and
+    Q = sum_j w_j u_j^2 (I_alpha * u^2)_j = C_alpha D(u) (one kernel matvec)
+    are computed.  Both parts are homogeneous in the amplitude, so
 
         h(a)     = Phi'(a u) a u = a^2 S + a^4 Q - a sum_j w_j f(a u_j) u_j,
         Phi(a u) = a^2 S / 2 + a^4 Q / 4 - sum_j w_j F(a u_j)

@@ -181,17 +181,41 @@ def _toeplitz_minus_hankel(c: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 class _Engine:
     """k-space calculus on coefficients b = forward(u); engines add ``forward``,
-    ``inverse`` and ``dense_lap``.  ``metric`` divides by ``_k_den`` = 1 + k^(2s)
-    (a reciprocal would round differently).  Discrete Plancherel (sum b^2 =
-    sum w u^2) is relied on too, by the transform of a residual in
-    ``operators.dual_norm``, and by ``solvers._krylov_step``: its GMRES
-    minimizes the Euclidean norm of coefficients, which is the quadrature
-    w-norm of the field only through Plancherel.  The solvers' iterations
-    also rely on forward(inverse(b)) = b to rounding: a first-order trial
-    carries the coefficients u_b - eta r of its node values u - eta
-    inverse(r) untransformed, and GMRES iterates on coefficients.  An engine
-    that is not an orthogonal pair (a collocation transform, say) would have
-    to revisit both."""
+    ``inverse``, ``analysis``, ``lap_analysis`` and ``dense_lap``.
+
+    Write Phi for the modes sampled at the nodes (u = Phi b) and W for the
+    quadrature weights.  The contract of each method, on any engine whose
+    ``inverse`` is invertible:
+
+    * ``forward(values)``: the coefficients of node values, Phi^(-1) u, so
+      forward(inverse(b)) = b to rounding (a first-order trial carries the
+      coefficients u_b - eta r of u - eta inverse(r) untransformed, and
+      GMRES iterates on coefficients).  ``inverse(b)`` = Phi b.
+    * ``symbol``, ``unsymbol`` and ``lap``: k^(2s) b, b / k^(2s) and
+      (-Delta)^s at the nodes, Phi k^(2s) b.
+    * ``analysis(values)``: Phi^T W v, the coefficients of a dual vector v's
+      w-projection onto the modes (a gradient, a normal, a residual).
+    * ``lap_analysis(b)``: Phi^T W Phi k^(2s) b, the analysis of (-Delta)^s u
+      from u's coefficients.
+    * ``seminorm_sq(b)``: sum b lap_analysis(b) = <u, (-Delta)^s u>_w.
+
+    These hold only when Phi^T W Phi = I (discrete Plancherel, sum b^2 =
+    sum w u^2), as on both engines here:
+
+    * ``analysis`` is ``forward`` and ``lap_analysis`` is ``symbol``, so no
+      bit moves: each engine binds ``lap_analysis`` to ``symbol`` and passes
+      ``analysis`` on to ``self.forward`` (not a class-level alias, which a
+      wrap of one engine's ``forward``, as a transform counter makes, would
+      not see);
+    * the Euclidean coefficient norm that ``solvers._gmres`` minimizes is the
+      quadrature w-norm of the field;
+    * ``dual(a, b)`` and ``metric(b)`` of analyses are the exact H^(-s)
+      metric.  ``metric`` divides by ``_k_den`` = 1 + k^(2s) (a reciprocal
+      would round differently).
+
+    An engine that is not an orthogonal pair (a collocation transform, say)
+    gives its own ``analysis`` and ``lap_analysis`` and restates the last
+    two; no other module assumes orthogonality."""
 
     def __init__(self, k: np.ndarray, s: float):
         self.k = k
@@ -213,8 +237,8 @@ class _Engine:
         return self.inverse(self.symbol(b))
 
     def seminorm_sq(self, b: np.ndarray) -> float:
-        """sum_m k_m^(2s) b_m^2."""
-        return float((self.k2s * b * b).sum())
+        """sum_m b_m lap_analysis(b)_m (sum_m k_m^(2s) b_m^2 here)."""
+        return float((b * self.lap_analysis(b)).sum())
 
     def dual(self, a: np.ndarray, b: np.ndarray) -> float:
         """The dual inner product sum_m a_m b_m / (1 + k_m^(2s))."""
@@ -258,6 +282,11 @@ class _SineEngine(_Engine):
         b = self._dst()
         b *= self._c
         return b
+
+    def analysis(self, values: np.ndarray) -> np.ndarray:
+        return self.forward(values)  # the DST-I pair is orthogonal
+
+    lap_analysis = _Engine.symbol
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         self._odd[1:self.r.size + 1] = coeffs
@@ -333,6 +362,11 @@ class _BesselEngine(_Engine):
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         return self._Q.T @ (self._sqrt_w * values)
+
+    def analysis(self, values: np.ndarray) -> np.ndarray:
+        return self.forward(values)  # the Loewdin modes are orthonormal
+
+    lap_analysis = _Engine.symbol
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         return (self._Q @ coeffs) / self._sqrt_w

@@ -88,18 +88,19 @@ class DualField:
 # ---------------------------------------------------------------------------
 
 def frac_seminorm_sq(u: Field) -> float:
-    """Squared Gagliardo-type seminorm, sum_m k_m^(2s) |u_m|^2."""
+    """Squared Gagliardo-type seminorm <u, (-Delta)^s u>_w, from u's coefficients."""
     eng = u.grid.transform()
     return eng.seminorm_sq(eng.forward(u.values))
 
 
 def dual_norm(rho) -> float:
-    """Discrete negative-order norm: sqrt(sum |rho_m|^2 / (1 + k_m^(2s))).
+    """Discrete negative-order norm: sqrt(sum |rho_m|^2 / (1 + k_m^(2s))), rho_m
+    the analysis of rho.
 
     Accepts a Field or DualField; used for mesh-robust stopping criteria.
     """
     eng = rho.grid.transform()
-    b = eng.forward(rho.values)
+    b = eng.analysis(rho.values)
     return math.sqrt(eng.dual(b, b))
 
 

@@ -9,13 +9,13 @@ two-loop recursion over the last ``_LBFGS_MEMORY`` coefficient pairs, with
 the dual metric 1/(1 + k^(2s)) of the grid's transform engine as its initial
 inverse metric and the preconditioned gradient as its fallback; every k-space
 quantity comes from that engine's methods.  Each solver supplies a value, its
-gradient's transform coefficients and the retraction onto its set, which is
-handed each trial's coefficients along with its node values, so a step
-transforms its gradient (and its normal) forward and its direction back,
-and no trial: 2 forward and 1 inverse transform per eigen ascent step, 1 and
-1 per Sobolev step (the minimizer and the mountain pass transform their
-trials, and keep their bits).  The eigen ascent descends -J on
-{I = 1}, tangent to it, and each trial returns to it along its own
+gradient's analysis (``analysis``, see ``grid._Engine``) and the retraction
+onto its set, which is handed each trial's coefficients along with its node
+values, so a step analyses its gradient (and its normal) and transforms its
+direction back, and no trial: 2 forward and 1 inverse transform per eigen
+ascent step, 1 and 1 per Sobolev step (the minimizer and the mountain pass
+transform their trials, and keep their bits).  The eigen ascent descends -J
+on {I = 1}, tangent to it, and each trial returns to it along its own
 amplitude ray.  The minimizer descends Phi in the whole space (the identity
 retraction).  The mountain pass descends Phi on the Nehari set: each trial
 is normalized and moved to its Nehari amplitude.  The phase only has to
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .energy import MANIFOLD_TOL, DegenerateSeedError, NonlinearitySpec, Phi, _Ray
+from .energy import MANIFOLD_TOL, DegenerateSeedError, NonlinearitySpec, Phi, PowerTerm, _Ray
 from .grid import Field, RadialGrid, lp_norm
 # unused apply_A: perfbench/test_perfbench.py reads fcs.solvers.apply_A
 from .operators import _DENSE_MAX_M, apply_A, dense_fractional_matrix, _riesz_kernel, dual_norm  # noqa: F401
@@ -384,17 +384,17 @@ def _krylov_step(pt: _Ray, rhs: np.ndarray):
     from ``_jacobian_matvec`` to ``_KRYLOV_RTOL``, and delta = inverse(c).
     Returns delta, the GMRES iterations and GMRES's info.  The right-hand
     side, the border and the iterate are transformed once per call, and
-    each GMRES iteration makes one transform each way.  The Euclidean norm
-    GMRES minimizes is then, by Plancherel, the quadrature w-norm of the
-    preconditioned residual.  The preconditioned J is the identity plus a
-    compact part, and k^(-2s) carries no length scale, so the count stays
-    flat in R and M: measured per step, 12-16 iterations at R = 20,
-    M = 1024 (eigen1 at N = 2 to 5, the N = 3 mountain pass), 17 for
-    eigen1 at R = 160, M = 16384, and 2-13 for the N = 3 subscaled
-    minimizer (beta = 2.7) at R = 160 and 320, whose well is wide and
-    shallow.  One cycle of at most ``_KRYLOV_MAXITER`` iterations runs, and
-    the iterate is returned whatever GMRES reports: ``_newton``'s line
-    search judges it.
+    each GMRES iteration makes one transform each way.  GMRES minimizes the
+    Euclidean norm of the preconditioned residual's coefficients; what that
+    norm is on the field is the engine's contract (``grid._Engine``).  The
+    preconditioned J is the identity plus a compact part, and k^(-2s)
+    carries no length scale, so the count stays flat in R and M: measured
+    per step, 12-16 iterations at R = 20, M = 1024 (eigen1 at N = 2 to 5,
+    the N = 3 mountain pass), 17 for eigen1 at R = 160, M = 16384, and 2-13
+    for the N = 3 subscaled minimizer (beta = 2.7) at R = 160 and 320, whose
+    well is wide and shallow.  One cycle of at most ``_KRYLOV_MAXITER``
+    iterations runs, and the iterate is returned whatever GMRES reports:
+    ``_newton``'s line search judges it.
     """
     eng, M = pt.field.grid.transform(), pt.u.size
     b = np.concatenate((eng.unsymbol(eng.forward(rhs[:M])), rhs[M:]))
@@ -524,8 +524,9 @@ def _first_order(pt: _Ray, value, grad, retract, max_iter: int, handover: float,
     ``value(q)`` and ``grad(q)`` of an evaluated point q, and ``retract(v,
     b)``, which returns the evaluated point its set assigns to the node
     values v with transform coefficients b (None where there is none).
-    ``grad`` and ``normal`` return transform coefficients, and every vector
-    below is one.  With g = ``grad(q)`` and P the k-space multiplier
+    ``grad`` and ``normal`` return analyses of dual vectors (``analysis``
+    and ``lap_analysis`` of ``grid._Engine``), and every vector below is a
+    coefficient vector.  With g = ``grad(q)`` and P the k-space multiplier
     1/(1 + k^(2s)), a ``normal`` n = ``normal(q)`` makes the gradient tangent
     to its level set, P g_t = P g - (<n, P g> / <n, P n>) P n.
     The direction d is the L-BFGS two-loop recursion (``_two_loop``, Nocedal
@@ -626,8 +627,8 @@ def _sobolev_descent(grid: RadialGrid, u0: np.ndarray):
         return _Ray(Field(grid, v / nrm), None, b / nrm, no_potential)
 
     return _first_order(
-        on_sphere(u0, eng.forward(u0)), lambda q: q.S, lambda q: 2.0 * eng.symbol(q._b), on_sphere,
-        _SOBOLEV_MAX_ITER, _SOBOLEV_TOL, normal=lambda q: eng.forward(np.abs(q.u) ** (p - 2.0) * q.u),
+        on_sphere(u0, eng.forward(u0)), lambda q: q.S, lambda q: 2.0 * eng.lap_analysis(q._b), on_sphere,
+        _SOBOLEV_MAX_ITER, _SOBOLEV_TOL, normal=lambda q: eng.analysis(np.abs(q.u) ** (p - 2.0) * q.u),
     )
 
 
@@ -687,8 +688,8 @@ def _ascend_J(pt: _Ray, cap: int, handover: float, penalty=None):
     (less a ``penalty``).
 
     It descends -J = -<B(u), u>/q* with gradient -B(u), tangent to {I = 1}
-    (the normal is A(u) = I'(u), whose coefficients k^(2s) u_b + forward(pot
-    u) take one transform), and each trial, evaluated from its carried
+    (the normal is A(u) = I'(u), whose analysis lap_analysis(u_b) +
+    analysis(pot u) takes one transform), and each trial, evaluated from its carried
     coefficients, returns to {I = 1} along its own amplitude ray
     (``_Ray.on_manifold``).
     """
@@ -700,11 +701,11 @@ def _ascend_J(pt: _Ray, cap: int, handover: float, penalty=None):
         return val if penalty is None else val + penalty.value(q.field)
 
     def grad(q: _Ray) -> np.ndarray:
-        return eng.forward(-q.Bu if penalty is None else -q.Bu + penalty.gradient(q.field))
+        return eng.analysis(-q.Bu if penalty is None else -q.Bu + penalty.gradient(q.field))
 
     return _first_order(
         pt, value, grad, lambda v, b: _Ray(Field(grid, v), None, b).on_manifold(), cap, handover,
-        normal=lambda q: eng.symbol(q._b) + eng.forward(q.pot * q.u),
+        normal=lambda q: eng.lap_analysis(q._b) + eng.analysis(q.pot * q.u),
     )
 
 
@@ -927,7 +928,7 @@ def _minimize(
         # the trial's own forward transform, not the carried coefficients:
         # the pick among starts compares levels that can tie to rounding
         pt, _, it_d, _ = _first_order(
-            pt, lambda q: q.action, lambda q: eng.forward(q.resid), lambda v, b: _Ray(Field(grid, v), spec),
+            pt, lambda q: q.action, lambda q: eng.analysis(q.resid), lambda v, b: _Ray(Field(grid, v), spec),
             _first_order_cap(opts), _handover(opts),
         )
         try:
@@ -968,13 +969,37 @@ def _is_critical_family(spec: NonlinearitySpec, exps) -> bool:
 
 
 def _pass_entry(params: ProblemParams, grid: RadialGrid, spec: NonlinearitySpec) -> ExponentTable:
-    """``_entry`` plus a mountain pass's growth class: superscaled or the critical family."""
+    """``_entry`` plus a mountain pass's growth class (superscaled or the
+    critical family), then a refusal of power sums that have no solution.
+
+    The Pohozaev identity ((N-2s)/2) S + ((N+alpha)/4) Q = N int F(u) less
+    (N-2s)/2 times the Nehari identity S + Q = int f(u) u leaves
+    ((4s+alpha-N)/4) Q = int [N F(u) - ((N-2s)/2) f(u) u], S the seminorm
+    and Q > 0 the Coulomb part of u != 0.  A power term c |t|^(q-2) t puts
+    c (N/q - (N-2s)/2) |u|^q in the integrand, so when every live term is a
+    ``PowerTerm`` with c (N/q - (N-2s)/2) <= 0 (0 for q within 1e-9 of
+    2*_s) no critical point but 0 exists, and ``RegimeMismatchError`` says
+    so: every positive pure power with q >= 2*_s.  Damped and weighted
+    terms are not tested; a sum with one passes.
+    """
     exps = _entry(params, grid)
     regime = classify_nonlinearity(spec, exps)
     if not (regime.is_superscaled or _is_critical_family(spec, exps)):
         raise RegimeMismatchError(
             "mountain_pass requires superscaled growth or the critical family; "
             f"classifier says {regime.tag.value}"
+        )
+    N, half = params.N, (params.N - 2.0 * params.s) / 2.0
+    live = [t for t in spec.terms if t.coef != 0.0]
+    if all(
+        isinstance(t, PowerTerm) and (abs(t.q - exps.two_star_s) < 1e-9 or t.coef * (N / t.q - half) <= 0.0)
+        for t in live
+    ):
+        raise RegimeMismatchError(
+            "no solution exists: the Pohozaev identity less (N-2s)/2 times the Nehari identity gives "
+            "((4s+alpha-N)/4) Q = int [N F(u) - ((N-2s)/2) f(u) u], positive on the left and <= 0 on the "
+            f"right for every term c |u|^q here (c (N/q - (N-2s)/2) <= 0): (c, q) = "
+            f"{[(t.coef, t.q) for t in live]} against 2*_s = {exps.two_star_s:.6g}"
         )
     return exps
 
@@ -1053,9 +1078,9 @@ def mountain_pass(
     e whose ray has no crossing, raises ``NoPassError``.  For the critical
     family the report carries the concentration-threshold context and flags
     levels at or above it.  Before any work it checks, each a ``ValueError``:
-    the grid's params, 4s + alpha >= N, the growth class
-    (``RegimeMismatchError``), e on the same grid, and a nonzero e with
-    Phi(e) <= 0.
+    the grid's params, 4s + alpha >= N, the growth class and the
+    Pohozaev-Nehari refusal (``RegimeMismatchError``, see ``_pass_entry``),
+    e on the same grid, and a nonzero e with Phi(e) <= 0.
     """
     opts = opts or SolverOptions()
     exps = _pass_entry(params, grid, spec)
@@ -1083,7 +1108,7 @@ def mountain_pass(
     res0 = pt.res
     eng = grid.transform()
     pt, _, it_r, _ = _first_order(
-        pt, lambda q: q.action, lambda q: eng.forward(q.resid), to_nehari, _first_order_cap(opts, 80),
+        pt, lambda q: q.action, lambda q: eng.analysis(q.resid), to_nehari, _first_order_cap(opts, 80),
         _handover(opts),
     )
     pt, it_n, krylov = _polish(pt, res0, opts, it_r)

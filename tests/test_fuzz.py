@@ -18,10 +18,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fcs import ProblemParams, make_grid
-from fcs.energy import DampedPowerTerm, NonlinearitySpec, critical_family, pure_power
+from fcs.energy import DampedPowerTerm, NonlinearitySpec, PowerTerm, critical_family, pure_power
 from fcs.params import Regime, compute_exponents
 from fcs.solvers import (
     NoPassError,
+    RegimeMismatchError,
     SolverOptions,
     eigen1,
     find_negative_energy_point,
@@ -136,3 +137,38 @@ def test_mountain_pass_pure_power_certifies_or_raises_a_typed_error(draw):
 @given(_mountain_pass_draws(critical=True))
 def test_mountain_pass_critical_family_certifies_or_raises_a_typed_error(draw):
     _mountain_pass_certifies_or_raises_a_typed_error(*draw)
+
+
+@st.composite
+def _power_sums(draw):
+    """Above the threshold, a power sum whose top term is superscaled (so
+    the growth class passes) and whose terms fall on either side of the
+    Pohozaev-Nehari sign rule c (N/q - (N-2s)/2) <= 0, that is c (2*_s - q)
+    <= 0; a zero coefficient makes a dead term."""
+    params, _ = draw(admissible().filter(lambda d: d[0].regime is not Regime.BELOW))
+    exps = compute_exponents(params)
+    coefs = st.sampled_from([-2.0, -0.5, 0.0, 0.5, 2.0])
+    top = draw(st.one_of(st.just(exps.two_star_s), st.floats(exps.two_star_s_alpha + 0.05, exps.two_star_s + 1.5)))
+    terms = [PowerTerm(draw(coefs.filter(bool)), top)]
+    for _ in range(draw(st.integers(0, 2))):
+        terms.append(PowerTerm(draw(coefs), draw(st.floats(2.05, top - 0.01))))
+    return params, NonlinearitySpec.of(*terms)
+
+
+@settings(_FUZZ, max_examples=100)
+@given(_power_sums())
+def test_mountain_pass_refuses_exactly_the_power_sums_with_no_solution(draw):
+    params, spec = draw
+    grid = make_grid(params, 20.0, 64)
+    two_star_s = grid.exps.two_star_s
+    no_solution = all(
+        abs(t.q - two_star_s) < 1e-9 or t.coef * (two_star_s - t.q) <= 0.0 for t in spec.terms if t.coef != 0.0
+    )
+    if no_solution:
+        with pytest.raises(RegimeMismatchError, match="Pohozaev identity less"):
+            find_negative_energy_point(params, grid, spec)
+        return
+    try:
+        find_negative_energy_point(params, grid, spec)
+    except NoPassError:
+        pass

@@ -172,6 +172,21 @@ def test_fractional_symbol_is_built_once_per_grid(N, s, alpha):
         g.k2s[0] = 0.0
 
 
+@pytest.mark.parametrize("N, s, alpha", [(2, 0.6, 1.5), (3, 0.75, 2.0), (4, 0.75, 2.5)])
+def test_orthogonal_engines_analyse_as_they_transform(N, s, alpha):
+    # both engines are orthogonal pairs, so the analysis of a dual vector is
+    # its forward transform and the analysis of (-Delta)^s u is the symbol
+    # times u's coefficients, bit for bit; the seminorm is their pairing
+    g = make_grid(ProblemParams(N, s, alpha), 12.0, 64)
+    eng = g.transform()
+    v = smooth_random_field(g, np.random.default_rng(N)).values
+    b = eng.forward(v)
+    assert np.array_equal(eng.analysis(v), b)
+    assert np.array_equal(eng.lap_analysis(b), eng.symbol(b))
+    assert eng.seminorm_sq(b) == float((b * eng.lap_analysis(b)).sum())
+    assert eng.seminorm_sq(b) == float((g.k2s * b * b).sum())
+
+
 def test_grid_mismatch_rejected(pstar):
     g1 = make_grid(pstar, 20.0, 64)
     g2 = make_grid(pstar, 20.0, 96)

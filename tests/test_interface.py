@@ -552,6 +552,45 @@ def test_cli_mountain_pass_with_the_wrong_growth_class_is_a_validation_error(tmp
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("M", [128, 256, 512])
+@pytest.mark.parametrize("q", [4.5, 5.0, 4.0])
+def test_cli_mountain_pass_of_a_power_at_or_above_two_star_s_is_refused(tmp_path, capsys, q, M):
+    # q >= 2*_s = 4 at s = 0.75: the Pohozaev identity less (N-2s)/2 times
+    # the Nehari one has a positive left side and a right side <= 0, so no
+    # solution exists.  These runs used to exit 0 with converged = true on a
+    # field that concentrates at the grid scale
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[params]\nN = 3\ns = 0.75\nalpha = 2.0\n"
+        f"[grid]\nR = 20.0\nM = {M}\n"
+        f"[nonlinearity]\nterm = power coef=1.0 q={q}\n"
+        f"[solver]\nmethod = mountain-pass\n[output]\njson = {tmp_path / 'out.json'}\n"
+    )
+    assert cli_main(["solve", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no solution exists")
+    assert "Pohozaev identity less (N-2s)/2 times the Nehari identity" in err
+    assert f"(1.0, {q})" in err and "2*_s = 4" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_python_m_fcs_runs_a_command(tmp_path):
+    src = str(Path(fcs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["eigen1", "--N", "3", "--s", "0.75", "--alpha", "2", "--R", "20", "--M", "64", "--out", "o.json"]
+    out = subprocess.run([sys.executable, "-m", "fcs", *argv], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads((tmp_path / "o.json").read_text())["report"]["converged"] is True
+    # fcs.cli run as a module is the same command line
+    out = subprocess.run(
+        [sys.executable, "-m", "fcs.cli", "exponents", "--N", "3", "--s", "0.75", "--alpha", "2", "--json"],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["two_star_s"] == 4.0
+
+
 def test_cli_sweep_below_the_threshold_is_a_validation_error(tmp_path, capsys):
     # 4s + alpha = 2.7 < N = 5: refused before the first row, no CSV
     cfg = tmp_path / "run.cfg"

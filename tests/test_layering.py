@@ -2,7 +2,9 @@
 the import graph has no cycle, no *fcs* module is imported inside a
 function, the only imports inside a function are the deferred scipy
 packages, only ``grid`` reads the transform engine's symbol and matrices,
-and only ``solvers._certify`` builds a report."""
+each call of the engine's ``forward``, ``analysis`` and ``lap_analysis``
+outside ``grid`` is pinned to its function, and only ``solvers._certify``
+builds a report."""
 
 from __future__ import annotations
 
@@ -209,3 +211,86 @@ def test_report_call_walk_sees_a_planted_call():
         ("<module>", "_normalize_sign"), ("C", "SolveReport"), ("f", "SolveReport"), ("f", "_normalize_sign")
     ]
     assert _report_calls("def f(rep):\n    return rep.SolveReport, normalize_sign(rep)\n") == []
+
+
+# the engine's maps into coefficients: ``forward`` takes node values to
+# coefficients, ``analysis`` takes a dual vector (a gradient, a normal, a
+# residual) to its analysis, and ``lap_analysis`` takes u's coefficients to
+# the analysis of (-Delta)^s u.  They coincide only on an orthogonal engine
+# (see ``grid._Engine``), so every call outside ``grid`` is pinned to its job
+TRANSFORM_MAPS = {"forward", "analysis", "lap_analysis"}
+
+
+def _transform_calls(source: str) -> list[tuple[str, str]]:
+    """(qualified name of the innermost enclosing definition, map) of every
+    call of a ``TRANSFORM_MAPS`` method, sorted."""
+    found = []
+
+    def visit(node: ast.AST, scope: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in TRANSFORM_MAPS
+            ):
+                found.append((".".join(scope) or "<module>", child.func.attr))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(found)
+
+
+# node values -> coefficients: the ray's coefficients, the seminorm, A(u), the
+# spectral Riesz path, the Sobolev start and residual, and the whole Krylov
+# system (its border, matvec and right-hand side), where k^(2s) must cancel
+# exactly; dual vectors -> analyses: the dual norm and every gradient and
+# normal handed to ``_first_order``
+TRANSFORM_SITES = {
+    "energy": [("_Ray.__init__", "forward")],
+    "operators": [
+        ("_riesz_spectral", "forward"),
+        ("apply_A", "forward"),
+        ("dual_norm", "analysis"),
+        ("frac_seminorm_sq", "forward"),
+    ],
+    "solvers": [
+        ("_ascend_J", "analysis"),
+        ("_ascend_J", "lap_analysis"),
+        ("_ascend_J.grad", "analysis"),
+        ("_jacobian_matvec", "forward"),
+        ("_jacobian_matvec.matvec", "forward"),
+        ("_krylov_step", "forward"),
+        ("_minimize", "analysis"),
+        ("_sobolev_descent", "analysis"),
+        ("_sobolev_descent", "forward"),
+        ("_sobolev_descent", "lap_analysis"),
+        ("mountain_pass", "analysis"),
+        ("sobolev_residual_dual", "forward"),
+    ],
+}
+
+
+def test_each_transform_call_names_its_job():
+    calls = {stem: _transform_calls((SRC / f"{stem}.py").read_text()) for stem in MODULES - {"grid"}}
+    assert {stem: c for stem, c in calls.items() if c} == TRANSFORM_SITES
+
+
+def test_transform_call_walk_sees_a_planted_call():
+    planted = (
+        "def dual_norm(rho, eng):\n    return eng.forward(rho)\n"
+        "class C:\n    def m(self, eng, b):\n        def g(v):\n            return eng.analysis(v)\n"
+        "        return g, eng.lap_analysis(b)\n"
+        "x = eng.forward(1)\n"
+    )
+    assert _transform_calls(planted) == [
+        ("<module>", "forward"), ("C.m", "lap_analysis"), ("C.m.g", "analysis"), ("dual_norm", "forward")
+    ]
+    # a read that is not a call, and a call of another name, are no sites
+    assert _transform_calls("def f(eng, b):\n    return eng.forward, eng.inverse(b), forward(b)\n") == []
+    # a site moved to the other job no longer matches the pin
+    source = (SRC / "operators.py").read_text().replace("eng.analysis(rho.values)", "eng.forward(rho.values)")
+    assert ("dual_norm", "forward") in _transform_calls(source)
+    assert _transform_calls(source) != TRANSFORM_SITES["operators"]

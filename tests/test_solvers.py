@@ -1005,6 +1005,14 @@ def test_sweep_records_failures_and_continues(pstar, grid):
     assert all(math.isnan(r.energy) for r in rows)
 
 
+def test_mountain_pass_sweep_records_a_power_with_no_solution(pstar, grid):
+    # q = 4.5 > 2*_s = 4: each row's entry check refuses the power (the
+    # Pohozaev identity less (N-2s)/2 times the Nehari one), a NaN row
+    with pytest.warns(RuntimeWarning, match="no solution exists"):
+        rows = sweep(pstar, grid, pure_power(1.0, 4.5), 0, [1.0, 2.0], method="mountain-pass")
+    assert [(math.isnan(r.energy), r.converged, r.iterations) for r in rows] == [(True, False, 0)] * 2
+
+
 @pytest.mark.parametrize("error", [NoPassError, TypeError])
 def test_sweep_records_only_the_failures_of_a_solve(error, pstar, grid, monkeypatch):
     # a solver failure (exit 2 from the CLI) is a NaN row and a warning; a
