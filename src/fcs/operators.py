@@ -31,9 +31,11 @@ rounding; the FFT product serves both); the N = 2 endpoint term breaks the
 symmetry, so there it is 0.5 (P + W^-1 P^T W), built once.
 
 The N = 3 path needs numpy and ``math`` only: the kink constant takes
-Gamma from ``math`` and zeta from ``_zeta``.  ``scipy.special`` (the Beta
-function of the N != 3 diagonal, 1F1 of the closed-form Gaussian
-potential) is imported where it is used.
+Gamma from ``math`` and zeta from ``_zeta``, and ``_brentq``, the root
+finder of the mountain pass and ``scaling.project_to_M``, is scipy's
+``brentq`` ported bit for bit.  ``scipy.special`` (the Beta function of the
+N != 3 diagonal, 1F1 of the closed-form Gaussian potential) is imported
+where it is used.
 
 A spectral route (multiplier k^(-alpha) on a zero-padded grid, with the total
 mass split off analytically through the closed-form Gaussian potential) is
@@ -140,6 +142,60 @@ def _zeta(x: float) -> float:
         a *= x + 2 * j + 1
         b /= 10.0
     return s
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A root of f in [a, b] by Brent's method (Brent, Algorithms for
+    Minimization without Derivatives, 1973), bit for bit
+    ``scipy.optimize.brentq``: a port of scipy's ``optimize/Zeros/brentq.c``
+    (BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and 2003- SciPy
+    Developers) with the same IEEE operations in the same order.  A zero
+    f(a) or f(b) returns that endpoint; ValueError for f(a) and f(b) of one
+    sign or a NaN value of f, RuntimeError after ``maxiter`` iterations."""
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xtol, xpre, xcur = float(xtol), float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2  # the tolerance is 2 delta
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _kink_correction_constant(N: int, alpha: float) -> float:

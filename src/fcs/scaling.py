@@ -16,6 +16,7 @@ import numpy as np
 
 from .energy import I_functional
 from .grid import Field
+from .operators import _brentq
 
 __all__ = ["scale", "project_to_M"]
 
@@ -77,8 +78,8 @@ def scale(u: Field, t: float, assume_zero_tail: bool = False) -> Field:
 
 def _gap(t: float, fiber: _Fiber, sign: float, seen: dict) -> float:
     # sign(sigma) g(t), which increases in t, memoised with u_t in seen[t];
-    # |g| < _PROJECT_TOL reads as an exact root, which stops brentq there.
-    # Module level, state in arguments: brentq keeps its callable in a ref cycle.
+    # |g| < _PROJECT_TOL reads as an exact root, which stops Brent's method
+    # there.  The bracket search and the root solve share the state.
     if t not in seen:
         ut = fiber.at(t)
         seen[t] = (sign * (I_functional(ut) - 1.0), ut)
@@ -89,14 +90,12 @@ def project_to_M(u: Field) -> Field:
     """Fiber projection onto the unit-energy manifold {I = 1}.
 
     Solves g(t) = I(u_t) - 1 = 0 on one interpolant of u with g memoised:
-    Brent's method on a bracket grown by factors of 1.3 around the analytic
-    start t = I(u)^(-1/sigma), taken in log space, up to the first
-    |g| < ``_PROJECT_TOL``.  Returns the u_t of least |g| if that is
-    <= 1e-8; otherwise, or if the start t does not fit a float, raises
-    RuntimeError.
+    Brent's method (``operators._brentq``) on a bracket grown by factors of
+    1.3 around the analytic start t = I(u)^(-1/sigma), taken in log space,
+    up to the first |g| < ``_PROJECT_TOL`` or its 100th iteration.  Returns
+    the u_t of least |g| seen if that is <= 1e-8; otherwise, or if the
+    start t does not fit a float, raises RuntimeError.
     """
-    from scipy.optimize import brentq  # loaded by the first projection only
-
     iu = I_functional(u)
     if iu <= 0.0:
         raise ValueError("cannot project the zero field onto the manifold")
@@ -116,7 +115,10 @@ def project_to_M(u: Field) -> Field:
         else:
             break
     if _gap(lo, *state) < 0.0 < _gap(hi, *state):
-        brentq(_gap, lo, hi, args=state, xtol=1e-15 * lo, rtol=1e-15, disp=False)
+        try:
+            _brentq(lambda t: _gap(t, *state), lo, hi, 1e-15 * lo, 1e-15)
+        except RuntimeError:  # unconverged: seen still holds the best point
+            pass
     g, ut = min(seen.values(), key=lambda gu: abs(gu[0]))
     if abs(g) <= 1e-8:
         return ut

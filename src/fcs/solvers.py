@@ -57,7 +57,7 @@ import numpy as np
 from .energy import MANIFOLD_TOL, DegenerateSeedError, NonlinearitySpec, Phi, PowerTerm, _Ray
 from .grid import Field, RadialGrid, lp_norm
 # unused apply_A: perfbench/test_perfbench.py reads fcs.solvers.apply_A
-from .operators import _DENSE_MAX_M, apply_A, dense_fractional_matrix, _riesz_kernel, dual_norm  # noqa: F401
+from .operators import _DENSE_MAX_M, _brentq, apply_A, dense_fractional_matrix, _riesz_kernel, dual_norm  # noqa: F401
 from .params import ExponentTable, ProblemParams, Regime, RegimeTag, classify_nonlinearity
 
 __all__ = [
@@ -1037,25 +1037,19 @@ def _nehari_amplitude(ray: _Ray) -> float | None:
     h(a) = Phi'(a u) a u = a d/da Phi(a u) is positive near zero and
     eventually negative for superscaled/critical growth, so each + -> -
     crossing of h is a local maximum of Phi along the ray.  A log scan
-    brackets the crossings, ``brentq`` refines each one, and the root with
-    the largest Phi is the ray's maximum.  Both read the ray's S and Q (see
-    ``_Ray``).
+    brackets the crossings, Brent's method (``operators._brentq``, bit for
+    bit scipy's ``brentq``) refines each one, and of two or more roots the
+    one with the largest Phi is the ray's maximum.  Both read the ray's S
+    and Q (see ``_Ray``).
     """
-    from scipy.optimize import brentq  # loaded by the first mountain pass only
-
     amps = np.logspace(-3.0, 3.0, 61)
     hs = ray.nehari(amps)
     crossings = np.flatnonzero((hs[:-1] > 0.0) & (hs[1:] <= 0.0))
     if crossings.size == 0:
         return None
-    # the ray goes in ``args``: brentq wraps its function in a closure that
-    # refers to itself, and a ray caught in that cycle would keep its field's
-    # grid alive until the cycle collector runs
-    roots = [
-        brentq(lambda a, ray: ray.nehari(a), lo, hi, args=(ray,), xtol=1e-15 * lo, rtol=1e-15)
-        for lo, hi in zip(amps[crossings], amps[crossings + 1])
-    ]
-    return max(roots, key=ray.phi)
+    roots = [_brentq(ray.nehari, lo, hi, 1e-15 * lo, 1e-15) for lo, hi in zip(amps[crossings], amps[crossings + 1])]
+    # max would evaluate Phi at a lone root too
+    return roots[0] if len(roots) == 1 else max(roots, key=ray.phi)
 
 
 def mountain_pass(

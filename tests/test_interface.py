@@ -313,31 +313,35 @@ def _deferred_loads(argv, cwd):
 
 
 def test_a_cli_run_loads_only_the_scipy_it_executes(tmp_path):
-    # scipy.optimize (brentq), scipy.interpolate (PchipInterpolator) and
-    # scipy.special (Bessel functions, the Beta function) are imported where
-    # they are used, and fcs's FFTs are numpy's: an N = 3 eigen1, below the
-    # dense cutoff or above it (where Newton runs fcs's own GMRES), and an
-    # N = 3 sobolev load none of them ...
+    # scipy.interpolate (PchipInterpolator) and scipy.special (Bessel
+    # functions, the Beta function) are imported where they are used, fcs's
+    # FFTs are numpy's and its root finder is its own Brent's method: an
+    # N = 3 eigen1, below the dense cutoff or above it (where Newton runs
+    # fcs's own GMRES), an N = 3 sobolev, and an N = 3 mountain pass, alone
+    # or as a sweep, load none of them ...
     grid = ["--s", "0.75", "--alpha", "2", "--R", "20"]
     above = str(operators._DENSE_MAX_M + 1)
+    mp = (
+        "[params]\nN = 3\ns = 0.8\nalpha = 2.0\n[grid]\nR = 20.0\nM = 64\n"
+        "[nonlinearity]\nterm = power coef=1.0 q=4.1\n"
+    )
+    (tmp_path / "mp.cfg").write_text(mp + "[solver]\nmethod = mountain-pass\n")
+    (tmp_path / "sweep.cfg").write_text(
+        mp + "[solver]\nmethod = sweep\nsweep_method = mountain-pass\nsweep_term = 0\n"
+        "sweep_from = 1.0\nsweep_to = 2.0\nsweep_steps = 2\n"
+    )
     for argv in (
         ["eigen1", "--N", "3", *grid, "--M", "64"],
         ["eigen1", "--N", "3", *grid, "--M", above],
         ["sobolev", "--N", "3", *grid, "--M", "64"],
+        ["solve", "--config", "mp.cfg"],
+        ["solve", "--config", "sweep.cfg"],
     ):
         assert _deferred_loads(argv, tmp_path) == set(), argv
-    # ... N = 4 loads scipy.special for the Fourier-Bessel transform ...
+    # ... N = 4 loads scipy.special for the Fourier-Bessel transform, and a
+    # dilation scipy.interpolate on first use
     assert _deferred_loads(["eigen1", "--N", "4", *grid, "--M", "64"], tmp_path) == {"scipy.special"}
-    # ... and each deferred path loads its own package on first use
-    (tmp_path / "mp.cfg").write_text(
-        "[params]\nN = 3\ns = 0.8\nalpha = 2.0\n[grid]\nR = 20.0\nM = 64\n"
-        "[nonlinearity]\nterm = power coef=1.0 q=4.1\n[solver]\nmethod = mountain-pass\n"
-    )
-    for argv, pkg in [
-        (["solve", "--config", "mp.cfg"], "scipy.optimize"),
-        (["scaling-check", "--N", "3", *grid, "--M", "64"], "scipy.interpolate"),
-    ]:
-        assert pkg in _deferred_loads(argv, tmp_path), argv
+    assert "scipy.interpolate" in _deferred_loads(["scaling-check", "--N", "3", *grid, "--M", "64"], tmp_path)
 
 
 def test_envelopes_look_up_the_commit_once(monkeypatch):

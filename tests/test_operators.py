@@ -428,6 +428,121 @@ def test_kink_constant_matches_the_scipy_formula(N):
 
 
 # ---------------------------------------------------------------------------
+# Brent's method
+# ---------------------------------------------------------------------------
+
+def _brent_trace(solve, f, *args, **kwargs):
+    """The root a Brent solver returns and the points where it evaluated f, in hex."""
+    xs = []
+
+    def logged(x):
+        xs.append(float(x).hex())
+        return f(x)
+
+    return float(solve(logged, *args, **kwargs)).hex(), xs
+
+
+def _assert_brentq_is_scipys(f, a, b, xtol, rtol):
+    from scipy.optimize import brentq
+
+    from fcs.operators import _brentq
+
+    assert type(_brentq(f, a, b, xtol, rtol)) is float
+    assert _brent_trace(_brentq, f, a, b, xtol, rtol) == _brent_trace(brentq, f, a, b, xtol=xtol, rtol=rtol)
+
+
+@pytest.fixture
+def brent_calls(monkeypatch):
+    """(f, a, b, xtol, rtol) of every root solve the solvers and the projection make."""
+    import fcs.scaling
+    import fcs.solvers
+    from fcs.operators import _brentq
+
+    calls = []
+
+    def recording(f, a, b, xtol, rtol, maxiter=100):
+        calls.append((f, a, b, xtol, rtol))
+        return _brentq(f, a, b, xtol, rtol, maxiter)
+
+    for module in (fcs.solvers, fcs.scaling):
+        monkeypatch.setattr(module, "_brentq", recording)
+    return calls
+
+
+def test_brentq_is_scipys_on_the_mountain_pass_rays(brent_calls):
+    # every Nehari amplitude of the benchmark's pure powers and its critical
+    # family (q* < 3.5 < 2*_s), and both crossings of a two-crossing ray
+    from fcs.energy import NonlinearitySpec, PowerTerm, _Ray, pure_power
+    from fcs.solvers import _nehari_amplitude, find_negative_energy_point, mountain_pass
+
+    g = make_grid(ProblemParams(3, 0.8, 2.0), 20.0, 128)
+    exps = g.exps
+    critical = NonlinearitySpec.of(
+        PowerTerm(1.0, exps.two_star_s_alpha), PowerTerm(1.0, 3.5), PowerTerm(1.0, exps.two_star_s)
+    )
+    seen = 0
+    for spec in [pure_power(1.0, q) for q in (4.0, 4.1, 4.25)] + [critical]:
+        mountain_pass(g.params, g, spec, find_negative_energy_point(g.params, g, spec))
+        assert len(brent_calls) > seen + 5
+        seen = len(brent_calls)
+    two = NonlinearitySpec.of(PowerTerm(11.0, 3.0), PowerTerm(0.03852, 4.5))
+    shape = np.exp(-g.r ** 2)
+    _nehari_amplitude(_Ray(g.field(shape / np.sqrt(np.sum(g.w * shape ** 2))), two))
+    assert len(brent_calls) == seen + 2
+    for call in brent_calls:
+        _assert_brentq_is_scipys(*call)
+
+
+def test_brentq_is_scipys_on_the_projection_gaps(brent_calls, grid_small):
+    from fcs.scaling import project_to_M
+
+    for amp in (0.5, 1.0, 3.0):
+        for width in (0.7, 1.5, 3.0):
+            project_to_M(grid_small.field(amp * np.exp(-((grid_small.r / width) ** 2))))
+    assert len(brent_calls) >= 9
+    for call in brent_calls:
+        _assert_brentq_is_scipys(*call)
+
+
+@pytest.mark.parametrize(
+    "f, a, b",
+    [
+        (lambda x: x ** 3 - 2.0, 0.0, 2.0),
+        (lambda x: x ** 3 - 2.0, -1.0, 5.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: math.cos(x) - x, 1.0, -3.0),
+        # f(a) = 0 and f(b) = 0 return that endpoint after two evaluations
+        (lambda x: x - 1.0, 1.0, 3.0),
+        (lambda x: x - 3.0, 1.0, 3.0),
+    ],
+)
+@pytest.mark.parametrize("xtol, rtol", [(2e-12, 4.0 * np.finfo(float).eps), (1e-15, 1e-15)])
+def test_brentq_is_scipys_on_closed_forms(f, a, b, xtol, rtol):
+    _assert_brentq_is_scipys(f, a, b, xtol, rtol)
+
+
+def test_brentq_refuses_as_scipy_does():
+    from scipy.optimize import brentq
+
+    from fcs.operators import _brentq
+
+    def interior_nan(x):
+        return x - 1.5 if x in (1.0, 2.0) else math.nan
+
+    cases = [
+        (ValueError, "different signs", lambda x: x * x + 1.0, -1.0, 1.0, {}),
+        (ValueError, "NaN", lambda x: math.nan, 0.0, 1.0, {}),
+        (ValueError, "NaN", interior_nan, 1.0, 2.0, {}),
+        (RuntimeError, "converge", lambda x: x ** 3 - 2.0, 0.0, 5.0, {"maxiter": 3}),
+    ]
+    for error, match, f, a, b, kw in cases:
+        with pytest.raises(error, match=match):
+            brentq(f, a, b, xtol=2e-12, rtol=1e-15, **kw)
+        with pytest.raises(error, match=match):
+            _brentq(f, a, b, 2e-12, 1e-15, **kw)
+
+
+# ---------------------------------------------------------------------------
 # Coulomb energy and quadrilinear form
 # ---------------------------------------------------------------------------
 

@@ -99,6 +99,15 @@ def test_nehari_amplitude_is_outermost_sign_change(mp_grid):
     assert _nehari_amplitude(_Ray(Field(mp_grid, shape), NonlinearitySpec())) is None
 
 
+def test_nehari_amplitude_of_a_lone_crossing_evaluates_no_phi(mp_grid, monkeypatch):
+    # Phi ranks two or more crossings; a lone root is the ray's maximum as it is
+    calls = []
+    phi = _Ray.phi
+    monkeypatch.setattr(_Ray, "phi", lambda self, a: calls.append(a) or phi(self, a))
+    assert _nehari_amplitude(_Ray(Field(mp_grid, _unit_gaussian(mp_grid)), pure_power(1.0, 4.1))) is not None
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "c3, c45, outer_wins",
     [
